@@ -177,7 +177,15 @@ def _profile_lambda_grid(cfg) -> np.ndarray:
     return np.linspace(-lam0, lam0, max(count, 2))
 
 
-def _build_profiles(cfg):
+def _check_cavity_bounds(viol, where: str) -> None:
+    if int(viol[:3].sum()) > 0:
+        raise InvariantError(
+            f"cavity bound violations in {where}: sign={viol[0]} "
+            f"cap={viol[1]} floor={viol[2]}"
+        )
+
+
+def _build_profiles(cfg, strict: bool):
     """One distance-ratio profile per eta0 (potential-independent)."""
     mc = cfg["mc"]
     r_max = cfg["kernel"]["range"]
@@ -189,6 +197,8 @@ def _build_profiles(cfg):
             derive_key(mc["seed"], "profile-eta", j),
             depth=mc["depth"], leaf_mode=mc["leaf_mode"],
         )
+        if strict:
+            _check_cavity_bounds(profiles[eta0].violations, f"profile at eta0={eta0}")
     return profiles
 
 
@@ -264,8 +274,7 @@ def _evaluate_point(args):
         observable = _build_observable(cfg, n)
         kernel = _build_kernel(cfg, g)  # built before the potential: independence
         pot = anderson.sample_potential(n, spec, cfg["epsilon"], ps)
-        h = anderson.assemble(g, pot)
-        sd = anderson.eigendecompose(h)
+        sd = anderson.eigendecompose(anderson.assemble(g, pot))
         if strict:
             anderson.check_spectrum_bound(sd, q, pot.epsilon, spec.support_bound)
             trace = float(np.sum(sd.eigenvalues))
@@ -388,7 +397,7 @@ def cmd_qe_diag(cfg, out_dir, threads, strict):
 
 
 def cmd_qe_kernel(cfg, out_dir, threads, strict):
-    profiles = _build_profiles(cfg)
+    profiles = _build_profiles(cfg, strict)
     results = _run_grid(cfg, {"qe-kernel": profiles}, threads, strict)
     write_csv(os.path.join(out_dir, "qe_kernel.csv"), QE_HEADER, _qe_rows(cfg, results, "qe_kernel"))
     _write_per_eigenvalue(cfg, out_dir, results, "qe_kernel")
@@ -403,12 +412,7 @@ def _moment_table(cfg, strict):
         depth=mc["depth"], leaf_mode=mc["leaf_mode"], work_cap=mc["work_cap"],
     )
     if strict:
-        viol = table.total_violations()
-        if int(viol[:3].sum()) > 0:
-            raise InvariantError(
-                f"cavity bound violations in moment sweep: sign={viol[0]} "
-                f"cap={viol[1]} floor={viol[2]}"
-            )
+        _check_cavity_bounds(table.total_violations(), "moment sweep")
     return table
 
 
@@ -453,7 +457,7 @@ def cmd_check_conditions(cfg, out_dir, threads, strict):
 
 
 def cmd_run(cfg, out_dir, threads, strict):
-    profiles = _build_profiles(cfg)
+    profiles = _build_profiles(cfg, strict)
     stages = {
         "conditions": None,
         "qe-diag": None,

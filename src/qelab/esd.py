@@ -9,6 +9,7 @@ closed-walk return moments on the tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +46,21 @@ def kesten_mckay_density_rational(lam: float, q: int) -> float:
     return (q + 1) * math.sqrt(band) / (2.0 * math.pi * ((q + 1) ** 2 - lam * lam))
 
 
-def kesten_mckay_cdf(q: int):
-    """CDF evaluator of the Kesten-McKay law (vectorized, cached grid)."""
+@functools.lru_cache(maxsize=None)
+def _kesten_mckay_table(q: int):
     edge = 2.0 * math.sqrt(q)
     grid = np.linspace(-edge, edge, _CDF_GRID)
     dens = np.array([kesten_mckay_density(x, q) for x in grid])
     cum = scipy.integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     cum /= cum[-1]
+    grid.flags.writeable = False
+    cum.flags.writeable = False
+    return grid, cum
+
+
+def kesten_mckay_cdf(q: int):
+    """CDF evaluator of the Kesten-McKay law (vectorized; grid built once per q)."""
+    grid, cum = _kesten_mckay_table(q)
 
     def cdf(x):
         return np.interp(x, grid, cum, left=0.0, right=1.0)

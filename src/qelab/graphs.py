@@ -4,7 +4,8 @@ Generation uses the pairing (configuration) model with whole-sample rejection
 of self-loops and multi-edges, so every accepted graph is simple and exactly
 regular.  All structural queries (distances, geodesics, injectivity radii,
 expansion) are deterministic: neighbor lists are stored sorted ascending and
-BFS ties resolve to the smallest neighbor id.
+BFS ties resolve to the smallest neighbor id.  Nothing here builds an n x n
+array: the expansion check runs Lanczos on the sparse adjacency.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import derive_key, numpy_generator
-from .errors import ConfigError, GenerationError
+from ._rng import derive_key, hash_u64_vec, numpy_generator, uniform01_vec
+from .anderson import RESIDUAL_RTOL
+from .errors import ConfigError, GenerationError, InvariantError
 
 UNREACHABLE = float("inf")
 
@@ -61,15 +63,11 @@ class RegularGraph:
         """For each directed edge (u -> v), the id of (v -> u)."""
         rev = object.__getattribute__(self, "_rev")
         if rev is None:
-            deg = self.q + 1
+            # directed edge ids ascend with the key u*n + v (neighbor rows are
+            # sorted), so the id of (v -> u) is the rank of v*n + u
             targets = self.directed_targets()
-            srcs = np.repeat(np.arange(self.n, dtype=np.int64), deg)
-            rev = np.empty(targets.size, dtype=np.int64)
-            for e in range(targets.size):
-                v = targets[e]
-                u = srcs[e]
-                j = int(np.searchsorted(self.neighbors[v], u))
-                rev[e] = v * deg + j
+            srcs = np.repeat(np.arange(self.n, dtype=np.int64), self.q + 1)
+            rev = np.searchsorted(srcs * self.n + targets, targets * self.n + srcs)
             object.__setattr__(self, "_rev", rev)
         return rev
 
@@ -211,73 +209,79 @@ class InjectivityProfile:
         return float(np.count_nonzero(self.radii < r)) / self.radii.size
 
 
-def _injectivity_radius_at(g: RegularGraph, x: int) -> int:
-    # BFS from x; a non-tree edge (u, v) certifies a cycle inside the ball of
-    # radius max(depth(u), depth(v)), and every cycle inside a ball is caught
-    # this way, so rho(x) = (smallest certified radius) - 1.
-    depth = np.full(g.n, -1, dtype=np.int64)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    depth[x] = 0
-    parent[x] = x
-    best = g.n + 1
-    frontier = deque([x])
-    while frontier:
-        u = frontier.popleft()
-        du = int(depth[u])
-        if du >= best:
-            break  # candidates from deeper scans cannot improve
-        for v in g.neighbors[u]:
-            v = int(v)
-            if v == parent[u]:
-                continue
-            if depth[v] >= 0:
-                cand = max(du, int(depth[v]))
-                if cand < best:
-                    best = cand
-            else:
-                depth[v] = du + 1
-                parent[v] = u
-                frontier.append(v)
-    if best > g.n:
-        return int(depth.max())  # acyclic component; unreachable for regular graphs
-    return best - 1
+# sources per batch of the all-sources BFS; bounds the frontier arrays
+_BFS_BATCH = 1024
+
+
+def _sorted_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < sorted_keys.size
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return hit
+
+
+def _bfs_cycles(g: RegularGraph):
+    """Per vertex x: the shortest cycle a BFS from x certifies, and its depth reach.
+
+    A non-tree edge (u, v) of the BFS from x closes a cycle of length
+    d(u) + d(v) + 1; ``cycle[x]`` is the least such length (0 when x lies in
+    an acyclic component, where ``reach[x]`` is its eccentricity).  The first
+    level m that shows a non-tree edge decides it: an edge inside the depth
+    m-1 frontier gives 2m-1, a depth-m vertex reached from two frontier
+    vertices gives 2m.  Both tests depend only on depths, not on the tree
+    chosen, so all sources of a batch advance together on sorted arrays of
+    keys (slot * n + vertex).
+    """
+    n, nbrs = g.n, g.neighbors
+    cycle = np.zeros(n, dtype=np.int64)
+    reach = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _BFS_BATCH):
+        src = np.arange(start, min(start + _BFS_BATCH, n), dtype=np.int64)
+        done = np.zeros(src.size, dtype=bool)
+        prev = np.empty(0, dtype=np.int64)
+        front = np.arange(src.size, dtype=np.int64) * n + src
+        m = 1
+        while front.size:
+            slot, vert = np.divmod(front, n)
+            cand = np.sort((slot[:, None] * n + nbrs[vert]).reshape(-1))
+            cand = cand[~_sorted_member(prev, cand)]  # the edge back to the parent
+            inside = _sorted_member(front, cand)
+            odd = np.unique(cand[inside] // n)
+            cycle[src[odd]] = 2 * m - 1
+            done[odd] = True
+            fresh = cand[~inside]
+            first = np.ones(fresh.size, dtype=bool)
+            first[1:] = fresh[1:] != fresh[:-1]
+            even = np.unique(fresh[~first] // n)
+            even = even[~done[even]]
+            cycle[src[even]] = 2 * m
+            done[even] = True
+            fresh = fresh[first]
+            fresh = fresh[~done[fresh // n]]
+            exhausted = ~done
+            exhausted[fresh // n] = False
+            reach[src[exhausted]] = m - 1
+            done |= exhausted
+            prev, front = front, fresh
+            m += 1
+    return cycle, reach
 
 
 def injectivity_radius(g: RegularGraph) -> InjectivityProfile:
-    """Largest rho per vertex with the induced ball B(x, rho) acyclic."""
-    radii = np.empty(g.n, dtype=np.int64)
-    for x in range(g.n):
-        radii[x] = _injectivity_radius_at(g, x)
-    return InjectivityProfile(radii=radii)
+    """Largest rho per vertex with the induced ball B(x, rho) acyclic.
+
+    The ball B(x, r) holds a cycle exactly when some non-tree edge of the BFS
+    from x has both ends within depth r, so rho(x) = cycle(x) // 2 - 1.
+    """
+    cycle, reach = _bfs_cycles(g)
+    return InjectivityProfile(radii=np.where(cycle > 0, cycle // 2 - 1, reach))
 
 
 def girth(g: RegularGraph) -> int:
-    """Length of a shortest cycle."""
-    best = g.n + 1
-    for x in range(g.n):
-        depth = np.full(g.n, -1, dtype=np.int64)
-        parent = np.full(g.n, -1, dtype=np.int64)
-        depth[x] = 0
-        parent[x] = x
-        frontier = deque([x])
-        while frontier:
-            u = frontier.popleft()
-            du = int(depth[u])
-            if 2 * du + 1 >= best:
-                break
-            for v in g.neighbors[u]:
-                v = int(v)
-                if v == parent[u]:
-                    continue
-                if depth[v] >= 0:
-                    cycle = du + int(depth[v]) + 1
-                    if cycle < best:
-                        best = cycle
-                    continue
-                depth[v] = du + 1
-                parent[v] = u
-                frontier.append(v)
-    return best
+    """Length of a shortest cycle (n + 1 for an acyclic graph)."""
+    cycle, _ = _bfs_cycles(g)
+    found = cycle[cycle > 0]
+    return int(found.min()) if found.size else g.n + 1
 
 
 # ----------------------------------------------------------------------
@@ -293,22 +297,45 @@ class ExpansionReport:
 
 
 def exp_check(g: RegularGraph, tol: float = 1e-8) -> ExpansionReport:
-    """Spectral-gap check of the normalized adjacency (q+1)^-1 A.
+    """Spectral-gap check of the normalized adjacency M = (q+1)^-1 A.
 
-    beta = 1 - max{|mu| : mu != top Perron eigenvalue}.  A disconnected graph
-    has eigenvalue 1 with multiplicity > 1 and reports beta <= 0 with
-    connected=False.
+    beta = 1 - max{|mu| : mu != top Perron eigenvalue}.  The Perron vector
+    u = 1/sqrt(n) of a regular graph is exact, so Lanczos (ARPACK) runs on
+    the deflated operator M - u u^T and returns its two end eigenvalues.  A
+    disconnected graph keeps eigenvalue 1 after the deflation and reports
+    beta <= 0 with connected=False.  The Lanczos start vector comes from a
+    counter stream keyed by (n, q), never from ARPACK's internal generator,
+    so the result does not depend on earlier calls; the returned Ritz pairs
+    pass the residual and orthonormality checks of ``eigendecompose``.
     """
-    from .anderson import eigendecompose  # local import to avoid a cycle
+    import scipy.sparse
+    import scipy.sparse.linalg
 
-    dense = np.zeros((g.n, g.n), dtype=np.float64)
-    rows = np.repeat(np.arange(g.n), g.q + 1)
-    dense[rows, g.neighbors.reshape(-1)] = 1.0 / (g.q + 1)
-    spec = eigendecompose(dense)
-    mu = spec.eigenvalues
-    top_count = int(np.count_nonzero(mu > 1.0 - tol))
-    connected = top_count == 1
-    second = max(abs(float(mu[0])), abs(float(mu[-2])))
+    n, deg = g.n, g.q + 1
+    adj = scipy.sparse.csr_matrix(
+        (np.full(n * deg, 1.0 / deg), g.directed_targets(), g.directed_indptr()),
+        shape=(n, n),
+    )
+
+    def deflated(x):  # (M - u u^T) x for a vector or a block of columns
+        return adj @ x - x.sum(axis=0) / n
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=deflated, matmat=deflated, dtype=np.float64
+    )
+    key = derive_key(n, "exp-check", g.q)
+    v0 = uniform01_vec(hash_u64_vec(key, np.arange(n, dtype=np.uint64))) - 0.5
+    mu, vecs = scipy.sparse.linalg.eigsh(op, k=2, which="BE", v0=v0)
+
+    residual = float(np.max(np.abs(deflated(vecs) - vecs * mu)))
+    if residual > RESIDUAL_RTOL * max(float(np.max(np.abs(mu))), 1.0):
+        raise InvariantError(f"expansion Ritz residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e}")
+    gram_err = float(np.max(np.abs(vecs.T @ vecs - np.eye(2))))
+    if gram_err > RESIDUAL_RTOL:
+        raise InvariantError(f"expansion Ritz vectors deviate from orthonormal by {gram_err:.3e}")
+
+    connected = float(mu.max()) <= 1.0 - tol
+    second = float(np.max(np.abs(mu)))
     beta = 1.0 - second
     if not connected:
         beta = min(beta, 0.0)

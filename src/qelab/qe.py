@@ -383,11 +383,29 @@ class QEReport:
                         self.brackets.tolist(), self.averages.tolist()))
 
 
-def _quadratic_brackets(kernel: Kernel, vecs: np.ndarray) -> np.ndarray:
-    row_factor = vecs[kernel.rows]
-    if np.iscomplexobj(vecs):
-        row_factor = np.conj(row_factor)
-    return np.einsum("e,ei,ei->i", kernel.values, row_factor, vecs[kernel.cols])
+# eigenvector columns per block of the bracket evaluation; bounds the gathered
+# (kernel entries x block) factors
+_BRACKET_BLOCK = 128
+
+
+def _quadratic_brackets(kernel: Kernel, vecs: np.ndarray, columns=None) -> np.ndarray:
+    """<psi_i, K psi_i> for the eigenvector columns ``columns`` (default all).
+
+    Columns are evaluated in fixed blocks that gather only their own entries;
+    each value equals the one of an all-columns evaluation bit for bit.
+    """
+    if columns is None:
+        columns = np.arange(vecs.shape[1])
+    out = np.empty(len(columns), dtype=np.result_type(kernel.values, vecs))
+    for start in range(0, len(columns), _BRACKET_BLOCK):
+        block = vecs[:, columns[start:start + _BRACKET_BLOCK]]
+        row_factor = block[kernel.rows]
+        if np.iscomplexobj(block):
+            row_factor = np.conj(row_factor)
+        out[start:start + _BRACKET_BLOCK] = np.einsum(
+            "e,ei,ei->i", kernel.values, row_factor, block[kernel.cols]
+        )
+    return out
 
 
 def qe_statistic_kernel(
@@ -416,7 +434,7 @@ def qe_statistic_kernel(
     mask = spec_data.window_mask(lambda0)
     idx = np.nonzero(mask)[0]
     lams = spec_data.eigenvalues[idx]
-    brackets = _quadratic_brackets(kernel, spec_data.eigenvectors)[idx]
+    brackets = _quadratic_brackets(kernel, spec_data.eigenvectors, idx)
     avg = averages(lams)
     statistic = float(np.sum(np.abs(brackets - avg))) / spec_data.n
     return QEReport(

@@ -427,6 +427,8 @@ class DistanceRatioProfile:
     ratios[0] is identically one; rows r >= 1 are the distance-r profiles
     entering the averaged kernel bracket.  The profile depends only on
     (q, epsilon, eta, distribution), never on a graph or a potential seed.
+    ``violations`` sums the counters of its ray sweeps (layout as in
+    ``RayExpectation``).
     """
 
     lambdas: np.ndarray
@@ -440,6 +442,7 @@ class DistanceRatioProfile:
     samples: int
     depth: int
     leaf_mode: str
+    violations: np.ndarray
 
     def ratio_at(self, r: int, lam) -> np.ndarray:
         """Linear interpolation of the distance-r ratio curve."""
@@ -470,6 +473,7 @@ def distance_ratio_profile(
     ratios = np.empty((r_max + 1, lambdas.size))
     diag_means = np.empty(lambdas.size)
     diag_stderrs = np.empty(lambdas.size)
+    violations = np.zeros(4, dtype=np.int64)
     lam_sup = float(np.max(np.abs(lambdas)))
     for i, lam in enumerate(lambdas):
         ray = mc_expectation_im_green(
@@ -480,6 +484,7 @@ def distance_ratio_profile(
         )
         diag_means[i] = ray.means[0]
         diag_stderrs[i] = ray.stderrs[0]
+        violations += ray.violations
         for r in range(r_max + 1):
             ratios[r, i] = ray.means[r] / ray.means[0]
     return DistanceRatioProfile(
@@ -494,6 +499,7 @@ def distance_ratio_profile(
         samples=samples,
         depth=depth,
         leaf_mode=leaf_mode,
+        violations=violations,
     )
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qelab import anderson, graphs
 from qelab.errors import BudgetError, ConfigError
@@ -117,6 +118,33 @@ def test_eigendecompose_deterministic_sign():
         col = a.eigenvectors[:, i]
         first = col[np.argmax(np.abs(col) > 1e-8)]
         assert first > 0
+
+
+def signs_by_column_loop(vecs):
+    """The per-column sign convention, one column at a time."""
+    vecs = vecs.copy()
+    for i in range(vecs.shape[1]):
+        col = vecs[:, i]
+        idx = np.argmax(np.abs(col) > 1e-8)
+        if col[idx] < 0:
+            vecs[:, i] = -col
+    return vecs
+
+
+def test_sign_convention_matches_column_loop():
+    g = graphs.generate_random_regular(200, 2, seed=4)
+    pot = anderson.sample_potential(200, anderson.PotentialSpec(), 0.3, seed=2)
+    h = anderson.assemble(g, pot)
+    _, raw = scipy.linalg.eigh(h, driver="evd")
+    got = anderson.eigendecompose(h).eigenvectors
+    assert np.array_equal(got.view(np.int64), signs_by_column_loop(raw).view(np.int64))
+    # leading entries under the threshold, an all-zero column, negative zeros
+    m = np.array([[1e-9, -1e-9, 0.0, -0.0],
+                  [-0.5, 0.5, 0.0, 2.0],
+                  [0.3, -0.2, -0.0, -1.0]])
+    flipped = m.copy()
+    anderson._canonical_signs(flipped)
+    assert np.array_equal(flipped.view(np.int64), signs_by_column_loop(m).view(np.int64))
 
 
 def test_dimension_cap():

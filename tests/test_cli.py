@@ -209,3 +209,24 @@ def test_strict_invariants_exit_code(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "run", boom)
     code = cli.main(["run", "--config", _write(tmp_path, MINI), "--out", str(tmp_path / "x"), "--threads", "1"])
     assert code == 4
+
+
+def test_strict_invariants_profile_violation(tmp_path, monkeypatch):
+    import dataclasses
+
+    from qelab import tree_green
+
+    real = tree_green.distance_ratio_profile
+
+    def injected(*args, **kwargs):
+        prof = real(*args, **kwargs)
+        return dataclasses.replace(prof, violations=prof.violations + np.array([1, 0, 0, 0]))
+
+    monkeypatch.setattr(tree_green, "distance_ratio_profile", injected)
+    cfg = _write(tmp_path, MINI)
+    for command in ("qe-kernel", "run"):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", cfg, "--out", out, "--threads", "1",
+                         "--strict-invariants"]) == 4
+    assert cli.main(["qe-kernel", "--config", cfg, "--out", str(tmp_path / "lax"),
+                     "--threads", "1"]) == 0

@@ -42,6 +42,15 @@ def test_kesten_mckay_cdf_monotone():
     assert np.all(np.diff(vals) >= 0)
 
 
+def test_kesten_mckay_cdf_cached_per_q():
+    xs = np.linspace(-4.0, 4.0, 101)
+    grid, cum = esd._kesten_mckay_table.__wrapped__(3)  # built afresh, bypassing the cache
+    first = esd.kesten_mckay_cdf(3)(xs)
+    assert esd._kesten_mckay_table(3) is esd._kesten_mckay_table(3)
+    assert np.array_equal(first, np.interp(xs, grid, cum, left=0.0, right=1.0))
+    assert np.array_equal(esd.kesten_mckay_cdf(3)(xs), first)
+
+
 def test_ids_density_free_closed_form():
     est = esd.ids_density(2, SPEC, 0.0, 0.0, 0.0, samples=10, seed=1)
     assert est.density == pytest.approx(esd.kesten_mckay_density(0.0, 2), abs=1e-14)

@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from qelab import graphs
 from qelab.errors import ConfigError, GenerationError
@@ -39,6 +41,54 @@ def ball_is_tree_oracle(neighbors, x, radius):
     inside = set(dist)
     edges = sum(1 for u in inside for v in neighbors[u] if v in inside and u < v)
     return edges == len(inside) - 1
+
+
+def injectivity_oracle(neighbors, x):
+    """Per-vertex BFS: one less than the least max-depth of a non-tree edge."""
+    depth = {x: 0}
+    parent = {x: x}
+    best = None
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        if best is not None and depth[u] >= best:
+            break
+        for v in neighbors[u]:
+            if v == parent[u]:
+                continue
+            if v in depth:
+                cand = max(depth[u], depth[v])
+                best = cand if best is None else min(best, cand)
+            else:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                queue.append(v)
+    return max(depth.values()) if best is None else best - 1
+
+
+def girth_oracle(neighbors):
+    """Shortest d(u) + d(v) + 1 over non-tree edges of every per-vertex BFS."""
+    best = len(neighbors) + 1
+    for x in range(len(neighbors)):
+        depth = {x: 0}
+        parent = {x: x}
+        queue = deque([x])
+        while queue:
+            u = queue.popleft()
+            for v in neighbors[u]:
+                if v == parent[u]:
+                    continue
+                if v in depth:
+                    best = min(best, depth[u] + depth[v] + 1)
+                else:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+    return best
+
+
+TWO_K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
 
 
 def test_k4_is_forced():
@@ -140,6 +190,25 @@ def test_injectivity_reference_n1000():
     assert graphs.girth(g) == 4
 
 
+@pytest.mark.parametrize("n,q,seed", [(64, 2, 7), (500, 2, 11), (300, 3, 5), (120, 4, 2)])
+def test_injectivity_and_girth_match_per_vertex_bfs(n, q, seed):
+    g = graphs.generate_random_regular(n, q, seed)
+    nbrs = g.neighbors.tolist()
+    prof = graphs.injectivity_radius(g)
+    assert prof.radii.dtype == np.int64
+    assert prof.radii.tolist() == [injectivity_oracle(nbrs, x) for x in range(n)]
+    assert graphs.girth(g) == girth_oracle(nbrs)
+
+
+def test_injectivity_and_girth_small_graphs():
+    for g in (graphs.graph_from_edges(6, 2, K33_EDGES), graphs.graph_from_edges(8, 2, TWO_K4_EDGES)):
+        nbrs = g.neighbors.tolist()
+        assert graphs.injectivity_radius(g).radii.tolist() == [
+            injectivity_oracle(nbrs, x) for x in range(g.n)
+        ]
+        assert graphs.girth(g) == girth_oracle(nbrs)
+
+
 def test_bst_statistic_trend_over_n():
     # median over 5 seeds of |{rho < 2}|/n should not grow with n
     med = {}
@@ -168,13 +237,43 @@ def test_exp_check_bipartite_flagged():
 
 
 def test_exp_check_disconnected():
-    two = graphs.graph_from_edges(
-        8, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-               (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
-    )
+    two = graphs.graph_from_edges(8, 2, TWO_K4_EDGES)
     rep = graphs.exp_check(two)
     assert not rep.connected
     assert rep.beta <= 0.0
+    assert rep.second_modulus == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_second_modulus(g):
+    a = np.zeros((g.n, g.n))
+    a[np.repeat(np.arange(g.n), g.q + 1), g.neighbors.reshape(-1)] = 1.0 / (g.q + 1)
+    mu = scipy.linalg.eigvalsh(a)
+    return max(abs(mu[0]), abs(mu[-2]))
+
+
+@pytest.mark.parametrize("n,q,seed", [(250, 2, 101), (1000, 2, 4), (400, 3, 2), (1200, 3, 301)])
+def test_exp_check_matches_dense(n, q, seed):
+    g = graphs.generate_random_regular(n, q, seed)
+    rep = graphs.exp_check(g)
+    second = dense_second_modulus(g)
+    assert rep.connected
+    assert abs(rep.second_modulus - second) <= 1e-10
+    assert abs(rep.beta - (1.0 - second)) <= 1e-10
+
+
+def test_exp_check_deterministic_after_other_arpack_calls():
+    g = graphs.generate_random_regular(500, 2, seed=3)
+    first = graphs.exp_check(g)
+    assert graphs.exp_check(g) == first
+    m = np.random.default_rng(0).standard_normal((80, 80))
+    scipy.sparse.linalg.eigsh(m + m.T, k=3)  # advances ARPACK's internal random state
+    assert graphs.exp_check(g) == first
+
+
+def test_exp_check_beyond_dense_cap():
+    rep = graphs.exp_check(graphs.generate_random_regular(5000, 2, seed=1))
+    assert rep.connected
+    assert 0.0 < rep.beta < 0.1
 
 
 def test_exp_check_reference_n1000():
@@ -211,3 +310,13 @@ def test_reverse_edge_index():
         assert targets[rev[e]] == u
         assert rev[e] // deg == v
         assert rev[rev[e]] == e
+    # against the per-edge search, also at q = 3
+    for g in (g, graphs.generate_random_regular(600, 3, seed=8)):
+        deg = g.q + 1
+        targets = g.directed_targets()
+        expected = np.empty(targets.size, dtype=np.int64)
+        for e in range(targets.size):
+            v, u = targets[e], e // deg
+            expected[e] = v * deg + int(np.searchsorted(g.neighbors[v], u))
+        assert g.reverse_edge_index().dtype == np.int64
+        assert np.array_equal(g.reverse_edge_index(), expected)

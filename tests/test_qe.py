@@ -205,6 +205,22 @@ def test_trace_identity_all_eigenvalues(small_case):
     assert total == pytest.approx(obs.values.sum(), rel=1e-8)
 
 
+def test_blocked_brackets_match_full_einsum():
+    n = 400
+    g = graphs.generate_random_regular(n, 2, seed=8)
+    pot = anderson.sample_potential(n, SPEC, 0.2, seed=9)
+    sd = anderson.eigendecompose(anderson.assemble(g, pot))
+    vecs = sd.eigenvectors
+    idx = np.nonzero(sd.window_mask(2.4))[0]
+    assert idx.size > 2 * qe._BRACKET_BLOCK
+    for kernel in (qe.edge_kernel(g), qe.diagonal_kernel(qe.make_observable("indicator", n, 3))):
+        full = np.einsum("e,ei,ei->i", kernel.values, vecs[kernel.rows], vecs[kernel.cols])
+        window = qe._quadratic_brackets(kernel, vecs, idx)
+        assert np.array_equal(window.view(np.int64), full[idx].view(np.int64))
+        every = qe._quadratic_brackets(kernel, vecs)
+        assert np.array_equal(every.view(np.int64), full.view(np.int64))
+
+
 def test_kernel_requires_real_for_positive_range(small_case):
     g, _, sd, _ = small_case
     kernel = qe.edge_kernel(g)
