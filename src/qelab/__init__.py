@@ -5,13 +5,12 @@ assembly and spectra), tree_green (cavity Green-function engine on the
 infinite tree and on universal-cover lifts), qe (windowed eigenfunction
 statistics), esd (spectral-measure diagnostics), cli (experiment runner).
 
-Hot kernels are numba-compiled by default; set QELAB_NO_NUMBA=1 to select
-the pure-numpy fallback (bit-identical results, different speed).
+Hot kernels (cavity sweeps, message passing) are vectorized numpy in
+``_kernels``.
 """
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as kernel_backend  # noqa: F401
 from .anderson import (  # noqa: F401
     PotentialAssignment,
     PotentialSpec,

@@ -1,11 +1,10 @@
 """Hot numeric kernels: cavity tree sweeps and directed-edge message passing.
 
-Two interchangeable backends live here.  The default compiles the inner loops
-with numba's ``@njit``; setting the environment variable ``QELAB_NO_NUMBA=1``
-before import selects a pure-numpy path instead.  Both backends evaluate the
-same arithmetic in the same order on the same counter-based random streams,
-so their outputs are bit-identical (covered by tests); only speed and memory
-profile differ.  ``benchmarks/bench_kernels.py`` compares the two.
+Every kernel is plain numpy, vectorized across the nodes of one tree level
+or across the directed edges of a graph.  Results are reproducible bit for
+bit: child sums run in child order, complex reciprocals go through one
+explicit formula, and potentials come from the counter-based streams of
+``_rng``.  The golden digests in ``tests/test_kernels_golden.py`` pin them.
 
 Conventions shared by every kernel:
 
@@ -15,7 +14,9 @@ Conventions shared by every kernel:
   (with a 1e-12 relative slack for floating-point rounding) instead of
   raising, callers decide what to do with the counts;
 * tree nodes are numbered in level order: root 0, then level k holding
-  ``branches * q**(k-1)`` nodes; node ids feed the potential stream.
+  ``branches * q**(k-1)`` nodes; node ids feed the potential stream;
+* ``leaf`` is the free fixed-point value that seeds every leaf, or None for
+  bare leaves 1/(gamma - eps*omega).
 
 Violation counter layout (int64[4]): [sign, modulus-cap, imaginary-floor,
 nodes-visited].
@@ -23,49 +24,20 @@ nodes-visited].
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ._rng import (
-    GOLDEN,
-    OMEGA_STRIDE,
-    POT_RESCALED_BETA,
-    POT_TWO_POINT,
-    POT_UNIFORM,
-    draw_omega_vec,
-    hash_u64_vec,
-    uniform01_vec,
-)
-
-_FLAG = os.environ.get("QELAB_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in {"1", "true", "yes", "on"}
-
-if not NUMBA_DISABLED:
-    # this box's TBB is too old for numba; omp avoids the fallback warning
-    os.environ.setdefault("NUMBA_THREADING_LAYER", "omp")
-    try:
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+from ._rng import draw_omega_vec, hash_u64_vec
 
 _SLACK = 1e-12
-_U = np.uint64
 
 
 def crecip_scalar(z: complex) -> complex:
     """1/z via the explicit conjugate formula.
 
-    numpy, LLVM and CPython disagree in the last bit of complex division;
-    every backend routes through this one formula so results stay
-    bit-identical.  Safe without Smith scaling: cavity denominators live in
-    [eta, O(1/eta)].
+    numpy and CPython disagree in the last bit of complex division; every
+    kernel routes through this one formula (or ``crecip_vec``) so results
+    stay bit-identical.  Safe without Smith scaling: cavity denominators
+    live in [eta, O(1/eta)].
     """
     den = z.real * z.real + z.imag * z.imag
     return complex(z.real / den, -z.imag / den)
@@ -96,267 +68,6 @@ def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
     return off
 
 
-# ======================================================================
-# numba backend
-# ======================================================================
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _mix64_nb(z):
-        z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-        return z ^ (z >> _U(31))
-
-    @njit(cache=True, inline="always")
-    def _hash_nb(key, ctr):
-        return _mix64_nb(key + (ctr + _U(1)) * _U(GOLDEN))
-
-    @njit(cache=True, inline="always")
-    def _unif_nb(h):
-        return (h >> _U(11)) * (2.0**-53)
-
-    @njit(cache=True, inline="always")
-    def _crecip_nb(z):
-        den = z.real * z.real + z.imag * z.imag
-        return complex(z.real / den, -z.imag / den)
-
-    @njit(cache=True, inline="always")
-    def _omega_nb(kind, bound, key, index):
-        base = _U(index) * _U(OMEGA_STRIDE)
-        u0 = _unif_nb(_hash_nb(key, base))
-        if kind == POT_UNIFORM:
-            return bound * (2.0 * u0 - 1.0)
-        if kind == POT_TWO_POINT:
-            return bound if u0 >= 0.5 else -bound
-        u1 = _unif_nb(_hash_nb(key, base + _U(1)))
-        u2 = _unif_nb(_hash_nb(key, base + _U(2)))
-        med = min(max(min(u0, u1), u2), max(u0, u1))
-        return bound * (2.0 * med - 1.0)
-
-    @njit(cache=True, inline="always")
-    def _emit_check_nb(value, check, abs_cap, im_floor, viol):
-        viol[3] += 1
-        if check:
-            im = value.imag
-            if im >= 0.0:
-                viol[0] += 1
-            if abs(value) > abs_cap * (1.0 + _SLACK):
-                viol[1] += 1
-            if -im < im_floor * (1.0 - _SLACK):
-                viol[2] += 1
-
-    @njit(cache=True)
-    def _sweep_nb(
-        q,
-        depth,
-        branches,
-        eps,
-        gamma,
-        leaf_value,
-        use_free_leaf,
-        pot_kind,
-        pot_a,
-        key,
-        spine_len,
-        spine_branch,
-        check,
-        abs_cap,
-        im_floor,
-        out_branch,
-        out_spine,
-        viol,
-    ):
-        """Depth-first cavity sweep of a level-``depth`` tree ball.
-
-        Memory is O(depth): only the active root-to-node path plus one
-        accumulator per level is held.  The spine records the cavity values
-        along the first ray of branch ``spine_branch``.  Returns the
-        root-site potential.
-        """
-        omega_root = _omega_nb(pot_kind, pot_a, key, 0)
-        offsets = np.zeros(depth + 1, dtype=np.int64)
-        targets = np.zeros(depth + 1, dtype=np.int64)
-        offsets[1] = 1
-        targets[1] = spine_branch
-        width = branches
-        for k in range(1, depth):
-            offsets[k + 1] = offsets[k] + width
-            targets[k + 1] = targets[k] * q
-            width *= q
-
-        local = np.zeros(depth + 1, dtype=np.int64)
-        done = np.zeros(depth + 1, dtype=np.int64)
-        acc = np.zeros(depth + 1, dtype=np.complex128)
-        om = np.zeros(depth + 1, dtype=np.float64)
-
-        for b in range(branches):
-            k = 1
-            local[1] = b
-            done[1] = 0
-            acc[1] = 0.0j
-            om[1] = _omega_nb(pot_kind, pot_a, key, offsets[1] + b)
-            value = 0.0j
-            while True:
-                if k == depth:
-                    if use_free_leaf:
-                        value = leaf_value
-                    else:
-                        value = _crecip_nb(gamma - eps * om[k])
-                    _emit_check_nb(value, check, abs_cap, im_floor, viol)
-                    if spine_len >= k and local[k] == targets[k]:
-                        out_spine[k - 1] = value
-                    k -= 1
-                    if k == 0:
-                        break
-                    acc[k] += value
-                    done[k] += 1
-                    continue
-                if done[k] < q:
-                    c = done[k]
-                    child = local[k] * q + c
-                    k += 1
-                    local[k] = child
-                    done[k] = 0
-                    acc[k] = 0.0j
-                    om[k] = _omega_nb(pot_kind, pot_a, key, offsets[k] + child)
-                    continue
-                value = _crecip_nb(gamma - eps * om[k] - acc[k])
-                _emit_check_nb(value, check, abs_cap, im_floor, viol)
-                if spine_len >= k and local[k] == targets[k]:
-                    out_spine[k - 1] = value
-                k -= 1
-                if k == 0:
-                    break
-                acc[k] += value
-                done[k] += 1
-            out_branch[b] = value
-        return omega_root
-
-    @njit(cache=True, parallel=True)
-    def _ray_batch_nb(
-        q,
-        depth,
-        eps,
-        gamma,
-        leaf_value,
-        use_free_leaf,
-        pot_kind,
-        pot_a,
-        batch_key,
-        r_max,
-        spine_branch,
-        check,
-        abs_cap,
-        im_floor,
-        im_out,
-        viol_out,
-    ):
-        samples = im_out.shape[0]
-        branches = q + 1
-        for m in prange(samples):
-            key_m = _mix64_nb(_U(batch_key) + (_U(m) + _U(1)) * _U(GOLDEN))
-            out_branch = np.empty(branches, dtype=np.complex128)
-            out_spine = np.empty(max(r_max, 1), dtype=np.complex128)
-            viol = np.zeros(4, dtype=np.int64)
-            omega_root = _sweep_nb(
-                q, depth, branches, eps, gamma, leaf_value, use_free_leaf,
-                pot_kind, pot_a, key_m, r_max, spine_branch, check, abs_cap, im_floor,
-                out_branch, out_spine, viol,
-            )
-            s = 0.0j
-            for b in range(branches):
-                s += out_branch[b]
-            g = _crecip_nb(eps * omega_root - gamma + s)
-            im_out[m, 0] = g.imag
-            for r in range(1, r_max + 1):
-                g = g * out_spine[r - 1]
-                im_out[m, r] = g.imag
-            for j in range(4):
-                viol_out[m, j] = viol[j]
-
-    @njit(cache=True, parallel=True)
-    def _cavity_batch_nb(
-        q,
-        depth,
-        eps,
-        gamma,
-        leaf_value,
-        use_free_leaf,
-        pot_kind,
-        pot_a,
-        batch_key,
-        check,
-        abs_cap,
-        im_floor,
-        zeta_out,
-        viol_out,
-    ):
-        samples = zeta_out.shape[0]
-        for m in prange(samples):
-            key_m = _mix64_nb(_U(batch_key) + (_U(m) + _U(1)) * _U(GOLDEN))
-            out_branch = np.empty(q, dtype=np.complex128)
-            out_spine = np.empty(1, dtype=np.complex128)
-            viol = np.zeros(4, dtype=np.int64)
-            omega_root = _sweep_nb(
-                q, depth, q, eps, gamma, leaf_value, use_free_leaf,
-                pot_kind, pot_a, key_m, 0, 0, check, abs_cap, im_floor,
-                out_branch, out_spine, viol,
-            )
-            s = 0.0j
-            for b in range(q):
-                s += out_branch[b]
-            z = _crecip_nb(gamma - eps * omega_root - s)
-            _emit_check_nb(z, check, abs_cap, im_floor, viol)
-            zeta_out[m] = z
-            for j in range(4):
-                viol_out[m, j] = viol[j]
-
-    @njit(cache=True)
-    def _messages_advance_nb(
-        indptr,
-        nbrs,
-        rev,
-        omega,
-        eps,
-        gamma,
-        msg_in,
-        rounds,
-        check,
-        abs_cap,
-        im_floor,
-        viol,
-    ):
-        n_edges = nbrs.size
-        n = indptr.size - 1
-        msg = msg_in.copy()
-        new = np.empty(n_edges, dtype=np.complex128)
-        site_sum = np.empty(n, dtype=np.complex128)
-        for _ in range(rounds):
-            for v in range(n):
-                s = 0.0j
-                for e in range(indptr[v], indptr[v + 1]):
-                    s += msg[e]
-                site_sum[v] = s
-            for e in range(n_edges):
-                v = nbrs[e]
-                new[e] = _crecip_nb(gamma - eps * omega[v] - (site_sum[v] - msg[rev[e]]))
-                _emit_check_nb(new[e], check, abs_cap, im_floor, viol)
-            msg, new = new, msg
-        return msg
-
-else:  # pure-numpy build: keep the names importable
-    _sweep_nb = None
-    _ray_batch_nb = None
-    _cavity_batch_nb = None
-    _messages_advance_nb = None
-
-
-# ======================================================================
-# numpy backend (vectorized level-by-level; different memory profile)
-# ======================================================================
-
-
 def _check_vec(values: np.ndarray, check: bool, abs_cap: float, im_floor: float, viol: np.ndarray) -> None:
     viol[3] += values.size
     if check:
@@ -381,207 +92,136 @@ def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_np(
-    q,
-    depth,
-    branches,
-    eps,
-    gamma,
-    leaf_value,
-    use_free_leaf,
-    pot_kind,
-    pot_a,
-    key,
-    spine_len,
-    spine_branch,
-    check,
-    abs_cap,
-    im_floor,
-    out_branch,
-    out_spine,
-    viol,
-):
-    """Level-ordered sweep, vectorized across each level.
+# ----------------------------------------------------------------------
+# cavity recursion on tree balls
+# ----------------------------------------------------------------------
 
-    Matches ``_sweep_nb`` bit for bit: identical per-node arithmetic, child
-    sums taken in child order, same potential stream.
+
+def cavity_levels(q, sizes, gamma, leaf, site):
+    """The cavity recursion z = 1/(gamma - site - sum of q children), leaves first.
+
+    ``sizes[k-1]`` values are kept at level k = 1..depth, in level order.
+    A level kept at the size of the level above it holds one value shared
+    by all q children of each parent: with every size 1 this is the eps = 0
+    chain, where all siblings coincide.  ``site(k)`` returns eps*omega on
+    level k; bare leaves call it, free leaves (``leaf`` not None) do not.
+    Yields (k, values) for k = depth, ..., 1.
+    """
+    depth = len(sizes)
+    values = None
+    for k in range(depth, 0, -1):
+        width = sizes[k - 1]
+        if values is not None:
+            kids = values.reshape(width, -1)
+            child_sum = np.zeros(width, dtype=np.complex128)
+            for j in range(q):
+                child_sum = child_sum + kids[:, j % kids.shape[1]]
+            values = crecip_vec(gamma - site(k) - child_sum)
+        elif leaf is None:
+            values = crecip_vec(gamma - site(k))
+        else:
+            values = np.full(width, leaf, dtype=np.complex128)
+        yield k, values
+
+
+def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
+                 spine_len, spine_branch, check, abs_cap, im_floor):
+    """One disorder realization swept over a depth-``depth`` tree ball.
+
+    Potentials are drawn level by level from the stream keyed by ``key``.
+    The spine records the cavity values at depths 1..spine_len along the
+    first ray of branch ``spine_branch``.  Returns (branch values at the
+    root, spine, root-site potential, violation counters).
     """
     offsets = level_offsets(q, depth, branches)
-    targets = np.zeros(depth + 1, dtype=np.int64)
-    targets[1] = spine_branch
-    for k in range(1, depth):
-        targets[k + 1] = targets[k] * q
-    omega_root = float(draw_omega_vec(pot_kind, pot_a, key, np.zeros(1, dtype=np.int64))[0])
+    sizes = [branches * q**k for k in range(depth)]
 
-    n_leaf = branches * q ** (depth - 1)
-    if use_free_leaf:
-        values = np.full(n_leaf, leaf_value, dtype=np.complex128)
-    else:
-        ids = offsets[depth] + np.arange(n_leaf, dtype=np.int64)
-        om = draw_omega_vec(pot_kind, pot_a, key, ids)
-        values = crecip_vec(gamma - eps * om)
-    _check_vec(values, check, abs_cap, im_floor, viol)
-    if spine_len >= depth:
-        out_spine[depth - 1] = values[targets[depth]]
+    def site(k):
+        ids = offsets[k] + np.arange(sizes[k - 1], dtype=np.int64)
+        return eps * draw_omega_vec(pot_kind, pot_a, key, ids)
 
-    for k in range(depth - 1, 0, -1):
-        n_k = branches * q ** (k - 1)
-        ids = offsets[k] + np.arange(n_k, dtype=np.int64)
-        om = draw_omega_vec(pot_kind, pot_a, key, ids)
-        resh = values.reshape(n_k, q)
-        child_sum = np.zeros(n_k, dtype=np.complex128)
-        for j in range(q):
-            child_sum = child_sum + resh[:, j]
-        values = crecip_vec(gamma - eps * om - child_sum)
+    viol = np.zeros(4, dtype=np.int64)
+    spine = np.empty(spine_len, dtype=np.complex128)
+    for k, values in cavity_levels(q, sizes, gamma, leaf, site):
         _check_vec(values, check, abs_cap, im_floor, viol)
-        if spine_len >= k:
-            out_spine[k - 1] = values[targets[k]]
-    out_branch[:] = values
-    return omega_root
+        if k <= spine_len:
+            spine[k - 1] = values[spine_branch * q ** (k - 1)]
+    omega_root = float(draw_omega_vec(pot_kind, pot_a, key, np.zeros(1, dtype=np.int64))[0])
+    return values, spine, omega_root, viol
 
 
-def _ray_batch_np(
-    q,
-    depth,
-    eps,
-    gamma,
-    leaf_value,
-    use_free_leaf,
-    pot_kind,
-    pot_a,
-    batch_key,
-    r_max,
-    spine_branch,
-    check,
-    abs_cap,
-    im_floor,
-    im_out,
-    viol_out,
-):
-    samples = im_out.shape[0]
-    branches = q + 1
+def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
+              r_max, ray_branch, check, abs_cap, im_floor):
+    """Im G(root, y_r) for r = 0..r_max on ``samples`` independent balls.
+
+    y_r is the depth-r node on the first ray of branch ``ray_branch``.
+    Returns (array of shape (samples, r_max + 1), summed violation counters).
+    """
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    out_branch = np.empty(branches, dtype=np.complex128)
-    out_spine = np.empty(max(r_max, 1), dtype=np.complex128)
+    im = np.empty((samples, r_max + 1), dtype=np.float64)
+    viol = np.zeros(4, dtype=np.int64)
     for m in range(samples):
-        viol = np.zeros(4, dtype=np.int64)
-        omega_root = _sweep_np(
-            q, depth, branches, eps, gamma, leaf_value, use_free_leaf,
-            pot_kind, pot_a, int(keys[m]), r_max, spine_branch, check, abs_cap, im_floor,
-            out_branch, out_spine, viol,
+        branch, spine, omega_root, counts = cavity_sweep(
+            q, depth, q + 1, eps, gamma, leaf, pot_kind, pot_a, int(keys[m]),
+            r_max, ray_branch, check, abs_cap, im_floor,
         )
+        viol += counts
         s = 0.0j
-        for b in range(branches):
-            s += out_branch[b]
+        for z in branch:
+            s += z
         g = crecip_scalar(eps * omega_root - gamma + s)
-        im_out[m, 0] = g.imag
+        im[m, 0] = g.imag
         for r in range(1, r_max + 1):
-            g = g * out_spine[r - 1]
-            im_out[m, r] = g.imag
-        viol_out[m] = viol
+            g = g * spine[r - 1]
+            im[m, r] = g.imag
+    return im, viol
 
 
-def _cavity_batch_np(
-    q,
-    depth,
-    eps,
-    gamma,
-    leaf_value,
-    use_free_leaf,
-    pot_kind,
-    pot_a,
-    batch_key,
-    check,
-    abs_cap,
-    im_floor,
-    zeta_out,
-    viol_out,
-):
-    samples = zeta_out.shape[0]
+def cavity_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
+                 check, abs_cap, im_floor):
+    """Root cavity values of ``samples`` independent q-branch balls.
+
+    Returns (complex array of length samples, summed violation counters).
+    """
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    out_branch = np.empty(q, dtype=np.complex128)
-    out_spine = np.empty(1, dtype=np.complex128)
+    zeta = np.empty(samples, dtype=np.complex128)
+    viol = np.zeros(4, dtype=np.int64)
     for m in range(samples):
-        viol = np.zeros(4, dtype=np.int64)
-        omega_root = _sweep_np(
-            q, depth, q, eps, gamma, leaf_value, use_free_leaf,
-            pot_kind, pot_a, int(keys[m]), 0, 0, check, abs_cap, im_floor,
-            out_branch, out_spine, viol,
+        branch, _, omega_root, counts = cavity_sweep(
+            q, depth, q, eps, gamma, leaf, pot_kind, pot_a, int(keys[m]),
+            0, 0, check, abs_cap, im_floor,
         )
+        viol += counts
         s = 0.0j
-        for b in range(q):
-            s += out_branch[b]
-        z = crecip_scalar(gamma - eps * omega_root - s)
-        _check_vec(np.asarray([z]), check, abs_cap, im_floor, viol)
-        zeta_out[m] = z
-        viol_out[m] = viol
+        for z in branch:
+            s += z
+        zeta[m] = crecip_scalar(gamma - eps * omega_root - s)
+    _check_vec(zeta, check, abs_cap, im_floor, viol)
+    return zeta, viol
 
 
-def _messages_advance_np(
-    indptr,
-    nbrs,
-    rev,
-    omega,
-    eps,
-    gamma,
-    msg_in,
-    rounds,
-    check,
-    abs_cap,
-    im_floor,
-    viol,
-):
+# ----------------------------------------------------------------------
+# message passing on the directed edges of a finite graph
+# ----------------------------------------------------------------------
+
+
+def messages_init(nbrs, omega, eps, gamma, check, abs_cap, im_floor):
+    """Bare-site starting messages; returns (messages, violation counters)."""
+    viol = np.zeros(4, dtype=np.int64)
+    msg = crecip_vec(gamma - eps * omega[nbrs])
+    _check_vec(msg, check, abs_cap, im_floor, viol)
+    return msg, viol
+
+
+def messages_advance(indptr, nbrs, rev, omega, eps, gamma, msg, rounds, check, abs_cap, im_floor):
+    """``rounds`` cavity updates of every directed-edge message.
+
+    Returns (messages, violation counters of the updates).
+    """
+    viol = np.zeros(4, dtype=np.int64)
     site_pot = eps * omega[nbrs]
-    msg = msg_in.copy()
     for _ in range(rounds):
         site_sum = segment_sums(msg, indptr)
         msg = crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))
         _check_vec(msg, check, abs_cap, im_floor, viol)
-    return msg
-
-
-def messages_init(nbrs, omega, eps, gamma, check, abs_cap, im_floor, viol):
-    """Bare-site starting messages; shared by both backends."""
-    msg = crecip_vec(gamma - eps * omega[nbrs])
-    _check_vec(msg, check, abs_cap, im_floor, viol)
-    return msg
-
-
-# ======================================================================
-# dispatch
-# ======================================================================
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "sweep": _sweep_np,
-        "ray_batch": _ray_batch_np,
-        "cavity_batch": _cavity_batch_np,
-        "messages_advance": _messages_advance_np,
-    },
-}
-if HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "sweep": _sweep_nb,
-        "ray_batch": _ray_batch_nb,
-        "cavity_batch": _cavity_batch_nb,
-        "messages_advance": _messages_advance_nb,
-    }
-
-
-def cavity_sweep(*args, backend: str | None = None):
-    return IMPLEMENTATIONS[backend or BACKEND]["sweep"](*args)
-
-
-def ray_batch(*args, backend: str | None = None):
-    impl = IMPLEMENTATIONS[backend or BACKEND]["ray_batch"]
-    return impl(*args)
-
-
-def cavity_batch(*args, backend: str | None = None):
-    impl = IMPLEMENTATIONS[backend or BACKEND]["cavity_batch"]
-    return impl(*args)
-
-
-def messages_advance(indptr, nbrs, rev, omega, eps, gamma, msg, rounds, check, abs_cap, im_floor, viol, backend: str | None = None):
-    impl = IMPLEMENTATIONS[backend or BACKEND]["messages_advance"]
-    return impl(indptr, nbrs, rev, omega, eps, gamma, msg, rounds, check, abs_cap, im_floor, viol)
+    return msg, viol

@@ -2,8 +2,8 @@
 
 Every random quantity in the package is derived from a 64-bit key and an
 integer counter through the splitmix64 finalizer.  This gives stateless,
-order-independent draws: worker processes, numba kernels and the vectorized
-numpy fallback all evaluate the same pure function and therefore produce
+order-independent draws: worker processes, the scalar path and the
+vectorized kernels all evaluate the same pure function and therefore produce
 bit-identical streams.
 
 Key derivation scheme (documented so alternate implementations can reproduce

@@ -126,14 +126,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"lln.k_max exceeds the cap {esd.LLN_K_CAP}")
     if cfg["esd"]["reference"] not in {"kesten-mckay", "ids"}:
         raise ConfigError("esd.reference must be 'kesten-mckay' or 'ids'")
-    pot = cfg["potential"]
-    anderson.PotentialSpec(
-        kind=pot["kind"],
-        support_bound=pot["support_bound"],
-        holder_exponent=pot["holder_exponent"],
-        holder_constant=pot["holder_constant"],
-        allow_atomic=pot["allow_atomic"],
-    )
+    _potential_spec(cfg)
     # resolve the MC depth now so the echoed config pins it
     if mc["depth"] is None:
         eta_min = min(cfg["eta0_values"])
@@ -328,31 +321,60 @@ def _seed_label(gs, ps):
     return f"{gs}:{ps}"
 
 
-def cmd_generate_graph(cfg, out_dir, threads, strict):
-    results = _run_grid(cfg, {"graphs": None, "conditions": None}, threads, strict)
-    gdir = os.path.join(out_dir, "graphs")
-    os.makedirs(gdir, exist_ok=True)
-    rows = []
-    for res in results:
-        path = os.path.join(gdir, f"graph_n{res['n']}_s{res['gs']}.json")
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(res["graph_json"], f, separators=(",", ":"), sort_keys=True)
-            f.write("\n")
-        rows.append([res["n"], res["gs"], res["beta"], res["second_modulus"], res["connected"]]
-                    + res["bst"])
+def _write_conditions(cfg, out_dir, results):
     header = ["n", "seed", "beta", "second_modulus", "connected"] + [
         f"bst_r{r}" for r in cfg["conditions"]["bst_radii"]
+    ]
+    rows = [
+        [res["n"], res["gs"], res["beta"], res["second_modulus"], res["connected"]] + res["bst"]
+        for res in results
     ]
     write_csv(os.path.join(out_dir, "conditions_graphs.csv"), header, rows)
 
 
-def cmd_spectrum(cfg, out_dir, threads, strict):
-    results = _run_grid(cfg, {"spectrum": None}, threads, strict)
+def _write_spectra(out_dir, results):
     sdir = os.path.join(out_dir, "spectra")
     os.makedirs(sdir, exist_ok=True)
     for res in results:
         path = os.path.join(sdir, f"spectrum_n{res['n']}_g{res['gs']}_p{res['ps']}.csv")
         write_csv(path, ["index", "eigenvalue"], res["spectrum"])
+
+
+def _write_esd(cfg, out_dir, results):
+    rows = [
+        [res["n"], _seed_label(res["gs"], res["ps"]), cfg["epsilon"],
+         cfg["esd"]["reference"], res["esd"]]
+        for res in results
+    ]
+    write_csv(os.path.join(out_dir, "esd.csv"),
+              ["n", "seed", "epsilon", "reference", "distance"], rows)
+
+
+def _write_lln(out_dir, results):
+    ldir = os.path.join(out_dir, "lln")
+    os.makedirs(ldir, exist_ok=True)
+    for res in results:
+        rows = [(c.k, c.graph_moment, c.tree_moment, c.abs_diff) for c in res["lln"]]
+        write_csv(
+            os.path.join(ldir, f"lln_n{res['n']}_g{res['gs']}_p{res['ps']}.csv"),
+            ["k", "graph_moment", "tree_moment", "abs_diff"], rows,
+        )
+
+
+def cmd_generate_graph(cfg, out_dir, threads, strict):
+    results = _run_grid(cfg, {"graphs": None, "conditions": None}, threads, strict)
+    gdir = os.path.join(out_dir, "graphs")
+    os.makedirs(gdir, exist_ok=True)
+    for res in results:
+        path = os.path.join(gdir, f"graph_n{res['n']}_s{res['gs']}.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(res["graph_json"], f, separators=(",", ":"), sort_keys=True)
+            f.write("\n")
+    _write_conditions(cfg, out_dir, results)
+
+
+def cmd_spectrum(cfg, out_dir, threads, strict):
+    _write_spectra(out_dir, _run_grid(cfg, {"spectrum": None}, threads, strict))
 
 
 def _qe_rows(cfg, results, key):
@@ -390,17 +412,19 @@ def _write_per_eigenvalue(cfg, out_dir, results, key):
             write_csv(path, ["i", "lambda_i", "bracket", "average"], rows)
 
 
+def _write_qe(cfg, out_dir, results, key):
+    write_csv(os.path.join(out_dir, f"{key}.csv"), QE_HEADER, _qe_rows(cfg, results, key))
+    _write_per_eigenvalue(cfg, out_dir, results, key)
+
+
 def cmd_qe_diag(cfg, out_dir, threads, strict):
-    results = _run_grid(cfg, {"qe-diag": None}, threads, strict)
-    write_csv(os.path.join(out_dir, "qe_diag.csv"), QE_HEADER, _qe_rows(cfg, results, "qe_diag"))
-    _write_per_eigenvalue(cfg, out_dir, results, "qe_diag")
+    _write_qe(cfg, out_dir, _run_grid(cfg, {"qe-diag": None}, threads, strict), "qe_diag")
 
 
 def cmd_qe_kernel(cfg, out_dir, threads, strict):
     profiles = _build_profiles(cfg, strict)
     results = _run_grid(cfg, {"qe-kernel": profiles}, threads, strict)
-    write_csv(os.path.join(out_dir, "qe_kernel.csv"), QE_HEADER, _qe_rows(cfg, results, "qe_kernel"))
-    _write_per_eigenvalue(cfg, out_dir, results, "qe_kernel")
+    _write_qe(cfg, out_dir, results, "qe_kernel")
 
 
 def _moment_table(cfg, strict):
@@ -427,18 +451,11 @@ def cmd_green_moments(cfg, out_dir, threads, strict):
 
 
 def cmd_esd(cfg, out_dir, threads, strict):
-    results = _run_grid(cfg, {"esd": None}, threads, strict)
-    rows = [
-        [res["n"], _seed_label(res["gs"], res["ps"]), cfg["epsilon"],
-         cfg["esd"]["reference"], res["esd"]]
-        for res in results
-    ]
-    write_csv(os.path.join(out_dir, "esd.csv"),
-              ["n", "seed", "epsilon", "reference", "distance"], rows)
+    _write_esd(cfg, out_dir, _run_grid(cfg, {"esd": None}, threads, strict))
     band = 2.0 * math.sqrt(cfg["q"])
     lam_grid = np.linspace(-band, band, 401)
-    dens_rows = [(lam, esd.kesten_mckay_density(float(lam), cfg["q"])) for lam in lam_grid]
-    write_csv(os.path.join(out_dir, "density_km.csv"), ["lambda", "density"], dens_rows)
+    dens = esd.kesten_mckay_densities(lam_grid, cfg["q"])
+    write_csv(os.path.join(out_dir, "density_km.csv"), ["lambda", "density"], zip(lam_grid, dens))
 
 
 def cmd_check_conditions(cfg, out_dir, threads, strict):
@@ -468,42 +485,13 @@ def cmd_run(cfg, out_dir, threads, strict):
     if cfg["output"]["spectrum_dump"]:
         stages["spectrum"] = None
     results = _run_grid(cfg, stages, threads, strict)
-
-    header = ["n", "seed", "beta", "second_modulus", "connected"] + [
-        f"bst_r{r}" for r in cfg["conditions"]["bst_radii"]
-    ]
-    cond_rows = [
-        [res["n"], res["gs"], res["beta"], res["second_modulus"], res["connected"]] + res["bst"]
-        for res in results
-    ]
-    write_csv(os.path.join(out_dir, "conditions_graphs.csv"), header, cond_rows)
-    write_csv(os.path.join(out_dir, "qe_diag.csv"), QE_HEADER, _qe_rows(cfg, results, "qe_diag"))
-    write_csv(os.path.join(out_dir, "qe_kernel.csv"), QE_HEADER, _qe_rows(cfg, results, "qe_kernel"))
-    esd_rows = [
-        [res["n"], _seed_label(res["gs"], res["ps"]), cfg["epsilon"],
-         cfg["esd"]["reference"], res["esd"]]
-        for res in results
-    ]
-    write_csv(os.path.join(out_dir, "esd.csv"),
-              ["n", "seed", "epsilon", "reference", "distance"], esd_rows)
-    ldir = os.path.join(out_dir, "lln")
-    os.makedirs(ldir, exist_ok=True)
-    for res in results:
-        rows = [(c.k, c.graph_moment, c.tree_moment, c.abs_diff) for c in res["lln"]]
-        write_csv(
-            os.path.join(ldir, f"lln_n{res['n']}_g{res['gs']}_p{res['ps']}.csv"),
-            ["k", "graph_moment", "tree_moment", "abs_diff"], rows,
-        )
+    _write_conditions(cfg, out_dir, results)
+    _write_qe(cfg, out_dir, results, "qe_diag")
+    _write_qe(cfg, out_dir, results, "qe_kernel")
+    _write_esd(cfg, out_dir, results)
+    _write_lln(out_dir, results)
     if cfg["output"]["spectrum_dump"]:
-        sdir = os.path.join(out_dir, "spectra")
-        os.makedirs(sdir, exist_ok=True)
-        for res in results:
-            write_csv(
-                os.path.join(sdir, f"spectrum_n{res['n']}_g{res['gs']}_p{res['ps']}.csv"),
-                ["index", "eigenvalue"], res["spectrum"],
-            )
-    _write_per_eigenvalue(cfg, out_dir, results, "qe_diag")
-    _write_per_eigenvalue(cfg, out_dir, results, "qe_kernel")
+        _write_spectra(out_dir, results)
 
 
 COMMANDS = {

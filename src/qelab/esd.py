@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 
-from . import _rng, tree_green
+from . import _kernels, _rng, tree_green
 from .anderson import PotentialSpec, SpectralData
 from .errors import ConfigError
 
@@ -46,12 +45,36 @@ def kesten_mckay_density_rational(lam: float, q: int) -> float:
     return (q + 1) * math.sqrt(band) / (2.0 * math.pi * ((q + 1) ** 2 - lam * lam))
 
 
+def kesten_mckay_densities(lams, q: int) -> np.ndarray:
+    """``kesten_mckay_density`` over an array, bit for bit the same values.
+
+    Follows ``free_forward_green`` and ``green_diagonal`` step for step: the
+    q+1 cavity values are summed one by one, then 1/(0 - lam + sum).
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    out = np.zeros(lams.shape)
+    inside = np.abs(lams) < 2.0 * math.sqrt(q)
+    lam = lams[inside]
+    zeta = np.empty(lam.shape, dtype=np.complex128)
+    zeta.real = lam / (2 * q)
+    zeta.imag = -np.sqrt(4.0 * q - lam * lam) / (2 * q)
+    acc = np.zeros(lam.shape, dtype=np.complex128)
+    for _ in range(q + 1):
+        acc = acc + zeta
+    out[inside] = _kernels.crecip_vec((0.0 - lam.astype(np.complex128)) + acc).imag / math.pi
+    return out
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral from x[0] (scipy's operation order)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 @functools.lru_cache(maxsize=None)
 def _kesten_mckay_table(q: int):
     edge = 2.0 * math.sqrt(q)
     grid = np.linspace(-edge, edge, _CDF_GRID)
-    dens = np.array([kesten_mckay_density(x, q) for x in grid])
-    cum = scipy.integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+    cum = _cumulative_trapezoid(kesten_mckay_densities(grid, q), grid)
     cum /= cum[-1]
     grid.flags.writeable = False
     cum.flags.writeable = False
@@ -87,14 +110,13 @@ def ids_density(
     seed: int,
     depth: int | None = None,
     leaf_mode: str = "free",
-    backend: str | None = None,
 ) -> IdsEstimate:
     """Smoothed density of states (1/pi) E[Im G(o,o; lam + i eta)] by MC."""
     if depth is None:
         depth = tree_green.suggest_depth(q, max(eta, 0.05))
     ray = tree_green.mc_expectation_im_green(
         q, pot_spec, epsilon, complex(lam, eta), r_max=0, depth=depth,
-        samples=samples, seed=seed, leaf_mode=leaf_mode, backend=backend,
+        samples=samples, seed=seed, leaf_mode=leaf_mode,
     )
     return IdsEstimate(
         lam=lam,
@@ -115,7 +137,6 @@ def ids_cdf(
     grid_points: int = 129,
     depth: int | None = None,
     leaf_mode: str = "free",
-    backend: str | None = None,
 ):
     """CDF evaluator from the eta-smoothed density on a uniform grid."""
     edge = 2.0 * math.sqrt(q) + abs(epsilon) * pot_spec.support_bound + 4.0 * eta
@@ -125,9 +146,9 @@ def ids_cdf(
         dens[i] = ids_density(
             q, pot_spec, epsilon, float(lam), eta, samples,
             _rng.derive_key(seed, "ids-grid", i),
-            depth=depth, leaf_mode=leaf_mode, backend=backend,
+            depth=depth, leaf_mode=leaf_mode,
         ).density
-    cum = scipy.integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+    cum = _cumulative_trapezoid(dens, grid)
     cum /= cum[-1]
 
     def cdf(x):

@@ -310,7 +310,6 @@ def kernel_average_general_curve(
     lambdas,
     eta0: float,
     depth: int | None = None,
-    backend: str | None = None,
 ) -> TabulatedKernelAverage:
     """Lifted-average bracket tabulated over a lambda grid.
 
@@ -319,7 +318,7 @@ def kernel_average_general_curve(
     """
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     values = np.array([
-        kernel_average_general(kernel, g, pot, complex(lam, eta0), depth, backend)
+        kernel_average_general(kernel, g, pot, complex(lam, eta0), depth)
         for lam in lambdas
     ])
     return TabulatedKernelAverage(
@@ -333,7 +332,6 @@ def kernel_average_general(
     pot: PotentialAssignment,
     gamma,
     depth: int | None = None,
-    backend: str | None = None,
 ):
     """Potential-dependent averaged bracket through the lifted Green function.
 
@@ -351,7 +349,7 @@ def kernel_average_general(
         else:
             d, path = distance_and_geodesic(g, int(x), int(y))
             paths.append(path)
-    lifted = tree_green.lifted_green(g, pot, gam, depth, paths, backend=backend)
+    lifted = tree_green.lifted_green(g, pot, gam, depth, paths)
     numerator = (kernel.values * lifted.pair_values.imag).sum()
     denominator = lifted.diagonals.imag.sum()
     return numerator / denominator
@@ -500,7 +498,6 @@ def average_equivalence_check(
     profile: DistanceRatioProfile,
     kernel_builder=edge_kernel,
     cover_depth: int | None = None,
-    backend: str | None = None,
 ) -> EquivalenceTable:
     """Gap |<K>_lifted - <K>_tree| over a size grid, medianed over seeds.
 
@@ -521,9 +518,7 @@ def average_equivalence_check(
             curve = kernel_average_simple(kernel, profile)
             pot = sample_potential(n, pot_spec, epsilon, ps)
             for lam in lambdas:
-                lhs = kernel_average_general(
-                    kernel, g, pot, complex(lam, eta0), depth=cover_depth, backend=backend
-                )
+                lhs = kernel_average_general(kernel, g, pot, complex(lam, eta0), depth=cover_depth)
                 rhs = complex(curve(lam)).real
                 diffs.append(abs(lhs - rhs))
         gaps[n] = diffs

@@ -160,11 +160,12 @@ def suggest_depth(
     return depth
 
 
-def _leaf_value(gamma: complex, q: int, leaf_mode: str) -> tuple[complex, bool]:
+def _leaf_value(gamma: complex, q: int, leaf_mode: str) -> complex | None:
+    """Seed of every leaf: the free fixed point, or None for bare leaves."""
     if leaf_mode == "free":
-        return free_forward_green_complex(gamma, q), True
+        return free_forward_green_complex(gamma, q)
     if leaf_mode == "bare":
-        return 0.0j, False
+        return None
     raise ConfigError(f"unknown leaf_mode {leaf_mode!r}; expected 'bare' or 'free'")
 
 
@@ -180,22 +181,17 @@ def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
     """Per-level cavity values when eps = 0 (all siblings coincide).
 
     Returns values[k], k = 1..depth indexed by values[k-1]; values[depth-1]
-    is the leaf.  The arithmetic matches the full sweep bit for bit, so this
-    is the sweep, just with the q**L duplication removed.
+    is the leaf.  This is the sweep's recursion kept at one node per level,
+    so it matches the full sweep bit for bit without the q**L duplication.
     """
-    leaf, use_free = _leaf_value(gamma, q, leaf_mode)
-    if use_free and gamma.imag == 0.0:
+    leaf = _leaf_value(gamma, q, leaf_mode)
+    if leaf is not None and gamma.imag == 0.0:
         # stationary by construction; keep the closed form exact
         return np.full(depth, leaf, dtype=np.complex128)
     values = np.empty(depth, dtype=np.complex128)
-    v = leaf if use_free else _kernels.crecip_scalar(gamma)
-    values[depth - 1] = v
-    for k in range(depth - 1, 0, -1):
-        acc = 0.0j
-        for _ in range(q):
-            acc += v
-        v = _kernels.crecip_scalar(gamma - 0.0 - acc)
-        values[k - 1] = v
+    no_site = np.zeros(1)
+    for k, level in _kernels.cavity_levels(q, [1] * depth, gamma, leaf, lambda k: no_site):
+        values[k - 1] = level[0]
     return values
 
 
@@ -213,7 +209,6 @@ def forward_recursion_tree(
     lambda0: float | None = None,
     check_bounds: bool = True,
     work_cap: int = DEFAULT_WORK_CAP,
-    backend: str | None = None,
 ) -> TreeSweepResult:
     """Sample one disorder realization on the depth-L tree ball.
 
@@ -258,20 +253,15 @@ def forward_recursion_tree(
             f"tree sweep needs {work} node visits at depth {depth} (cap {work_cap}); "
             "lower the depth or the sample count"
         )
-    leaf, use_free = _leaf_value(g, q, leaf_mode)
-    out_branch = np.empty(branches, dtype=np.complex128)
-    out_spine = np.empty(max(spine_len, 1), dtype=np.complex128)
-    viol = np.zeros(4, dtype=np.int64)
-    omega_root = _kernels.cavity_sweep(
-        q, depth, branches, epsilon, g, leaf, use_free,
-        pot_spec.kind_code, pot_spec.support_bound, np.uint64(key), spine_len,
-        spine_branch, check_bounds, abs_cap, floor, out_branch, out_spine, viol,
-        backend=backend,
+    root_values, spine, omega_root, viol = _kernels.cavity_sweep(
+        q, depth, branches, epsilon, g, _leaf_value(g, q, leaf_mode),
+        pot_spec.kind_code, pot_spec.support_bound, key, spine_len,
+        spine_branch, check_bounds, abs_cap, floor,
     )
     return TreeSweepResult(
-        root_values=out_branch,
-        omega_root=float(omega_root),
-        spine=out_spine[:spine_len],
+        root_values=root_values,
+        omega_root=omega_root,
+        spine=spine,
         violations=viol,
         gamma=g,
         depth=depth,
@@ -341,7 +331,6 @@ def mc_expectation_im_green(
     check_bounds: bool = True,
     work_cap: int = DEFAULT_WORK_CAP,
     total_work_cap: int = DEFAULT_MC_WORK_CAP,
-    backend: str | None = None,
 ) -> RayExpectation:
     """Monte-Carlo estimate of E[Im G(o, y_r)] along one ray of the tree.
 
@@ -393,25 +382,20 @@ def mc_expectation_im_green(
         )
     if tree_work(q, depth, q + 1) > work_cap:
         raise BudgetError(f"per-sweep work exceeds cap {work_cap}; lower the depth")
-    leaf, use_free = _leaf_value(g, q, leaf_mode)
-    batch_key = _rng.derive_key(seed, "mc-ray")
-    im_out = np.empty((samples, r_max + 1), dtype=np.float64)
-    viol_out = np.empty((samples, 4), dtype=np.int64)
     if not (0 <= ray_branch <= q):
         raise ConfigError("ray_branch must name one of the q+1 root branches")
-    _kernels.ray_batch(
-        q, depth, epsilon, g, leaf, use_free,
-        pot_spec.kind_code, pot_spec.support_bound, np.uint64(batch_key),
-        r_max, ray_branch, check_bounds, abs_cap, floor, im_out, viol_out,
-        backend=backend,
+    im, viol = _kernels.ray_batch(
+        q, depth, epsilon, g, _leaf_value(g, q, leaf_mode),
+        pot_spec.kind_code, pot_spec.support_bound, _rng.derive_key(seed, "mc-ray"),
+        samples, r_max, ray_branch, check_bounds, abs_cap, floor,
     )
-    means, stderrs = _mean_stderr(im_out)
+    means, stderrs = _mean_stderr(im)
     return RayExpectation(
         distances=np.arange(r_max + 1),
         means=means,
         stderrs=stderrs,
         samples=samples,
-        violations=viol_out.sum(axis=0),
+        violations=viol,
         gamma=g,
         epsilon=epsilon,
         q=q,
@@ -461,7 +445,6 @@ def distance_ratio_profile(
     depth: int | None = None,
     leaf_mode: str = "free",
     check_bounds: bool = True,
-    backend: str | None = None,
 ) -> DistanceRatioProfile:
     """Monte-Carlo distance profile over a lambda grid (one substream each)."""
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
@@ -480,7 +463,6 @@ def distance_ratio_profile(
             q, pot_spec, epsilon, complex(lam, eta), r_max, depth,
             samples, _rng.derive_key(seed, "profile", i),
             leaf_mode=leaf_mode, lambda0=lam_sup, check_bounds=check_bounds,
-            backend=backend,
         )
         diag_means[i] = ray.means[0]
         diag_stderrs[i] = ray.stderrs[0]
@@ -568,7 +550,6 @@ def green_condition_moments(
     leaf_mode: str = "free",
     check_bounds: bool = True,
     work_cap: int = DEFAULT_WORK_CAP,
-    backend: str | None = None,
 ) -> GreenMomentTable:
     """Monte-Carlo moments of the root cavity field over a (lam, eta) grid.
 
@@ -599,11 +580,8 @@ def green_condition_moments(
                 if leaf_mode == "free":
                     z = free_forward_green_complex(g, q)
                 else:
-                    chain = _zero_disorder_chain(q, use_depth, g, leaf_mode)
-                    acc = 0.0j
-                    for _ in range(q):
-                        acc += chain[0]
-                    z = _kernels.crecip_scalar(g - 0.0 - acc)
+                    # the root is the top of a chain one level longer
+                    z = complex(_zero_disorder_chain(q, use_depth + 1, g, leaf_mode)[0])
                 viol = np.zeros(4, dtype=np.int64)
                 _kernels._check_vec(np.asarray([z]), check_bounds, abs_cap, floor, viol)
                 im_abs = abs(z.imag)
@@ -616,18 +594,13 @@ def green_condition_moments(
             else:
                 if tree_work(q, use_depth, q) > work_cap:
                     raise BudgetError(f"per-sweep work exceeds cap {work_cap}; lower the depth")
-                leaf, use_free = _leaf_value(g, q, leaf_mode)
-                key = _rng.derive_key(master, point_idx)
-                zeta_out = np.empty(samples, dtype=np.complex128)
-                viol_out = np.empty((samples, 4), dtype=np.int64)
-                _kernels.cavity_batch(
-                    q, use_depth, epsilon, g, leaf, use_free,
-                    pot_spec.kind_code, pot_spec.support_bound, np.uint64(key),
-                    check_bounds, abs_cap, floor, zeta_out, viol_out,
-                    backend=backend,
+                zeta, viol = _kernels.cavity_batch(
+                    q, use_depth, epsilon, g, _leaf_value(g, q, leaf_mode),
+                    pot_spec.kind_code, pot_spec.support_bound,
+                    _rng.derive_key(master, point_idx), samples,
+                    check_bounds, abs_cap, floor,
                 )
-                zeta_im = zeta_out.imag
-                viol = viol_out.sum(axis=0)
+                zeta_im = zeta.imag
                 abs_vals = np.abs(zeta_im)
                 sq_vals = zeta_im * zeta_im
                 abs_mean, abs_err = _mean_stderr(abs_vals[:, None])
@@ -689,7 +662,6 @@ def lifted_green(
     pairs,
     check_bounds: bool = False,
     lambda0: float | None = None,
-    backend: str | None = None,
 ) -> LiftedGreen:
     """Green function of the lifted operator, truncated at cover depth L.
 
@@ -725,26 +697,22 @@ def lifted_green(
     indptr = graph.directed_indptr()
     targets = graph.directed_targets()
     rev = graph.reverse_edge_index()
-    viol = np.zeros(4, dtype=np.int64)
 
     # messages after r rounds are cavity values with r levels below their
     # target; the diagonal uses round depth-1, step k of a path round depth-k
-    msg = _kernels.messages_init(targets, pot.omega, pot.epsilon, g, check_bounds, abs_cap, floor, viol)
+    msg, viol = _kernels.messages_init(targets, pot.omega, pot.epsilon, g, check_bounds, abs_cap, floor)
     history: dict[int, np.ndarray] = {0: msg}
-    keep_from = max(depth - max_steps, 0)
-    lead = min(keep_from, depth - 1)
-    if lead > 0:
-        msg = _kernels.messages_advance(
-            indptr, targets, rev, pot.omega, pot.epsilon, g, msg, lead,
-            check_bounds, abs_cap, floor, viol, backend=backend,
+    # rounds before depth - max_steps are never read back: run them as one call
+    lead = min(max(depth - max_steps, 0), depth - 1)
+    done = 0
+    for r in range(max(lead, 1), depth):
+        msg, counts = _kernels.messages_advance(
+            indptr, targets, rev, pot.omega, pot.epsilon, g, msg, r - done,
+            check_bounds, abs_cap, floor,
         )
-        history[lead] = msg
-    for r in range(lead + 1, depth):
-        msg = _kernels.messages_advance(
-            indptr, targets, rev, pot.omega, pot.epsilon, g, msg, 1,
-            check_bounds, abs_cap, floor, viol, backend=backend,
-        )
+        viol += counts
         history[r] = msg
+        done = r
 
     site_sum = _kernels.segment_sums(msg, indptr)
     diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
@@ -835,21 +803,13 @@ def full_ball_green_row(
     omegas = _rng.draw_omega_vec(
         pot_spec.kind_code, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
     )
-    leaf, use_free = _leaf_value(g, q, leaf_mode)
+    sizes = [branches * q**k for k in range(depth)]
+
+    def site(k):
+        return epsilon * omegas[offsets[k] : offsets[k] + sizes[k - 1]]
 
     values_by_level: list[np.ndarray] = [None] * (depth + 1)
-    n_leaf = branches * q ** (depth - 1)
-    if use_free:
-        values = np.full(n_leaf, leaf, dtype=np.complex128)
-    else:
-        ids = offsets[depth] + np.arange(n_leaf)
-        values = _kernels.crecip_vec(g - epsilon * omegas[ids])
-    values_by_level[depth] = values
-    for k in range(depth - 1, 0, -1):
-        width = branches * q ** (k - 1)
-        ids = offsets[k] + np.arange(width)
-        child_sum = values.reshape(width, q).sum(axis=1)
-        values = _kernels.crecip_vec(g - epsilon * omegas[ids] - child_sum)
+    for k, values in _kernels.cavity_levels(q, sizes, g, _leaf_value(g, q, leaf_mode), site):
         values_by_level[k] = values
 
     row = np.empty(n, dtype=np.complex128)

@@ -25,6 +25,25 @@ def test_kesten_mckay_two_forms_agree():
             assert abs(a - b) < 1e-10
 
 
+def test_kesten_mckay_densities_match_scalar_loop():
+    for q in (2, 3):
+        edge = 2 * math.sqrt(q)
+        # the CDF grid, plus points on and beyond the band edges
+        lams = np.concatenate([np.linspace(-edge, edge, 8193), [-5.0, -edge, edge, 5.0]])
+        loop = np.array([esd.kesten_mckay_density(float(x), q) for x in lams])
+        assert loop.tobytes() == esd.kesten_mckay_densities(lams, q).tobytes()
+
+
+def test_cumulative_trapezoid_matches_scalar_loop():
+    rng = np.random.default_rng(4)
+    x = np.cumsum(rng.uniform(0.1, 1.0, size=200))
+    y = rng.normal(size=200)
+    want = [0.0]
+    for i in range(1, x.size):
+        want.append(want[-1] + (x[i] - x[i - 1]) * (y[i] + y[i - 1]) / 2.0)
+    assert np.array_equal(esd._cumulative_trapezoid(y, x), np.array(want))
+
+
 def test_kesten_mckay_normalization():
     for q in (2, 3):
         edge = 2 * math.sqrt(q)
