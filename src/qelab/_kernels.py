@@ -4,7 +4,7 @@ Every kernel is plain numpy, vectorized across the nodes of one tree level
 or across the directed edges of a graph.  Results are reproducible bit for
 bit: child sums run in child order, complex reciprocals go through one
 explicit formula, and potentials come from the counter-based streams of
-``_rng``.  The golden digests in ``tests/test_kernels_golden.py`` pin them.
+``_rng``.  The golden digests in ``tests/test_kernels.py`` pin them.
 
 Conventions shared by every kernel:
 
@@ -68,13 +68,12 @@ def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
     return off
 
 
-def _check_vec(values: np.ndarray, check: bool, abs_cap: float, im_floor: float, viol: np.ndarray) -> None:
+def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.ndarray) -> None:
     viol[3] += values.size
-    if check:
-        im = values.imag
-        viol[0] += int(np.count_nonzero(im >= 0.0))
-        viol[1] += int(np.count_nonzero(np.abs(values) > abs_cap * (1.0 + _SLACK)))
-        viol[2] += int(np.count_nonzero(-im < im_floor * (1.0 - _SLACK)))
+    im = values.imag
+    viol[0] += int(np.count_nonzero(im >= 0.0))
+    viol[1] += int(np.count_nonzero(np.abs(values) > abs_cap * (1.0 + _SLACK)))
+    viol[2] += int(np.count_nonzero(-im < im_floor * (1.0 - _SLACK)))
 
 
 def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -125,12 +124,12 @@ def cavity_levels(q, sizes, gamma, leaf, site):
 
 
 def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
-                 spine_len, spine_branch, check, abs_cap, im_floor):
+                 spine_len, ray_branch, abs_cap, im_floor):
     """One disorder realization swept over a depth-``depth`` tree ball.
 
     Potentials are drawn level by level from the stream keyed by ``key``.
     The spine records the cavity values at depths 1..spine_len along the
-    first ray of branch ``spine_branch``.  Returns (branch values at the
+    first ray of branch ``ray_branch``.  Returns (branch values at the
     root, spine, root-site potential, violation counters).
     """
     offsets = level_offsets(q, depth, branches)
@@ -143,15 +142,15 @@ def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
     viol = np.zeros(4, dtype=np.int64)
     spine = np.empty(spine_len, dtype=np.complex128)
     for k, values in cavity_levels(q, sizes, gamma, leaf, site):
-        _check_vec(values, check, abs_cap, im_floor, viol)
+        _check_vec(values, abs_cap, im_floor, viol)
         if k <= spine_len:
-            spine[k - 1] = values[spine_branch * q ** (k - 1)]
+            spine[k - 1] = values[ray_branch * q ** (k - 1)]
     omega_root = float(draw_omega_vec(pot_kind, pot_a, key, np.zeros(1, dtype=np.int64))[0])
     return values, spine, omega_root, viol
 
 
 def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
-              r_max, ray_branch, check, abs_cap, im_floor):
+              r_max, ray_branch, abs_cap, im_floor):
     """Im G(root, y_r) for r = 0..r_max on ``samples`` independent balls.
 
     y_r is the depth-r node on the first ray of branch ``ray_branch``.
@@ -163,7 +162,7 @@ def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
     for m in range(samples):
         branch, spine, omega_root, counts = cavity_sweep(
             q, depth, q + 1, eps, gamma, leaf, pot_kind, pot_a, int(keys[m]),
-            r_max, ray_branch, check, abs_cap, im_floor,
+            r_max, ray_branch, abs_cap, im_floor,
         )
         viol += counts
         s = 0.0j
@@ -178,7 +177,7 @@ def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
 
 
 def cavity_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
-                 check, abs_cap, im_floor):
+                 abs_cap, im_floor):
     """Root cavity values of ``samples`` independent q-branch balls.
 
     Returns (complex array of length samples, summed violation counters).
@@ -189,14 +188,14 @@ def cavity_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples
     for m in range(samples):
         branch, _, omega_root, counts = cavity_sweep(
             q, depth, q, eps, gamma, leaf, pot_kind, pot_a, int(keys[m]),
-            0, 0, check, abs_cap, im_floor,
+            0, 0, abs_cap, im_floor,
         )
         viol += counts
         s = 0.0j
         for z in branch:
             s += z
         zeta[m] = crecip_scalar(gamma - eps * omega_root - s)
-    _check_vec(zeta, check, abs_cap, im_floor, viol)
+    _check_vec(zeta, abs_cap, im_floor, viol)
     return zeta, viol
 
 
@@ -205,15 +204,15 @@ def cavity_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples
 # ----------------------------------------------------------------------
 
 
-def messages_init(nbrs, omega, eps, gamma, check, abs_cap, im_floor):
+def messages_init(nbrs, omega, eps, gamma, abs_cap, im_floor):
     """Bare-site starting messages; returns (messages, violation counters)."""
     viol = np.zeros(4, dtype=np.int64)
     msg = crecip_vec(gamma - eps * omega[nbrs])
-    _check_vec(msg, check, abs_cap, im_floor, viol)
+    _check_vec(msg, abs_cap, im_floor, viol)
     return msg, viol
 
 
-def messages_advance(indptr, nbrs, rev, omega, eps, gamma, msg, rounds, check, abs_cap, im_floor):
+def messages_advance(indptr, nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
     """``rounds`` cavity updates of every directed-edge message.
 
     Returns (messages, violation counters of the updates).
@@ -223,5 +222,5 @@ def messages_advance(indptr, nbrs, rev, omega, eps, gamma, msg, rounds, check, a
     for _ in range(rounds):
         site_sum = segment_sums(msg, indptr)
         msg = crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))
-        _check_vec(msg, check, abs_cap, im_floor, viol)
+        _check_vec(msg, abs_cap, im_floor, viol)
     return msg, viol

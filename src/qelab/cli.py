@@ -5,6 +5,10 @@ esd, check-conditions, run.  Every subcommand takes --config and --out; the
 fully resolved configuration (defaults filled in) is echoed into the output
 directory so a run can be reproduced from its artifacts alone.
 
+Each subcommand runs the stages that ``COMMANDS`` names; a stage (``STAGES``)
+computes one value per (n, graph seed, pot seed) grid point, building only the
+inputs it reads, and writes its files from those values.
+
 Exit codes: 0 success, 2 config/schema violation, 3 compute-budget guard,
 4 numerical-invariant violation (enabled by --strict-invariants).
 
@@ -17,11 +21,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,7 +67,7 @@ DEFAULT_CONFIG = {
         "work_cap": tree_green.DEFAULT_WORK_CAP,
     },
     "conditions": {"c_lower": 0.1, "c_upper": 10.0, "bst_radii": [1, 2, 3, 4]},
-    "esd": {"reference": "kesten-mckay", "bins": 200},
+    "esd": {"reference": "kesten-mckay"},
     "lln": {"k_max": 4},
     "output": {"per_eigenvalue": False, "spectrum_dump": False},
 }
@@ -145,24 +152,6 @@ def _potential_spec(cfg) -> anderson.PotentialSpec:
     )
 
 
-def _build_observable(cfg, n: int) -> qe.Observable:
-    obs = cfg["observable"]
-    return qe.make_observable(
-        obs["kind"], n, seed=obs["seed"], constant=obs["constant"],
-        alpha=obs["alpha"], vertex=obs["vertex"], path=obs["path"],
-    )
-
-
-def _build_kernel(cfg, g: graphs.RegularGraph) -> qe.Kernel:
-    ker = cfg["kernel"]
-    if ker["shape"] == "edges":
-        return qe.edge_kernel(g, ker["value"])
-    if ker["shape"] == "ring":
-        return qe.ring_kernel(g, ker["range"], ker["value"])
-    obs = _build_observable(cfg, g.n)
-    return qe.diagonal_kernel(obs)
-
-
 def _profile_lambda_grid(cfg) -> np.ndarray:
     lam0 = cfg["lambda0"]
     spacing = cfg["mc"]["lambda_spacing"]
@@ -176,23 +165,6 @@ def _check_cavity_bounds(viol, where: str) -> None:
             f"cavity bound violations in {where}: sign={viol[0]} "
             f"cap={viol[1]} floor={viol[2]}"
         )
-
-
-def _build_profiles(cfg, strict: bool):
-    """One distance-ratio profile per eta0 (potential-independent)."""
-    mc = cfg["mc"]
-    r_max = cfg["kernel"]["range"]
-    profiles = {}
-    for j, eta0 in enumerate(cfg["eta0_values"]):
-        profiles[eta0] = tree_green.distance_ratio_profile(
-            cfg["q"], _potential_spec(cfg), cfg["epsilon"], eta0, r_max,
-            _profile_lambda_grid(cfg), mc["samples"],
-            derive_key(mc["seed"], "profile-eta", j),
-            depth=mc["depth"], leaf_mode=mc["leaf_mode"],
-        )
-        if strict:
-            _check_cavity_bounds(profiles[eta0].violations, f"profile at eta0={eta0}")
-    return profiles
 
 
 # ----------------------------------------------------------------------
@@ -225,285 +197,313 @@ def _echo_config(cfg, out_dir) -> None:
 
 
 # ----------------------------------------------------------------------
-# grid-point evaluation
+# stage inputs, each built on first use
 # ----------------------------------------------------------------------
 
 
-def _grid(cfg):
-    return [
-        (n, gs, ps)
-        for n in cfg["n_values"]
-        for gs, ps in zip(cfg["graph_seeds"], cfg["pot_seeds"])
-    ]
+@dataclass
+class _Run:
+    """Inputs shared by every grid point of one run."""
+
+    cfg: dict
+    strict: bool
+
+    @functools.cached_property
+    def profiles(self) -> dict:
+        """One distance-ratio profile per eta0 (potential-independent)."""
+        cfg, mc = self.cfg, self.cfg["mc"]
+        profiles = {}
+        for j, eta0 in enumerate(cfg["eta0_values"]):
+            profiles[eta0] = tree_green.distance_ratio_profile(
+                cfg["q"], _potential_spec(cfg), cfg["epsilon"], eta0, cfg["kernel"]["range"],
+                _profile_lambda_grid(cfg), mc["samples"],
+                derive_key(mc["seed"], "profile-eta", j),
+                depth=mc["depth"], leaf_mode=mc["leaf_mode"],
+            )
+            if self.strict:
+                _check_cavity_bounds(profiles[eta0].violations, f"profile at eta0={eta0}")
+        return profiles
+
+    @functools.cached_property
+    def moments(self) -> tree_green.GreenMomentTable:
+        cfg, mc = self.cfg, self.cfg["mc"]
+        table = tree_green.green_condition_moments(
+            cfg["q"], _potential_spec(cfg), cfg["epsilon"],
+            mc["lambda_grid"], mc["eta_grid"], mc["s_values"],
+            mc["samples"], derive_key(mc["seed"], "moments"),
+            depth=mc["depth"], leaf_mode=mc["leaf_mode"], work_cap=mc["work_cap"],
+        )
+        if self.strict:
+            _check_cavity_bounds(table.total_violations(), "moment sweep")
+        return table
 
 
-def _evaluate_point(args):
-    """Full pipeline for one (n, graph seed, pot seed) grid point."""
-    cfg, n, gs, ps, strict, stages = args
-    q = cfg["q"]
-    spec = _potential_spec(cfg)
-    g = graphs.generate_random_regular(n, q, gs)
-    out = {"n": n, "gs": gs, "ps": ps}
+class _Point:
+    """One (n, graph seed, pot seed) grid point of a run."""
 
-    if "conditions" in stages:
-        exp = graphs.exp_check(g)
-        inj = graphs.injectivity_radius(g)
-        out["beta"] = exp.beta
-        out["second_modulus"] = exp.second_modulus
-        out["connected"] = exp.connected
-        out["bst"] = [inj.small_radius_fraction(r) for r in cfg["conditions"]["bst_radii"]]
-        if strict and not exp.connected:
-            raise InvariantError(f"graph n={n} seed={gs} is disconnected (expansion failure)")
+    def __init__(self, run: _Run, n: int, gs: int, ps: int):
+        self.run, self.cfg = run, run.cfg
+        self.n, self.gs, self.ps = n, gs, ps
 
-    if "graphs" in stages:
-        out["graph_json"] = {
-            "n": g.n,
-            "q": g.q,
-            "edges": [[int(u), int(v)] for u, v in g.edges],
-        }
+    @functools.cached_property
+    def graph(self) -> graphs.RegularGraph:
+        return graphs.generate_random_regular(self.n, self.cfg["q"], self.gs)
 
-    needs_spectrum = {"spectrum", "qe-diag", "qe-kernel", "esd"} & set(stages)
-    if needs_spectrum:
-        observable = _build_observable(cfg, n)
-        kernel = _build_kernel(cfg, g)  # built before the potential: independence
-        pot = anderson.sample_potential(n, spec, cfg["epsilon"], ps)
-        sd = anderson.eigendecompose(anderson.assemble(g, pot))
-        if strict:
-            anderson.check_spectrum_bound(sd, q, pot.epsilon, spec.support_bound)
+    @functools.cached_property
+    def potential(self) -> anderson.PotentialAssignment:
+        return anderson.sample_potential(
+            self.n, _potential_spec(self.cfg), self.cfg["epsilon"], self.ps
+        )
+
+    @functools.cached_property
+    def spectrum(self) -> anderson.SpectralData:
+        """Eigenpairs of H; --strict-invariants adds the spectrum bound and the trace identity."""
+        pot = self.potential
+        sd = anderson.eigendecompose(anderson.assemble(self.graph, pot))
+        if self.run.strict:
+            anderson.check_spectrum_bound(sd, self.cfg["q"], pot.epsilon, pot.spec.support_bound)
             trace = float(np.sum(sd.eigenvalues))
             expected = pot.epsilon * float(np.sum(pot.omega))
-            scale = max(abs(expected), n * 1e-3)
+            scale = max(abs(expected), self.n * 1e-3)
             if abs(trace - expected) > 1e-8 * scale:
                 raise InvariantError("trace identity violated: sum(lambda) != eps*sum(omega)")
+        return sd
 
-        if "spectrum" in stages:
-            out["spectrum"] = anderson.spectrum_rows(sd)
-        if "qe-diag" in stages:
-            rep = qe.qe_statistic_diag(sd, observable, cfg["lambda0"], q=q)
-            out["qe_diag"] = rep
-        if "qe-kernel" in stages:
-            reports = {}
-            for eta0 in cfg["eta0_values"]:
-                curve = qe.kernel_average_simple(kernel, stages["qe-kernel"][eta0])
-                reports[eta0] = qe.qe_statistic_kernel(
-                    sd, kernel, cfg["lambda0"], curve, eta0=eta0, q=q
-                )
-            out["qe_kernel"] = reports
-        if "esd" in stages:
-            if cfg["esd"]["reference"] == "kesten-mckay":
-                cdf = esd.kesten_mckay_cdf(q)
-            else:
-                cdf = esd.ids_cdf(
-                    q, spec, cfg["epsilon"], cfg["eta0_values"][0],
-                    cfg["mc"]["samples"], derive_key(cfg["mc"]["seed"], "ids"),
-                    depth=cfg["mc"]["depth"], leaf_mode=cfg["mc"]["leaf_mode"],
-                )
-            out["esd"] = esd.esd_compare(sd, cdf)
-        if "lln" in stages:
-            out["lln"] = esd.lln_moment_check(g, pot, cfg["lln"]["k_max"])
-    return out
+    @functools.cached_property
+    def observable(self) -> qe.Observable:
+        obs = self.cfg["observable"]
+        return qe.make_observable(
+            obs["kind"], self.n, seed=obs["seed"], constant=obs["constant"],
+            alpha=obs["alpha"], vertex=obs["vertex"], path=obs["path"],
+        )
 
-
-def _run_grid(cfg, stages, threads: int, strict: bool):
-    tasks = [(cfg, n, gs, ps, strict, stages) for (n, gs, ps) in _grid(cfg)]
-    if threads <= 1 or len(tasks) == 1:
-        return [_evaluate_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_evaluate_point, tasks))
+    @functools.cached_property
+    def kernel(self) -> qe.Kernel:
+        ker = self.cfg["kernel"]
+        if ker["shape"] == "edges":
+            return qe.edge_kernel(self.graph, ker["value"])
+        if ker["shape"] == "ring":
+            return qe.ring_kernel(self.graph, ker["range"], ker["value"])
+        return qe.diagonal_kernel(self.observable)
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# stages: per-point values and the files written from them
 # ----------------------------------------------------------------------
 
 
-def _seed_label(gs, ps):
-    return f"{gs}:{ps}"
+def _write_graphs(run, out_dir, results):
+    gdir = os.path.join(out_dir, "graphs")
+    os.makedirs(gdir, exist_ok=True)
+    for n, gs, _, graph in results:
+        graphs.save_graph_json(graph, os.path.join(gdir, f"graph_n{n}_s{gs}.json"))
 
 
-def _write_conditions(cfg, out_dir, results):
+def _conditions(point):
+    """[beta, second_modulus, connected, small-radius fraction per configured radius]."""
+    exp = graphs.exp_check(point.graph)
+    if point.run.strict and not exp.connected:
+        raise InvariantError(
+            f"graph n={point.n} seed={point.gs} is disconnected (expansion failure)"
+        )
+    inj = graphs.injectivity_radius(point.graph)
+    radii = point.cfg["conditions"]["bst_radii"]
+    return [exp.beta, exp.second_modulus, exp.connected] + [
+        inj.small_radius_fraction(r) for r in radii
+    ]
+
+
+def _write_conditions(run, out_dir, results):
     header = ["n", "seed", "beta", "second_modulus", "connected"] + [
-        f"bst_r{r}" for r in cfg["conditions"]["bst_radii"]
+        f"bst_r{r}" for r in run.cfg["conditions"]["bst_radii"]
     ]
-    rows = [
-        [res["n"], res["gs"], res["beta"], res["second_modulus"], res["connected"]] + res["bst"]
-        for res in results
-    ]
+    rows = [[n, gs] + values for n, gs, _, values in results]
     write_csv(os.path.join(out_dir, "conditions_graphs.csv"), header, rows)
 
 
-def _write_spectra(out_dir, results):
+def _write_spectra(run, out_dir, results):
     sdir = os.path.join(out_dir, "spectra")
     os.makedirs(sdir, exist_ok=True)
-    for res in results:
-        path = os.path.join(sdir, f"spectrum_n{res['n']}_g{res['gs']}_p{res['ps']}.csv")
-        write_csv(path, ["index", "eigenvalue"], res["spectrum"])
+    for n, gs, ps, rows in results:
+        write_csv(os.path.join(sdir, f"spectrum_n{n}_g{gs}_p{ps}.csv"),
+                  ["index", "eigenvalue"], rows)
 
 
-def _write_esd(cfg, out_dir, results):
+# The QE stages return (eta0, QEReport) pairs: the configured eta0 text names
+# the per-eigenvalue files (0.0 for the diagonal statistic).
+def _qe_diag(point):
+    cfg = point.cfg
+    return [(0.0, qe.qe_statistic_diag(point.spectrum, point.observable, cfg["lambda0"], q=cfg["q"]))]
+
+
+def _qe_kernel(point):
+    cfg = point.cfg
+    return [
+        (eta0, qe.qe_statistic_kernel(
+            point.spectrum, point.kernel, cfg["lambda0"],
+            qe.kernel_average_simple(point.kernel, profile), eta0=eta0, q=cfg["q"],
+        ))
+        for eta0, profile in point.run.profiles.items()
+    ]
+
+
+def _write_qe(key, run, out_dir, results):
+    """``{key}.csv``; with output.per_eigenvalue also one eigenrows/ file per report."""
+    cfg = run.cfg
     rows = [
-        [res["n"], _seed_label(res["gs"], res["ps"]), cfg["epsilon"],
-         cfg["esd"]["reference"], res["esd"]]
-        for res in results
+        [n, f"{gs}:{ps}", cfg["epsilon"], rep.lambda0, eta0, rep.r_max,
+         rep.statistic, rep.window_count]
+        for n, gs, ps, reports in results
+        for eta0, rep in reports
+    ]
+    write_csv(os.path.join(out_dir, f"{key}.csv"),
+              ["n", "seed", "epsilon", "lambda0", "eta0", "R", "statistic", "window_count"], rows)
+    if not cfg["output"]["per_eigenvalue"]:
+        return
+    edir = os.path.join(out_dir, "eigenrows")
+    os.makedirs(edir, exist_ok=True)
+    for n, gs, ps, reports in results:
+        for eta0, rep in reports:
+            rows = [
+                (i, lam, complex(b).real, complex(a).real)
+                for (i, lam, b, a) in rep.per_eigenvalue_rows()
+            ]
+            write_csv(os.path.join(edir, f"{key}_n{n}_g{gs}_p{ps}_eta{eta0}.csv"),
+                      ["i", "lambda_i", "bracket", "average"], rows)
+
+
+def _esd(point):
+    cfg, mc = point.cfg, point.cfg["mc"]
+    if cfg["esd"]["reference"] == "kesten-mckay":
+        cdf = esd.kesten_mckay_cdf(cfg["q"])
+    else:
+        cdf = esd.ids_cdf(
+            cfg["q"], _potential_spec(cfg), cfg["epsilon"], cfg["eta0_values"][0],
+            mc["samples"], derive_key(mc["seed"], "ids"),
+            depth=mc["depth"], leaf_mode=mc["leaf_mode"],
+        )
+    return esd.esd_compare(point.spectrum, cdf)
+
+
+def _write_esd(run, out_dir, results):
+    cfg = run.cfg
+    rows = [
+        [n, f"{gs}:{ps}", cfg["epsilon"], cfg["esd"]["reference"], distance]
+        for n, gs, ps, distance in results
     ]
     write_csv(os.path.join(out_dir, "esd.csv"),
               ["n", "seed", "epsilon", "reference", "distance"], rows)
 
 
-def _write_lln(out_dir, results):
+def _write_lln(run, out_dir, results):
     ldir = os.path.join(out_dir, "lln")
     os.makedirs(ldir, exist_ok=True)
-    for res in results:
-        rows = [(c.k, c.graph_moment, c.tree_moment, c.abs_diff) for c in res["lln"]]
-        write_csv(
-            os.path.join(ldir, f"lln_n{res['n']}_g{res['gs']}_p{res['ps']}.csv"),
-            ["k", "graph_moment", "tree_moment", "abs_diff"], rows,
-        )
+    for n, gs, ps, comparisons in results:
+        rows = [(c.k, c.graph_moment, c.tree_moment, c.abs_diff) for c in comparisons]
+        write_csv(os.path.join(ldir, f"lln_n{n}_g{gs}_p{ps}.csv"),
+                  ["k", "graph_moment", "tree_moment", "abs_diff"], rows)
 
 
-def cmd_generate_graph(cfg, out_dir, threads, strict):
-    results = _run_grid(cfg, {"graphs": None, "conditions": None}, threads, strict)
-    gdir = os.path.join(out_dir, "graphs")
-    os.makedirs(gdir, exist_ok=True)
-    for res in results:
-        path = os.path.join(gdir, f"graph_n{res['n']}_s{res['gs']}.json")
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(res["graph_json"], f, separators=(",", ":"), sort_keys=True)
-            f.write("\n")
-    _write_conditions(cfg, out_dir, results)
+def _write_moments(run, out_dir, results):
+    write_csv(os.path.join(out_dir, "green_moments.csv"),
+              ["lambda", "eta", "s", "estimate", "stderr", "kind"], run.moments.csv_rows())
 
 
-def cmd_spectrum(cfg, out_dir, threads, strict):
-    _write_spectra(out_dir, _run_grid(cfg, {"spectrum": None}, threads, strict))
-
-
-def _qe_rows(cfg, results, key):
-    rows = []
-    for res in results:
-        if key == "qe_diag":
-            rep = res["qe_diag"]
-            rows.append([res["n"], _seed_label(res["gs"], res["ps"]), cfg["epsilon"],
-                         rep.lambda0, rep.eta0, rep.r_max, rep.statistic, rep.window_count])
-        else:
-            for eta0, rep in res["qe_kernel"].items():
-                rows.append([res["n"], _seed_label(res["gs"], res["ps"]), cfg["epsilon"],
-                             rep.lambda0, eta0, rep.r_max, rep.statistic, rep.window_count])
-    return rows
-
-
-QE_HEADER = ["n", "seed", "epsilon", "lambda0", "eta0", "R", "statistic", "window_count"]
-
-
-def _write_per_eigenvalue(cfg, out_dir, results, key):
-    if not cfg["output"]["per_eigenvalue"]:
-        return
-    edir = os.path.join(out_dir, "eigenrows")
-    os.makedirs(edir, exist_ok=True)
-    for res in results:
-        reports = {0.0: res[key]} if key == "qe_diag" else res["qe_kernel"]
-        for eta0, rep in (reports.items() if isinstance(reports, dict) else []):
-            path = os.path.join(
-                edir, f"{key}_n{res['n']}_g{res['gs']}_p{res['ps']}_eta{eta0}.csv"
-            )
-            rows = [
-                (i, lam, complex(b).real, complex(a).real)
-                for (i, lam, b, a) in rep.per_eigenvalue_rows()
-            ]
-            write_csv(path, ["i", "lambda_i", "bracket", "average"], rows)
-
-
-def _write_qe(cfg, out_dir, results, key):
-    write_csv(os.path.join(out_dir, f"{key}.csv"), QE_HEADER, _qe_rows(cfg, results, key))
-    _write_per_eigenvalue(cfg, out_dir, results, key)
-
-
-def cmd_qe_diag(cfg, out_dir, threads, strict):
-    _write_qe(cfg, out_dir, _run_grid(cfg, {"qe-diag": None}, threads, strict), "qe_diag")
-
-
-def cmd_qe_kernel(cfg, out_dir, threads, strict):
-    profiles = _build_profiles(cfg, strict)
-    results = _run_grid(cfg, {"qe-kernel": profiles}, threads, strict)
-    _write_qe(cfg, out_dir, results, "qe_kernel")
-
-
-def _moment_table(cfg, strict):
-    mc = cfg["mc"]
-    table = tree_green.green_condition_moments(
-        cfg["q"], _potential_spec(cfg), cfg["epsilon"],
-        mc["lambda_grid"], mc["eta_grid"], mc["s_values"],
-        mc["samples"], derive_key(mc["seed"], "moments"),
-        depth=mc["depth"], leaf_mode=mc["leaf_mode"], work_cap=mc["work_cap"],
-    )
-    if strict:
-        _check_cavity_bounds(table.total_violations(), "moment sweep")
-    return table
-
-
-def cmd_green_moments(cfg, out_dir, threads, strict):
-    table = _moment_table(cfg, strict)
-    write_csv(
-        os.path.join(out_dir, "green_moments.csv"),
-        ["lambda", "eta", "s", "estimate", "stderr", "kind"],
-        table.csv_rows(),
-    )
-    return table
-
-
-def cmd_esd(cfg, out_dir, threads, strict):
-    _write_esd(cfg, out_dir, _run_grid(cfg, {"esd": None}, threads, strict))
-    band = 2.0 * math.sqrt(cfg["q"])
-    lam_grid = np.linspace(-band, band, 401)
-    dens = esd.kesten_mckay_densities(lam_grid, cfg["q"])
-    write_csv(os.path.join(out_dir, "density_km.csv"), ["lambda", "density"], zip(lam_grid, dens))
-
-
-def cmd_check_conditions(cfg, out_dir, threads, strict):
-    cmd_generate_graph(cfg, out_dir, threads, strict)
-    table = cmd_green_moments(cfg, out_dir, threads, strict)
-    inf_abs, sup_sq = table.bounds()
-    c_lower = cfg["conditions"]["c_lower"]
-    c_upper = cfg["conditions"]["c_upper"]
-    pot_ok = _potential_spec(cfg).continuous
+def _write_flags(run, out_dir, results):
+    cond = run.cfg["conditions"]
+    inf_abs, sup_sq = run.moments.bounds()
+    pot_ok = _potential_spec(run.cfg).continuous
     write_csv(
         os.path.join(out_dir, "green_flags.csv"),
         ["threshold_c", "threshold_C", "inf_abs_mean", "sup_square_mean",
          "pass_lower", "pass_upper", "pot_continuous"],
-        [[c_lower, c_upper, inf_abs, sup_sq, inf_abs >= c_lower, sup_sq <= c_upper, pot_ok]],
+        [[cond["c_lower"], cond["c_upper"], inf_abs, sup_sq,
+          inf_abs >= cond["c_lower"], sup_sq <= cond["c_upper"], pot_ok]],
     )
 
 
-def cmd_run(cfg, out_dir, threads, strict):
-    profiles = _build_profiles(cfg, strict)
-    stages = {
-        "conditions": None,
-        "qe-diag": None,
-        "qe-kernel": profiles,
-        "esd": None,
-        "lln": None,
-    }
-    if cfg["output"]["spectrum_dump"]:
-        stages["spectrum"] = None
-    results = _run_grid(cfg, stages, threads, strict)
-    _write_conditions(cfg, out_dir, results)
-    _write_qe(cfg, out_dir, results, "qe_diag")
-    _write_qe(cfg, out_dir, results, "qe_kernel")
-    _write_esd(cfg, out_dir, results)
-    _write_lln(out_dir, results)
-    if cfg["output"]["spectrum_dump"]:
-        _write_spectra(out_dir, results)
+def _write_density(run, out_dir, results):
+    band = 2.0 * math.sqrt(run.cfg["q"])
+    lam_grid = np.linspace(-band, band, 401)
+    dens = esd.kesten_mckay_densities(lam_grid, run.cfg["q"])
+    write_csv(os.path.join(out_dir, "density_km.csv"), ["lambda", "density"], zip(lam_grid, dens))
 
 
-COMMANDS = {
-    "generate-graph": cmd_generate_graph,
-    "spectrum": cmd_spectrum,
-    "qe-diag": cmd_qe_diag,
-    "qe-kernel": cmd_qe_kernel,
-    "green-moments": cmd_green_moments,
-    "esd": cmd_esd,
-    "check-conditions": cmd_check_conditions,
-    "run": cmd_run,
+class Stage(NamedTuple):
+    """``compute(point)`` gives the stage's value at one grid point (None for a
+    stage that writes only run-level results); ``write(run, out_dir, results)``
+    writes its files from [(n, graph seed, pot seed, value)] in grid order.
+    ``reads`` names the ``_Run`` inputs that ``compute`` uses: they are built
+    before the grid, so worker processes receive them rather than rebuild them.
+    """
+
+    compute: Callable | None
+    write: Callable
+    reads: tuple = ()
+
+
+STAGES = {
+    "graphs": Stage(lambda point: point.graph, _write_graphs),
+    "conditions": Stage(_conditions, _write_conditions),
+    "spectrum": Stage(lambda point: anderson.spectrum_rows(point.spectrum), _write_spectra),
+    "qe-diag": Stage(_qe_diag, functools.partial(_write_qe, "qe_diag")),
+    "qe-kernel": Stage(_qe_kernel, functools.partial(_write_qe, "qe_kernel"), ("profiles",)),
+    "esd": Stage(_esd, _write_esd),
+    "lln": Stage(lambda point: esd.lln_moment_check(point.graph, point.potential,
+                                                    point.cfg["lln"]["k_max"]), _write_lln),
+    "green-moments": Stage(None, _write_moments),
+    "green-flags": Stage(None, _write_flags),
+    "density-km": Stage(None, _write_density),
 }
+
+# the stages of each subcommand; `run` adds "spectrum" when output.spectrum_dump is set
+COMMANDS = {
+    "generate-graph": ("graphs", "conditions"),
+    "spectrum": ("spectrum",),
+    "qe-diag": ("qe-diag",),
+    "qe-kernel": ("qe-kernel",),
+    "green-moments": ("green-moments",),
+    "esd": ("esd", "density-km"),
+    "check-conditions": ("graphs", "conditions", "green-moments", "green-flags"),
+    "run": ("conditions", "qe-diag", "qe-kernel", "esd", "lln"),
+}
+
+
+def _evaluate_point(task):
+    """Values of the named stages at one (n, graph seed, pot seed) grid point."""
+    run, n, gs, ps, names = task
+    point = _Point(run, n, gs, ps)
+    return [STAGES[name].compute(point) for name in names]
+
+
+def _run_grid(run: _Run, names, threads: int):
+    """Per-point values of the named stages: {name: [(n, gs, ps, value)]}."""
+    cfg = run.cfg
+    tasks = [
+        (run, n, gs, ps, names)
+        for n in cfg["n_values"]
+        for gs, ps in zip(cfg["graph_seeds"], cfg["pot_seeds"])
+    ]
+    if threads <= 1 or len(tasks) == 1:
+        values = [_evaluate_point(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            values = list(pool.map(_evaluate_point, tasks))
+    return {
+        name: [(n, gs, ps, vals[i]) for (_, n, gs, ps, _), vals in zip(tasks, values)]
+        for i, name in enumerate(names)
+    }
+
+
+def _run_stages(cfg, names, out_dir, threads: int, strict: bool) -> None:
+    run = _Run(cfg, strict)
+    point_names = tuple(name for name in names if STAGES[name].compute is not None)
+    for name in point_names:
+        for attr in STAGES[name].reads:
+            getattr(run, attr)
+    results = _run_grid(run, point_names, threads) if point_names else {}
+    for name in names:
+        STAGES[name].write(run, out_dir, results.get(name, []))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,7 +535,10 @@ def main(argv=None) -> int:
         cfg = resolve_config(raw)
         os.makedirs(args.out, exist_ok=True)
         _echo_config(cfg, args.out)
-        COMMANDS[args.command](cfg, args.out, args.threads, args.strict_invariants)
+        names = COMMANDS[args.command]
+        if args.command == "run" and cfg["output"]["spectrum_dump"]:
+            names += ("spectrum",)
+        _run_stages(cfg, names, args.out, args.threads, args.strict_invariants)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ array: the expansion check runs Lanczos on the sparse adjacency.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -100,7 +101,7 @@ def graph_from_edges(n: int, q: int, edges) -> RegularGraph:
     return RegularGraph(n=n, q=q, neighbors=neighbors, edges=arr)
 
 
-def generate_random_regular(n: int, q: int, seed: int, max_attempts: int = 1000) -> RegularGraph:
+def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None = None) -> RegularGraph:
     """Sample a simple (q+1)-regular graph by rejection from the pairing model.
 
     The whole stub pairing is resampled whenever it produces a self-loop or a
@@ -108,6 +109,10 @@ def generate_random_regular(n: int, q: int, seed: int, max_attempts: int = 1000)
     conditioned on simplicity.  Identical (n, q, seed) give identical graphs.
     """
     d = q + 1
+    if max_attempts is None:
+        # a pairing is simple with probability about exp(-(d^2 - 1)/4) at large
+        # n; 20 times its inverse leaves failure odds near exp(-20)
+        max_attempts = min(200_000, max(1000, math.ceil(20.0 * math.exp((d * d - 1) / 4.0))))
     if q < 2:
         raise ConfigError("q must be at least 2")
     if n < q + 2:

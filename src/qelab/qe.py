@@ -81,9 +81,11 @@ def make_observable(kind: str, n: int, seed: int = 0, *, constant: float = 1.0,
     if kind == "file":
         import json
 
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        vals = np.asarray(data, dtype=np.float64)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                vals = np.asarray(json.load(f), dtype=np.float64)
+        except (OSError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"cannot read observable file {path}: {exc}") from exc
         if vals.ndim != 1 or vals.size != n:
             raise ConfigError(
                 f"observable file {path} must hold {n} values, got shape {vals.shape}"

@@ -204,10 +204,6 @@ def forward_recursion_tree(
     seed: int,
     leaf_mode: str = "bare",
     spine_len: int = 0,
-    spine_branch: int = 0,
-    branches: int | None = None,
-    lambda0: float | None = None,
-    check_bounds: bool = True,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> TreeSweepResult:
     """Sample one disorder realization on the depth-L tree ball.
@@ -218,7 +214,6 @@ def forward_recursion_tree(
     at eps = 0 the sweep collapses to a single chain and any depth is cheap.
     """
     g = _as_gamma(gamma)
-    branches = q + 1 if branches is None else branches
     if depth < 1:
         raise ConfigError("depth must be at least 1")
     if depth > MAX_DEPTH:
@@ -227,18 +222,17 @@ def forward_recursion_tree(
         raise ConfigError("spine length cannot exceed the sweep depth")
     _require_eta(g, epsilon, leaf_mode)
 
-    lam0 = abs(g.real) if lambda0 is None else lambda0
-    floor = imag_floor(q, epsilon, pot_spec.support_bound, lam0, g.imag)
+    floor = imag_floor(q, epsilon, pot_spec.support_bound, abs(g.real), g.imag)
     abs_cap = 1.0 / g.imag if g.imag > 0 else np.inf
     key = _rng.derive_key(seed, "tree-sweep")
 
     if epsilon == 0.0:
         values = _zero_disorder_chain(q, depth, g, leaf_mode)
         viol = np.zeros(4, dtype=np.int64)
-        _kernels._check_vec(values, check_bounds, abs_cap, floor, viol)
+        _kernels._check_vec(values, abs_cap, floor, viol)
         omega_root = _rng.draw_omega_scalar(pot_spec.kind_code, pot_spec.support_bound, key, 0)
         return TreeSweepResult(
-            root_values=np.full(branches, values[0], dtype=np.complex128),
+            root_values=np.full(q + 1, values[0], dtype=np.complex128),
             omega_root=omega_root,
             spine=values[:spine_len].copy(),
             violations=viol,
@@ -247,16 +241,15 @@ def forward_recursion_tree(
             leaf_mode=leaf_mode,
         )
 
-    work = tree_work(q, depth, branches)
+    work = tree_work(q, depth, q + 1)
     if work > work_cap:
         raise BudgetError(
             f"tree sweep needs {work} node visits at depth {depth} (cap {work_cap}); "
             "lower the depth or the sample count"
         )
     root_values, spine, omega_root, viol = _kernels.cavity_sweep(
-        q, depth, branches, epsilon, g, _leaf_value(g, q, leaf_mode),
-        pot_spec.kind_code, pot_spec.support_bound, key, spine_len,
-        spine_branch, check_bounds, abs_cap, floor,
+        q, depth, q + 1, epsilon, g, _leaf_value(g, q, leaf_mode),
+        pot_spec.kind_code, pot_spec.support_bound, key, spine_len, 0, abs_cap, floor,
     )
     return TreeSweepResult(
         root_values=root_values,
@@ -328,7 +321,6 @@ def mc_expectation_im_green(
     leaf_mode: str = "free",
     ray_branch: int = 0,
     lambda0: float | None = None,
-    check_bounds: bool = True,
     work_cap: int = DEFAULT_WORK_CAP,
     total_work_cap: int = DEFAULT_MC_WORK_CAP,
 ) -> RayExpectation:
@@ -354,7 +346,7 @@ def mc_expectation_im_green(
     if epsilon == 0.0:
         values = _zero_disorder_chain(q, depth, g, leaf_mode)
         viol = np.zeros(4, dtype=np.int64)
-        _kernels._check_vec(values, check_bounds, abs_cap, floor, viol)
+        _kernels._check_vec(values, abs_cap, floor, viol)
         green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, g)
         ims = np.empty(r_max + 1, dtype=np.float64)
         ims[0] = green.imag
@@ -387,7 +379,7 @@ def mc_expectation_im_green(
     im, viol = _kernels.ray_batch(
         q, depth, epsilon, g, _leaf_value(g, q, leaf_mode),
         pot_spec.kind_code, pot_spec.support_bound, _rng.derive_key(seed, "mc-ray"),
-        samples, r_max, ray_branch, check_bounds, abs_cap, floor,
+        samples, r_max, ray_branch, abs_cap, floor,
     )
     means, stderrs = _mean_stderr(im)
     return RayExpectation(
@@ -444,7 +436,6 @@ def distance_ratio_profile(
     seed: int,
     depth: int | None = None,
     leaf_mode: str = "free",
-    check_bounds: bool = True,
 ) -> DistanceRatioProfile:
     """Monte-Carlo distance profile over a lambda grid (one substream each)."""
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
@@ -462,7 +453,7 @@ def distance_ratio_profile(
         ray = mc_expectation_im_green(
             q, pot_spec, epsilon, complex(lam, eta), r_max, depth,
             samples, _rng.derive_key(seed, "profile", i),
-            leaf_mode=leaf_mode, lambda0=lam_sup, check_bounds=check_bounds,
+            leaf_mode=leaf_mode, lambda0=lam_sup,
         )
         diag_means[i] = ray.means[0]
         diag_stderrs[i] = ray.stderrs[0]
@@ -548,7 +539,6 @@ def green_condition_moments(
     seed: int,
     depth: int | None = None,
     leaf_mode: str = "free",
-    check_bounds: bool = True,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> GreenMomentTable:
     """Monte-Carlo moments of the root cavity field over a (lam, eta) grid.
@@ -583,7 +573,7 @@ def green_condition_moments(
                     # the root is the top of a chain one level longer
                     z = complex(_zero_disorder_chain(q, use_depth + 1, g, leaf_mode)[0])
                 viol = np.zeros(4, dtype=np.int64)
-                _kernels._check_vec(np.asarray([z]), check_bounds, abs_cap, floor, viol)
+                _kernels._check_vec(np.asarray([z]), abs_cap, floor, viol)
                 im_abs = abs(z.imag)
                 clamped = max(im_abs, floor)
                 inverse = {s: (clamped ** (-s), 0.0) for s in s_list}
@@ -597,8 +587,7 @@ def green_condition_moments(
                 zeta, viol = _kernels.cavity_batch(
                     q, use_depth, epsilon, g, _leaf_value(g, q, leaf_mode),
                     pot_spec.kind_code, pot_spec.support_bound,
-                    _rng.derive_key(master, point_idx), samples,
-                    check_bounds, abs_cap, floor,
+                    _rng.derive_key(master, point_idx), samples, abs_cap, floor,
                 )
                 zeta_im = zeta.imag
                 abs_vals = np.abs(zeta_im)
@@ -660,8 +649,6 @@ def lifted_green(
     gamma,
     depth: int,
     pairs,
-    check_bounds: bool = False,
-    lambda0: float | None = None,
 ) -> LiftedGreen:
     """Green function of the lifted operator, truncated at cover depth L.
 
@@ -691,8 +678,7 @@ def lifted_green(
         raise ConfigError(
             f"cover depth {depth} shorter than a requested geodesic ({max_steps} steps)"
         )
-    lam0 = abs(g.real) if lambda0 is None else lambda0
-    floor = imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, lam0, g.imag)
+    floor = imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, abs(g.real), g.imag)
     abs_cap = 1.0 / g.imag
     indptr = graph.directed_indptr()
     targets = graph.directed_targets()
@@ -700,15 +686,14 @@ def lifted_green(
 
     # messages after r rounds are cavity values with r levels below their
     # target; the diagonal uses round depth-1, step k of a path round depth-k
-    msg, viol = _kernels.messages_init(targets, pot.omega, pot.epsilon, g, check_bounds, abs_cap, floor)
+    msg, viol = _kernels.messages_init(targets, pot.omega, pot.epsilon, g, abs_cap, floor)
     history: dict[int, np.ndarray] = {0: msg}
     # rounds before depth - max_steps are never read back: run them as one call
     lead = min(max(depth - max_steps, 0), depth - 1)
     done = 0
     for r in range(max(lead, 1), depth):
         msg, counts = _kernels.messages_advance(
-            indptr, targets, rev, pot.omega, pot.epsilon, g, msg, r - done,
-            check_bounds, abs_cap, floor,
+            indptr, targets, rev, pot.omega, pot.epsilon, g, msg, r - done, abs_cap, floor,
         )
         viol += counts
         history[r] = msg

@@ -149,6 +149,12 @@ def test_spectrum_dump(tmp_path):
     lines = (out / "spectra" / "spectrum_n64_g1_p11.csv").read_text().strip().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 65
+    dump = dict(MINI, output={"per_eigenvalue": False, "spectrum_dump": True})
+    assert cli.main(["run", "--config", _write(tmp_path, dump, "dump.json"), "--out", str(tmp_path / "r"), "--threads", "1"]) == 0
+    assert (tmp_path / "r" / "spectra" / "spectrum_n64_g1_p11.csv").read_bytes() == \
+        (out / "spectra" / "spectrum_n64_g1_p11.csv").read_bytes()
+    assert cli.main(["run", "--config", _write(tmp_path, MINI), "--out", str(tmp_path / "r0"), "--threads", "1"]) == 0
+    assert not (tmp_path / "r0" / "spectra").exists()
 
 
 def test_console_entry_point(tmp_path):
@@ -160,20 +166,26 @@ def test_console_entry_point(tmp_path):
 
 
 def test_per_eigenvalue_dump(tmp_path):
-    cfg = dict(MINI, output={"per_eigenvalue": True, "spectrum_dump": False})
-    out = tmp_path / "pe"
-    assert cli.main(["qe-diag", "--config", _write(tmp_path, cfg, "pe.json"), "--out", str(out), "--threads", "1"]) == 0
-    files = list((out / "eigenrows").glob("qe_diag_*.csv"))
-    assert len(files) == 1
-    lines = files[0].read_text().strip().splitlines()
-    assert lines[0] == "i,lambda_i,bracket,average"
-    assert len(lines) > 1
+    cfg = dict(MINI, eta0_values=[0.2, 0.3], output={"per_eigenvalue": True, "spectrum_dump": False})
+    expected = {
+        "qe-diag": ["qe_diag_n64_g1_p11_eta0.0.csv"],
+        "qe-kernel": ["qe_kernel_n64_g1_p11_eta0.2.csv", "qe_kernel_n64_g1_p11_eta0.3.csv"],
+    }
+    for command, names in expected.items():
+        out = tmp_path / command
+        assert cli.main([command, "--config", _write(tmp_path, cfg, "pe.json"), "--out", str(out), "--threads", "1"]) == 0
+        files = sorted((out / "eigenrows").glob("*.csv"))
+        assert [f.name for f in files] == names
+        for f in files:
+            lines = f.read_text().strip().splitlines()
+            assert lines[0] == "i,lambda_i,bracket,average"
+            assert len(lines) > 1
 
 
 def test_ids_reference(tmp_path):
     cfg = dict(
         MINI,
-        esd={"reference": "ids", "bins": 200},
+        esd={"reference": "ids"},
         mc={"samples": 16, "depth": 6, "lambda_spacing": 0.5},
     )
     out = tmp_path / "ids"
@@ -193,6 +205,40 @@ def test_file_observable_config(tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("kind", ["file", "delta"])
+def test_bad_observable_fails_only_where_read(tmp_path, kind):
+    observable = {"kind": "file", "path": str(tmp_path / "missing.json")}
+    if kind == "delta":
+        observable = {"kind": "delta", "vertex": 100}  # out of range at n=64
+    cfg = _write(tmp_path, dict(MINI, observable=observable), "bad.json")
+    for command in ("spectrum", "esd", "qe-kernel"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command), "--threads", "1"]) == 0
+    assert cli.main(["qe-diag", "--config", cfg, "--out", str(tmp_path / "qd"), "--threads", "1"]) == 2
+
+
+def test_process_pool_capped_at_grid_size(tmp_path, monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = dict(MINI, n_values=[48, 64], mc={"samples": 8, "depth": 6, "lambda_spacing": 1.0})
+    assert cli.main(["spectrum", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"), "--threads", "16"]) == 0
+    assert seen == [2]
+    assert len(list((tmp_path / "o" / "spectra").glob("*.csv"))) == 2
+
+
 def test_strict_invariants_healthy_run(tmp_path):
     out = tmp_path / "strict"
     code = cli.main(["run", "--config", _write(tmp_path, MINI), "--out", str(out),
@@ -201,12 +247,13 @@ def test_strict_invariants_healthy_run(tmp_path):
 
 
 def test_strict_invariants_exit_code(tmp_path, monkeypatch):
+    from qelab import qe
     from qelab.errors import InvariantError
 
-    def boom(cfg, out_dir, threads, strict):
+    def boom(*args, **kwargs):
         raise InvariantError("cavity sign bound violated at 3 nodes")
 
-    monkeypatch.setitem(cli.COMMANDS, "run", boom)
+    monkeypatch.setattr(qe, "qe_statistic_diag", boom)
     code = cli.main(["run", "--config", _write(tmp_path, MINI), "--out", str(tmp_path / "x"), "--threads", "1"])
     assert code == 4
 

@@ -127,6 +127,15 @@ def test_generation_rejects_bad_inputs():
     assert err.value.attempts == 0
 
 
+def test_generation_budget_grows_with_degree():
+    # at q=4 a pairing is simple with probability about e^-6; this seed needs
+    # 1016 attempts, beyond the old fixed budget of 1000
+    g = graphs.generate_random_regular(100, 4, seed=19)
+    assert g.neighbors.shape == (100, 5)
+    with pytest.raises(GenerationError):
+        graphs.generate_random_regular(100, 4, seed=19, max_attempts=0)
+
+
 def test_distance_and_geodesic_examples():
     k4 = graphs.generate_random_regular(4, 2, seed=1)
     assert graphs.distance_and_geodesic(k4, 0, 0) == (0, [0])

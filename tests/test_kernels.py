@@ -66,7 +66,7 @@ def test_sweep_golden(q, depth, eps, leaf_mode):
     # ... and the full ball here
     branch, spine, omega_root, viol = _kernels.cavity_sweep(
         q, depth, q + 1, eps, gamma, leaf_for(leaf_mode, gamma, q),
-        SPEC.kind_code, 1.0, 7, 3, 1, True, 5.0, 1e-8,
+        SPEC.kind_code, 1.0, 7, 3, 1, 5.0, 1e-8,
     )
     assert digest(branch, spine, np.float64(omega_root), viol) == GOLDEN[f"sweep/{tag}"]
 
@@ -79,13 +79,13 @@ def test_ray_and_cavity_batches_golden(eps, leaf_mode):
     leaf = leaf_for(leaf_mode, gamma, q)
     im, viol = _kernels.ray_batch(
         q, depth, eps, gamma, leaf, SPEC.kind_code, 1.0, 99, samples,
-        2, 1, True, 1.0 / gamma.imag, 1e-9,
+        2, 1, 1.0 / gamma.imag, 1e-9,
     )
     assert im.shape == (samples, 3)
     assert digest(im, viol) == GOLDEN[f"ray/{eps}/{leaf_mode}"]
     zeta, viol = _kernels.cavity_batch(
         q, depth, eps, gamma, leaf, SPEC.kind_code, 1.0, 101, samples,
-        True, 1.0 / gamma.imag, 1e-9,
+        1.0 / gamma.imag, 1e-9,
     )
     assert digest(zeta, viol) == GOLDEN[f"cavity/{eps}/{leaf_mode}"]
 
@@ -96,11 +96,11 @@ def test_message_passing_golden(eps):
     pot = anderson.sample_potential(40, SPEC, eps, seed=2)
     gamma = 0.1 + 0.2j
     msg0, viol = _kernels.messages_init(
-        g.directed_targets(), pot.omega, pot.epsilon, gamma, True, 5.0, 0.0
+        g.directed_targets(), pot.omega, pot.epsilon, gamma, 5.0, 0.0
     )
     msg, counts = _kernels.messages_advance(
         g.directed_indptr(), g.directed_targets(), g.reverse_edge_index(),
-        pot.omega, pot.epsilon, gamma, msg0, 12, True, 5.0, 0.0,
+        pot.omega, pot.epsilon, gamma, msg0, 12, 5.0, 0.0,
     )
     assert digest(msg0, msg, viol + counts) == GOLDEN[f"messages/{eps}"]
 
@@ -113,7 +113,7 @@ def test_zero_disorder_chain_matches_kernel_sweep():
     )
     branch, spine, _, _ = _kernels.cavity_sweep(
         q, depth, q + 1, 0.0, gamma, None, SPEC.kind_code, 1.0,
-        _rng.derive_key(3, "tree-sweep"), depth, 0, True, 1.0 / gamma.imag, 0.0,
+        _rng.derive_key(3, "tree-sweep"), depth, 0, 1.0 / gamma.imag, 0.0,
     )
     assert np.array_equal(chain.root_values, branch)
     assert np.array_equal(chain.spine, spine)

@@ -346,7 +346,7 @@ def test_lifted_green_rejects_backtracking():
 def test_lifted_green_bound_checks():
     g = graphs.generate_random_regular(30, 2, seed=9)
     pot = anderson.sample_potential(30, SPEC, 0.4, seed=3)
-    lifted = tg.lifted_green(g, pot, 0.1 + 0.15j, 30, pairs=[[0]], check_bounds=True)
+    lifted = tg.lifted_green(g, pot, 0.1 + 0.15j, 30, pairs=[[0]])
     assert lifted.violations[:3].tolist() == [0, 0, 0]
     assert lifted.violations[3] > 0
 
