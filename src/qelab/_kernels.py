@@ -1,10 +1,14 @@
 """Hot numeric kernels: cavity tree sweeps and directed-edge message passing.
 
-Every kernel is plain numpy, vectorized across the nodes of one tree level
-or across the directed edges of a graph.  Results are reproducible bit for
-bit: child sums run in child order, complex reciprocals go through one
-explicit formula, and potentials come from the counter-based streams of
-``_rng``.  The golden digests in ``tests/test_kernels.py`` pin them.
+Every kernel is plain numpy.  Tree kernels sweep many samples at once,
+level by level over a (samples x level width) array, in sample blocks of at
+most ``_BLOCK_NODES`` nodes per level; message passing is vectorized across
+the directed edges of a graph.  Results are reproducible bit for bit and do
+not depend on the blocking: child sums run in child order, complex
+reciprocals and products go through explicit formulas, and potentials come
+from the counter-based streams of ``_rng``.  The golden digests in
+``tests/test_kernels.py`` pin them, and ``tests/test_sample_blocks.py``
+compares the batches with a per-sample loop.
 
 Conventions shared by every kernel:
 
@@ -53,6 +57,14 @@ def crecip_vec(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def cmul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b via CPython's formula, which numpy's complex multiply may not match."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def tree_node_count(q: int, depth: int, branches: int) -> int:
     """Number of nodes in a depth-``depth`` sweep with ``branches`` subtrees."""
     per_branch = (q**depth - 1) // (q - 1) if q > 1 else depth
@@ -95,32 +107,81 @@ def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # cavity recursion on tree balls
 # ----------------------------------------------------------------------
 
+# Samples are swept together in blocks of at most this many tree nodes per
+# level, so one complex level array stays near 1 MB.  In timings of
+# cavity_batch at q=3, depth 8, 2**15 was slower and 2**17 no faster.
+_BLOCK_NODES = 2**16
+
+
+def _sum_children(kids, count):
+    """Sum of ``count`` children along the last axis, in child order from 0.
+
+    The same bits as a scalar loop ``s = 0j; s += z``.  A last axis of
+    length 1 holds one value shared by all ``count`` children.
+    """
+    total = np.zeros(kids.shape[:-1], dtype=np.complex128)
+    for j in range(count):
+        total = total + kids[..., j % kids.shape[-1]]
+    return total
+
 
 def cavity_levels(q, sizes, gamma, leaf, site):
     """The cavity recursion z = 1/(gamma - site - sum of q children), leaves first.
 
-    ``sizes[k-1]`` values are kept at level k = 1..depth, in level order.
-    A level kept at the size of the level above it holds one value shared
-    by all q children of each parent: with every size 1 this is the eps = 0
-    chain, where all siblings coincide.  ``site(k)`` returns eps*omega on
-    level k; bare leaves call it, free leaves (``leaf`` not None) do not.
-    Yields (k, values) for k = depth, ..., 1.
+    Values have shape (samples, sizes[k-1]) at level k = 1..depth, in level
+    order along the last axis.  A level kept at the size of the level above
+    it holds one value shared by all q children of each parent: with every
+    size 1 this is the eps = 0 chain, where all siblings coincide.
+    ``site(k)`` returns eps*omega on level k with that shape; bare leaves
+    call it, free leaves (``leaf`` not None) do not and are one row shared
+    by every sample.  Yields (k, values) for k = depth, ..., 1.
     """
     depth = len(sizes)
     values = None
     for k in range(depth, 0, -1):
         width = sizes[k - 1]
         if values is not None:
-            kids = values.reshape(width, -1)
-            child_sum = np.zeros(width, dtype=np.complex128)
-            for j in range(q):
-                child_sum = child_sum + kids[:, j % kids.shape[1]]
-            values = crecip_vec(gamma - site(k) - child_sum)
+            kids = values.reshape(values.shape[0], width, -1)
+            values = crecip_vec(gamma - site(k) - _sum_children(kids, q))
         elif leaf is None:
             values = crecip_vec(gamma - site(k))
         else:
-            values = np.full(width, leaf, dtype=np.complex128)
+            values = np.full((1, width), leaf, dtype=np.complex128)
         yield k, values
+
+
+def _sweep_block(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, keys,
+                 spine_len, ray_branch, abs_cap, im_floor):
+    """``cavity_sweep`` for the samples keyed by ``keys`` (uint64, shape (m, 1)).
+
+    Returns (branch values (m, branches), spines (m, spine_len), root-site
+    potentials (m,), violation counters summed over the block).
+    """
+    m = keys.shape[0]
+    offsets = level_offsets(q, depth, branches)
+    sizes = [branches * q**k for k in range(depth)]
+
+    def site(k):
+        ids = offsets[k] + np.arange(sizes[k - 1], dtype=np.int64)
+        return eps * draw_omega_vec(pot_kind, pot_a, keys, ids)
+
+    viol = np.zeros(4, dtype=np.int64)
+    spine = np.empty((m, spine_len), dtype=np.complex128)
+    for k, values in cavity_levels(q, sizes, gamma, leaf, site):
+        counts = np.zeros(4, dtype=np.int64)
+        _check_vec(values, abs_cap, im_floor, counts)
+        viol += counts * (m // values.shape[0])  # a free-leaf row stands for all m samples
+        if k <= spine_len:
+            spine[:, k - 1] = values[:, ray_branch * q ** (k - 1)]
+    omega_root = draw_omega_vec(pot_kind, pot_a, keys, np.zeros(1, dtype=np.int64))[:, 0]
+    return np.broadcast_to(values, (m, branches)), spine, omega_root, viol
+
+
+def _sample_blocks(samples, level_width):
+    """Slices of consecutive samples with at most ``_BLOCK_NODES`` nodes on a
+    level that is ``level_width`` wide per sample, or one sample if wider."""
+    per_block = max(1, _BLOCK_NODES // level_width)
+    return [slice(start, min(start + per_block, samples)) for start in range(0, samples, per_block)]
 
 
 def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
@@ -132,21 +193,11 @@ def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
     first ray of branch ``ray_branch``.  Returns (branch values at the
     root, spine, root-site potential, violation counters).
     """
-    offsets = level_offsets(q, depth, branches)
-    sizes = [branches * q**k for k in range(depth)]
-
-    def site(k):
-        ids = offsets[k] + np.arange(sizes[k - 1], dtype=np.int64)
-        return eps * draw_omega_vec(pot_kind, pot_a, key, ids)
-
-    viol = np.zeros(4, dtype=np.int64)
-    spine = np.empty(spine_len, dtype=np.complex128)
-    for k, values in cavity_levels(q, sizes, gamma, leaf, site):
-        _check_vec(values, abs_cap, im_floor, viol)
-        if k <= spine_len:
-            spine[k - 1] = values[ray_branch * q ** (k - 1)]
-    omega_root = float(draw_omega_vec(pot_kind, pot_a, key, np.zeros(1, dtype=np.int64))[0])
-    return values, spine, omega_root, viol
+    branch, spine, omega_root, viol = _sweep_block(
+        q, depth, branches, eps, gamma, leaf, pot_kind, pot_a,
+        np.full((1, 1), key, dtype=np.uint64), spine_len, ray_branch, abs_cap, im_floor,
+    )
+    return branch[0].copy(), spine[0], float(omega_root[0]), viol
 
 
 def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
@@ -159,20 +210,17 @@ def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     im = np.empty((samples, r_max + 1), dtype=np.float64)
     viol = np.zeros(4, dtype=np.int64)
-    for m in range(samples):
-        branch, spine, omega_root, counts = cavity_sweep(
-            q, depth, q + 1, eps, gamma, leaf, pot_kind, pot_a, int(keys[m]),
+    for block in _sample_blocks(samples, (q + 1) * q ** (depth - 1)):
+        branch, spine, omega_root, counts = _sweep_block(
+            q, depth, q + 1, eps, gamma, leaf, pot_kind, pot_a, keys[block, None],
             r_max, ray_branch, abs_cap, im_floor,
         )
         viol += counts
-        s = 0.0j
-        for z in branch:
-            s += z
-        g = crecip_scalar(eps * omega_root - gamma + s)
-        im[m, 0] = g.imag
+        g = crecip_vec(eps * omega_root - gamma + _sum_children(branch, q + 1))
+        im[block, 0] = g.imag
         for r in range(1, r_max + 1):
-            g = g * spine[r - 1]
-            im[m, r] = g.imag
+            g = cmul_vec(g, spine[:, r - 1])
+            im[block, r] = g.imag
     return im, viol
 
 
@@ -185,16 +233,13 @@ def cavity_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     zeta = np.empty(samples, dtype=np.complex128)
     viol = np.zeros(4, dtype=np.int64)
-    for m in range(samples):
-        branch, _, omega_root, counts = cavity_sweep(
-            q, depth, q, eps, gamma, leaf, pot_kind, pot_a, int(keys[m]),
+    for block in _sample_blocks(samples, q**depth):
+        branch, _, omega_root, counts = _sweep_block(
+            q, depth, q, eps, gamma, leaf, pot_kind, pot_a, keys[block, None],
             0, 0, abs_cap, im_floor,
         )
         viol += counts
-        s = 0.0j
-        for z in branch:
-            s += z
-        zeta[m] = crecip_scalar(gamma - eps * omega_root - s)
+        zeta[block] = crecip_vec(gamma - eps * omega_root - _sum_children(branch, q))
     _check_vec(zeta, abs_cap, im_floor, viol)
     return zeta, viol
 

@@ -78,7 +78,13 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def hash_u64_vec(key: int, ctrs: np.ndarray) -> np.ndarray:
+def hash_u64_vec(key, ctrs: np.ndarray) -> np.ndarray:
+    """``hash_u64`` over an array of counters.
+
+    ``key`` is an int or a uint64 array of shape (m, 1), which broadcasts
+    against ``ctrs`` to give m streams at once, each with the same bits as
+    its scalar key.
+    """
     ctrs = ctrs.astype(np.uint64, copy=False)
     z = np.uint64(key) + (ctrs + np.uint64(1)) * np.uint64(GOLDEN)
     return _mix64_vec(z)
@@ -88,11 +94,12 @@ def uniform01_vec(h: np.ndarray) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def draw_omega_vec(kind: int, bound: float, key: int, indices: np.ndarray) -> np.ndarray:
+def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray) -> np.ndarray:
     """Vectorized i.i.d. draws from the site-potential distribution.
 
     ``indices`` are sample counters (vertex ids or tree-node ids); each index
     owns OMEGA_STRIDE consecutive counters in the stream keyed by ``key``.
+    A key array of shape (m, 1) gives draws of shape (m, len(indices)).
     """
     base = indices.astype(np.uint64) * np.uint64(OMEGA_STRIDE)
     u0 = uniform01_vec(hash_u64_vec(key, base))

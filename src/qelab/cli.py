@@ -237,6 +237,21 @@ class _Run:
             _check_cavity_bounds(table.total_violations(), "moment sweep")
         return table
 
+    @functools.cached_property
+    def esd_reference(self) -> esd.CdfTable:
+        """The reference CDF of the esd stage (the ids one is a Monte-Carlo sweep)."""
+        cfg, mc = self.cfg, self.cfg["mc"]
+        if cfg["esd"]["reference"] == "kesten-mckay":
+            return esd.kesten_mckay_cdf(cfg["q"])
+        table = esd.ids_cdf(
+            cfg["q"], _potential_spec(cfg), cfg["epsilon"], cfg["eta0_values"][0],
+            mc["samples"], derive_key(mc["seed"], "ids"),
+            depth=mc["depth"], leaf_mode=mc["leaf_mode"],
+        )
+        if self.strict:
+            _check_cavity_bounds(table.violations, "ids reference")
+        return table
+
 
 class _Point:
     """One (n, graph seed, pot seed) grid point of a run."""
@@ -373,16 +388,7 @@ def _write_qe(key, run, out_dir, results):
 
 
 def _esd(point):
-    cfg, mc = point.cfg, point.cfg["mc"]
-    if cfg["esd"]["reference"] == "kesten-mckay":
-        cdf = esd.kesten_mckay_cdf(cfg["q"])
-    else:
-        cdf = esd.ids_cdf(
-            cfg["q"], _potential_spec(cfg), cfg["epsilon"], cfg["eta0_values"][0],
-            mc["samples"], derive_key(mc["seed"], "ids"),
-            depth=mc["depth"], leaf_mode=mc["leaf_mode"],
-        )
-    return esd.esd_compare(point.spectrum, cdf)
+    return esd.esd_compare(point.spectrum, point.run.esd_reference)
 
 
 def _write_esd(run, out_dir, results):
@@ -448,7 +454,7 @@ STAGES = {
     "spectrum": Stage(lambda point: anderson.spectrum_rows(point.spectrum), _write_spectra),
     "qe-diag": Stage(_qe_diag, functools.partial(_write_qe, "qe_diag")),
     "qe-kernel": Stage(_qe_kernel, functools.partial(_write_qe, "qe_kernel"), ("profiles",)),
-    "esd": Stage(_esd, _write_esd),
+    "esd": Stage(_esd, _write_esd, ("esd_reference",)),
     "lln": Stage(lambda point: esd.lln_moment_check(point.graph, point.potential,
                                                     point.cfg["lln"]["k_max"]), _write_lln),
     "green-moments": Stage(None, _write_moments),

@@ -2,9 +2,9 @@
 
 Kesten-McKay density and CDF for the potential-free model, Monte-Carlo
 integrated-density-of-states for the disordered tree, Kolmogorov distances
-between empirical and reference spectral CDFs, and the local-weak-convergence
-moment check: normalized traces of H^k on the graph against exact
-closed-walk return moments on the tree.
+between empirical spectra and tabulated reference CDFs, and the
+local-weak-convergence moment check: normalized traces of H^k on the graph
+against exact closed-walk return moments on the tree.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import ConfigError
 
 LLN_K_CAP = 12
 _CDF_GRID = 8193
+_IDS_GRID = 129
 
 
 def kesten_mckay_density(lam: float, q: int) -> float:
@@ -81,14 +82,26 @@ def _kesten_mckay_table(q: int):
     return grid, cum
 
 
-def kesten_mckay_cdf(q: int):
-    """CDF evaluator of the Kesten-McKay law (vectorized; grid built once per q)."""
+@dataclass(frozen=True)
+class CdfTable:
+    """A reference CDF tabulated on a grid: linear in between, 0 below, 1 above.
+
+    ``violations`` sums the cavity-bound counters of the sweeps behind the
+    table (zero for a closed form).  Plain arrays, so it pickles to workers.
+    """
+
+    grid: np.ndarray
+    cum: np.ndarray
+    violations: np.ndarray
+
+    def __call__(self, x):
+        return np.interp(x, self.grid, self.cum, left=0.0, right=1.0)
+
+
+def kesten_mckay_cdf(q: int) -> CdfTable:
+    """CDF of the Kesten-McKay law (vectorized; grid built once per q)."""
     grid, cum = _kesten_mckay_table(q)
-
-    def cdf(x):
-        return np.interp(x, grid, cum, left=0.0, right=1.0)
-
-    return cdf
+    return CdfTable(grid, cum, np.zeros(4, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -98,6 +111,7 @@ class IdsEstimate:
     density: float
     stderr: float
     samples: int
+    violations: np.ndarray
 
 
 def ids_density(
@@ -124,6 +138,7 @@ def ids_density(
         density=float(ray.means[0]) / math.pi,
         stderr=float(ray.stderrs[0]) / math.pi,
         samples=samples,
+        violations=ray.violations,
     )
 
 
@@ -134,57 +149,30 @@ def ids_cdf(
     eta: float,
     samples: int,
     seed: int,
-    grid_points: int = 129,
     depth: int | None = None,
     leaf_mode: str = "free",
-):
-    """CDF evaluator from the eta-smoothed density on a uniform grid."""
+) -> CdfTable:
+    """CDF from the eta-smoothed density on a uniform ``_IDS_GRID``-point grid."""
     edge = 2.0 * math.sqrt(q) + abs(epsilon) * pot_spec.support_bound + 4.0 * eta
-    grid = np.linspace(-edge, edge, grid_points)
-    dens = np.empty(grid_points)
+    grid = np.linspace(-edge, edge, _IDS_GRID)
+    dens = np.empty(_IDS_GRID)
+    viol = np.zeros(4, dtype=np.int64)
     for i, lam in enumerate(grid):
-        dens[i] = ids_density(
+        est = ids_density(
             q, pot_spec, epsilon, float(lam), eta, samples,
             _rng.derive_key(seed, "ids-grid", i),
             depth=depth, leaf_mode=leaf_mode,
-        ).density
+        )
+        dens[i] = est.density
+        viol += est.violations
     cum = _cumulative_trapezoid(dens, grid)
     cum /= cum[-1]
-
-    def cdf(x):
-        return np.interp(x, grid, cum, left=0.0, right=1.0)
-
-    return cdf
+    return CdfTable(grid, cum, viol)
 
 
 # ----------------------------------------------------------------------
-# histograms and Kolmogorov distance
+# Kolmogorov distance
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralHistogram:
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def cdf(self, x):
-        cum = np.concatenate([[0], np.cumsum(self.counts)]) / self.n
-        return np.interp(x, self.bin_edges, cum, left=0.0, right=1.0)
-
-
-def spectral_histogram(spec_data: SpectralData, q: int, epsilon: float, support_bound: float, bins: int = 200) -> SpectralHistogram:
-    edge = 2.0 * math.sqrt(q) + abs(epsilon) * support_bound
-    edges = np.linspace(-edge, edge, bins + 1)
-    lo = min(edges[0], float(spec_data.eigenvalues[0]))
-    hi = max(edges[-1], float(spec_data.eigenvalues[-1]))
-    if lo < edges[0] or hi > edges[-1]:
-        edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(spec_data.eigenvalues, bins=edges)
-    return SpectralHistogram(bin_edges=edges, counts=counts)
 
 
 def esd_compare(spec_data: SpectralData, reference_cdf) -> float:

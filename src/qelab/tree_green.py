@@ -189,9 +189,9 @@ def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
         # stationary by construction; keep the closed form exact
         return np.full(depth, leaf, dtype=np.complex128)
     values = np.empty(depth, dtype=np.complex128)
-    no_site = np.zeros(1)
+    no_site = np.zeros((1, 1))
     for k, level in _kernels.cavity_levels(q, [1] * depth, gamma, leaf, lambda k: no_site):
-        values[k - 1] = level[0]
+        values[k - 1] = level[0, 0]
     return values
 
 
@@ -208,8 +208,9 @@ def forward_recursion_tree(
 ) -> TreeSweepResult:
     """Sample one disorder realization on the depth-L tree ball.
 
-    The depth-first sweep draws site potentials lazily from the counter
-    stream keyed by (seed); memory stays O(depth).  Work is the full node
+    The sweep runs level by level, leaves first, and draws each level's
+    site potentials from the counter stream keyed by (seed); it holds one
+    level at a time, O(q**L) values at the leaves.  Work is the full node
     count of the ball (q**L growth) and is rejected beyond ``work_cap``;
     at eps = 0 the sweep collapses to a single chain and any depth is cheap.
     """
@@ -791,11 +792,11 @@ def full_ball_green_row(
     sizes = [branches * q**k for k in range(depth)]
 
     def site(k):
-        return epsilon * omegas[offsets[k] : offsets[k] + sizes[k - 1]]
+        return epsilon * omegas[None, offsets[k] : offsets[k] + sizes[k - 1]]
 
     values_by_level: list[np.ndarray] = [None] * (depth + 1)
     for k, values in _kernels.cavity_levels(q, sizes, g, _leaf_value(g, q, leaf_mode), site):
-        values_by_level[k] = values
+        values_by_level[k] = values[0]
 
     row = np.empty(n, dtype=np.complex128)
     diag = green_diagonal(values_by_level[1], float(omegas[0]), epsilon, g)

@@ -277,3 +277,22 @@ def test_strict_invariants_profile_violation(tmp_path, monkeypatch):
                          "--strict-invariants"]) == 4
     assert cli.main(["qe-kernel", "--config", cfg, "--out", str(tmp_path / "lax"),
                      "--threads", "1"]) == 0
+
+
+def test_strict_invariants_ids_violation(tmp_path, monkeypatch):
+    import dataclasses
+
+    from qelab import tree_green
+
+    real = tree_green.mc_expectation_im_green
+
+    def injected(*args, **kwargs):
+        ray = real(*args, **kwargs)
+        return dataclasses.replace(ray, violations=ray.violations + np.array([0, 1, 0, 0]))
+
+    monkeypatch.setattr(tree_green, "mc_expectation_im_green", injected)
+    cfg = _write(tmp_path, dict(MINI, esd={"reference": "ids"},
+                                mc={"samples": 4, "depth": 4, "lambda_spacing": 0.5}))
+    assert cli.main(["esd", "--config", cfg, "--out", str(tmp_path / "strict"), "--threads", "1",
+                     "--strict-invariants"]) == 4
+    assert cli.main(["esd", "--config", cfg, "--out", str(tmp_path / "lax"), "--threads", "1"]) == 0

@@ -95,15 +95,6 @@ def test_ids_density_symmetric_potential():
     assert abs(a.density - b.density) <= 3 * math.hypot(a.stderr, b.stderr)
 
 
-def test_histogram_counts_and_cdf():
-    g = graphs.generate_random_regular(200, 2, seed=1)
-    pot = anderson.sample_potential(200, SPEC, 0.2, seed=1)
-    sd = anderson.eigendecompose(anderson.assemble(g, pot))
-    hist = esd.spectral_histogram(sd, 2, 0.2, 1.0)
-    assert hist.n == 200
-    assert hist.cdf(-10.0) == 0.0 and hist.cdf(10.0) == 1.0
-
-
 def test_esd_compare_self_and_k4():
     g = graphs.generate_random_regular(200, 2, seed=1)
     pot = anderson.sample_potential(200, SPEC, 0.0, seed=1)

@@ -1,0 +1,118 @@
+"""The blocked ray and cavity batches against a per-sample loop.
+
+``ray_batch`` and ``cavity_batch`` sweep many samples at once, in blocks of
+at most ``_kernels._BLOCK_NODES`` nodes per tree level.  The oracle here is
+the per-sample loop they replaced: one ``cavity_sweep`` per sample key, the
+root sum in CPython scalars, ``crecip_scalar`` and the complex ``*``.
+Outputs and violation counters must match bit for bit, however the samples
+fall into blocks.
+"""
+
+import numpy as np
+import pytest
+
+from qelab import _kernels, _rng, tree_green
+
+GAMMA = 0.3 + 0.25j
+EPS = 0.35
+# tight enough that the cap and floor counters of bare-leaf balls are nonzero
+ABS_CAP = 1.2
+IM_FLOOR = 0.25
+DEPTH = {2: 6, 3: 5, 4: 4}
+KINDS = [_rng.POT_UNIFORM, _rng.POT_RESCALED_BETA, _rng.POT_TWO_POINT]
+# (samples, _BLOCK_NODES): one sample; ragged blocks of 2-7 samples; one sample per block
+LAYOUTS = [(1, _kernels._BLOCK_NODES), (37, 700), (5, 1)]
+
+
+def leaf_for(leaf_mode, q):
+    return tree_green.free_forward_green_complex(GAMMA, q) if leaf_mode == "free" else None
+
+
+def ray_oracle(q, depth, leaf, kind, batch_key, samples, r_max, ray_branch):
+    keys = _rng.hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
+    im = np.empty((samples, r_max + 1), dtype=np.float64)
+    viol = np.zeros(4, dtype=np.int64)
+    for m in range(samples):
+        branch, spine, omega_root, counts = _kernels.cavity_sweep(
+            q, depth, q + 1, EPS, GAMMA, leaf, kind, 1.0, int(keys[m]),
+            r_max, ray_branch, ABS_CAP, IM_FLOOR,
+        )
+        viol += counts
+        s = 0.0j
+        for z in branch:
+            s += z
+        g = _kernels.crecip_scalar(EPS * omega_root - GAMMA + s)
+        im[m, 0] = g.imag
+        for r in range(1, r_max + 1):
+            g = g * spine[r - 1]
+            im[m, r] = g.imag
+    return im, viol
+
+
+def cavity_oracle(q, depth, leaf, kind, batch_key, samples):
+    keys = _rng.hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
+    zeta = np.empty(samples, dtype=np.complex128)
+    viol = np.zeros(4, dtype=np.int64)
+    for m in range(samples):
+        branch, _, omega_root, counts = _kernels.cavity_sweep(
+            q, depth, q, EPS, GAMMA, leaf, kind, 1.0, int(keys[m]), 0, 0, ABS_CAP, IM_FLOOR,
+        )
+        viol += counts
+        s = 0.0j
+        for z in branch:
+            s += z
+        zeta[m] = _kernels.crecip_scalar(GAMMA - EPS * omega_root - s)
+    _kernels._check_vec(zeta, ABS_CAP, IM_FLOOR, viol)
+    return zeta, viol
+
+
+@pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
+@pytest.mark.parametrize("leaf_mode", ["bare", "free"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
+    depth, leaf = DEPTH[q], leaf_for(leaf_mode, q)
+    r_max = depth - 1
+    for ray_branch in (0, q):
+        im, viol = _kernels.ray_batch(
+            q, depth, EPS, GAMMA, leaf, kind, 1.0, 41, samples,
+            r_max, ray_branch, ABS_CAP, IM_FLOOR,
+        )
+        want_im, want_viol = ray_oracle(q, depth, leaf, kind, 41, samples, r_max, ray_branch)
+        assert np.array_equal(im, want_im)
+        assert np.array_equal(viol, want_viol)
+        assert leaf_mode == "free" or (viol[1] > 0 and viol[2] > 0)
+    zeta, viol = _kernels.cavity_batch(
+        q, depth, EPS, GAMMA, leaf, kind, 1.0, 43, samples, ABS_CAP, IM_FLOOR,
+    )
+    want_zeta, want_viol = cavity_oracle(q, depth, leaf, kind, 43, samples)
+    assert np.array_equal(zeta, want_zeta)
+    assert np.array_equal(viol, want_viol)
+
+
+@pytest.mark.parametrize("block_nodes", [1, 100, 700, 4096])
+def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
+    sweep = _kernels._sweep_block
+    seen = []
+
+    def recording(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, keys, *rest):
+        seen.append(keys.shape[0])
+        return sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, keys, *rest)
+
+    monkeypatch.setattr(_kernels, "_sweep_block", recording)
+    q, depth, samples = 3, 5, 29
+    batches = [
+        (4 * 3**4, lambda: _kernels.ray_batch(q, depth, EPS, GAMMA, None, _rng.POT_UNIFORM, 1.0,
+                                              5, samples, 2, 0, ABS_CAP, IM_FLOOR)),
+        (3**5, lambda: _kernels.cavity_batch(q, depth, EPS, GAMMA, None, _rng.POT_UNIFORM, 1.0,
+                                             7, samples, ABS_CAP, IM_FLOOR)),
+    ]
+    for leaf_width, run in batches:
+        seen.clear()
+        run()
+        assert sum(seen) == samples
+        # every block but the last is as full as the limit allows
+        assert seen[:-1] == [max(1, block_nodes // leaf_width)] * (len(seen) - 1)
+        assert all(m * leaf_width <= block_nodes or m == 1 for m in seen)
