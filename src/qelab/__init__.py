@@ -32,7 +32,7 @@ from .graphs import (  # noqa: F401
 )
 from .esd import (  # noqa: F401
     esd_compare,
-    ids_density,
+    ids_cdf,
     kesten_mckay_cdf,
     kesten_mckay_density,
     lln_moment_check,
@@ -46,20 +46,15 @@ from .qe import (  # noqa: F401
     kernel_average_general,
     kernel_average_simple,
     make_observable,
-    mass_distribution_check,
     qe_statistic_diag,
     qe_statistic_kernel,
 )
 from .tree_green import (  # noqa: F401
     GreenMomentTable,
     LiftedGreen,
-    SpectralParameter,
-    TreeSweepResult,
     distance_ratio_profile,
-    forward_recursion_tree,
     free_forward_green,
     free_forward_green_complex,
-    green_along_path,
     green_condition_moments,
     green_diagonal,
     lifted_green,

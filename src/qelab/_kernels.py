@@ -88,21 +88,6 @@ def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.nda
     viol[2] += int(np.count_nonzero(-im < im_floor * (1.0 - _SLACK)))
 
 
-def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment sums in strict left-to-right order.
-
-    Matches a scalar accumulation loop bit for bit, unlike np.add.reduceat,
-    whose association differs.
-    """
-    n = indptr.size - 1
-    deg = np.diff(indptr)
-    out = np.zeros(n, dtype=values.dtype)
-    for j in range(int(deg.max())):
-        mask = deg > j
-        out[mask] = out[mask] + values[indptr[:-1][mask] + j]
-    return out
-
-
 # ----------------------------------------------------------------------
 # cavity recursion on tree balls
 # ----------------------------------------------------------------------
@@ -152,10 +137,14 @@ def cavity_levels(q, sizes, gamma, leaf, site):
 
 def _sweep_block(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, keys,
                  spine_len, ray_branch, abs_cap, im_floor):
-    """``cavity_sweep`` for the samples keyed by ``keys`` (uint64, shape (m, 1)).
+    """One disorder realization per key swept over a depth-``depth`` tree ball.
 
-    Returns (branch values (m, branches), spines (m, spine_len), root-site
-    potentials (m,), violation counters summed over the block).
+    ``keys`` is uint64 of shape (m, 1); each sample draws its potentials
+    level by level from the stream of its key.  The spines hold the cavity
+    values at depths 1..spine_len along the first ray of branch
+    ``ray_branch``.  Returns (branch values (m, branches), spines
+    (m, spine_len), root-site potentials (m,), violation counters summed
+    over the block).
     """
     m = keys.shape[0]
     offsets = level_offsets(q, depth, branches)
@@ -182,22 +171,6 @@ def _sample_blocks(samples, level_width):
     level that is ``level_width`` wide per sample, or one sample if wider."""
     per_block = max(1, _BLOCK_NODES // level_width)
     return [slice(start, min(start + per_block, samples)) for start in range(0, samples, per_block)]
-
-
-def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
-                 spine_len, ray_branch, abs_cap, im_floor):
-    """One disorder realization swept over a depth-``depth`` tree ball.
-
-    Potentials are drawn level by level from the stream keyed by ``key``.
-    The spine records the cavity values at depths 1..spine_len along the
-    first ray of branch ``ray_branch``.  Returns (branch values at the
-    root, spine, root-site potential, violation counters).
-    """
-    branch, spine, omega_root, viol = _sweep_block(
-        q, depth, branches, eps, gamma, leaf, pot_kind, pot_a,
-        np.full((1, 1), key, dtype=np.uint64), spine_len, ray_branch, abs_cap, im_floor,
-    )
-    return branch[0].copy(), spine[0], float(omega_root[0]), viol
 
 
 def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
@@ -257,15 +230,18 @@ def messages_init(nbrs, omega, eps, gamma, abs_cap, im_floor):
     return msg, viol
 
 
-def messages_advance(indptr, nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
+def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
     """``rounds`` cavity updates of every directed-edge message.
 
-    Returns (messages, violation counters of the updates).
+    Edge ids are vertex-major (u -> its j-th neighbor is u*deg + j), so row u
+    of the (vertices, deg) view holds the messages out of u.  Returns
+    (messages, violation counters of the updates).
     """
     viol = np.zeros(4, dtype=np.int64)
+    deg = nbrs.size // omega.size
     site_pot = eps * omega[nbrs]
     for _ in range(rounds):
-        site_sum = segment_sums(msg, indptr)
+        site_sum = _sum_children(msg.reshape(-1, deg), deg)
         msg = crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))
         _check_vec(msg, abs_cap, im_floor, viol)
     return msg, viol

@@ -12,7 +12,7 @@ the streams):
     hash_u64(key, ctr)   = mix64(key + (ctr + 1) * GOLDEN)
     derive_key(key, ...) = fold hash_u64 over the indices, strings folded
                            through FNV-1a first
-    uniform01(h)         = (h >> 11) * 2**-53
+    uniform01_vec(h)     = (h >> 11) * 2**-53
 
 where ``mix64`` is the splitmix64 finalizer (Vigna's constants).
 """
@@ -63,10 +63,6 @@ def derive_key(key: int, *indices: int | str) -> int:
     return k
 
 
-def uniform01(h: int) -> float:
-    return (h >> 11) * 2.0**-53
-
-
 # ----------------------------------------------------------------------
 # vectorized counterparts (bit-identical to the scalar path)
 # ----------------------------------------------------------------------
@@ -111,21 +107,6 @@ def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray) -> np.ndar
         u1 = uniform01_vec(hash_u64_vec(key, base + np.uint64(1)))
         u2 = uniform01_vec(hash_u64_vec(key, base + np.uint64(2)))
         med = np.minimum(np.maximum(np.minimum(u0, u1), u2), np.maximum(u0, u1))
-        return bound * (2.0 * med - 1.0)
-    raise ValueError(f"unknown potential kind code {kind}")
-
-
-def draw_omega_scalar(kind: int, bound: float, key: int, index: int) -> float:
-    base = index * OMEGA_STRIDE
-    u0 = uniform01(hash_u64(key, base))
-    if kind == POT_UNIFORM:
-        return bound * (2.0 * u0 - 1.0)
-    if kind == POT_TWO_POINT:
-        return bound if u0 >= 0.5 else -bound
-    if kind == POT_RESCALED_BETA:
-        u1 = uniform01(hash_u64(key, base + 1))
-        u2 = uniform01(hash_u64(key, base + 2))
-        med = min(max(min(u0, u1), u2), max(u0, u1))
         return bound * (2.0 * med - 1.0)
     raise ValueError(f"unknown potential kind code {kind}")
 

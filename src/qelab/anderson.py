@@ -40,8 +40,6 @@ class PotentialSpec:
 
     kind: str = "uniform"
     support_bound: float = 1.0
-    holder_exponent: float = 1.0
-    holder_constant: float = 0.5
     allow_atomic: bool = False
 
     def __post_init__(self):
@@ -49,8 +47,6 @@ class PotentialSpec:
             raise ConfigError(f"unknown potential kind {self.kind!r}")
         if not (self.support_bound > 0):
             raise ConfigError("support_bound must be positive")
-        if not (0 < self.holder_exponent <= 1):
-            raise ConfigError("holder_exponent must lie in (0, 1]")
 
     @property
     def kind_code(self) -> int:
@@ -59,14 +55,6 @@ class PotentialSpec:
     @property
     def continuous(self) -> bool:
         return self.kind != "two-point"
-
-    def second_moment(self) -> float:
-        a2 = self.support_bound**2
-        if self.kind == "uniform":
-            return a2 / 3.0
-        if self.kind == "rescaled-beta":
-            return a2 / 5.0
-        return a2
 
     def moment(self, k: int) -> float:
         """k-th moment of the site distribution (exact)."""
@@ -110,8 +98,8 @@ def sample_potential(n: int, spec: PotentialSpec, epsilon: float, seed: int) -> 
     return PotentialAssignment(omega=omega, epsilon=float(epsilon), spec=spec)
 
 
-def assemble(graph, pot: PotentialAssignment, fmt: str = "dense"):
-    """H = A + eps * diag(omega) as a dense array or CSR matrix.
+def assemble(graph, pot: PotentialAssignment):
+    """H = A + eps * diag(omega) as a CSR matrix.
 
     ``graph`` needs only ``n`` and ``edges``; test fixtures may pass
     non-regular edge lists through a (n, edges) tuple.
@@ -123,19 +111,10 @@ def assemble(graph, pot: PotentialAssignment, fmt: str = "dense"):
         n, edges = graph.n, graph.edges
     if pot.omega.size != n:
         raise ConfigError(f"potential length {pot.omega.size} != vertex count {n}")
-    diag = pot.epsilon * pot.omega
-    if fmt == "dense":
-        h = np.zeros((n, n), dtype=np.float64)
-        h[edges[:, 0], edges[:, 1]] = 1.0
-        h[edges[:, 1], edges[:, 0]] = 1.0
-        h[np.arange(n), np.arange(n)] = diag
-        return h
-    if fmt == "csr":
-        rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
-        cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-        vals = np.concatenate([np.ones(2 * len(edges)), diag])
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    raise ConfigError(f"unknown assembly format {fmt!r}")
+    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+    vals = np.concatenate([np.ones(2 * len(edges)), pot.epsilon * pot.omega])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -167,21 +146,24 @@ def _canonical_signs(vecs: np.ndarray) -> None:
 
 
 def eigendecompose(matrix, dimension_cap: int = DIMENSION_CAP) -> SpectralData:
-    """Dense symmetric eigendecomposition (divide and conquer) with invariant checks."""
-    if scipy.sparse.issparse(matrix):
-        matrix = matrix.toarray()
-    h = np.asarray(matrix, dtype=np.float64)
-    n = h.shape[0]
-    if h.shape != (n, n):
+    """Dense symmetric eigendecomposition (divide and conquer) with invariant checks.
+
+    ``matrix`` is sparse (as ``assemble`` returns it) or dense.  The checks
+    run on its CSR form; only the input of ``eigh`` is densified.
+    """
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
         raise ConfigError("operator must be square")
     if n > dimension_cap:
         raise BudgetError(
             f"dimension {n} exceeds the dense-solver cap {dimension_cap}; "
             "lower the vertex count"
         )
-    if not np.allclose(h, h.T, rtol=0.0, atol=1e-12):
+    h = scipy.sparse.csr_matrix(matrix, dtype=np.float64)
+    # |h - h.T| <= 1e-12 entrywise; a NaN fails the comparison
+    if not np.all(np.abs((h - h.T).data) <= 1e-12):
         raise ConfigError("operator is not symmetric")
-    vals, vecs = scipy.linalg.eigh(h, driver="evd")
+    vals, vecs = scipy.linalg.eigh(h.toarray(), driver="evd")
     if n == 0:
         return SpectralData(eigenvalues=vals, eigenvectors=vecs)
     _canonical_signs(vecs)

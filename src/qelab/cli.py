@@ -46,8 +46,6 @@ DEFAULT_CONFIG = {
     "potential": {
         "kind": "uniform",
         "support_bound": 1.0,
-        "holder_exponent": 1.0,
-        "holder_constant": 0.5,
         "allow_atomic": False,
     },
     "lambda0": 2.4,
@@ -120,6 +118,8 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unsupported kernel shape {ker['shape']!r}")
     if abs(ker["value"]) > 1.0:
         raise ConfigError("kernel value must satisfy |value| <= 1 (sup bound)")
+    if type(ker["range"]) is not int or ker["range"] < 0:
+        raise ConfigError("kernel.range must be a nonnegative integer")
     if ker["shape"] == "edges" and ker["range"] != 1:
         raise ConfigError("edge kernels have range 1")
     mc = cfg["mc"]
@@ -146,8 +146,6 @@ def _potential_spec(cfg) -> anderson.PotentialSpec:
     return anderson.PotentialSpec(
         kind=pot["kind"],
         support_bound=pot["support_bound"],
-        holder_exponent=pot["holder_exponent"],
-        holder_constant=pot["holder_constant"],
         allow_atomic=pot["allow_atomic"],
     )
 

@@ -38,14 +38,6 @@ def kesten_mckay_density(lam: float, q: int) -> float:
     return diag.imag / math.pi
 
 
-def kesten_mckay_density_rational(lam: float, q: int) -> float:
-    """Closed rational form of the same density; used as a cross-check."""
-    band = 4.0 * q - lam * lam
-    if band <= 0.0:
-        return 0.0
-    return (q + 1) * math.sqrt(band) / (2.0 * math.pi * ((q + 1) ** 2 - lam * lam))
-
-
 def kesten_mckay_densities(lams, q: int) -> np.ndarray:
     """``kesten_mckay_density`` over an array, bit for bit the same values.
 
@@ -104,44 +96,6 @@ def kesten_mckay_cdf(q: int) -> CdfTable:
     return CdfTable(grid, cum, np.zeros(4, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class IdsEstimate:
-    lam: float
-    eta: float
-    density: float
-    stderr: float
-    samples: int
-    violations: np.ndarray
-
-
-def ids_density(
-    q: int,
-    pot_spec: PotentialSpec,
-    epsilon: float,
-    lam: float,
-    eta: float,
-    samples: int,
-    seed: int,
-    depth: int | None = None,
-    leaf_mode: str = "free",
-) -> IdsEstimate:
-    """Smoothed density of states (1/pi) E[Im G(o,o; lam + i eta)] by MC."""
-    if depth is None:
-        depth = tree_green.suggest_depth(q, max(eta, 0.05))
-    ray = tree_green.mc_expectation_im_green(
-        q, pot_spec, epsilon, complex(lam, eta), r_max=0, depth=depth,
-        samples=samples, seed=seed, leaf_mode=leaf_mode,
-    )
-    return IdsEstimate(
-        lam=lam,
-        eta=eta,
-        density=float(ray.means[0]) / math.pi,
-        stderr=float(ray.stderrs[0]) / math.pi,
-        samples=samples,
-        violations=ray.violations,
-    )
-
-
 def ids_cdf(
     q: int,
     pot_spec: PotentialSpec,
@@ -149,22 +103,25 @@ def ids_cdf(
     eta: float,
     samples: int,
     seed: int,
-    depth: int | None = None,
+    depth: int,
     leaf_mode: str = "free",
 ) -> CdfTable:
-    """CDF from the eta-smoothed density on a uniform ``_IDS_GRID``-point grid."""
+    """CDF of the eta-smoothed density of states on a uniform ``_IDS_GRID``-point grid.
+
+    The density at lam is (1/pi) E[Im G(o,o; lam + i eta)], one Monte-Carlo
+    ray estimate per grid point with its own substream.
+    """
     edge = 2.0 * math.sqrt(q) + abs(epsilon) * pot_spec.support_bound + 4.0 * eta
     grid = np.linspace(-edge, edge, _IDS_GRID)
     dens = np.empty(_IDS_GRID)
     viol = np.zeros(4, dtype=np.int64)
     for i, lam in enumerate(grid):
-        est = ids_density(
-            q, pot_spec, epsilon, float(lam), eta, samples,
-            _rng.derive_key(seed, "ids-grid", i),
-            depth=depth, leaf_mode=leaf_mode,
+        ray = tree_green.mc_expectation_im_green(
+            q, pot_spec, epsilon, complex(float(lam), eta), r_max=0, depth=depth,
+            samples=samples, seed=_rng.derive_key(seed, "ids-grid", i), leaf_mode=leaf_mode,
         )
-        dens[i] = est.density
-        viol += est.violations
+        dens[i] = float(ray.means[0]) / math.pi
+        viol += ray.violations
     cum = _cumulative_trapezoid(dens, grid)
     cum /= cum[-1]
     return CdfTable(grid, cum, viol)
@@ -271,7 +228,7 @@ def graph_return_moment(graph, pot, k: int) -> float:
     else:
         from .anderson import assemble
 
-        h = assemble(graph, pot, fmt="csr")
+        h = assemble(graph, pot)
     power = h.copy()
     for _ in range(k - 1):
         power = power @ h

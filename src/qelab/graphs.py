@@ -46,13 +46,6 @@ class RegularGraph:
     edges: np.ndarray
     _rev: np.ndarray = field(default=None, repr=False, compare=False)
 
-    @property
-    def degree(self) -> int:
-        return self.q + 1
-
-    def directed_edge_count(self) -> int:
-        return self.n * (self.q + 1)
-
     def directed_indptr(self) -> np.ndarray:
         return np.arange(self.n + 1, dtype=np.int64) * (self.q + 1)
 

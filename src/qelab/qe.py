@@ -50,14 +50,13 @@ class Observable:
 
 
 def make_observable(kind: str, n: int, seed: int = 0, *, constant: float = 1.0,
-                    alpha: float = 0.5, vertex: int = 0, values=None,
-                    path=None) -> Observable:
+                    alpha: float = 0.5, vertex: int = 0, path=None) -> Observable:
     """Deterministic observable constructors.
 
     kind: "constant" (value ``constant``), "indicator" (random vertex set of
     fraction ``alpha``, ranked by a counter stream on ``seed``), "delta"
-    (single vertex), "values" (user array), or "file" (JSON array of per-
-    vertex values).  Arrays are validated against the sup bound.
+    (single vertex), or "file" (JSON array of per-vertex values, validated
+    against the sup bound).
     """
     if kind == "constant":
         if abs(constant) > 1.0:
@@ -73,11 +72,6 @@ def make_observable(kind: str, n: int, seed: int = 0, *, constant: float = 1.0,
         vals = np.zeros(n, dtype=np.float64)
         vals[vertex] = 1.0
         return Observable(vals, tag=f"delta:{vertex}")
-    if kind == "values":
-        vals = np.asarray(values)
-        if vals.size != n:
-            raise ConfigError("observable array has the wrong length")
-        return Observable(vals, tag="values")
     if kind == "file":
         import json
 
@@ -196,24 +190,6 @@ def ring_kernel(g: RegularGraph, r: int, value: float = 1.0) -> Kernel:
         distances=np.full(rows.size, r, dtype=np.int64),
         tag=f"ring:{r}:{value}",
     )
-
-
-def kernel_from_entries(g: RegularGraph, r_max: int, entries, tag: str = "user") -> Kernel:
-    """Kernel from (x, y, value) triples; distances computed and validated."""
-    entries = sorted((int(x), int(y), v) for x, y, v in entries)
-    rows = np.array([e[0] for e in entries], dtype=np.int64)
-    cols = np.array([e[1] for e in entries], dtype=np.int64)
-    vals = np.array([e[2] for e in entries])
-    dists = np.empty(rows.size, dtype=np.int64)
-    for i in range(rows.size):
-        ball = distances_within(g, int(rows[i]), r_max)
-        if int(cols[i]) not in ball:
-            raise ConfigError(
-                f"kernel entry ({rows[i]}, {cols[i]}) lies beyond range {r_max}"
-            )
-        dists[i] = ball[int(cols[i])]
-    return Kernel(n=g.n, r_max=r_max, rows=rows, cols=cols,
-                  values=vals, distances=dists, tag=tag)
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +317,7 @@ def kernel_average_general(
     total lifted diagonal mass; pair lifts follow BFS geodesics (always
     non-backtracking).
     """
-    gam = tree_green._as_gamma(gamma)
+    gam = complex(gamma)
     if depth is None:
         depth = tree_green.suggest_depth(g.q, max(gam.imag, 0.05))
     paths = []
@@ -528,49 +504,4 @@ def average_equivalence_check(
     monotone = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
     return EquivalenceTable(
         n_values=n_values, medians=medians, gaps=gaps, monotone_decreasing=monotone
-    )
-
-
-@dataclass(frozen=True)
-class MassDistributionReport:
-    thresholds: tuple
-    fractions: dict
-    mean_abs_deviation: float
-    window_count: int
-
-
-def mass_distribution_check(
-    spec_data: SpectralData,
-    alpha: float,
-    lambda0: float,
-    seeds,
-    thresholds=(0.05, 0.1, 0.2),
-) -> MassDistributionReport:
-    """Distribution of indicator-set masses over window eigenfunctions.
-
-    For each seed's vertex set of fraction alpha, reports the fraction of
-    window eigenfunctions whose mass deviates from alpha beyond each
-    threshold, medianed over seeds, plus the mean absolute deviation
-    (the numerator of the Markov bound).
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError("alpha must lie in (0, 1)")
-    mask = spec_data.window_mask(lambda0)
-    vecs = spec_data.eigenvectors[:, mask]
-    count = int(mask.sum())
-    per_seed = {t: [] for t in thresholds}
-    devs = []
-    for seed in seeds:
-        chi = indicator_set_values(spec_data.n, alpha, seed)
-        masses = np.einsum("x,xi,xi->i", chi, vecs, vecs)
-        dev = np.abs(masses - alpha)
-        devs.append(dev.mean() if count else 0.0)
-        for t in thresholds:
-            per_seed[t].append(float(np.count_nonzero(dev > t)) / max(count, 1))
-    fractions = {t: float(np.median(per_seed[t])) for t in thresholds}
-    return MassDistributionReport(
-        thresholds=tuple(thresholds),
-        fractions=fractions,
-        mean_abs_deviation=float(np.median(devs)),
-        window_count=count,
     )

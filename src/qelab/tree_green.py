@@ -39,32 +39,6 @@ DEFAULT_MC_WORK_CAP = 1 << 33  # tree nodes per Monte-Carlo call
 MAX_DEPTH = 400
 
 
-@dataclass(frozen=True)
-class SpectralParameter:
-    """Energy lam plus imaginary smoothing eta; gamma = lam + i*eta.
-
-    eta must be positive for every Green evaluation; eta == 0 is admitted
-    only on the closed-form free paths (eps = 0 with free-value leaves).
-    """
-
-    lam: float
-    eta: float
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ConfigError("eta must be nonnegative")
-
-    @property
-    def gamma(self) -> complex:
-        return complex(self.lam, self.eta)
-
-
-def _as_gamma(gamma) -> complex:
-    if isinstance(gamma, SpectralParameter):
-        return gamma.gamma
-    return complex(gamma)
-
-
 def c_tilde(q: int, epsilon: float, support_bound: float, lam: float, eta: float = 0.0) -> float:
     """Operator-norm constant in the deterministic lower bound eta/c_tilde**2."""
     return (q + 1) + abs(epsilon) * support_bound + abs(lam) + max(1.0, eta)
@@ -95,7 +69,7 @@ def free_forward_green_complex(gamma, q: int) -> complex:
     Continuous in gamma for eta > 0 and converging to free_forward_green as
     eta drops to 0 inside the band (where it is evaluated directly).
     """
-    g = _as_gamma(gamma)
+    g = complex(gamma)
     if g.imag == 0.0:
         return free_forward_green(g.real, q)
     s = np.sqrt(complex(g * g - 4.0 * q))
@@ -104,41 +78,9 @@ def free_forward_green_complex(gamma, q: int) -> complex:
     return r1 if r1.imag < 0 else r2
 
 
-def fixed_point_forward_green(gamma, q: int, tol: float = 1e-12, max_iter: int = 1_000_000) -> complex:
-    """Iterate z <- 1/(gamma - q z) from the bare value to stationarity."""
-    g = _as_gamma(gamma)
-    if g.imag <= 0:
-        raise ConfigError("fixed-point iteration needs eta > 0")
-    z = 1.0 / g
-    for _ in range(max_iter):
-        z_next = 1.0 / (g - q * z)
-        if abs(z_next - z) < tol:
-            return z_next
-        z = z_next
-    raise BudgetError(f"cavity fixed point not stationary to {tol} in {max_iter} iterations")
-
-
 # ----------------------------------------------------------------------
-# exact tree-ball sweeps
+# tree-ball helpers
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeSweepResult:
-    """One disorder realization swept over a depth-L tree ball.
-
-    root_values[b] is the cavity value of branch b at the root; spine[k-1]
-    is the cavity value at depth k along the first ray of branch 0.
-    violations = [sign, modulus-cap, imaginary-floor, nodes-visited].
-    """
-
-    root_values: np.ndarray
-    omega_root: float
-    spine: np.ndarray
-    violations: np.ndarray
-    gamma: complex
-    depth: int
-    leaf_mode: str
 
 
 def tree_work(q: int, depth: int, branches: int) -> int:
@@ -195,89 +137,13 @@ def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
     return values
 
 
-def forward_recursion_tree(
-    q: int,
-    pot_spec: PotentialSpec,
-    epsilon: float,
-    gamma,
-    depth: int,
-    seed: int,
-    leaf_mode: str = "bare",
-    spine_len: int = 0,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> TreeSweepResult:
-    """Sample one disorder realization on the depth-L tree ball.
-
-    The sweep runs level by level, leaves first, and draws each level's
-    site potentials from the counter stream keyed by (seed); it holds one
-    level at a time, O(q**L) values at the leaves.  Work is the full node
-    count of the ball (q**L growth) and is rejected beyond ``work_cap``;
-    at eps = 0 the sweep collapses to a single chain and any depth is cheap.
-    """
-    g = _as_gamma(gamma)
-    if depth < 1:
-        raise ConfigError("depth must be at least 1")
-    if depth > MAX_DEPTH:
-        raise ConfigError(f"depth {depth} exceeds the cap {MAX_DEPTH}")
-    if spine_len > depth:
-        raise ConfigError("spine length cannot exceed the sweep depth")
-    _require_eta(g, epsilon, leaf_mode)
-
-    floor = imag_floor(q, epsilon, pot_spec.support_bound, abs(g.real), g.imag)
-    abs_cap = 1.0 / g.imag if g.imag > 0 else np.inf
-    key = _rng.derive_key(seed, "tree-sweep")
-
-    if epsilon == 0.0:
-        values = _zero_disorder_chain(q, depth, g, leaf_mode)
-        viol = np.zeros(4, dtype=np.int64)
-        _kernels._check_vec(values, abs_cap, floor, viol)
-        omega_root = _rng.draw_omega_scalar(pot_spec.kind_code, pot_spec.support_bound, key, 0)
-        return TreeSweepResult(
-            root_values=np.full(q + 1, values[0], dtype=np.complex128),
-            omega_root=omega_root,
-            spine=values[:spine_len].copy(),
-            violations=viol,
-            gamma=g,
-            depth=depth,
-            leaf_mode=leaf_mode,
-        )
-
-    work = tree_work(q, depth, q + 1)
-    if work > work_cap:
-        raise BudgetError(
-            f"tree sweep needs {work} node visits at depth {depth} (cap {work_cap}); "
-            "lower the depth or the sample count"
-        )
-    root_values, spine, omega_root, viol = _kernels.cavity_sweep(
-        q, depth, q + 1, epsilon, g, _leaf_value(g, q, leaf_mode),
-        pot_spec.kind_code, pot_spec.support_bound, key, spine_len, 0, abs_cap, floor,
-    )
-    return TreeSweepResult(
-        root_values=root_values,
-        omega_root=omega_root,
-        spine=spine,
-        violations=viol,
-        gamma=g,
-        depth=depth,
-        leaf_mode=leaf_mode,
-    )
-
-
 def green_diagonal(zeta_children, omega_root: float, epsilon: float, gamma) -> complex:
     """Schur diagonal: G(o,o) = 1 / (eps*omega - gamma + sum of cavity values)."""
-    g = _as_gamma(gamma)
+    g = complex(gamma)
     acc = 0.0j
     for z in np.asarray(zeta_children, dtype=np.complex128):
         acc += z
     return _kernels.crecip_scalar(epsilon * omega_root - g + acc)
-
-
-def green_along_path(g_diag: complex, zetas_on_path) -> complex:
-    """Factorized off-diagonal: multiply cavity values along a tree geodesic."""
-    out = complex(g_diag)
-    for z in zetas_on_path:
-        out *= z
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -320,19 +186,17 @@ def mc_expectation_im_green(
     samples: int,
     seed: int,
     leaf_mode: str = "free",
-    ray_branch: int = 0,
     lambda0: float | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
-    total_work_cap: int = DEFAULT_MC_WORK_CAP,
 ) -> RayExpectation:
     """Monte-Carlo estimate of E[Im G(o, y_r)] along one ray of the tree.
 
     Each sample sweeps an independent depth-L ball (substream keyed by the
     sample index), takes the Schur diagonal and multiplies cavity values
     down the first ray.  Deterministic for fixed seed: fixed substreams,
-    fixed summation order.
+    fixed summation order.  A ball beyond ``DEFAULT_WORK_CAP`` nodes or a
+    call beyond ``DEFAULT_MC_WORK_CAP`` raises BudgetError.
     """
-    g = _as_gamma(gamma)
+    g = complex(gamma)
     if samples < 1:
         raise ConfigError("need at least one sample")
     if depth < r_max + 1:
@@ -368,19 +232,17 @@ def mc_expectation_im_green(
         )
 
     work = tree_work(q, depth, q + 1) * samples
-    if work > total_work_cap:
+    if work > DEFAULT_MC_WORK_CAP:
         raise BudgetError(
-            f"MC budget {work} node visits exceeds {total_work_cap}; "
+            f"MC budget {work} node visits exceeds {DEFAULT_MC_WORK_CAP}; "
             "lower depth or samples"
         )
-    if tree_work(q, depth, q + 1) > work_cap:
-        raise BudgetError(f"per-sweep work exceeds cap {work_cap}; lower the depth")
-    if not (0 <= ray_branch <= q):
-        raise ConfigError("ray_branch must name one of the q+1 root branches")
+    if tree_work(q, depth, q + 1) > DEFAULT_WORK_CAP:
+        raise BudgetError(f"per-sweep work exceeds cap {DEFAULT_WORK_CAP}; lower the depth")
     im, viol = _kernels.ray_batch(
         q, depth, epsilon, g, _leaf_value(g, q, leaf_mode),
         pot_spec.kind_code, pot_spec.support_bound, _rng.derive_key(seed, "mc-ray"),
-        samples, r_max, ray_branch, abs_cap, floor,
+        samples, r_max, 0, abs_cap, floor,
     )
     means, stderrs = _mean_stderr(im)
     return RayExpectation(
@@ -420,10 +282,6 @@ class DistanceRatioProfile:
     depth: int
     leaf_mode: str
     violations: np.ndarray
-
-    def ratio_at(self, r: int, lam) -> np.ndarray:
-        """Linear interpolation of the distance-r ratio curve."""
-        return np.interp(lam, self.lambdas, self.ratios[r])
 
 
 def distance_ratio_profile(
@@ -662,7 +520,7 @@ def lifted_green(
     factor is the cavity value of the same truncated ball.  The result
     equals dense inversion of the materialized ball operator exactly.
     """
-    g = _as_gamma(gamma)
+    g = complex(gamma)
     if g.imag <= 0:
         raise ConfigError("eta must be strictly positive for the lifted Green function")
     if depth < 1:
@@ -681,7 +539,6 @@ def lifted_green(
         )
     floor = imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, abs(g.real), g.imag)
     abs_cap = 1.0 / g.imag
-    indptr = graph.directed_indptr()
     targets = graph.directed_targets()
     rev = graph.reverse_edge_index()
 
@@ -694,13 +551,14 @@ def lifted_green(
     done = 0
     for r in range(max(lead, 1), depth):
         msg, counts = _kernels.messages_advance(
-            indptr, targets, rev, pot.omega, pot.epsilon, g, msg, r - done, abs_cap, floor,
+            targets, rev, pot.omega, pot.epsilon, g, msg, r - done, abs_cap, floor,
         )
         viol += counts
         history[r] = msg
         done = r
 
-    site_sum = _kernels.segment_sums(msg, indptr)
+    deg = graph.q + 1
+    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg), deg)
     diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
     pair_values = np.empty(len(pairs), dtype=np.complex128)
     for i, path in enumerate(pairs):
@@ -717,95 +575,3 @@ def lifted_green(
         gamma=g,
         depth=depth,
     )
-
-
-# ----------------------------------------------------------------------
-# materialized small trees (oracle support and exact small-depth work)
-# ----------------------------------------------------------------------
-
-
-def materialized_tree_operator(
-    q: int,
-    depth: int,
-    branches: int,
-    epsilon: float,
-    pot_spec: PotentialSpec,
-    seed: int,
-):
-    """Dense operator of the depth-L tree ball with the sweep's potentials.
-
-    Node ids are level-ordered exactly as in the sweeps, so dense inversion
-    of (H - gamma) is directly comparable with recursion outputs.
-    Returns (H, omegas, offsets).
-    """
-    n = _kernels.tree_node_count(q, depth, branches)
-    if n > 20000:
-        raise BudgetError(f"materialized tree would hold {n} nodes; lower the depth")
-    offsets = _kernels.level_offsets(q, depth, branches)
-    key = _rng.derive_key(seed, "tree-sweep")
-    omegas = _rng.draw_omega_vec(
-        pot_spec.kind_code, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
-    )
-    h = np.zeros((n, n), dtype=np.float64)
-    h[np.arange(n), np.arange(n)] = epsilon * omegas
-    for b in range(branches):
-        child = offsets[1] + b
-        h[0, child] = 1.0
-        h[child, 0] = 1.0
-    for k in range(1, depth):
-        width = branches * q ** (k - 1)
-        for m in range(width):
-            parent = offsets[k] + m
-            for c in range(q):
-                child = offsets[k + 1] + m * q + c
-                h[parent, child] = 1.0
-                h[child, parent] = 1.0
-    return h, omegas, offsets
-
-
-def full_ball_green_row(
-    q: int,
-    depth: int,
-    branches: int,
-    epsilon: float,
-    pot_spec: PotentialSpec,
-    gamma,
-    seed: int,
-    leaf_mode: str = "bare",
-):
-    """Root row of the ball Green function via recursion/Schur/factorization.
-
-    Retains every cavity value (level by level), so this is meant for small
-    materialized balls; large sweeps should use forward_recursion_tree.
-    Returns (row, omegas) with row[v] = G(root, v) for level-ordered v.
-    """
-    g = _as_gamma(gamma)
-    _require_eta(g, epsilon, leaf_mode)
-    n = _kernels.tree_node_count(q, depth, branches)
-    if n > 200000:
-        raise BudgetError(f"full-ball evaluation on {n} nodes; lower the depth")
-    offsets = _kernels.level_offsets(q, depth, branches)
-    key = _rng.derive_key(seed, "tree-sweep")
-    omegas = _rng.draw_omega_vec(
-        pot_spec.kind_code, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
-    )
-    sizes = [branches * q**k for k in range(depth)]
-
-    def site(k):
-        return epsilon * omegas[None, offsets[k] : offsets[k] + sizes[k - 1]]
-
-    values_by_level: list[np.ndarray] = [None] * (depth + 1)
-    for k, values in _kernels.cavity_levels(q, sizes, g, _leaf_value(g, q, leaf_mode), site):
-        values_by_level[k] = values[0]
-
-    row = np.empty(n, dtype=np.complex128)
-    diag = green_diagonal(values_by_level[1], float(omegas[0]), epsilon, g)
-    row[0] = diag
-    prev = diag * values_by_level[1]
-    row[offsets[1] : offsets[1] + branches] = prev
-    for k in range(2, depth + 1):
-        width = branches * q ** (k - 2)
-        parents = np.repeat(prev, q)
-        prev = parents * values_by_level[k]
-        row[offsets[k] : offsets[k] + width * q] = prev
-    return row, omegas

@@ -1,0 +1,168 @@
+"""Reference implementations that only the tests call.
+
+Each one is an independent or slower route to a quantity the package
+computes: the cavity fixed point by iteration, materialized tree balls for
+dense inversion, the full root row of a ball, the rational Kesten-McKay
+form, a single-sample tree sweep, and scalar potential draws.
+"""
+
+import math
+
+import numpy as np
+
+from qelab import _kernels, _rng, tree_green
+from qelab._rng import OMEGA_STRIDE, POT_RESCALED_BETA, POT_TWO_POINT, POT_UNIFORM, hash_u64
+from qelab.errors import BudgetError, ConfigError
+
+# ----------------------------------------------------------------------
+# cavity values and tree balls
+# ----------------------------------------------------------------------
+
+
+def fixed_point_forward_green(gamma, q: int, tol: float = 1e-12, max_iter: int = 1_000_000) -> complex:
+    """Iterate z <- 1/(gamma - q z) from the bare value to stationarity."""
+    g = complex(gamma)
+    if g.imag <= 0:
+        raise ConfigError("fixed-point iteration needs eta > 0")
+    z = 1.0 / g
+    for _ in range(max_iter):
+        z_next = 1.0 / (g - q * z)
+        if abs(z_next - z) < tol:
+            return z_next
+        z = z_next
+    raise BudgetError(f"cavity fixed point not stationary to {tol} in {max_iter} iterations")
+
+
+def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
+                 spine_len, ray_branch, abs_cap, im_floor):
+    """One disorder realization swept over a depth-``depth`` tree ball.
+
+    Potentials are drawn level by level from the stream keyed by ``key``.
+    The spine records the cavity values at depths 1..spine_len along the
+    first ray of branch ``ray_branch``.  Returns (branch values at the
+    root, spine, root-site potential, violation counters).
+    """
+    branch, spine, omega_root, viol = _kernels._sweep_block(
+        q, depth, branches, eps, gamma, leaf, pot_kind, pot_a,
+        np.full((1, 1), key, dtype=np.uint64), spine_len, ray_branch, abs_cap, im_floor,
+    )
+    return branch[0].copy(), spine[0], float(omega_root[0]), viol
+
+
+def materialized_tree_operator(
+    q: int,
+    depth: int,
+    branches: int,
+    epsilon: float,
+    pot_spec,
+    seed: int,
+):
+    """Dense operator of the depth-L tree ball with the sweep's potentials.
+
+    Node ids are level-ordered exactly as in the sweeps, so dense inversion
+    of (H - gamma) is directly comparable with recursion outputs.
+    Returns (H, omegas, offsets).
+    """
+    n = _kernels.tree_node_count(q, depth, branches)
+    if n > 20000:
+        raise BudgetError(f"materialized tree would hold {n} nodes; lower the depth")
+    offsets = _kernels.level_offsets(q, depth, branches)
+    key = _rng.derive_key(seed, "tree-sweep")
+    omegas = _rng.draw_omega_vec(
+        pot_spec.kind_code, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
+    )
+    h = np.zeros((n, n), dtype=np.float64)
+    h[np.arange(n), np.arange(n)] = epsilon * omegas
+    for b in range(branches):
+        child = offsets[1] + b
+        h[0, child] = 1.0
+        h[child, 0] = 1.0
+    for k in range(1, depth):
+        width = branches * q ** (k - 1)
+        for m in range(width):
+            parent = offsets[k] + m
+            for c in range(q):
+                child = offsets[k + 1] + m * q + c
+                h[parent, child] = 1.0
+                h[child, parent] = 1.0
+    return h, omegas, offsets
+
+
+def full_ball_green_row(
+    q: int,
+    depth: int,
+    branches: int,
+    epsilon: float,
+    pot_spec,
+    gamma,
+    seed: int,
+    leaf_mode: str = "bare",
+):
+    """Root row of the ball Green function via recursion/Schur/factorization.
+
+    Retains every cavity value (level by level), so this is meant for small
+    materialized balls.
+    Returns (row, omegas) with row[v] = G(root, v) for level-ordered v.
+    """
+    g = complex(gamma)
+    tree_green._require_eta(g, epsilon, leaf_mode)
+    n = _kernels.tree_node_count(q, depth, branches)
+    if n > 200000:
+        raise BudgetError(f"full-ball evaluation on {n} nodes; lower the depth")
+    offsets = _kernels.level_offsets(q, depth, branches)
+    key = _rng.derive_key(seed, "tree-sweep")
+    omegas = _rng.draw_omega_vec(
+        pot_spec.kind_code, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
+    )
+    sizes = [branches * q**k for k in range(depth)]
+
+    def site(k):
+        return epsilon * omegas[None, offsets[k] : offsets[k] + sizes[k - 1]]
+
+    values_by_level: list[np.ndarray] = [None] * (depth + 1)
+    for k, values in _kernels.cavity_levels(q, sizes, g, tree_green._leaf_value(g, q, leaf_mode), site):
+        values_by_level[k] = values[0]
+
+    row = np.empty(n, dtype=np.complex128)
+    diag = tree_green.green_diagonal(values_by_level[1], float(omegas[0]), epsilon, g)
+    row[0] = diag
+    prev = diag * values_by_level[1]
+    row[offsets[1] : offsets[1] + branches] = prev
+    for k in range(2, depth + 1):
+        width = branches * q ** (k - 2)
+        parents = np.repeat(prev, q)
+        prev = parents * values_by_level[k]
+        row[offsets[k] : offsets[k] + width * q] = prev
+    return row, omegas
+
+
+# ----------------------------------------------------------------------
+# closed forms and scalar streams
+# ----------------------------------------------------------------------
+
+
+def kesten_mckay_density_rational(lam: float, q: int) -> float:
+    """Closed rational form of the Kesten-McKay density; used as a cross-check."""
+    band = 4.0 * q - lam * lam
+    if band <= 0.0:
+        return 0.0
+    return (q + 1) * math.sqrt(band) / (2.0 * math.pi * ((q + 1) ** 2 - lam * lam))
+
+
+def uniform01(h: int) -> float:
+    return (h >> 11) * 2.0**-53
+
+
+def draw_omega_scalar(kind: int, bound: float, key: int, index: int) -> float:
+    base = index * OMEGA_STRIDE
+    u0 = uniform01(hash_u64(key, base))
+    if kind == POT_UNIFORM:
+        return bound * (2.0 * u0 - 1.0)
+    if kind == POT_TWO_POINT:
+        return bound if u0 >= 0.5 else -bound
+    if kind == POT_RESCALED_BETA:
+        u1 = uniform01(hash_u64(key, base + 1))
+        u2 = uniform01(hash_u64(key, base + 2))
+        med = min(max(min(u0, u1), u2), max(u0, u1))
+        return bound * (2.0 * med - 1.0)
+    raise ValueError(f"unknown potential kind code {kind}")

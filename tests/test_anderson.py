@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from qelab import anderson, graphs
 from qelab.errors import BudgetError, ConfigError
@@ -46,21 +47,22 @@ def test_assemble_k4_and_chain():
     spec = anderson.PotentialSpec()
     pot = anderson.sample_potential(4, spec, 0.0, seed=1)
     h = anderson.assemble(k4, pot)
-    assert np.array_equal(h.sum(axis=1), np.full(4, 3.0))
+    assert scipy.sparse.isspmatrix_csr(h)
+    assert np.array_equal(h.toarray().sum(axis=1), np.full(4, 3.0))
     chain = anderson.assemble(
         (2, [(0, 1)]),
         anderson.PotentialAssignment(omega=np.zeros(2), epsilon=0.0, spec=spec),
     )
-    assert np.array_equal(chain, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(chain.toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_assemble_trace_identity():
     g = graphs.generate_random_regular(64, 2, seed=7)
     pot = anderson.sample_potential(64, anderson.PotentialSpec(), 0.2, seed=3)
-    h = anderson.assemble(g, pot)
+    h = anderson.assemble(g, pot).toarray()
     assert np.trace(h) == pytest.approx(0.2 * pot.omega.sum(), rel=1e-12)
-    sparse = anderson.assemble(g, pot, fmt="csr")
-    assert np.allclose(sparse.toarray(), h)
+    assert np.array_equal(h, h.T)
+    assert np.count_nonzero(h - np.diag(np.diag(h))) == 2 * len(g.edges)
 
 
 def test_assemble_length_mismatch():
@@ -135,7 +137,7 @@ def test_sign_convention_matches_column_loop():
     g = graphs.generate_random_regular(200, 2, seed=4)
     pot = anderson.sample_potential(200, anderson.PotentialSpec(), 0.3, seed=2)
     h = anderson.assemble(g, pot)
-    _, raw = scipy.linalg.eigh(h, driver="evd")
+    _, raw = scipy.linalg.eigh(h.toarray(), driver="evd")
     got = anderson.eigendecompose(h).eigenvectors
     assert np.array_equal(got.view(np.int64), signs_by_column_loop(raw).view(np.int64))
     # leading entries under the threshold, an all-zero column, negative zeros
@@ -145,6 +147,22 @@ def test_sign_convention_matches_column_loop():
     flipped = m.copy()
     anderson._canonical_signs(flipped)
     assert np.array_equal(flipped.view(np.int64), signs_by_column_loop(m).view(np.int64))
+
+
+def test_eigendecompose_rejects_asymmetric_and_nan():
+    h = np.zeros((3, 3))
+    h[0, 1] = h[1, 0] = 1.0
+    h[1, 0] += 2e-12
+    for bad in (h, scipy.sparse.csr_matrix(h)):
+        with pytest.raises(ConfigError, match="symmetric"):
+            anderson.eigendecompose(bad)
+    h[1, 0] = 1.0 + 1e-13  # within the 1e-12 tolerance
+    anderson.eigendecompose(h)
+    for i, j in [(0, 0), (0, 2)]:
+        nan = np.eye(3)
+        nan[i, j] = np.nan
+        with pytest.raises(ConfigError, match="symmetric"):
+            anderson.eigendecompose(nan)
 
 
 def test_dimension_cap():

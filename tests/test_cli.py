@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qelab
 from qelab import cli
 from qelab.errors import ConfigError
 
@@ -29,6 +31,13 @@ def _write(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def _child_env():
+    """The environment with the directory that holds the imported qelab first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qelab.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def _read_all(out_dir):
     out = {}
     for p in sorted(Path(out_dir).rglob("*")):
@@ -49,6 +58,10 @@ def test_resolve_config_defaults_and_validation():
         cli.resolve_config({"graph_seeds": [1, 2], "pot_seeds": [1]})
     with pytest.raises(ConfigError):
         cli.resolve_config({"eta0_values": [0.0]})
+    for shape in ("ring", "diagonal"):
+        for bad_range in (-1, 1.5, "2"):
+            with pytest.raises(ConfigError, match="kernel.range"):
+                cli.resolve_config({"kernel": {"shape": shape, "range": bad_range}})
 
 
 def test_exit_codes(tmp_path):
@@ -159,10 +172,20 @@ def test_spectrum_dump(tmp_path):
 
 def test_console_entry_point(tmp_path):
     res = subprocess.run(
-        [sys.executable, "-m", "qelab.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "qelab.cli", "--version"], capture_output=True, text=True,
+        env=_child_env(),
     )
     assert res.returncode == 0
     assert "qelab" in res.stdout
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    code = ("import sys, qelab, qelab.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_per_eigenvalue_dump(tmp_path):

@@ -9,6 +9,7 @@ the order listed in each test.
 import hashlib
 
 import numpy as np
+import oracles
 import pytest
 
 from qelab import _kernels, _rng, anderson, graphs, tree_green
@@ -52,19 +53,37 @@ def leaf_for(leaf_mode, gamma, q):
     return tree_green.free_forward_green_complex(gamma, q) if leaf_mode == "free" else None
 
 
+def tree_sweep(q, eps, gamma, depth, seed, leaf_mode, spine_len):
+    """One ball keyed by (seed, "tree-sweep"): the eps = 0 chain or the full sweep.
+
+    Returns (branch values at the root, spine, root-site potential, violation
+    counters), with cap 1/eta and the floor at |lam|.
+    """
+    key = _rng.derive_key(seed, "tree-sweep")
+    abs_cap = 1.0 / gamma.imag
+    floor = tree_green.imag_floor(q, eps, SPEC.support_bound, abs(gamma.real), gamma.imag)
+    if eps == 0.0:
+        values = tree_green._zero_disorder_chain(q, depth, gamma, leaf_mode)
+        viol = np.zeros(4, dtype=np.int64)
+        _kernels._check_vec(values, abs_cap, floor, viol)
+        omega_root = oracles.draw_omega_scalar(SPEC.kind_code, SPEC.support_bound, key, 0)
+        return np.full(q + 1, values[0]), values[:spine_len].copy(), omega_root, viol
+    return oracles.cavity_sweep(
+        q, depth, q + 1, eps, gamma, leaf_for(leaf_mode, gamma, q), SPEC.kind_code,
+        SPEC.support_bound, key, spine_len, 0, abs_cap, floor,
+    )
+
+
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("q,depth,eps", [(2, 8, 0.3), (3, 5, 0.15), (2, 6, 0.0)])
 def test_sweep_golden(q, depth, eps, leaf_mode):
     gamma = 0.4 + 0.2j
     tag = f"{q}/{depth}/{eps}/{leaf_mode}"
     # eps = 0 takes the chain shortcut here ...
-    res = tree_green.forward_recursion_tree(
-        q, SPEC, eps, gamma, depth, seed=13, spine_len=min(3, depth), leaf_mode=leaf_mode
-    )
-    assert digest(res.root_values, res.spine, np.float64(res.omega_root),
-                  res.violations) == GOLDEN[f"tree/{tag}"]
+    root_values, spine, omega_root, viol = tree_sweep(q, eps, gamma, depth, 13, leaf_mode, 3)
+    assert digest(root_values, spine, np.float64(omega_root), viol) == GOLDEN[f"tree/{tag}"]
     # ... and the full ball here
-    branch, spine, omega_root, viol = _kernels.cavity_sweep(
+    branch, spine, omega_root, viol = oracles.cavity_sweep(
         q, depth, q + 1, eps, gamma, leaf_for(leaf_mode, gamma, q),
         SPEC.kind_code, 1.0, 7, 3, 1, 5.0, 1e-8,
     )
@@ -99,7 +118,7 @@ def test_message_passing_golden(eps):
         g.directed_targets(), pot.omega, pot.epsilon, gamma, 5.0, 0.0
     )
     msg, counts = _kernels.messages_advance(
-        g.directed_indptr(), g.directed_targets(), g.reverse_edge_index(),
+        g.directed_targets(), g.reverse_edge_index(),
         pot.omega, pot.epsilon, gamma, msg0, 12, 5.0, 0.0,
     )
     assert digest(msg0, msg, viol + counts) == GOLDEN[f"messages/{eps}"]
@@ -108,24 +127,23 @@ def test_message_passing_golden(eps):
 def test_zero_disorder_chain_matches_kernel_sweep():
     q, depth = 2, 10
     gamma = 0.3 + 0.15j
-    chain = tree_green.forward_recursion_tree(
-        q, SPEC, 0.0, gamma, depth, seed=3, spine_len=depth
-    )
-    branch, spine, _, _ = _kernels.cavity_sweep(
+    chain = tree_green._zero_disorder_chain(q, depth, gamma, "bare")
+    branch, spine, _, _ = oracles.cavity_sweep(
         q, depth, q + 1, 0.0, gamma, None, SPEC.kind_code, 1.0,
         _rng.derive_key(3, "tree-sweep"), depth, 0, 1.0 / gamma.imag, 0.0,
     )
-    assert np.array_equal(chain.root_values, branch)
-    assert np.array_equal(chain.spine, spine)
+    assert np.array_equal(np.full(q + 1, chain[0]), branch)
+    assert np.array_equal(chain, spine)
 
 
 def test_segment_sums_matches_sequential():
+    # per-vertex sums of the (vertices, deg) message view, as message passing takes them
     rng = np.random.default_rng(1)
-    vals = rng.normal(size=30) + 1j * rng.normal(size=30)
-    indptr = np.array([0, 3, 3, 10, 30], dtype=np.int64)
-    out = _kernels.segment_sums(vals, indptr)
-    for v in range(4):
-        s = 0.0 + 0.0j
-        for e in range(indptr[v], indptr[v + 1]):
-            s += vals[e]
-        assert out[v] == s
+    for n, deg in [(10, 3), (4, 7), (6, 1)]:
+        vals = rng.normal(size=n * deg) + 1j * rng.normal(size=n * deg)
+        out = _kernels._sum_children(vals.reshape(n, deg), deg)
+        for v in range(n):
+            s = 0.0 + 0.0j
+            for e in range(v * deg, (v + 1) * deg):
+                s += vals[e]
+            assert out[v] == s

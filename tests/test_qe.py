@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -35,8 +33,6 @@ def test_observable_examples():
     assert delta.mean() == pytest.approx(0.1)
     with pytest.raises(ConfigError):
         qe.make_observable("constant", 4, constant=1.5)
-    with pytest.raises(ConfigError):
-        qe.make_observable("values", 4, values=[0.0, 2.0, 0.0, 0.0])
 
 
 def test_observable_deterministic():
@@ -87,7 +83,7 @@ def test_diag_statistic_against_brute_force(small_case):
     g, pot, sd, obs = small_case
     rep = qe.qe_statistic_diag(sd, obs, 2.0, q=2)
     # independent path: dense numpy diagonalization plus direct summation
-    vals, vecs = np.linalg.eigh(anderson.assemble(g, pot))
+    vals, vecs = np.linalg.eigh(anderson.assemble(g, pot).toarray())
     total, count = 0.0, 0
     mean_a = obs.values.mean()
     for i in range(64):
@@ -110,7 +106,7 @@ def test_kernel_statistic_against_brute_force(small_case):
     rep = qe.qe_statistic_kernel(sd, kernel, 2.0, curve, q=2)
     # independent path: dense numpy diagonalization, explicit entry loops,
     # manual interpolation of the same ratio curve
-    vals, vecs = np.linalg.eigh(anderson.assemble(g, pot))
+    vals, vecs = np.linalg.eigh(anderson.assemble(g, pot).toarray())
     s1 = kernel.values.sum() / 64
     total, count = 0.0, 0
     for i in range(64):
@@ -142,21 +138,6 @@ def test_file_observable(tmp_path):
     short.write_text(json.dumps([0.5, 0.5]))
     with pytest.raises(ConfigError, match="4 values"):
         qe.make_observable("file", 4, path=str(short))
-
-
-def test_mass_distribution_trend_over_n(decompose_cache):
-    # fraction of window eigenfunctions with |mass - alpha| > 0.1, medianed
-    # over 5 indicator seeds, shrinks from N=250 to N=2000
-    fracs = {}
-    for n in (250, 2000):
-        per_pair = []
-        for gs, ps in zip((101, 102, 103, 104, 105), (201, 202, 203, 204, 205)):
-            _, _, sd = decompose_cache(n, gs, ps, 0.2)
-            rep = qe.mass_distribution_check(sd, 0.5, 2.4, seeds=[1, 2, 3, 4, 5],
-                                             thresholds=(0.1,))
-            per_pair.append(rep.fractions[0.1])
-        fracs[n] = float(np.median(per_pair))
-    assert fracs[2000] < fracs[250]
 
 
 def test_k4_projector_trace():
@@ -344,17 +325,6 @@ def test_ring_kernel_statistic_r2(small_case):
     assert rep.r_max == 2
 
 
-def test_kernel_from_entries(small_case):
-    g, _, _, _ = small_case
-    a = int(g.neighbors[0][0])
-    kernel = qe.kernel_from_entries(g, 1, [(0, 0, 0.5), (0, a, -0.25), (a, 0, -0.25)])
-    assert kernel.distances.tolist() == [0, 1, 1]
-    assert kernel.distance_mass()[0] == pytest.approx(0.5 / 64)
-    far = next(y for y in range(64) if graphs.distance_and_geodesic(g, 0, y)[0] > 1)
-    with pytest.raises(ConfigError, match="beyond range"):
-        qe.kernel_from_entries(g, 1, [(0, far, 1.0)])
-
-
 def test_average_equivalence_zero_disorder_r0():
     profile = tg.distance_ratio_profile(
         2, SPEC, 0.0, 0.2, 0, [-0.5, 0.0, 0.5], samples=4, seed=1, depth=60
@@ -369,14 +339,3 @@ def test_average_equivalence_zero_disorder_r0():
     )
     for n, gaps in table.gaps.items():
         assert max(gaps) < 1e-10
-
-
-def test_mass_distribution_trivial_cases(small_case):
-    _, _, sd, _ = small_case
-    # indistinguishable set of everything: use alpha close to 1 via manual chi
-    rep = qe.mass_distribution_check(sd, 0.5, 2.0, seeds=[1, 2, 3], thresholds=(0.1,))
-    assert 0.0 <= rep.fractions[0.1] <= 1.0
-    assert rep.window_count == DIAG_REFERENCE_WINDOW
-    full = np.ones(sd.n)
-    masses = np.einsum("x,xi,xi->i", full, sd.eigenvectors, sd.eigenvectors)
-    assert np.allclose(masses, 1.0, atol=1e-10)  # alpha formally 1: all masses 1

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 
 from qelab import _rng
 
@@ -36,7 +37,7 @@ def test_omega_scalar_matches_vector_all_kinds():
     idx = np.arange(500, dtype=np.int64)
     for kind in (_rng.POT_UNIFORM, _rng.POT_RESCALED_BETA, _rng.POT_TWO_POINT):
         vec = _rng.draw_omega_vec(kind, 0.8, key, idx)
-        scal = np.array([_rng.draw_omega_scalar(kind, 0.8, key, int(i)) for i in idx])
+        scal = np.array([oracles.draw_omega_scalar(kind, 0.8, key, int(i)) for i in idx])
         assert np.array_equal(vec, scal)
         assert np.max(np.abs(vec)) <= 0.8
 

@@ -2,13 +2,14 @@
 
 ``ray_batch`` and ``cavity_batch`` sweep many samples at once, in blocks of
 at most ``_kernels._BLOCK_NODES`` nodes per tree level.  The oracle here is
-the per-sample loop they replaced: one ``cavity_sweep`` per sample key, the
-root sum in CPython scalars, ``crecip_scalar`` and the complex ``*``.
+the per-sample loop they replaced: one ``oracles.cavity_sweep`` per sample
+key, the root sum in CPython scalars, ``crecip_scalar`` and the complex ``*``.
 Outputs and violation counters must match bit for bit, however the samples
 fall into blocks.
 """
 
 import numpy as np
+import oracles
 import pytest
 
 from qelab import _kernels, _rng, tree_green
@@ -33,7 +34,7 @@ def ray_oracle(q, depth, leaf, kind, batch_key, samples, r_max, ray_branch):
     im = np.empty((samples, r_max + 1), dtype=np.float64)
     viol = np.zeros(4, dtype=np.int64)
     for m in range(samples):
-        branch, spine, omega_root, counts = _kernels.cavity_sweep(
+        branch, spine, omega_root, counts = oracles.cavity_sweep(
             q, depth, q + 1, EPS, GAMMA, leaf, kind, 1.0, int(keys[m]),
             r_max, ray_branch, ABS_CAP, IM_FLOOR,
         )
@@ -54,7 +55,7 @@ def cavity_oracle(q, depth, leaf, kind, batch_key, samples):
     zeta = np.empty(samples, dtype=np.complex128)
     viol = np.zeros(4, dtype=np.int64)
     for m in range(samples):
-        branch, _, omega_root, counts = _kernels.cavity_sweep(
+        branch, _, omega_root, counts = oracles.cavity_sweep(
             q, depth, q, EPS, GAMMA, leaf, kind, 1.0, int(keys[m]), 0, 0, ABS_CAP, IM_FLOOR,
         )
         viol += counts

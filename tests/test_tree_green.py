@@ -1,12 +1,23 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
-from qelab import anderson, graphs, tree_green as tg
+from qelab import _kernels, _rng, anderson, graphs, tree_green as tg
 from qelab.errors import BudgetError, ConfigError
 
 SPEC = anderson.PotentialSpec()
+
+
+def sweep(q, eps, gamma, depth, seed, leaf_mode="bare", spine_len=0):
+    """One tree ball (q+1 branches) keyed by ``seed``, with the sweep's bounds."""
+    return oracles.cavity_sweep(
+        q, depth, q + 1, eps, gamma, tg._leaf_value(gamma, q, leaf_mode),
+        SPEC.kind_code, SPEC.support_bound, _rng.derive_key(seed, "tree-sweep"),
+        spine_len, 0, 1.0 / gamma.imag,
+        tg.imag_floor(q, eps, SPEC.support_bound, abs(gamma.real), gamma.imag),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -24,7 +35,7 @@ def test_free_forward_green_values():
 
 def test_free_complex_matches_fixed_point():
     z_quad = tg.free_forward_green_complex(0.5 + 0.1j, 2)
-    z_fp = tg.fixed_point_forward_green(0.5 + 0.1j, 2, tol=1e-12)
+    z_fp = oracles.fixed_point_forward_green(0.5 + 0.1j, 2, tol=1e-12)
     assert abs(z_quad - z_fp) < 1e-8
     assert abs(2 * z_quad * z_quad - (0.5 + 0.1j) * z_quad + 1) < 1e-12
     assert z_quad.imag < 0
@@ -40,17 +51,6 @@ def test_free_complex_limits_and_bounds():
         assert z.imag < 0
 
 
-def test_spectral_parameter_wrapper():
-    sp = tg.SpectralParameter(lam=0.5, eta=0.1)
-    assert sp.gamma == 0.5 + 0.1j
-    assert tg.free_forward_green_complex(sp, 2) == tg.free_forward_green_complex(0.5 + 0.1j, 2)
-    with pytest.raises(ConfigError):
-        tg.SpectralParameter(lam=0.0, eta=-0.1)
-    res_sp = tg.forward_recursion_tree(2, SPEC, 0.2, sp, depth=6, seed=3)
-    res_c = tg.forward_recursion_tree(2, SPEC, 0.2, 0.5 + 0.1j, depth=6, seed=3)
-    assert np.array_equal(res_sp.root_values, res_c.root_values)
-
-
 # ----------------------------------------------------------------------
 # tree sweeps against dense inversion
 # ----------------------------------------------------------------------
@@ -59,23 +59,23 @@ def test_spectral_parameter_wrapper():
 def test_sweep_depth2_matches_dense_inversion():
     q, depth, eps, seed = 2, 2, 0.2, 31
     gamma = 0.3 + 0.2j
-    res = tg.forward_recursion_tree(q, SPEC, eps, gamma, depth, seed=seed)
-    h, omegas, offsets = tg.materialized_tree_operator(q, depth, q + 1, eps, SPEC, seed)
-    assert res.omega_root == omegas[0]
+    root_values, _, omega_root, _ = sweep(q, eps, gamma, depth, seed)
+    h, omegas, offsets = oracles.materialized_tree_operator(q, depth, q + 1, eps, SPEC, seed)
+    assert omega_root == omegas[0]
     g_dense = np.linalg.inv(h - gamma * np.eye(h.shape[0]))
     for b in range(q + 1):
         node = offsets[1] + b
         # cavity value = -(subtree Green diagonal); subtree = node + its children
         sub = [node] + [offsets[2] + b * q + c for c in range(q)]
         gsub = np.linalg.inv(h[np.ix_(sub, sub)] - gamma * np.eye(len(sub)))
-        assert abs(res.root_values[b] - (-gsub[0, 0])) < 1e-12
+        assert abs(root_values[b] - (-gsub[0, 0])) < 1e-12
 
 
 def test_full_ball_row_matches_dense_inversion():
     for q, depth, seed, lam in [(2, 3, 5, 0.0), (3, 3, 6, -1.0), (2, 4, 7, 0.7)]:
         gamma = complex(lam, 0.1)
-        h, omegas, _ = tg.materialized_tree_operator(q, depth, q + 1, 0.3, SPEC, seed)
-        row, om2 = tg.full_ball_green_row(q, depth, q + 1, 0.3, SPEC, gamma, seed)
+        h, omegas, _ = oracles.materialized_tree_operator(q, depth, q + 1, 0.3, SPEC, seed)
+        row, om2 = oracles.full_ball_green_row(q, depth, q + 1, 0.3, SPEC, gamma, seed)
         assert np.array_equal(omegas, om2)
         dense = np.linalg.inv(h - gamma * np.eye(h.shape[0]))[0]
         assert np.max(np.abs(dense - row)) < 1e-10
@@ -85,42 +85,44 @@ def test_sweep_free_seed_is_exact_at_zero_disorder():
     # with free-value leaves the zero-disorder recursion is stationary
     gamma = 0.5 + 0.1j
     want = tg.free_forward_green_complex(gamma, 2)
-    res = tg.forward_recursion_tree(2, SPEC, 0.0, gamma, depth=50, seed=1, leaf_mode="free")
-    assert np.max(np.abs(res.root_values - want)) < 1e-13
+    chain = tg._zero_disorder_chain(2, 50, gamma, "free")
+    assert np.max(np.abs(chain - want)) < 1e-13
 
 
 def test_sweep_bare_converges_at_zero_disorder():
     # bare leaves contract with rate |q zeta^2| ~ 0.93 at eta = 0.1: depth 250
     gamma = 0.5 + 0.1j
     want = tg.free_forward_green_complex(gamma, 2)
-    res = tg.forward_recursion_tree(2, SPEC, 0.0, gamma, depth=250, seed=1, leaf_mode="bare")
-    assert np.max(np.abs(res.root_values - want)) < 1e-6
+    chain = tg._zero_disorder_chain(2, 250, gamma, "bare")
+    assert abs(chain[0] - want) < 1e-6
 
 
 def test_sweep_cavity_invariants():
     for eps, gamma in [(0.3, 0.5 + 0.1j), (0.5, -1.0 + 0.05j), (0.2, 0.0 + 0.4j)]:
-        res = tg.forward_recursion_tree(2, SPEC, eps, gamma, depth=10, seed=5, spine_len=5)
-        assert res.violations[:3].tolist() == [0, 0, 0]
-        assert np.all(res.root_values.imag < 0)
-        assert np.all(np.abs(res.root_values) <= 1.0 / gamma.imag * (1 + 1e-12))
+        root_values, _, _, violations = sweep(2, eps, gamma, 10, seed=5, spine_len=5)
+        assert violations[:3].tolist() == [0, 0, 0]
+        assert np.all(root_values.imag < 0)
+        assert np.all(np.abs(root_values) <= 1.0 / gamma.imag * (1 + 1e-12))
         floor = tg.imag_floor(2, eps, 1.0, abs(gamma.real), gamma.imag)
-        assert np.all(-res.root_values.imag >= floor * (1 - 1e-12))
+        assert np.all(-root_values.imag >= floor * (1 - 1e-12))
 
 
 def test_sweep_work_cap():
+    # depth 24 puts one q=2 ball beyond DEFAULT_WORK_CAP = 2**24 nodes
     with pytest.raises(BudgetError, match="lower the depth"):
-        tg.forward_recursion_tree(2, SPEC, 0.3, 0.5 + 0.1j, depth=30, seed=1, work_cap=1 << 20)
+        tg.mc_expectation_im_green(2, SPEC, 0.3, 0.5 + 0.1j, 1, 24, 1, 1)
     # zero disorder collapses to a chain: any depth is fine
-    tg.forward_recursion_tree(2, SPEC, 0.0, 0.5 + 0.1j, depth=300, seed=1, work_cap=1 << 20)
+    tg.mc_expectation_im_green(2, SPEC, 0.0, 0.5 + 0.1j, 1, 300, 1, 1)
 
 
 def test_eta_zero_rejected_unless_free_zero_disorder():
     with pytest.raises(ConfigError):
-        tg.forward_recursion_tree(2, SPEC, 0.2, 0.5 + 0.0j, depth=4, seed=1)
+        tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.0j, 1, 4, 2, 1)
     with pytest.raises(ConfigError):
-        tg.forward_recursion_tree(2, SPEC, 0.0, 0.5 + 0.0j, depth=4, seed=1, leaf_mode="bare")
-    res = tg.forward_recursion_tree(2, SPEC, 0.0, 0.5 + 0.0j, depth=4, seed=1, leaf_mode="free")
-    assert res.root_values[0] == tg.free_forward_green(0.5, 2)
+        tg.mc_expectation_im_green(2, SPEC, 0.0, 0.5 + 0.0j, 1, 4, 2, 1, leaf_mode="bare")
+    tg.mc_expectation_im_green(2, SPEC, 0.0, 0.5 + 0.0j, 1, 4, 2, 1, leaf_mode="free")
+    chain = tg._zero_disorder_chain(2, 4, 0.5 + 0.0j, "free")
+    assert chain[0] == tg.free_forward_green(0.5, 2)
 
 
 # ----------------------------------------------------------------------
@@ -143,33 +145,31 @@ def test_two_site_chain_identities():
     assert zeta == -1j
     diag = tg.green_diagonal([zeta], 0.0, 0.0, gamma)
     assert diag == pytest.approx(0.5j, abs=1e-15)
-    off = tg.green_along_path(diag, [zeta])
+    off = diag * zeta  # the off-diagonal factorizes along the path
     assert off == pytest.approx(0.5, abs=1e-15)
     dense = np.linalg.inv(np.array([[0.0, 1.0], [1.0, 0.0]]) - gamma * np.eye(2))
     assert diag == pytest.approx(dense[0, 0], abs=1e-15)
     assert off == pytest.approx(dense[0, 1], abs=1e-15)
 
 
-def test_green_along_path_identity_case():
-    assert tg.green_along_path(0.3 + 0.4j, []) == 0.3 + 0.4j
-
-
 def test_green_diagonal_resolvent_bound():
     for seed in range(5):
-        res = tg.forward_recursion_tree(2, SPEC, 0.3, 0.7 + 0.2j, depth=8, seed=seed)
-        diag = tg.green_diagonal(res.root_values, res.omega_root, 0.3, 0.7 + 0.2j)
+        root_values, _, omega_root, _ = sweep(2, 0.3, 0.7 + 0.2j, 8, seed)
+        diag = tg.green_diagonal(root_values, omega_root, 0.3, 0.7 + 0.2j)
         assert 0 < diag.imag <= 1.0 / 0.2 + 1e-12
 
 
 def test_depth3_path_matches_dense():
     q, depth, eps, seed = 2, 3, 0.3, 17
     gamma = 0.7 + 0.2j
-    h, _, offsets = tg.materialized_tree_operator(q, depth, q + 1, eps, SPEC, seed)
+    h, _, offsets = oracles.materialized_tree_operator(q, depth, q + 1, eps, SPEC, seed)
     dense = np.linalg.inv(h - gamma * np.eye(h.shape[0]))
-    res = tg.forward_recursion_tree(q, SPEC, eps, gamma, depth, seed=seed, spine_len=depth)
-    diag = tg.green_diagonal(res.root_values, res.omega_root, eps, gamma)
+    root_values, spine, omega_root, _ = sweep(q, eps, gamma, depth, seed, spine_len=depth)
+    diag = tg.green_diagonal(root_values, omega_root, eps, gamma)
     for r in range(1, depth + 1):
-        value = tg.green_along_path(diag, res.spine[:r])
+        value = diag
+        for z in spine[:r]:
+            value *= z
         node = offsets[r]  # first-ray node at distance r
         assert abs(value - dense[0, node]) < 1e-10
 
@@ -205,11 +205,18 @@ def test_mc_depth_doubling_stabilizes():
 
 
 def test_mc_distance_only_dependence():
-    a = tg.mc_expectation_im_green(2, SPEC, 0.25, 0.5 + 0.2j, 2, 10, 3000, 7, ray_branch=0)
-    b = tg.mc_expectation_im_green(2, SPEC, 0.25, 0.5 + 0.2j, 2, 10, 3000, 7, ray_branch=2)
+    gamma = 0.5 + 0.2j
+    means, stderrs = {}, {}
+    for ray_branch in (0, 2):
+        im, _ = _kernels.ray_batch(
+            2, 10, 0.25, gamma, tg.free_forward_green_complex(gamma, 2), SPEC.kind_code,
+            SPEC.support_bound, _rng.derive_key(7, "mc-ray"), 3000, 2, ray_branch,
+            1.0 / gamma.imag, tg.imag_floor(2, 0.25, SPEC.support_bound, 0.5, 0.2),
+        )
+        means[ray_branch], stderrs[ray_branch] = tg._mean_stderr(im)
     for r in (1, 2):
-        gap = abs(a.means[r] - b.means[r])
-        sig = math.hypot(a.stderrs[r], b.stderrs[r])
+        gap = abs(means[0][r] - means[2][r])
+        sig = math.hypot(stderrs[0][r], stderrs[2][r])
         assert gap <= 3 * sig
 
 
@@ -220,9 +227,8 @@ def test_mc_determinism_and_guards():
     with pytest.raises(ConfigError):
         tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.2j, r_max=5, depth=5, samples=10, seed=1)
     with pytest.raises(BudgetError):
-        tg.mc_expectation_im_green(
-            2, SPEC, 0.2, 0.5 + 0.2j, 1, 20, 100000, 1, total_work_cap=1 << 20
-        )
+        # 100000 balls of depth 20 exceed DEFAULT_MC_WORK_CAP = 2**33 nodes
+        tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.2j, 1, 20, 100000, 1)
 
 
 # ----------------------------------------------------------------------
