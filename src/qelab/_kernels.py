@@ -2,17 +2,21 @@
 
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level over a (samples x level width) array, in sample blocks of at
-most ``_BLOCK_NODES`` nodes per level; message passing is vectorized across
-the directed edges of a graph.  Results are reproducible bit for bit and do
-not depend on the blocking: child sums run in child order, complex
-reciprocals and products go through explicit formulas, and potentials come
-from the counter-based streams of ``_rng``.  The golden digests in
-``tests/test_kernels.py`` pin them, and ``tests/test_sample_blocks.py``
-compares the batches with a per-sample loop.
+most ``_BLOCK_NODES`` nodes per level, and sweep every gamma of a grid over
+the potentials that a block draws once; message passing is vectorized
+across the directed edges of a graph.  Results are reproducible bit for bit
+and depend neither on the blocking nor on the other gammas of a grid: child
+sums run in child order, complex reciprocals and products go through
+explicit formulas, and potentials come from the counter-based streams of
+``_rng``.  The golden digests in ``tests/test_kernels.py`` pin them, and
+``tests/test_sample_blocks.py`` compares the batches with a per-sample loop
+and with one-gamma calls.
 
 Conventions shared by every kernel:
 
-* the spectral parameter is ``gamma = lam + 1j*eta`` with ``eta > 0``;
+* the spectral parameter is ``gamma = lam + 1j*eta`` with ``eta > 0``; tree
+  kernels take a sequence of them with matching leaves, caps and floors, and
+  a single gamma is a grid of length 1;
 * a cavity value z satisfies ``Im z < 0``, ``|z| <= 1/eta`` and
   ``|Im z| >= eta / c_tilde**2``; kernels count violations of these bounds
   (with a 1e-12 relative slack for floating-point rounding) instead of
@@ -48,10 +52,17 @@ def crecip_scalar(z: complex) -> complex:
 
 
 def crecip_vec(z: np.ndarray) -> np.ndarray:
-    zr = z.real
-    zi = z.imag
+    return crecip_parts(z.real, z.imag)
+
+
+def crecip_parts(zr, zi) -> np.ndarray:
+    """1/(zr + 1j*zi) by ``crecip_scalar``'s formula, from real arrays (or scalars).
+
+    Taking the parts apart saves the complex temporaries of the cavity
+    update gamma - eps*omega - sum, whose site term is real.
+    """
     den = zr * zr + zi * zi
-    out = np.empty_like(z)
+    out = np.empty(np.shape(den), dtype=np.complex128)
     out.real = zr / den
     out.imag = -zi / den
     return out
@@ -127,43 +138,52 @@ def cavity_levels(q, sizes, gamma, leaf, site):
         width = sizes[k - 1]
         if values is not None:
             kids = values.reshape(values.shape[0], width, -1)
-            values = crecip_vec(gamma - site(k) - _sum_children(kids, q))
+            total = _sum_children(kids, q)
+            values = crecip_parts(gamma.real - site(k) - total.real, gamma.imag - total.imag)
         elif leaf is None:
-            values = crecip_vec(gamma - site(k))
+            values = crecip_parts(gamma.real - site(k), gamma.imag)
         else:
             values = np.full((1, width), leaf, dtype=np.complex128)
         yield k, values
 
 
-def _sweep_block(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, keys,
-                 spine_len, ray_branch, abs_cap, im_floor):
-    """One disorder realization per key swept over a depth-``depth`` tree ball.
+def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
+                 spine_len, ray_branch, abs_caps, im_floors):
+    """One disorder realization per key swept over a depth-``depth`` tree ball,
+    at every gamma of the grid ``gammas``.
 
     ``keys`` is uint64 of shape (m, 1); each sample draws its potentials
-    level by level from the stream of its key.  The spines hold the cavity
-    values at depths 1..spine_len along the first ray of branch
-    ``ray_branch``.  Returns (branch values (m, branches), spines
-    (m, spine_len), root-site potentials (m,), violation counters summed
-    over the block).
+    level by level from the stream of its key, once per block, and every
+    gamma is swept over the same draws with its own leaf, cap and floor.
+    The spines hold the cavity values at depths 1..spine_len along the first
+    ray of branch ``ray_branch``.  Returns (branch values (G, m, branches),
+    spines (G, m, spine_len), root-site potentials (m,), violation counters
+    (G, 4) summed over the block).
     """
     m = keys.shape[0]
     offsets = level_offsets(q, depth, branches)
     sizes = [branches * q**k for k in range(depth)]
+    sites = {}
 
     def site(k):
-        ids = offsets[k] + np.arange(sizes[k - 1], dtype=np.int64)
-        return eps * draw_omega_vec(pot_kind, pot_a, keys, ids)
+        if k not in sites:
+            ids = offsets[k] + np.arange(sizes[k - 1], dtype=np.int64)
+            sites[k] = eps * draw_omega_vec(pot_kind, pot_a, keys, ids)
+        return sites[k]
 
-    viol = np.zeros(4, dtype=np.int64)
-    spine = np.empty((m, spine_len), dtype=np.complex128)
-    for k, values in cavity_levels(q, sizes, gamma, leaf, site):
-        counts = np.zeros(4, dtype=np.int64)
-        _check_vec(values, abs_cap, im_floor, counts)
-        viol += counts * (m // values.shape[0])  # a free-leaf row stands for all m samples
-        if k <= spine_len:
-            spine[:, k - 1] = values[:, ray_branch * q ** (k - 1)]
+    viol = np.zeros((len(gammas), 4), dtype=np.int64)
+    branch = np.empty((len(gammas), m, branches), dtype=np.complex128)
+    spine = np.empty((len(gammas), m, spine_len), dtype=np.complex128)
+    for i, gamma in enumerate(gammas):
+        for k, values in cavity_levels(q, sizes, gamma, leaves[i], site):
+            counts = np.zeros(4, dtype=np.int64)
+            _check_vec(values, abs_caps[i], im_floors[i], counts)
+            viol[i] += counts * (m // values.shape[0])  # a free-leaf row stands for all m samples
+            if k <= spine_len:
+                spine[i, :, k - 1] = values[:, ray_branch * q ** (k - 1)]
+        branch[i] = values
     omega_root = draw_omega_vec(pot_kind, pot_a, keys, np.zeros(1, dtype=np.int64))[:, 0]
-    return np.broadcast_to(values, (m, branches)), spine, omega_root, viol
+    return branch, spine, omega_root, viol
 
 
 def _sample_blocks(samples, level_width):
@@ -173,47 +193,56 @@ def _sample_blocks(samples, level_width):
     return [slice(start, min(start + per_block, samples)) for start in range(0, samples, per_block)]
 
 
-def ray_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
-              r_max, ray_branch, abs_cap, im_floor):
-    """Im G(root, y_r) for r = 0..r_max on ``samples`` independent balls.
+def ray_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
+              r_max, ray_branch, abs_caps, im_floors):
+    """Im G(root, y_r) for r = 0..r_max on ``samples`` independent balls, at
+    every gamma of ``gammas`` (with matching ``leaves``, ``abs_caps`` and
+    ``im_floors``) over the same balls.
 
     y_r is the depth-r node on the first ray of branch ``ray_branch``.
-    Returns (array of shape (samples, r_max + 1), summed violation counters).
+    Returns (array of shape (G, samples, r_max + 1), violation counters (G, 4)).
     """
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    im = np.empty((samples, r_max + 1), dtype=np.float64)
-    viol = np.zeros(4, dtype=np.int64)
+    im = np.empty((len(gammas), samples, r_max + 1), dtype=np.float64)
+    viol = np.zeros((len(gammas), 4), dtype=np.int64)
     for block in _sample_blocks(samples, (q + 1) * q ** (depth - 1)):
         branch, spine, omega_root, counts = _sweep_block(
-            q, depth, q + 1, eps, gamma, leaf, pot_kind, pot_a, keys[block, None],
-            r_max, ray_branch, abs_cap, im_floor,
+            q, depth, q + 1, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
+            r_max, ray_branch, abs_caps, im_floors,
         )
         viol += counts
-        g = crecip_vec(eps * omega_root - gamma + _sum_children(branch, q + 1))
-        im[block, 0] = g.imag
-        for r in range(1, r_max + 1):
-            g = cmul_vec(g, spine[:, r - 1])
-            im[block, r] = g.imag
+        site_root = eps * omega_root
+        for i, gamma in enumerate(gammas):
+            g = crecip_vec(site_root - gamma + _sum_children(branch[i], q + 1))
+            im[i, block, 0] = g.imag
+            for r in range(1, r_max + 1):
+                g = cmul_vec(g, spine[i, :, r - 1])
+                im[i, block, r] = g.imag
     return im, viol
 
 
-def cavity_batch(q, depth, eps, gamma, leaf, pot_kind, pot_a, batch_key, samples,
-                 abs_cap, im_floor):
-    """Root cavity values of ``samples`` independent q-branch balls.
+def cavity_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
+                 abs_caps, im_floors):
+    """Root cavity values of ``samples`` independent q-branch balls, at every
+    gamma of ``gammas`` (with matching ``leaves``, ``abs_caps`` and
+    ``im_floors``) over the same balls.
 
-    Returns (complex array of length samples, summed violation counters).
+    Returns (complex array of shape (G, samples), violation counters (G, 4)).
     """
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    zeta = np.empty(samples, dtype=np.complex128)
-    viol = np.zeros(4, dtype=np.int64)
+    zeta = np.empty((len(gammas), samples), dtype=np.complex128)
+    viol = np.zeros((len(gammas), 4), dtype=np.int64)
     for block in _sample_blocks(samples, q**depth):
         branch, _, omega_root, counts = _sweep_block(
-            q, depth, q, eps, gamma, leaf, pot_kind, pot_a, keys[block, None],
-            0, 0, abs_cap, im_floor,
+            q, depth, q, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
+            0, 0, abs_caps, im_floors,
         )
         viol += counts
-        zeta[block] = crecip_vec(gamma - eps * omega_root - _sum_children(branch, q))
-    _check_vec(zeta, abs_cap, im_floor, viol)
+        site_root = eps * omega_root
+        for i, gamma in enumerate(gammas):
+            zeta[i, block] = crecip_vec(gamma - site_root - _sum_children(branch[i], q))
+    for i in range(len(gammas)):
+        _check_vec(zeta[i], abs_caps[i], im_floors[i], viol[i])
     return zeta, viol
 
 

@@ -85,11 +85,50 @@ def _merge(defaults, override, path="config"):
     return out
 
 
+# numeric fields by dotted path; a field whose default is a list holds a list
+# of such values, and mc.depth may also be null (resolved below)
+_INTEGER_FIELDS = (
+    "q", "n_values", "graph_seeds", "pot_seeds", "observable.vertex", "observable.seed",
+    "kernel.range", "mc.samples", "mc.depth", "mc.seed", "mc.work_cap",
+    "conditions.bst_radii", "lln.k_max",
+)
+_REAL_FIELDS = (
+    "epsilon", "potential.support_bound", "lambda0", "eta0_values", "observable.alpha",
+    "observable.constant", "kernel.value", "mc.lambda_spacing", "mc.eta_grid",
+    "mc.lambda_grid", "mc.s_values", "conditions.c_lower", "conditions.c_upper",
+)
+
+
+def _is_integer(value) -> bool:
+    return type(value) is int  # JSON true/false load as bool, a subclass of int
+
+
+def _is_real(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_numeric_types(cfg) -> None:
+    for fields, accept, what in ((_INTEGER_FIELDS, _is_integer, "an integer"),
+                                 (_REAL_FIELDS, _is_real, "a finite number")):
+        for path in fields:
+            value, default = cfg, DEFAULT_CONFIG
+            for part in path.split("."):
+                value, default = value[part], default[part]
+            if path == "mc.depth" and value is None:
+                continue
+            if isinstance(default, list):
+                if not isinstance(value, list) or not all(accept(v) for v in value):
+                    raise ConfigError(f"{path} must be a list, each entry {what}")
+            elif not accept(value):
+                raise ConfigError(f"{path} must be {what}, got {value!r}")
+
+
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and validate; raises ConfigError on schema violations."""
     cfg = _merge(DEFAULT_CONFIG, raw)
+    _check_numeric_types(cfg)
     q = cfg["q"]
-    if not isinstance(q, int) or q < 2:
+    if q < 2:
         raise ConfigError("q must be an integer >= 2")
     band = 2.0 * math.sqrt(q)
     lam0 = cfg["lambda0"]
@@ -104,6 +143,10 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("graph_seeds and pot_seeds must pair up (equal lengths)")
     if not cfg["n_values"]:
         raise ConfigError("n_values must not be empty")
+    for n in cfg["n_values"]:
+        if n < q + 2 or (n * (q + 1)) % 2:
+            raise ConfigError(f"n = {n} admits no simple {q + 1}-regular graph; "
+                              f"need n >= q + 2 = {q + 2} and n*(q+1) even")
     obs = cfg["observable"]
     if obs["kind"] not in {"constant", "indicator", "delta", "file"}:
         raise ConfigError(f"unsupported observable kind {obs['kind']!r}")
@@ -118,7 +161,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unsupported kernel shape {ker['shape']!r}")
     if abs(ker["value"]) > 1.0:
         raise ConfigError("kernel value must satisfy |value| <= 1 (sup bound)")
-    if type(ker["range"]) is not int or ker["range"] < 0:
+    if ker["range"] < 0:
         raise ConfigError("kernel.range must be a nonnegative integer")
     if ker["shape"] == "edges" and ker["range"] != 1:
         raise ConfigError("edge kernels have range 1")
@@ -211,11 +254,11 @@ class _Run:
         """One distance-ratio profile per eta0 (potential-independent)."""
         cfg, mc = self.cfg, self.cfg["mc"]
         profiles = {}
-        for j, eta0 in enumerate(cfg["eta0_values"]):
+        for eta0 in cfg["eta0_values"]:
+            # one key for every eta0: the profiles share their tree potentials
             profiles[eta0] = tree_green.distance_ratio_profile(
                 cfg["q"], _potential_spec(cfg), cfg["epsilon"], eta0, cfg["kernel"]["range"],
-                _profile_lambda_grid(cfg), mc["samples"],
-                derive_key(mc["seed"], "profile-eta", j),
+                _profile_lambda_grid(cfg), mc["samples"], derive_key(mc["seed"], "profile"),
                 depth=mc["depth"], leaf_mode=mc["leaf_mode"],
             )
             if self.strict:

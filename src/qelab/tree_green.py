@@ -176,6 +176,60 @@ def _mean_stderr(columns: np.ndarray):
     return means, stderrs
 
 
+def _ray_grid(q, pot_spec, epsilon, gammas, r_max, depth, samples, batch_key, leaf_mode, lambda0):
+    """Sample means and stderrs of Im G(o, y_r), r = 0..r_max, at every gamma
+    of a grid, all swept over the same ``samples`` balls of ``batch_key``.
+
+    The floors are taken at |lambda| = ``lambda0``.  Returns (means and
+    stderrs of shape (G, r_max + 1), violation counters (G, 4)).  At
+    eps = 0 each gamma is the closed-form chain, with zero stderr.  The
+    grid beyond ``DEFAULT_MC_WORK_CAP`` node visits, or a ball beyond
+    ``DEFAULT_WORK_CAP`` nodes, raises BudgetError.
+    """
+    if samples < 1:
+        raise ConfigError("need at least one sample")
+    if depth < r_max + 1:
+        raise ConfigError(
+            f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1"
+        )
+    for g in gammas:
+        _require_eta(g, epsilon, leaf_mode)
+    floors = [imag_floor(q, epsilon, pot_spec.support_bound, lambda0, g.imag) for g in gammas]
+    abs_caps = [1.0 / g.imag if g.imag > 0 else np.inf for g in gammas]
+    viol = np.zeros((len(gammas), 4), dtype=np.int64)
+
+    if epsilon == 0.0:
+        means = np.empty((len(gammas), r_max + 1), dtype=np.float64)
+        for i, g in enumerate(gammas):
+            values = _zero_disorder_chain(q, depth, g, leaf_mode)
+            _kernels._check_vec(values, abs_caps[i], floors[i], viol[i])
+            green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, g)
+            means[i, 0] = green.imag
+            for r in range(1, r_max + 1):
+                green = green * values[r - 1]
+                means[i, r] = green.imag
+        return means, np.zeros_like(means), viol
+
+    work = tree_work(q, depth, q + 1) * samples * len(gammas)
+    if work > DEFAULT_MC_WORK_CAP:
+        raise BudgetError(
+            f"MC budget {work} node visits exceeds {DEFAULT_MC_WORK_CAP}; "
+            "lower depth or samples"
+        )
+    if tree_work(q, depth, q + 1) > DEFAULT_WORK_CAP:
+        raise BudgetError(f"per-sweep work exceeds cap {DEFAULT_WORK_CAP}; lower the depth")
+    im, viol = _kernels.ray_batch(
+        q, depth, epsilon, gammas, [_leaf_value(g, q, leaf_mode) for g in gammas],
+        pot_spec.kind_code, pot_spec.support_bound, batch_key,
+        samples, r_max, 0, abs_caps, floors,
+    )
+    means = np.empty((len(gammas), r_max + 1), dtype=np.float64)
+    stderrs = np.empty_like(means)
+    for i in range(len(gammas)):
+        means[i], stderrs[i] = _mean_stderr(im[i])
+    return means, stderrs, viol
+
+
 def mc_expectation_im_green(
     q: int,
     pot_spec: PotentialSpec,
@@ -197,60 +251,17 @@ def mc_expectation_im_green(
     call beyond ``DEFAULT_MC_WORK_CAP`` raises BudgetError.
     """
     g = complex(gamma)
-    if samples < 1:
-        raise ConfigError("need at least one sample")
-    if depth < r_max + 1:
-        raise ConfigError(
-            f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1"
-        )
-    _require_eta(g, epsilon, leaf_mode)
     lam0 = abs(g.real) if lambda0 is None else lambda0
-    floor = imag_floor(q, epsilon, pot_spec.support_bound, lam0, g.imag)
-    abs_cap = 1.0 / g.imag if g.imag > 0 else np.inf
-
-    if epsilon == 0.0:
-        values = _zero_disorder_chain(q, depth, g, leaf_mode)
-        viol = np.zeros(4, dtype=np.int64)
-        _kernels._check_vec(values, abs_cap, floor, viol)
-        green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, g)
-        ims = np.empty(r_max + 1, dtype=np.float64)
-        ims[0] = green.imag
-        for r in range(1, r_max + 1):
-            green = green * values[r - 1]
-            ims[r] = green.imag
-        return RayExpectation(
-            distances=np.arange(r_max + 1),
-            means=ims,
-            stderrs=np.zeros(r_max + 1),
-            samples=samples,
-            violations=viol,
-            gamma=g,
-            epsilon=epsilon,
-            q=q,
-            depth=depth,
-            leaf_mode=leaf_mode,
-        )
-
-    work = tree_work(q, depth, q + 1) * samples
-    if work > DEFAULT_MC_WORK_CAP:
-        raise BudgetError(
-            f"MC budget {work} node visits exceeds {DEFAULT_MC_WORK_CAP}; "
-            "lower depth or samples"
-        )
-    if tree_work(q, depth, q + 1) > DEFAULT_WORK_CAP:
-        raise BudgetError(f"per-sweep work exceeds cap {DEFAULT_WORK_CAP}; lower the depth")
-    im, viol = _kernels.ray_batch(
-        q, depth, epsilon, g, _leaf_value(g, q, leaf_mode),
-        pot_spec.kind_code, pot_spec.support_bound, _rng.derive_key(seed, "mc-ray"),
-        samples, r_max, 0, abs_cap, floor,
+    means, stderrs, viol = _ray_grid(
+        q, pot_spec, epsilon, [g], r_max, depth, samples,
+        _rng.derive_key(seed, "mc-ray"), leaf_mode, lam0,
     )
-    means, stderrs = _mean_stderr(im)
     return RayExpectation(
         distances=np.arange(r_max + 1),
-        means=means,
-        stderrs=stderrs,
+        means=means[0],
+        stderrs=stderrs[0],
         samples=samples,
-        violations=viol,
+        violations=viol[0],
         gamma=g,
         epsilon=epsilon,
         q=q,
@@ -296,34 +307,28 @@ def distance_ratio_profile(
     depth: int | None = None,
     leaf_mode: str = "free",
 ) -> DistanceRatioProfile:
-    """Monte-Carlo distance profile over a lambda grid (one substream each)."""
+    """Monte-Carlo distance profile over a lambda grid.
+
+    Every lambda is swept over the same balls (common random numbers), so
+    differences along the grid, and between profiles of one seed at other
+    eta, carry little sampling noise.  The work caps apply to the whole grid.
+    """
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     if lambdas.size < 2:
         raise ConfigError("profile needs at least two lambda grid points")
     if depth is None:
         depth = suggest_depth(q, max(eta, 0.05))
         depth = max(depth, r_max + 1)
-    ratios = np.empty((r_max + 1, lambdas.size))
-    diag_means = np.empty(lambdas.size)
-    diag_stderrs = np.empty(lambdas.size)
-    violations = np.zeros(4, dtype=np.int64)
     lam_sup = float(np.max(np.abs(lambdas)))
-    for i, lam in enumerate(lambdas):
-        ray = mc_expectation_im_green(
-            q, pot_spec, epsilon, complex(lam, eta), r_max, depth,
-            samples, _rng.derive_key(seed, "profile", i),
-            leaf_mode=leaf_mode, lambda0=lam_sup,
-        )
-        diag_means[i] = ray.means[0]
-        diag_stderrs[i] = ray.stderrs[0]
-        violations += ray.violations
-        for r in range(r_max + 1):
-            ratios[r, i] = ray.means[r] / ray.means[0]
+    means, stderrs, viol = _ray_grid(
+        q, pot_spec, epsilon, [complex(lam, eta) for lam in lambdas], r_max, depth,
+        samples, _rng.derive_key(seed, "profile"), leaf_mode, lam_sup,
+    )
     return DistanceRatioProfile(
         lambdas=lambdas,
-        ratios=ratios,
-        diag_means=diag_means,
-        diag_stderrs=diag_stderrs,
+        ratios=(means / means[:, :1]).T.copy(),
+        diag_means=means[:, 0].copy(),
+        diag_stderrs=stderrs[:, 0].copy(),
         eta=eta,
         epsilon=epsilon,
         q=q,
@@ -331,7 +336,7 @@ def distance_ratio_profile(
         samples=samples,
         depth=depth,
         leaf_mode=leaf_mode,
-        violations=violations,
+        violations=viol.sum(axis=0),
     )
 
 
@@ -387,6 +392,24 @@ class GreenMomentTable:
         return min(abs_means), max(sq_means)
 
 
+def _moment_point(lam, eta, zeta_im, floor, s_list, samples, viol) -> MomentPoint:
+    """Moments of the root field's imaginary parts ``zeta_im`` at one grid point.
+
+    The inverse moments are taken of |Im z| clamped below at ``floor``.
+    """
+    abs_vals = np.abs(zeta_im)
+    sq_vals = zeta_im * zeta_im
+    abs_mean, abs_err = _mean_stderr(abs_vals[:, None])
+    sq_mean, sq_err = _mean_stderr(sq_vals[:, None])
+    clamped = np.maximum(abs_vals, floor) if floor > 0 else abs_vals
+    inverse = {}
+    for s in s_list:
+        m, e = _mean_stderr((clamped ** (-s))[:, None])
+        inverse[s] = (float(m[0]), float(e[0]))
+    return MomentPoint(lam, eta, float(abs_mean[0]), float(abs_err[0]),
+                       float(sq_mean[0]), float(sq_err[0]), inverse, samples, viol)
+
+
 def green_condition_moments(
     q: int,
     pot_spec: PotentialSpec,
@@ -404,8 +427,10 @@ def green_condition_moments(
 
     The inverse moments are clamped below at the deterministic floor
     eta/c_tilde**2 (a no-op in exact arithmetic) so they are finite by
-    construction.  Grid points own independent substreams; at eps = 0 the
-    field is deterministic and every sample coincides.
+    construction.  Every grid point of one depth is swept over the same
+    balls (one key for the whole table; with ``depth=None`` the depth
+    follows eta); at eps = 0 the field is deterministic and every sample
+    coincides.
     """
     lambda_grid = [float(x) for x in lambda_grid]
     eta_grid = [float(x) for x in eta_grid]
@@ -413,57 +438,46 @@ def green_condition_moments(
     if any(s <= 0 for s in s_list):
         raise ConfigError("inverse-moment exponents must be positive")
     lam_sup = max(abs(x) for x in lambda_grid)
-    master = _rng.derive_key(seed, "green-moments")
-    points = []
-    point_idx = 0
-    for lam in lambda_grid:
-        for eta in eta_grid:
-            g = complex(lam, eta)
-            _require_eta(g, epsilon, leaf_mode)
-            floor = imag_floor(q, epsilon, pot_spec.support_bound, lam_sup, eta)
-            abs_cap = 1.0 / eta if eta > 0 else np.inf
-            use_depth = suggest_depth(q, max(eta, 1e-6), branches=q, work_cap=work_cap) if depth is None else depth
-            if epsilon == 0.0:
-                # the field is deterministic: a point mass whose moments are
-                # evaluated exactly rather than averaged over constant samples
-                if leaf_mode == "free":
-                    z = free_forward_green_complex(g, q)
-                else:
-                    # the root is the top of a chain one level longer
-                    z = complex(_zero_disorder_chain(q, use_depth + 1, g, leaf_mode)[0])
-                viol = np.zeros(4, dtype=np.int64)
-                _kernels._check_vec(np.asarray([z]), abs_cap, floor, viol)
-                im_abs = abs(z.imag)
-                clamped = max(im_abs, floor)
-                inverse = {s: (clamped ** (-s), 0.0) for s in s_list}
-                points.append(
-                    MomentPoint(lam, eta, im_abs, 0.0,
-                                z.imag * z.imag, 0.0, inverse, samples, viol)
-                )
-            else:
-                if tree_work(q, use_depth, q) > work_cap:
-                    raise BudgetError(f"per-sweep work exceeds cap {work_cap}; lower the depth")
-                zeta, viol = _kernels.cavity_batch(
-                    q, use_depth, epsilon, g, _leaf_value(g, q, leaf_mode),
-                    pot_spec.kind_code, pot_spec.support_bound,
-                    _rng.derive_key(master, point_idx), samples, abs_cap, floor,
-                )
-                zeta_im = zeta.imag
-                abs_vals = np.abs(zeta_im)
-                sq_vals = zeta_im * zeta_im
-                abs_mean, abs_err = _mean_stderr(abs_vals[:, None])
-                sq_mean, sq_err = _mean_stderr(sq_vals[:, None])
-                clamped = np.maximum(abs_vals, floor) if floor > 0 else abs_vals
-                inverse = {}
-                for s in s_list:
-                    inv_vals = clamped ** (-s)
-                    m, e = _mean_stderr(inv_vals[:, None])
-                    inverse[s] = (float(m[0]), float(e[0]))
-                points.append(
-                    MomentPoint(lam, eta, float(abs_mean[0]), float(abs_err[0]),
-                                float(sq_mean[0]), float(sq_err[0]), inverse, samples, viol)
-                )
-            point_idx += 1
+    grid = [(lam, eta) for lam in lambda_grid for eta in eta_grid]
+    points = [None] * len(grid)
+    sweeps = {}  # depth -> indices of the grid points swept at that depth
+    floors, abs_caps = [], []
+    for idx, (lam, eta) in enumerate(grid):
+        g = complex(lam, eta)
+        _require_eta(g, epsilon, leaf_mode)
+        floors.append(imag_floor(q, epsilon, pot_spec.support_bound, lam_sup, eta))
+        abs_caps.append(1.0 / eta if eta > 0 else np.inf)
+        use_depth = suggest_depth(q, max(eta, 1e-6), branches=q, work_cap=work_cap) if depth is None else depth
+        if epsilon != 0.0:
+            if tree_work(q, use_depth, q) > work_cap:
+                raise BudgetError(f"per-sweep work exceeds cap {work_cap}; lower the depth")
+            sweeps.setdefault(use_depth, []).append(idx)
+            continue
+        # the field is deterministic: a point mass whose moments are
+        # evaluated exactly rather than averaged over constant samples
+        if leaf_mode == "free":
+            z = free_forward_green_complex(g, q)
+        else:
+            # the root is the top of a chain one level longer
+            z = complex(_zero_disorder_chain(q, use_depth + 1, g, leaf_mode)[0])
+        viol = np.zeros(4, dtype=np.int64)
+        _kernels._check_vec(np.asarray([z]), abs_caps[idx], floors[idx], viol)
+        im_abs = abs(z.imag)
+        clamped = max(im_abs, floors[idx])
+        inverse = {s: (clamped ** (-s), 0.0) for s in s_list}
+        points[idx] = MomentPoint(lam, eta, im_abs, 0.0, z.imag * z.imag, 0.0,
+                                  inverse, samples, viol)
+    key = _rng.derive_key(seed, "green-moments")
+    for use_depth, indices in sweeps.items():
+        gammas = [complex(*grid[idx]) for idx in indices]
+        zeta, viol = _kernels.cavity_batch(
+            q, use_depth, epsilon, gammas, [_leaf_value(g, q, leaf_mode) for g in gammas],
+            pot_spec.kind_code, pot_spec.support_bound, key, samples,
+            [abs_caps[idx] for idx in indices], [floors[idx] for idx in indices],
+        )
+        for i, idx in enumerate(indices):
+            points[idx] = _moment_point(*grid[idx], zeta[i].imag, floors[idx], s_list,
+                                        samples, viol[i])
     return GreenMomentTable(
         points=points,
         s_values=s_list,

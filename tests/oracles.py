@@ -43,10 +43,10 @@ def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
     root, spine, root-site potential, violation counters).
     """
     branch, spine, omega_root, viol = _kernels._sweep_block(
-        q, depth, branches, eps, gamma, leaf, pot_kind, pot_a,
-        np.full((1, 1), key, dtype=np.uint64), spine_len, ray_branch, abs_cap, im_floor,
+        q, depth, branches, eps, [gamma], [leaf], pot_kind, pot_a,
+        np.full((1, 1), key, dtype=np.uint64), spine_len, ray_branch, [abs_cap], [im_floor],
     )
-    return branch[0].copy(), spine[0], float(omega_root[0]), viol
+    return branch[0, 0].copy(), spine[0, 0].copy(), float(omega_root[0]), viol[0].copy()
 
 
 def materialized_tree_operator(

@@ -62,6 +62,46 @@ def test_resolve_config_defaults_and_validation():
         for bad_range in (-1, 1.5, "2"):
             with pytest.raises(ConfigError, match="kernel.range"):
                 cli.resolve_config({"kernel": {"shape": shape, "range": bad_range}})
+    for raw, field in [({"mc": {"samples": "4"}}, "mc.samples"),
+                       ({"lambda0": "1.0"}, "lambda0"),
+                       ({"eta0_values": ["0.2"]}, "eta0_values"),
+                       ({"mc": {"depth": 12.5}}, "mc.depth"),
+                       ({"mc": {"samples": True}}, "mc.samples"),
+                       ({"n_values": [250.0]}, "n_values")]:
+        with pytest.raises(ConfigError, match=field):
+            cli.resolve_config(raw)
+    for n_values in ([65], [2]):
+        with pytest.raises(ConfigError, match="regular graph"):
+            cli.resolve_config({"n_values": n_values})
+
+
+def test_bad_n_rejected_before_the_profile(tmp_path, monkeypatch):
+    from qelab import tree_green
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the profile was built for a config with a bad n")
+
+    monkeypatch.setattr(tree_green, "distance_ratio_profile", unreachable)
+    cfg = _write(tmp_path, {"n_values": [65], "mc": {"depth": 6}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+
+
+def test_unpinned_depth_hits_the_profile_budget_at_once(tmp_path, monkeypatch):
+    # the README's minimal config without mc.depth: the depth resolves to 22,
+    # and the profile's 97 lambdas x 256 balls of 1.26e7 nodes exceed the
+    # Monte-Carlo work cap before any ball or graph is built
+    from qelab import _kernels, graphs
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the budget guard")
+
+    monkeypatch.setattr(_kernels, "ray_batch", unreachable)
+    monkeypatch.setattr(graphs, "generate_random_regular", unreachable)
+    raw = {"q": 2, "n_values": [250, 1000], "graph_seeds": [101, 102], "pot_seeds": [201, 202],
+           "epsilon": 0.2, "lambda0": 2.4, "eta0_values": [0.2]}
+    assert cli.resolve_config(raw)["mc"]["depth"] == 22
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 3
 
 
 def test_exit_codes(tmp_path):

@@ -97,16 +97,16 @@ def test_ray_and_cavity_batches_golden(eps, leaf_mode):
     gamma = 0.2 + 0.3j
     leaf = leaf_for(leaf_mode, gamma, q)
     im, viol = _kernels.ray_batch(
-        q, depth, eps, gamma, leaf, SPEC.kind_code, 1.0, 99, samples,
-        2, 1, 1.0 / gamma.imag, 1e-9,
+        q, depth, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 99, samples,
+        2, 1, [1.0 / gamma.imag], [1e-9],
     )
-    assert im.shape == (samples, 3)
-    assert digest(im, viol) == GOLDEN[f"ray/{eps}/{leaf_mode}"]
+    assert im.shape == (1, samples, 3) and viol.shape == (1, 4)
+    assert digest(im[0], viol[0]) == GOLDEN[f"ray/{eps}/{leaf_mode}"]
     zeta, viol = _kernels.cavity_batch(
-        q, depth, eps, gamma, leaf, SPEC.kind_code, 1.0, 101, samples,
-        1.0 / gamma.imag, 1e-9,
+        q, depth, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 101, samples,
+        [1.0 / gamma.imag], [1e-9],
     )
-    assert digest(zeta, viol) == GOLDEN[f"cavity/{eps}/{leaf_mode}"]
+    assert digest(zeta[0], viol[0]) == GOLDEN[f"cavity/{eps}/{leaf_mode}"]
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.0])

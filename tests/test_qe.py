@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qelab import anderson, graphs, qe, tree_green as tg
+from qelab import _kernels, _rng, anderson, graphs, qe, tree_green as tg
 from qelab.errors import ConfigError
 
 SPEC = anderson.PotentialSpec()
@@ -9,10 +9,11 @@ SPEC = anderson.PotentialSpec()
 # brute-force references for (n=64, q=2, graphseed=7, eps=0.2, potseed=3,
 # lambda0=2.0), recorded before wiring the pipeline; the kernel value pins
 # the edge kernel with the ratio profile (23-point grid on [-2.2, 2.2],
-# 200 samples, seed 5, depth 10, eta0=0.2, free leaves)
+# 200 samples, seed 5, depth 10, eta0=0.2, free leaves), recorded once every
+# lambda of the profile was swept over the same balls
 DIAG_REFERENCE = 0.04467706150383817
 DIAG_REFERENCE_WINDOW = 41
-KERNEL_REFERENCE = 0.025013425247749542
+KERNEL_REFERENCE = 0.02377746652975731
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,20 @@ def test_kernel_statistic_against_brute_force(small_case):
     profile = tg.distance_ratio_profile(
         2, SPEC, 0.2, 0.2, 1, np.linspace(-2.2, 2.2, 23), samples=200, seed=5, depth=10
     )
+    # the grid sweep equals a loop of one-gamma ray batches over the same balls
+    floor = tg.imag_floor(2, 0.2, SPEC.support_bound, 2.2, 0.2)
+    violations = np.zeros(4, dtype=np.int64)
+    for i, lam in enumerate(profile.lambdas):
+        gamma = complex(lam, 0.2)
+        im, viol = _kernels.ray_batch(
+            2, 10, 0.2, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
+            SPEC.support_bound, _rng.derive_key(5, "profile"), 200, 1, 0, [5.0], [floor],
+        )
+        means, stderrs = tg._mean_stderr(im[0])
+        assert profile.diag_means[i] == means[0] and profile.diag_stderrs[i] == stderrs[0]
+        assert profile.ratios[1, i] == means[1] / means[0] and profile.ratios[0, i] == 1.0
+        violations += viol[0]
+    assert np.array_equal(profile.violations, violations)
     kernel = qe.edge_kernel(g)
     curve = qe.kernel_average_simple(kernel, profile)
     rep = qe.qe_statistic_kernel(sd, kernel, 2.0, curve, q=2)

@@ -1,11 +1,12 @@
-"""The blocked ray and cavity batches against a per-sample loop.
+"""The blocked ray and cavity batches against a per-sample loop and per-gamma calls.
 
 ``ray_batch`` and ``cavity_batch`` sweep many samples at once, in blocks of
 at most ``_kernels._BLOCK_NODES`` nodes per tree level.  The oracle here is
 the per-sample loop they replaced: one ``oracles.cavity_sweep`` per sample
 key, the root sum in CPython scalars, ``crecip_scalar`` and the complex ``*``.
 Outputs and violation counters must match bit for bit, however the samples
-fall into blocks.
+fall into blocks.  A grid of gammas swept over one draw of the potentials
+must give, gamma by gamma, the bits of a one-gamma call with the same key.
 """
 
 import numpy as np
@@ -23,10 +24,14 @@ DEPTH = {2: 6, 3: 5, 4: 4}
 KINDS = [_rng.POT_UNIFORM, _rng.POT_RESCALED_BETA, _rng.POT_TWO_POINT]
 # (samples, _BLOCK_NODES): one sample; ragged blocks of 2-7 samples; one sample per block
 LAYOUTS = [(1, _kernels._BLOCK_NODES), (37, 700), (5, 1)]
+# a grid of mixed lambda and eta, each gamma with its own cap and floor
+GRID = [GAMMA, -0.6 + 0.1j, 1.1 + 0.4j, 0.3 + 0.05j]
+GRID_CAPS = [ABS_CAP, 2.0, 1.0, 1.5]
+GRID_FLOORS = [IM_FLOOR, 0.05, 0.3, 0.02]
 
 
-def leaf_for(leaf_mode, q):
-    return tree_green.free_forward_green_complex(GAMMA, q) if leaf_mode == "free" else None
+def leaf_for(leaf_mode, q, gamma=GAMMA):
+    return tree_green.free_forward_green_complex(gamma, q) if leaf_mode == "free" else None
 
 
 def ray_oracle(q, depth, leaf, kind, batch_key, samples, r_max, ray_branch):
@@ -77,19 +82,47 @@ def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes,
     r_max = depth - 1
     for ray_branch in (0, q):
         im, viol = _kernels.ray_batch(
-            q, depth, EPS, GAMMA, leaf, kind, 1.0, 41, samples,
-            r_max, ray_branch, ABS_CAP, IM_FLOOR,
+            q, depth, EPS, [GAMMA], [leaf], kind, 1.0, 41, samples,
+            r_max, ray_branch, [ABS_CAP], [IM_FLOOR],
         )
         want_im, want_viol = ray_oracle(q, depth, leaf, kind, 41, samples, r_max, ray_branch)
-        assert np.array_equal(im, want_im)
-        assert np.array_equal(viol, want_viol)
-        assert leaf_mode == "free" or (viol[1] > 0 and viol[2] > 0)
+        assert np.array_equal(im, want_im[None])
+        assert np.array_equal(viol, want_viol[None])
+        assert leaf_mode == "free" or (viol[0, 1] > 0 and viol[0, 2] > 0)
     zeta, viol = _kernels.cavity_batch(
-        q, depth, EPS, GAMMA, leaf, kind, 1.0, 43, samples, ABS_CAP, IM_FLOOR,
+        q, depth, EPS, [GAMMA], [leaf], kind, 1.0, 43, samples, [ABS_CAP], [IM_FLOOR],
     )
     want_zeta, want_viol = cavity_oracle(q, depth, leaf, kind, 43, samples)
-    assert np.array_equal(zeta, want_zeta)
-    assert np.array_equal(viol, want_viol)
+    assert np.array_equal(zeta, want_zeta[None])
+    assert np.array_equal(viol, want_viol[None])
+
+
+@pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
+@pytest.mark.parametrize("leaf_mode", ["bare", "free"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("kind", KINDS)
+def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, block_nodes,
+                                               monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
+    depth = DEPTH[q]
+    leaves = [leaf_for(leaf_mode, q, g) for g in GRID]
+    im, viol = _kernels.ray_batch(q, depth, EPS, GRID, leaves, kind, 1.0, 41, samples,
+                                  depth - 1, 1, GRID_CAPS, GRID_FLOORS)
+    zeta, zviol = _kernels.cavity_batch(q, depth, EPS, GRID, leaves, kind, 1.0, 43, samples,
+                                        GRID_CAPS, GRID_FLOORS)
+    assert im.shape == (len(GRID), samples, depth) and zeta.shape == (len(GRID), samples)
+    for i, gamma in enumerate(GRID):
+        args = ([gamma], [leaves[i]], kind, 1.0)
+        bounds = ([GRID_CAPS[i]], [GRID_FLOORS[i]])
+        one_im, one_viol = _kernels.ray_batch(q, depth, EPS, *args, 41, samples,
+                                              depth - 1, 1, *bounds)
+        assert np.array_equal(im[i], one_im[0])
+        assert np.array_equal(viol[i], one_viol[0])
+        one_zeta, one_zviol = _kernels.cavity_batch(q, depth, EPS, *args, 43, samples, *bounds)
+        assert np.array_equal(zeta[i], one_zeta[0])
+        assert np.array_equal(zviol[i], one_zviol[0])
+    # bare-leaf counters differ between gammas, so a mix-up of caps or floors shows
+    assert leaf_mode == "free" or len({tuple(v) for v in viol}) == len(GRID)
 
 
 @pytest.mark.parametrize("block_nodes", [1, 100, 700, 4096])
@@ -98,17 +131,19 @@ def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
     sweep = _kernels._sweep_block
     seen = []
 
-    def recording(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, keys, *rest):
+    def recording(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest):
         seen.append(keys.shape[0])
-        return sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, keys, *rest)
+        return sweep(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest)
 
     monkeypatch.setattr(_kernels, "_sweep_block", recording)
     q, depth, samples = 3, 5, 29
     batches = [
-        (4 * 3**4, lambda: _kernels.ray_batch(q, depth, EPS, GAMMA, None, _rng.POT_UNIFORM, 1.0,
-                                              5, samples, 2, 0, ABS_CAP, IM_FLOOR)),
-        (3**5, lambda: _kernels.cavity_batch(q, depth, EPS, GAMMA, None, _rng.POT_UNIFORM, 1.0,
-                                             7, samples, ABS_CAP, IM_FLOOR)),
+        (4 * 3**4, lambda: _kernels.ray_batch(q, depth, EPS, GRID, [None] * len(GRID),
+                                              _rng.POT_UNIFORM, 1.0, 5, samples, 2, 0,
+                                              GRID_CAPS, GRID_FLOORS)),
+        (3**5, lambda: _kernels.cavity_batch(q, depth, EPS, GRID, [None] * len(GRID),
+                                             _rng.POT_UNIFORM, 1.0, 7, samples,
+                                             GRID_CAPS, GRID_FLOORS)),
     ]
     for leaf_width, run in batches:
         seen.clear()

@@ -209,11 +209,11 @@ def test_mc_distance_only_dependence():
     means, stderrs = {}, {}
     for ray_branch in (0, 2):
         im, _ = _kernels.ray_batch(
-            2, 10, 0.25, gamma, tg.free_forward_green_complex(gamma, 2), SPEC.kind_code,
+            2, 10, 0.25, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
             SPEC.support_bound, _rng.derive_key(7, "mc-ray"), 3000, 2, ray_branch,
-            1.0 / gamma.imag, tg.imag_floor(2, 0.25, SPEC.support_bound, 0.5, 0.2),
+            [1.0 / gamma.imag], [tg.imag_floor(2, 0.25, SPEC.support_bound, 0.5, 0.2)],
         )
-        means[ray_branch], stderrs[ray_branch] = tg._mean_stderr(im)
+        means[ray_branch], stderrs[ray_branch] = tg._mean_stderr(im[0])
     for r in (1, 2):
         gap = abs(means[0][r] - means[2][r])
         sig = math.hypot(stderrs[0][r], stderrs[2][r])
@@ -267,6 +267,23 @@ def test_moments_deterministic_floor():
         assert p.abs_mean > 0 and np.isfinite(p.abs_mean)
         for s, (est, err) in p.inverse.items():
             assert np.isfinite(est) and np.isfinite(err)
+
+
+def test_moments_grid_points_share_balls():
+    # one key for the table: each point equals a one-point table of the same
+    # seed (|lam| is the same everywhere, so the floors match), counters included
+    lams, etas = [-0.5, 0.5], [0.1, 0.3]
+    table = tg.green_condition_moments(2, SPEC, 0.3, lams, etas, [1.0], samples=40, seed=6, depth=7)
+    points = iter(table.points)
+    for lam in lams:
+        for eta in etas:
+            single = tg.green_condition_moments(2, SPEC, 0.3, [lam], [eta], [1.0],
+                                                samples=40, seed=6, depth=7).points[0]
+            point = next(points)
+            assert (point.lam, point.eta) == (lam, eta)
+            assert point.abs_mean == single.abs_mean and point.abs_stderr == single.abs_stderr
+            assert point.square_mean == single.square_mean and point.inverse == single.inverse
+            assert np.array_equal(point.violations, single.violations)
 
 
 def test_moments_csv_rows():
