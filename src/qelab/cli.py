@@ -62,7 +62,6 @@ DEFAULT_CONFIG = {
         "eta_grid": [0.05, 0.1, 0.2, 0.4],
         "lambda_grid": [-1.0, -0.5, 0.0, 0.5, 1.0],
         "s_values": [1.0, 2.0],
-        "work_cap": tree_green.DEFAULT_WORK_CAP,
     },
     "conditions": {"c_lower": 0.1, "c_upper": 10.0, "bst_radii": [1, 2, 3, 4]},
     "esd": {"reference": "kesten-mckay"},
@@ -89,7 +88,7 @@ def _merge(defaults, override, path="config"):
 # of such values, and mc.depth may also be null (resolved below)
 _INTEGER_FIELDS = (
     "q", "n_values", "graph_seeds", "pot_seeds", "observable.vertex", "observable.seed",
-    "kernel.range", "mc.samples", "mc.depth", "mc.seed", "mc.work_cap",
+    "kernel.range", "mc.samples", "mc.depth", "mc.seed",
     "conditions.bst_radii", "lln.k_max",
 )
 _REAL_FIELDS = (
@@ -180,7 +179,7 @@ def resolve_config(raw: dict) -> dict:
     # resolve the MC depth now so the echoed config pins it
     if mc["depth"] is None:
         eta_min = min(cfg["eta0_values"])
-        mc["depth"] = tree_green.suggest_depth(q, max(eta_min, 0.05), work_cap=mc["work_cap"])
+        mc["depth"] = tree_green.suggest_depth(q, max(eta_min, 0.05))
     return cfg
 
 
@@ -272,7 +271,7 @@ class _Run:
             cfg["q"], _potential_spec(cfg), cfg["epsilon"],
             mc["lambda_grid"], mc["eta_grid"], mc["s_values"],
             mc["samples"], derive_key(mc["seed"], "moments"),
-            depth=mc["depth"], leaf_mode=mc["leaf_mode"], work_cap=mc["work_cap"],
+            depth=mc["depth"], leaf_mode=mc["leaf_mode"],
         )
         if self.strict:
             _check_cavity_bounds(table.total_violations(), "moment sweep")
@@ -480,8 +479,9 @@ class Stage(NamedTuple):
     """``compute(point)`` gives the stage's value at one grid point (None for a
     stage that writes only run-level results); ``write(run, out_dir, results)``
     writes its files from [(n, graph seed, pot seed, value)] in grid order.
-    ``reads`` names the ``_Run`` inputs that ``compute`` uses: they are built
-    before the grid, so worker processes receive them rather than rebuild them.
+    ``reads`` names the ``_Run`` inputs that the stage uses: they are built
+    before the grid, so their budget guards fire before any graph is built and
+    worker processes receive them rather than rebuild them.
     """
 
     compute: Callable | None
@@ -498,8 +498,8 @@ STAGES = {
     "esd": Stage(_esd, _write_esd, ("esd_reference",)),
     "lln": Stage(lambda point: esd.lln_moment_check(point.graph, point.potential,
                                                     point.cfg["lln"]["k_max"]), _write_lln),
-    "green-moments": Stage(None, _write_moments),
-    "green-flags": Stage(None, _write_flags),
+    "green-moments": Stage(None, _write_moments, ("moments",)),
+    "green-flags": Stage(None, _write_flags, ("moments",)),
     "density-km": Stage(None, _write_density),
 }
 
@@ -545,7 +545,7 @@ def _run_grid(run: _Run, names, threads: int):
 def _run_stages(cfg, names, out_dir, threads: int, strict: bool) -> None:
     run = _Run(cfg, strict)
     point_names = tuple(name for name in names if STAGES[name].compute is not None)
-    for name in point_names:
+    for name in names:
         for attr in STAGES[name].reads:
             getattr(run, attr)
     results = _run_grid(run, point_names, threads) if point_names else {}

@@ -151,19 +151,17 @@ def distance_and_geodesic(g: RegularGraph, x: int, y: int):
         raise ConfigError(f"vertex ids ({x}, {y}) out of range for n={g.n}")
     if x == y:
         return 0, [x]
-    parent = np.full(g.n, -1, dtype=np.int64)
-    parent[x] = x
+    parent = {x: x}
     frontier = deque([x])
     while frontier:
         u = frontier.popleft()
-        for v in g.neighbors[u]:
-            v = int(v)
-            if parent[v] < 0:
+        for v in g.neighbors[u].tolist():
+            if v not in parent:
                 parent[v] = u
                 if v == y:
                     path = [y]
                     while path[-1] != x:
-                        path.append(int(parent[path[-1]]))
+                        path.append(parent[path[-1]])
                     path.reverse()
                     return len(path) - 1, path
                 frontier.append(v)
@@ -294,7 +292,12 @@ class ExpansionReport:
     connected: bool
 
 
-def exp_check(g: RegularGraph, tol: float = 1e-8) -> ExpansionReport:
+# a deflated eigenvalue above 1 - CONNECTED_TOL is the Perron eigenvalue of
+# a second component
+CONNECTED_TOL = 1e-8
+
+
+def exp_check(g: RegularGraph) -> ExpansionReport:
     """Spectral-gap check of the normalized adjacency M = (q+1)^-1 A.
 
     beta = 1 - max{|mu| : mu != top Perron eigenvalue}.  The Perron vector
@@ -332,7 +335,7 @@ def exp_check(g: RegularGraph, tol: float = 1e-8) -> ExpansionReport:
     if gram_err > RESIDUAL_RTOL:
         raise InvariantError(f"expansion Ritz vectors deviate from orthonormal by {gram_err:.3e}")
 
-    connected = float(mu.max()) <= 1.0 - tol
+    connected = float(mu.max()) <= 1.0 - CONNECTED_TOL
     second = float(np.max(np.abs(mu)))
     beta = 1.0 - second
     if not connected:

@@ -205,8 +205,6 @@ class KernelAverageCurve:
     ratios: np.ndarray
     weights: np.ndarray
     eta: float
-    epsilon: float
-    q: int | None
     r_max: int
 
     def __call__(self, lam):
@@ -241,8 +239,6 @@ def unit_diagonal_curve(kernel: Kernel) -> KernelAverageCurve:
         ratios=np.ones((1, 2)),
         weights=kernel.distance_mass(),
         eta=0.0,
-        epsilon=0.0,
-        q=None,
         r_max=0,
     )
 
@@ -262,8 +258,6 @@ def kernel_average_simple(kernel: Kernel, profile: DistanceRatioProfile) -> Kern
         ratios=profile.ratios[: kernel.r_max + 1],
         weights=kernel.distance_mass(),
         eta=profile.eta,
-        epsilon=profile.epsilon,
-        q=profile.q,
         r_max=kernel.r_max,
     )
 
@@ -287,7 +281,7 @@ def kernel_average_general_curve(
     pot: PotentialAssignment,
     lambdas,
     eta0: float,
-    depth: int | None = None,
+    depth: int,
 ) -> TabulatedKernelAverage:
     """Lifted-average bracket tabulated over a lambda grid.
 
@@ -309,7 +303,7 @@ def kernel_average_general(
     g: RegularGraph,
     pot: PotentialAssignment,
     gamma,
-    depth: int | None = None,
+    depth: int,
 ):
     """Potential-dependent averaged bracket through the lifted Green function.
 
@@ -317,9 +311,6 @@ def kernel_average_general(
     total lifted diagonal mass; pair lifts follow BFS geodesics (always
     non-backtracking).
     """
-    gam = complex(gamma)
-    if depth is None:
-        depth = tree_green.suggest_depth(g.q, max(gam.imag, 0.05))
     paths = []
     for x, y in zip(kernel.rows, kernel.cols):
         if x == y:
@@ -327,7 +318,7 @@ def kernel_average_general(
         else:
             d, path = distance_and_geodesic(g, int(x), int(y))
             paths.append(path)
-    lifted = tree_green.lifted_green(g, pot, gam, depth, paths)
+    lifted = tree_green.lifted_green(g, pot, gamma, depth, paths)
     numerator = (kernel.values * lifted.pair_values.imag).sum()
     denominator = lifted.diagonals.imag.sum()
     return numerator / denominator
@@ -459,10 +450,8 @@ def _validate_window(lambda0: float, q: int | None) -> None:
 class EquivalenceTable:
     """Median gap between lifted and distance-only kernel averages, by size."""
 
-    n_values: list
     medians: list
     gaps: dict
-    monotone_decreasing: bool
 
 
 def average_equivalence_check(
@@ -474,8 +463,8 @@ def average_equivalence_check(
     lambdas,
     eta0: float,
     profile: DistanceRatioProfile,
+    cover_depth: int,
     kernel_builder=edge_kernel,
-    cover_depth: int | None = None,
 ) -> EquivalenceTable:
     """Gap |<K>_lifted - <K>_tree| over a size grid, medianed over seeds.
 
@@ -485,7 +474,6 @@ def average_equivalence_check(
     from .anderson import sample_potential
     from .graphs import generate_random_regular
 
-    n_values = list(n_values)
     medians = []
     gaps = {}
     for n in n_values:
@@ -501,7 +489,4 @@ def average_equivalence_check(
                 diffs.append(abs(lhs - rhs))
         gaps[n] = diffs
         medians.append(float(np.median(diffs)))
-    monotone = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
-    return EquivalenceTable(
-        n_values=n_values, medians=medians, gaps=gaps, monotone_decreasing=monotone
-    )
+    return EquivalenceTable(medians=medians, gaps=gaps)

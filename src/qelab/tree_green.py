@@ -83,21 +83,12 @@ def free_forward_green_complex(gamma, q: int) -> complex:
 # ----------------------------------------------------------------------
 
 
-def tree_work(q: int, depth: int, branches: int) -> int:
-    return _kernels.tree_node_count(q, depth, branches)
-
-
-def suggest_depth(
-    q: int,
-    eta: float,
-    branches: int | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> int:
-    """Depth heuristic ceil(8/eta) capped at 400 and at the work budget."""
-    branches = q + 1 if branches is None else branches
-    want = min(MAX_DEPTH, max(1, math.ceil(8.0 / max(eta, 1e-6))))
+def suggest_depth(q: int, eta: float) -> int:
+    """Depth heuristic ceil(8/eta), capped at 400 and at ``DEFAULT_WORK_CAP``
+    nodes per ball."""
+    want = min(MAX_DEPTH, max(1, math.ceil(8.0 / eta)))
     depth = 1
-    while depth < want and tree_work(q, depth + 1, branches) <= work_cap:
+    while depth < want and _kernels.tree_node_count(q, depth + 1, q + 1) <= DEFAULT_WORK_CAP:
         depth += 1
     return depth
 
@@ -111,12 +102,32 @@ def _leaf_value(gamma: complex, q: int, leaf_mode: str) -> complex | None:
     raise ConfigError(f"unknown leaf_mode {leaf_mode!r}; expected 'bare' or 'free'")
 
 
-def _require_eta(gamma: complex, epsilon: float, leaf_mode: str) -> None:
-    if gamma.imag > 0:
-        return
-    if gamma.imag == 0 and epsilon == 0.0 and leaf_mode == "free":
-        return  # closed-form free path; recursion is stationary there
-    raise ConfigError("eta must be strictly positive for Green evaluations")
+def _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode, lam_sup):
+    """Leaves, modulus caps 1/eta and Im floors (taken at |lambda| = ``lam_sup``)
+    of a gamma grid.
+
+    eta must be positive, except on the closed-form free path (eps = 0, free
+    leaves), where the recursion is stationary at eta = 0.
+    """
+    for g in gammas:
+        if not (g.imag > 0 or (g.imag == 0 and epsilon == 0.0 and leaf_mode == "free")):
+            raise ConfigError("eta must be strictly positive for Green evaluations")
+    leaves = [_leaf_value(g, q, leaf_mode) for g in gammas]
+    caps = [1.0 / g.imag if g.imag > 0 else np.inf for g in gammas]
+    floors = [imag_floor(q, epsilon, pot_spec.support_bound, lam_sup, g.imag) for g in gammas]
+    return leaves, caps, floors
+
+
+def _check_budget(ball_nodes: int, balls: int) -> None:
+    """BudgetError for a ball beyond ``DEFAULT_WORK_CAP`` nodes or a call
+    beyond ``DEFAULT_MC_WORK_CAP`` node visits."""
+    if ball_nodes > DEFAULT_WORK_CAP:
+        raise BudgetError(f"per-sweep work exceeds cap {DEFAULT_WORK_CAP}; lower the depth")
+    if ball_nodes * balls > DEFAULT_MC_WORK_CAP:
+        raise BudgetError(
+            f"MC budget {ball_nodes * balls} node visits exceeds {DEFAULT_MC_WORK_CAP}; "
+            "lower depth or samples"
+        )
 
 
 def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
@@ -153,18 +164,15 @@ def green_diagonal(zeta_children, omega_root: float, epsilon: float, gamma) -> c
 
 @dataclass(frozen=True)
 class RayExpectation:
-    """Sample means of Im G(root, y_r) for r = 0..r_max, with standard errors."""
+    """Sample means of Im G(root, y_r) for r = 0..r_max, with standard errors.
 
-    distances: np.ndarray
+    ``violations`` holds the sweeps' counts of sign, cap and floor
+    violations and of cavity values checked.
+    """
+
     means: np.ndarray
     stderrs: np.ndarray
-    samples: int
     violations: np.ndarray
-    gamma: complex
-    epsilon: float
-    q: int
-    depth: int
-    leaf_mode: str
 
 
 def _mean_stderr(columns: np.ndarray):
@@ -176,15 +184,14 @@ def _mean_stderr(columns: np.ndarray):
     return means, stderrs
 
 
-def _ray_grid(q, pot_spec, epsilon, gammas, r_max, depth, samples, batch_key, leaf_mode, lambda0):
+def _ray_grid(q, pot_spec, epsilon, gammas, r_max, depth, samples, batch_key, leaf_mode, lam_sup):
     """Sample means and stderrs of Im G(o, y_r), r = 0..r_max, at every gamma
     of a grid, all swept over the same ``samples`` balls of ``batch_key``.
 
-    The floors are taken at |lambda| = ``lambda0``.  Returns (means and
+    The floors are taken at |lambda| = ``lam_sup``.  Returns (means and
     stderrs of shape (G, r_max + 1), violation counters (G, 4)).  At
-    eps = 0 each gamma is the closed-form chain, with zero stderr.  The
-    grid beyond ``DEFAULT_MC_WORK_CAP`` node visits, or a ball beyond
-    ``DEFAULT_WORK_CAP`` nodes, raises BudgetError.
+    eps = 0 each gamma is the closed-form chain, with zero stderr; otherwise
+    the budget guard of ``_check_budget`` applies to the grid.
     """
     if samples < 1:
         raise ConfigError("need at least one sample")
@@ -192,17 +199,13 @@ def _ray_grid(q, pot_spec, epsilon, gammas, r_max, depth, samples, batch_key, le
         raise ConfigError(
             f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1"
         )
-    for g in gammas:
-        _require_eta(g, epsilon, leaf_mode)
-    floors = [imag_floor(q, epsilon, pot_spec.support_bound, lambda0, g.imag) for g in gammas]
-    abs_caps = [1.0 / g.imag if g.imag > 0 else np.inf for g in gammas]
-    viol = np.zeros((len(gammas), 4), dtype=np.int64)
-
+    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode, lam_sup)
     if epsilon == 0.0:
+        viol = np.zeros((len(gammas), 4), dtype=np.int64)
         means = np.empty((len(gammas), r_max + 1), dtype=np.float64)
         for i, g in enumerate(gammas):
             values = _zero_disorder_chain(q, depth, g, leaf_mode)
-            _kernels._check_vec(values, abs_caps[i], floors[i], viol[i])
+            _kernels._check_vec(values, caps[i], floors[i], viol[i])
             green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, g)
             means[i, 0] = green.imag
             for r in range(1, r_max + 1):
@@ -210,18 +213,10 @@ def _ray_grid(q, pot_spec, epsilon, gammas, r_max, depth, samples, batch_key, le
                 means[i, r] = green.imag
         return means, np.zeros_like(means), viol
 
-    work = tree_work(q, depth, q + 1) * samples * len(gammas)
-    if work > DEFAULT_MC_WORK_CAP:
-        raise BudgetError(
-            f"MC budget {work} node visits exceeds {DEFAULT_MC_WORK_CAP}; "
-            "lower depth or samples"
-        )
-    if tree_work(q, depth, q + 1) > DEFAULT_WORK_CAP:
-        raise BudgetError(f"per-sweep work exceeds cap {DEFAULT_WORK_CAP}; lower the depth")
+    _check_budget(_kernels.tree_node_count(q, depth, q + 1), samples * len(gammas))
     im, viol = _kernels.ray_batch(
-        q, depth, epsilon, gammas, [_leaf_value(g, q, leaf_mode) for g in gammas],
-        pot_spec.kind_code, pot_spec.support_bound, batch_key,
-        samples, r_max, 0, abs_caps, floors,
+        q, depth, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
+        batch_key, samples, r_max, 0, caps, floors,
     )
     means = np.empty((len(gammas), r_max + 1), dtype=np.float64)
     stderrs = np.empty_like(means)
@@ -240,34 +235,20 @@ def mc_expectation_im_green(
     samples: int,
     seed: int,
     leaf_mode: str = "free",
-    lambda0: float | None = None,
 ) -> RayExpectation:
     """Monte-Carlo estimate of E[Im G(o, y_r)] along one ray of the tree.
 
     Each sample sweeps an independent depth-L ball (substream keyed by the
     sample index), takes the Schur diagonal and multiplies cavity values
-    down the first ray.  Deterministic for fixed seed: fixed substreams,
-    fixed summation order.  A ball beyond ``DEFAULT_WORK_CAP`` nodes or a
-    call beyond ``DEFAULT_MC_WORK_CAP`` raises BudgetError.
+    down the first ray; the floors are taken at |lambda| = |Re gamma|.
+    Deterministic for fixed seed: fixed substreams, fixed summation order.
     """
     g = complex(gamma)
-    lam0 = abs(g.real) if lambda0 is None else lambda0
     means, stderrs, viol = _ray_grid(
         q, pot_spec, epsilon, [g], r_max, depth, samples,
-        _rng.derive_key(seed, "mc-ray"), leaf_mode, lam0,
+        _rng.derive_key(seed, "mc-ray"), leaf_mode, abs(g.real),
     )
-    return RayExpectation(
-        distances=np.arange(r_max + 1),
-        means=means[0],
-        stderrs=stderrs[0],
-        samples=samples,
-        violations=viol[0],
-        gamma=g,
-        epsilon=epsilon,
-        q=q,
-        depth=depth,
-        leaf_mode=leaf_mode,
-    )
+    return RayExpectation(means=means[0], stderrs=stderrs[0], violations=viol[0])
 
 
 @dataclass(frozen=True)
@@ -286,12 +267,7 @@ class DistanceRatioProfile:
     diag_means: np.ndarray
     diag_stderrs: np.ndarray
     eta: float
-    epsilon: float
-    q: int
     r_max: int
-    samples: int
-    depth: int
-    leaf_mode: str
     violations: np.ndarray
 
 
@@ -304,7 +280,7 @@ def distance_ratio_profile(
     lambdas,
     samples: int,
     seed: int,
-    depth: int | None = None,
+    depth: int,
     leaf_mode: str = "free",
 ) -> DistanceRatioProfile:
     """Monte-Carlo distance profile over a lambda grid.
@@ -316,9 +292,6 @@ def distance_ratio_profile(
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     if lambdas.size < 2:
         raise ConfigError("profile needs at least two lambda grid points")
-    if depth is None:
-        depth = suggest_depth(q, max(eta, 0.05))
-        depth = max(depth, r_max + 1)
     lam_sup = float(np.max(np.abs(lambdas)))
     means, stderrs, viol = _ray_grid(
         q, pot_spec, epsilon, [complex(lam, eta) for lam in lambdas], r_max, depth,
@@ -330,12 +303,7 @@ def distance_ratio_profile(
         diag_means=means[:, 0].copy(),
         diag_stderrs=stderrs[:, 0].copy(),
         eta=eta,
-        epsilon=epsilon,
-        q=q,
         r_max=r_max,
-        samples=samples,
-        depth=depth,
-        leaf_mode=leaf_mode,
         violations=viol.sum(axis=0),
     )
 
@@ -354,7 +322,6 @@ class MomentPoint:
     square_mean: float
     square_stderr: float
     inverse: dict
-    samples: int
     violations: np.ndarray
 
 
@@ -364,9 +331,6 @@ class GreenMomentTable:
 
     points: list
     s_values: tuple
-    epsilon: float
-    q: int
-    leaf_mode: str
     depth: int
 
     def csv_rows(self):
@@ -392,7 +356,7 @@ class GreenMomentTable:
         return min(abs_means), max(sq_means)
 
 
-def _moment_point(lam, eta, zeta_im, floor, s_list, samples, viol) -> MomentPoint:
+def _moment_point(lam, eta, zeta_im, floor, s_list, viol) -> MomentPoint:
     """Moments of the root field's imaginary parts ``zeta_im`` at one grid point.
 
     The inverse moments are taken of |Im z| clamped below at ``floor``.
@@ -407,7 +371,7 @@ def _moment_point(lam, eta, zeta_im, floor, s_list, samples, viol) -> MomentPoin
         m, e = _mean_stderr((clamped ** (-s))[:, None])
         inverse[s] = (float(m[0]), float(e[0]))
     return MomentPoint(lam, eta, float(abs_mean[0]), float(abs_err[0]),
-                       float(sq_mean[0]), float(sq_err[0]), inverse, samples, viol)
+                       float(sq_mean[0]), float(sq_err[0]), inverse, viol)
 
 
 def green_condition_moments(
@@ -419,73 +383,51 @@ def green_condition_moments(
     s_list,
     samples: int,
     seed: int,
-    depth: int | None = None,
+    depth: int,
     leaf_mode: str = "free",
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> GreenMomentTable:
     """Monte-Carlo moments of the root cavity field over a (lam, eta) grid.
 
     The inverse moments are clamped below at the deterministic floor
     eta/c_tilde**2 (a no-op in exact arithmetic) so they are finite by
-    construction.  Every grid point of one depth is swept over the same
-    balls (one key for the whole table; with ``depth=None`` the depth
-    follows eta); at eps = 0 the field is deterministic and every sample
-    coincides.
+    construction.  Every grid point is swept over the same balls (one key
+    and one call for the whole table, under the budget guard of
+    ``_check_budget``); at eps = 0 the field is deterministic and every
+    sample coincides.
     """
     lambda_grid = [float(x) for x in lambda_grid]
-    eta_grid = [float(x) for x in eta_grid]
     s_list = tuple(float(s) for s in s_list)
     if any(s <= 0 for s in s_list):
         raise ConfigError("inverse-moment exponents must be positive")
     lam_sup = max(abs(x) for x in lambda_grid)
-    grid = [(lam, eta) for lam in lambda_grid for eta in eta_grid]
-    points = [None] * len(grid)
-    sweeps = {}  # depth -> indices of the grid points swept at that depth
-    floors, abs_caps = [], []
-    for idx, (lam, eta) in enumerate(grid):
-        g = complex(lam, eta)
-        _require_eta(g, epsilon, leaf_mode)
-        floors.append(imag_floor(q, epsilon, pot_spec.support_bound, lam_sup, eta))
-        abs_caps.append(1.0 / eta if eta > 0 else np.inf)
-        use_depth = suggest_depth(q, max(eta, 1e-6), branches=q, work_cap=work_cap) if depth is None else depth
-        if epsilon != 0.0:
-            if tree_work(q, use_depth, q) > work_cap:
-                raise BudgetError(f"per-sweep work exceeds cap {work_cap}; lower the depth")
-            sweeps.setdefault(use_depth, []).append(idx)
-            continue
-        # the field is deterministic: a point mass whose moments are
-        # evaluated exactly rather than averaged over constant samples
+    grid = [(lam, float(eta)) for lam in lambda_grid for eta in eta_grid]
+    gammas = [complex(lam, eta) for lam, eta in grid]
+    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode, lam_sup)
+    if epsilon != 0.0:
+        _check_budget(_kernels.tree_node_count(q, depth, q), samples * len(gammas))
+        zeta, viol = _kernels.cavity_batch(
+            q, depth, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
+            _rng.derive_key(seed, "green-moments"), samples, caps, floors,
+        )
+        points = [_moment_point(lam, eta, zeta[i].imag, floors[i], s_list, viol[i])
+                  for i, (lam, eta) in enumerate(grid)]
+        return GreenMomentTable(points=points, s_values=s_list, depth=depth)
+    # the field is deterministic: a point mass whose moments are evaluated
+    # exactly rather than averaged over constant samples
+    points = []
+    for i, (lam, eta) in enumerate(grid):
         if leaf_mode == "free":
-            z = free_forward_green_complex(g, q)
+            z = leaves[i]
         else:
             # the root is the top of a chain one level longer
-            z = complex(_zero_disorder_chain(q, use_depth + 1, g, leaf_mode)[0])
+            z = complex(_zero_disorder_chain(q, depth + 1, gammas[i], leaf_mode)[0])
         viol = np.zeros(4, dtype=np.int64)
-        _kernels._check_vec(np.asarray([z]), abs_caps[idx], floors[idx], viol)
+        _kernels._check_vec(np.asarray([z]), caps[i], floors[i], viol)
         im_abs = abs(z.imag)
-        clamped = max(im_abs, floors[idx])
+        clamped = max(im_abs, floors[i])
         inverse = {s: (clamped ** (-s), 0.0) for s in s_list}
-        points[idx] = MomentPoint(lam, eta, im_abs, 0.0, z.imag * z.imag, 0.0,
-                                  inverse, samples, viol)
-    key = _rng.derive_key(seed, "green-moments")
-    for use_depth, indices in sweeps.items():
-        gammas = [complex(*grid[idx]) for idx in indices]
-        zeta, viol = _kernels.cavity_batch(
-            q, use_depth, epsilon, gammas, [_leaf_value(g, q, leaf_mode) for g in gammas],
-            pot_spec.kind_code, pot_spec.support_bound, key, samples,
-            [abs_caps[idx] for idx in indices], [floors[idx] for idx in indices],
-        )
-        for i, idx in enumerate(indices):
-            points[idx] = _moment_point(*grid[idx], zeta[i].imag, floors[idx], s_list,
-                                        samples, viol[i])
-    return GreenMomentTable(
-        points=points,
-        s_values=s_list,
-        epsilon=epsilon,
-        q=q,
-        leaf_mode=leaf_mode,
-        depth=depth if depth is not None else -1,
-    )
+        points.append(MomentPoint(lam, eta, im_abs, 0.0, z.imag * z.imag, 0.0, inverse, viol))
+    return GreenMomentTable(points=points, s_values=s_list, depth=depth)
 
 
 # ----------------------------------------------------------------------
@@ -500,8 +442,6 @@ class LiftedGreen:
     diagonals: np.ndarray
     pair_values: np.ndarray
     violations: np.ndarray
-    gamma: complex
-    depth: int
 
 
 def _directed_edge_ids(g, path) -> np.ndarray:
@@ -582,10 +522,4 @@ def lifted_green(
             for k, e in enumerate(edge_ids, start=1):
                 value *= history[depth - k][e]
         pair_values[i] = value
-    return LiftedGreen(
-        diagonals=diagonals,
-        pair_values=pair_values,
-        violations=viol,
-        gamma=g,
-        depth=depth,
-    )
+    return LiftedGreen(diagonals=diagonals, pair_values=pair_values, violations=viol)

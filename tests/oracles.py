@@ -105,7 +105,7 @@ def full_ball_green_row(
     Returns (row, omegas) with row[v] = G(root, v) for level-ordered v.
     """
     g = complex(gamma)
-    tree_green._require_eta(g, epsilon, leaf_mode)
+    (leaf,), _, _ = tree_green._grid_bounds(q, pot_spec, epsilon, [g], leaf_mode, abs(g.real))
     n = _kernels.tree_node_count(q, depth, branches)
     if n > 200000:
         raise BudgetError(f"full-ball evaluation on {n} nodes; lower the depth")
@@ -120,7 +120,7 @@ def full_ball_green_row(
         return epsilon * omegas[None, offsets[k] : offsets[k] + sizes[k - 1]]
 
     values_by_level: list[np.ndarray] = [None] * (depth + 1)
-    for k, values in _kernels.cavity_levels(q, sizes, g, tree_green._leaf_value(g, q, leaf_mode), site):
+    for k, values in _kernels.cavity_levels(q, sizes, g, leaf, site):
         values_by_level[k] = values[0]
 
     row = np.empty(n, dtype=np.complex128)

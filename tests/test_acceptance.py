@@ -65,7 +65,7 @@ def test_criterion_02_free_case_identities():
 
     lams = [0.0, 0.5, 1.0, 2.0]
     table = tg.green_condition_moments(
-        2, SPEC, 0.0, lams, [0.0], [1.0], samples=64, seed=2, leaf_mode="free"
+        2, SPEC, 0.0, lams, [0.0], [1.0], samples=64, seed=2, depth=12, leaf_mode="free"
     )
     for point, lam in zip(table.points, lams):
         want = math.sqrt(4 * 2 - lam * lam) / (2 * 2)

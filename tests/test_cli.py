@@ -88,20 +88,25 @@ def test_bad_n_rejected_before_the_profile(tmp_path, monkeypatch):
 
 def test_unpinned_depth_hits_the_profile_budget_at_once(tmp_path, monkeypatch):
     # the README's minimal config without mc.depth: the depth resolves to 22,
-    # and the profile's 97 lambdas x 256 balls of 1.26e7 nodes exceed the
-    # Monte-Carlo work cap before any ball or graph is built
+    # and the profile's 97 lambdas x 256 balls of 1.26e7 nodes (run), or the
+    # moment table's 20 points x 256 balls of 8.4e6 nodes (check-conditions),
+    # exceed the Monte-Carlo work cap before any ball or graph is built
     from qelab import _kernels, graphs
 
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the budget guard")
 
     monkeypatch.setattr(_kernels, "ray_batch", unreachable)
+    monkeypatch.setattr(_kernels, "cavity_batch", unreachable)
     monkeypatch.setattr(graphs, "generate_random_regular", unreachable)
     raw = {"q": 2, "n_values": [250, 1000], "graph_seeds": [101, 102], "pot_seeds": [201, 202],
            "epsilon": 0.2, "lambda0": 2.4, "eta0_values": [0.2]}
     assert cli.resolve_config(raw)["mc"]["depth"] == 22
     cfg = _write(tmp_path, raw)
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 3
+    for command in ("run", "check-conditions"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["config_resolved.json"]
 
 
 def test_exit_codes(tmp_path):
@@ -109,8 +114,10 @@ def test_exit_codes(tmp_path):
     assert cli.main(["run", "--config", _write(tmp_path, bad_window), "--out", str(tmp_path / "o1"), "--threads", "1"]) == 2
     missing = str(tmp_path / "nope.json")
     assert cli.main(["run", "--config", missing, "--out", str(tmp_path / "o2")]) == 2
-    over_budget = dict(MINI, mc={"samples": 32, "depth": 40, "lambda_spacing": 0.5, "work_cap": 1 << 20, "leaf_mode": "bare"})
+    over_budget = dict(MINI, mc={"samples": 32, "depth": 40, "lambda_spacing": 0.5, "leaf_mode": "bare"})
     assert cli.main(["green-moments", "--config", _write(tmp_path, over_budget, "b.json"), "--out", str(tmp_path / "o3"), "--threads", "1"]) == 3
+    work_cap = dict(MINI, mc={"samples": 32, "depth": 8, "work_cap": 1 << 20})
+    assert cli.main(["green-moments", "--config", _write(tmp_path, work_cap, "w.json"), "--out", str(tmp_path / "o4"), "--threads", "1"]) == 2
 
 
 def test_run_outputs_and_determinism(tmp_path):

@@ -185,7 +185,7 @@ def test_zero_kernel_statistic(small_case):
     kernel = qe.edge_kernel(g, value=0.0)
     curve = qe.KernelAverageCurve(
         lambdas=np.array([-3.0, 3.0]), ratios=np.zeros((2, 2)),
-        weights=np.zeros(2), eta=0.2, epsilon=0.2, q=2, r_max=1,
+        weights=np.zeros(2), eta=0.2, r_max=1,
     )
     rep = qe.qe_statistic_kernel(sd, kernel, 2.0, curve, q=2)
     assert rep.statistic == 0.0
@@ -222,7 +222,7 @@ def test_kernel_requires_real_for_positive_range(small_case):
     kernel = qe.edge_kernel(g)
     curve = qe.KernelAverageCurve(
         lambdas=np.array([-3.0, 3.0]), ratios=np.ones((2, 2)),
-        weights=np.zeros(2), eta=0.2, epsilon=0.2, q=2, r_max=1,
+        weights=np.zeros(2), eta=0.2, r_max=1,
     )
     complex_sd = anderson.SpectralData(
         eigenvalues=sd.eigenvalues,

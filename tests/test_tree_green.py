@@ -238,13 +238,24 @@ def test_mc_determinism_and_guards():
 
 def test_moments_free_exact_zero_variance():
     table = tg.green_condition_moments(
-        2, SPEC, 0.0, [0.0, 1.0], [0.0], [1.0], samples=32, seed=2, leaf_mode="free"
+        2, SPEC, 0.0, [0.0, 1.0], [0.0], [1.0], samples=32, seed=2, depth=12, leaf_mode="free"
     )
     for point, lam in zip(table.points, [0.0, 1.0]):
         want = math.sqrt(4 * 2 - lam * lam) / (2 * 2)
         assert point.abs_mean == want  # exact: closed form, zero variance
         assert point.abs_stderr == 0.0
         assert point.square_mean == want * want
+
+
+def test_moments_budget_guard_before_any_sweep(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the moment table swept a ball before its budget guard")
+
+    monkeypatch.setattr(_kernels, "cavity_batch", unreachable)
+    # 20 points x 256 balls of 8.4e6 nodes (q=2, depth 22) exceed DEFAULT_MC_WORK_CAP
+    lams, etas = [-1.0, -0.5, 0.0, 0.5, 1.0], [0.05, 0.1, 0.2, 0.4]
+    with pytest.raises(BudgetError, match="MC budget"):
+        tg.green_condition_moments(2, SPEC, 0.2, lams, etas, [1.0], samples=256, seed=1, depth=22)
 
 
 def test_moments_jensen_consistency():
@@ -377,5 +388,4 @@ def test_lifted_green_bound_checks():
 def test_suggest_depth_caps():
     assert tg.suggest_depth(2, 0.4) == 20
     deep = tg.suggest_depth(2, 0.001)
-    assert tg.tree_work(2, deep + 1, 3) > tg.DEFAULT_WORK_CAP or deep == tg.MAX_DEPTH
-    assert tg.suggest_depth(2, 0.02, work_cap=1 << 12) <= 11
+    assert _kernels.tree_node_count(2, deep + 1, 3) > tg.DEFAULT_WORK_CAP or deep == tg.MAX_DEPTH
