@@ -59,4 +59,5 @@ from .tree_green import (  # noqa: F401
     green_diagonal,
     lifted_green,
     mc_expectation_im_green,
+    pair_lifts,
 )

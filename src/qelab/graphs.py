@@ -67,20 +67,27 @@ class RegularGraph:
 
 
 def _neighbors_from_edges(n: int, q: int, edges: np.ndarray) -> np.ndarray:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[int(u)].append(int(v))
-        adj[int(v)].append(int(u))
-    out = np.empty((n, q + 1), dtype=np.int64)
-    for x in range(n):
-        if len(adj[x]) != q + 1:
-            raise ConfigError(f"vertex {x} has degree {len(adj[x])}, expected {q + 1}")
-        out[x] = sorted(adj[x])
-        if np.any(out[x][1:] == out[x][:-1]):
-            raise ConfigError(f"vertex {x} carries a repeated neighbor")
-        if x in out[x]:
-            raise ConfigError(f"vertex {x} carries a self-loop")
-    return out
+    """Sorted neighbor rows of an undirected edge list.
+
+    The first vertex with a degree other than q+1 or a repeated neighbor
+    raises (the degree check first); a self-loop lists its vertex twice, so
+    it shows as a repeated neighbor.
+    """
+    edges = edges.reshape(-1, 2)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    degree = np.bincount(src, minlength=n)
+    repeated = np.zeros(n, dtype=bool)
+    repeated[src[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])]] = True
+    bad = np.flatnonzero((degree != q + 1) | repeated)
+    if bad.size:
+        x = int(bad[0])
+        if degree[x] != q + 1:
+            raise ConfigError(f"vertex {x} has degree {degree[x]}, expected {q + 1}")
+        raise ConfigError(f"vertex {x} carries a repeated neighbor")
+    return dst.reshape(n, q + 1)
 
 
 def graph_from_edges(n: int, q: int, edges) -> RegularGraph:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng, tree_green
+from . import _rng, graphs, tree_green
 from .anderson import PotentialAssignment, SpectralData
 from .errors import ConfigError
-from .graphs import RegularGraph, distance_and_geodesic, distances_within
+from .graphs import RegularGraph, distances_within
 from .tree_green import DistanceRatioProfile
 
 
@@ -286,12 +286,13 @@ def kernel_average_general_curve(
     """Lifted-average bracket tabulated over a lambda grid.
 
     Feeds qe_statistic_kernel when the reference bracket should carry the
-    actual potential realization instead of the disorder average.
+    actual potential realization instead of the disorder average.  The
+    kernel entries are lifted once for the whole grid.
     """
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
+    lifts = _kernel_lifts(kernel, g)
     values = np.array([
-        kernel_average_general(kernel, g, pot, complex(lam, eta0), depth)
-        for lam in lambdas
+        _lifted_average(kernel, lifts, g, pot, complex(lam, eta0), depth) for lam in lambdas
     ])
     return TabulatedKernelAverage(
         lambdas=lambdas, values=values, eta=eta0, r_max=kernel.r_max
@@ -311,14 +312,25 @@ def kernel_average_general(
     total lifted diagonal mass; pair lifts follow BFS geodesics (always
     non-backtracking).
     """
-    paths = []
-    for x, y in zip(kernel.rows, kernel.cols):
-        if x == y:
-            paths.append([int(x)])
-        else:
-            d, path = distance_and_geodesic(g, int(x), int(y))
-            paths.append(path)
-    lifted = tree_green.lifted_green(g, pot, gamma, depth, paths)
+    return _lifted_average(kernel, _kernel_lifts(kernel, g), g, pot, gamma, depth)
+
+
+def _kernel_lifts(kernel: Kernel, g: RegularGraph) -> tree_green.PairLifts:
+    """Lifts of the kernel entries along their BFS geodesics.
+
+    An entry (x, x) lifts as [x] and an adjacent pair as [x, y], which is
+    the BFS geodesic of an edge; only pairs further apart run a BFS.
+    """
+    adjacent = (g.neighbors[kernel.rows] == kernel.cols[:, None]).any(axis=1)
+    paths = [
+        [x] if x == y else [x, y] if near else graphs.distance_and_geodesic(g, x, y)[1]
+        for x, y, near in zip(kernel.rows.tolist(), kernel.cols.tolist(), adjacent.tolist())
+    ]
+    return tree_green.pair_lifts(g, paths)
+
+
+def _lifted_average(kernel, lifts, g, pot, gamma, depth):
+    lifted = tree_green.lifted_green(g, pot, gamma, depth, lifts)
     numerator = (kernel.values * lifted.pair_values.imag).sum()
     denominator = lifted.diagonals.imag.sum()
     return numerator / denominator
@@ -483,8 +495,9 @@ def average_equivalence_check(
             kernel = kernel_builder(g)
             curve = kernel_average_simple(kernel, profile)
             pot = sample_potential(n, pot_spec, epsilon, ps)
+            lifts = _kernel_lifts(kernel, g)
             for lam in lambdas:
-                lhs = kernel_average_general(kernel, g, pot, complex(lam, eta0), depth=cover_depth)
+                lhs = _lifted_average(kernel, lifts, g, pot, complex(lam, eta0), cover_depth)
                 rhs = complex(curve(lam)).real
                 diffs.append(abs(lhs - rhs))
         gaps[n] = diffs

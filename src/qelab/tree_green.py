@@ -25,6 +25,7 @@ Cavity values z always satisfy Im z < 0, |z| <= 1/eta and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -444,16 +445,55 @@ class LiftedGreen:
     violations: np.ndarray
 
 
-def _directed_edge_ids(g, path) -> np.ndarray:
-    deg = g.q + 1
-    ids = np.empty(len(path) - 1, dtype=np.int64)
-    for k in range(len(path) - 1):
-        u, v = path[k], path[k + 1]
-        j = int(np.searchsorted(g.neighbors[u], v))
-        if j >= deg or g.neighbors[u][j] != v:
-            raise ConfigError(f"path step ({u}, {v}) is not an edge")
-        ids[k] = u * deg + j
-    return ids
+@dataclass(frozen=True)
+class PairLifts:
+    """Pairs lifted to the universal cover, independent of the potential and gamma.
+
+    Pair i starts at vertex ``starts[i]``; ``steps[i, k]`` is the directed
+    edge id (u*(q+1)+j for u -> neighbors[u, j]) of step k + 1 of its
+    non-backtracking path, and -1 past the end of the path.
+    """
+
+    starts: np.ndarray
+    steps: np.ndarray
+
+
+def _first_bad(mask: np.ndarray):
+    """(row, column) of the first True entry of a 2-D mask in row-major order."""
+    flat = int(np.argmax(mask))
+    return divmod(flat, mask.shape[1])
+
+
+def pair_lifts(graph, paths) -> PairLifts:
+    """Lift vertex paths [x, ..., y] (each at least one vertex, never
+    backtracking, every step an edge) to start vertices and edge-id steps."""
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    if lengths.size and lengths.min() < 1:
+        raise ConfigError("empty pair path")
+    width = int(lengths.max()) if lengths.size else 1
+    inside = np.arange(width) < lengths[:, None]
+    verts = np.full(inside.shape, -1, dtype=np.int64)
+    verts[inside] = np.fromiter(
+        itertools.chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum())
+    )
+    outside = inside & ((verts < 0) | (verts >= graph.n))
+    if np.any(outside):
+        i, k = _first_bad(outside)
+        raise ConfigError(f"vertex {verts[i, k]} of path {list(paths[i])} is out of range")
+    back = inside[:, 2:] & (verts[:, :-2] == verts[:, 2:])
+    if np.any(back):
+        i, k = _first_bad(back)
+        raise ConfigError(f"path {list(paths[i])} backtracks at step {k}")
+    # u -> v is an edge when v appears in row u of the neighbor table; its
+    # id takes the position j found there
+    u, v, live = verts[:, :-1], verts[:, 1:], inside[:, 1:]
+    hit = graph.neighbors[np.where(live, u, 0)] == v[:, :, None]
+    stray = live & ~hit.any(axis=2)
+    if np.any(stray):
+        i, k = _first_bad(stray)
+        raise ConfigError(f"path step ({u[i, k]}, {v[i, k]}) is not an edge")
+    steps = np.where(live, u * (graph.q + 1) + hit.argmax(axis=2), -1)
+    return PairLifts(starts=verts[:, 0].copy(), steps=steps)
 
 
 def lifted_green(
@@ -461,7 +501,7 @@ def lifted_green(
     pot,
     gamma,
     depth: int,
-    pairs,
+    lifts: PairLifts,
 ) -> LiftedGreen:
     """Green function of the lifted operator, truncated at cover depth L.
 
@@ -473,20 +513,17 @@ def lifted_green(
     geodesic, taking the message one round earlier per step so that every
     factor is the cavity value of the same truncated ball.  The result
     equals dense inversion of the materialized ball operator exactly.
+
+    The pairs come lifted (``pair_lifts``), so callers build the lifts once
+    per kernel and graph and reuse them for every gamma; the products run
+    one step at a time over all pairs.
     """
     g = complex(gamma)
     if g.imag <= 0:
         raise ConfigError("eta must be strictly positive for the lifted Green function")
     if depth < 1:
         raise ConfigError("depth must be at least 1")
-    max_steps = 0
-    for path in pairs:
-        if len(path) < 1:
-            raise ConfigError("empty pair path")
-        for k in range(len(path) - 2):
-            if path[k] == path[k + 2]:
-                raise ConfigError(f"path {path} backtracks at step {k}")
-        max_steps = max(max_steps, len(path) - 1)
+    max_steps = lifts.steps.shape[1]
     if depth < max_steps:
         raise ConfigError(
             f"cover depth {depth} shorter than a requested geodesic ({max_steps} steps)"
@@ -514,12 +551,9 @@ def lifted_green(
     deg = graph.q + 1
     site_sum = _kernels._sum_children(msg.reshape(graph.n, deg), deg)
     diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
-    pair_values = np.empty(len(pairs), dtype=np.complex128)
-    for i, path in enumerate(pairs):
-        value = diagonals[path[0]]
-        if len(path) > 1:
-            edge_ids = _directed_edge_ids(graph, list(path))
-            for k, e in enumerate(edge_ids, start=1):
-                value *= history[depth - k][e]
-        pair_values[i] = value
+    pair_values = diagonals[lifts.starts]
+    for k in range(1, max_steps + 1):
+        edge = lifts.steps[:, k - 1]
+        rows = np.flatnonzero(edge >= 0)
+        pair_values[rows] = _kernels.cmul_vec(pair_values[rows], history[depth - k][edge[rows]])
     return LiftedGreen(diagonals=diagonals, pair_values=pair_values, violations=viol)

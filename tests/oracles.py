@@ -2,15 +2,16 @@
 
 Each one is an independent or slower route to a quantity the package
 computes: the cavity fixed point by iteration, materialized tree balls for
-dense inversion, the full root row of a ball, the rational Kesten-McKay
-form, a single-sample tree sweep, and scalar potential draws.
+dense inversion, the full root row of a ball, the lifted Green function
+pair by pair, the rational Kesten-McKay form, a single-sample tree sweep,
+and scalar potential draws.
 """
 
 import math
 
 import numpy as np
 
-from qelab import _kernels, _rng, tree_green
+from qelab import _kernels, _rng, graphs, tree_green
 from qelab._rng import OMEGA_STRIDE, POT_RESCALED_BETA, POT_TWO_POINT, POT_UNIFORM, hash_u64
 from qelab.errors import BudgetError, ConfigError
 
@@ -134,6 +135,57 @@ def full_ball_green_row(
         prev = parents * values_by_level[k]
         row[offsets[k] : offsets[k] + width * q] = prev
     return row, omegas
+
+
+# ----------------------------------------------------------------------
+# lifted Green function, pair by pair
+# ----------------------------------------------------------------------
+
+
+def directed_edge_ids(g, path) -> np.ndarray:
+    """Directed edge ids along a vertex path, one neighbor search per step."""
+    deg = g.q + 1
+    ids = np.empty(len(path) - 1, dtype=np.int64)
+    for k in range(len(path) - 1):
+        u, v = path[k], path[k + 1]
+        j = int(np.searchsorted(g.neighbors[u], v))
+        if j >= deg or g.neighbors[u][j] != v:
+            raise ConfigError(f"path step ({u}, {v}) is not an edge")
+        ids[k] = u * deg + j
+    return ids
+
+
+def lifted_green_pairwise(graph, pot, gamma, depth, rows, cols):
+    """``tree_green.lifted_green`` for the entries (rows[i], cols[i]), one at a time.
+
+    Keeps the messages of every round (one round per call), runs a BFS
+    geodesic for every off-diagonal entry and multiplies its factors as
+    numpy scalars.  Returns (diagonals, pair values, violation counters).
+    """
+    g = complex(gamma)
+    floor = tree_green.imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, abs(g.real), g.imag)
+    targets = graph.directed_targets()
+    rev = graph.reverse_edge_index()
+    msg, viol = _kernels.messages_init(targets, pot.omega, pot.epsilon, g, 1.0 / g.imag, floor)
+    history = [msg]
+    for _ in range(1, depth):
+        msg, counts = _kernels.messages_advance(
+            targets, rev, pot.omega, pot.epsilon, g, msg, 1, 1.0 / g.imag, floor,
+        )
+        viol += counts
+        history.append(msg)
+    deg = graph.q + 1
+    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg), deg)
+    diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
+    pair_values = np.empty(len(rows), dtype=np.complex128)
+    for i, (x, y) in enumerate(zip(rows, cols)):
+        value = diagonals[x]
+        if x != y:
+            _, path = graphs.distance_and_geodesic(graph, int(x), int(y))
+            for k, e in enumerate(directed_edge_ids(graph, path), start=1):
+                value *= history[depth - k][e]
+        pair_values[i] = value
+    return diagonals, pair_values, viol
 
 
 # ----------------------------------------------------------------------

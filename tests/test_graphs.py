@@ -136,6 +136,36 @@ def test_generation_budget_grows_with_degree():
         graphs.generate_random_regular(100, 4, seed=19, max_attempts=0)
 
 
+def neighbors_oracle(n, edges):
+    """Sorted adjacency rows built one edge at a time."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return np.array([sorted(row) for row in adj], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,q,seed", [(1000, 2, 4), (300, 3, 11), (10000, 2, 501)])
+def test_neighbor_table_matches_adjacency_loop(n, q, seed):
+    g = graphs.generate_random_regular(n, q, seed)
+    assert g.neighbors.dtype == np.int64 and g.neighbors.flags.c_contiguous
+    assert np.array_equal(g.neighbors, neighbors_oracle(n, g.edges.tolist()))
+
+
+def test_graph_from_edges_error_messages():
+    # K4 without the edge (2, 3): vertex 2 is the first vertex of degree 2
+    with pytest.raises(ConfigError, match=r"^vertex 2 has degree 2, expected 3$"):
+        graphs.graph_from_edges(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    # a self-loop lists its vertex twice: with the right degree it is a
+    # repeated neighbor, and the first failing vertex is reported although
+    # vertices 2 and 3 have degree 2
+    with pytest.raises(ConfigError, match=r"^vertex 0 carries a repeated neighbor$"):
+        graphs.graph_from_edges(4, 2, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3)])
+    # the degree check comes first for the same vertex
+    with pytest.raises(ConfigError, match=r"^vertex 1 has degree 4, expected 3$"):
+        graphs.graph_from_edges(4, 2, [(1, 1), (0, 1), (1, 2), (0, 2), (0, 3), (2, 3)])
+
+
 def test_distance_and_geodesic_examples():
     k4 = graphs.generate_random_regular(4, 2, seed=1)
     assert graphs.distance_and_geodesic(k4, 0, 0) == (0, [0])

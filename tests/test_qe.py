@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from qelab import _kernels, _rng, anderson, graphs, qe, tree_green as tg
@@ -303,7 +304,7 @@ def test_kernel_average_general_examples(small_case):
     # R = 0 reduces to the lifted-diagonal weighted mean
     kd = qe.diagonal_kernel(obs)
     got = qe.kernel_average_general(kd, g, pot, 0.5 + 0.2j, depth=20)
-    lifted = tg.lifted_green(g, pot, 0.5 + 0.2j, 20, pairs=[[x] for x in range(g.n)])
+    lifted = tg.lifted_green(g, pot, 0.5 + 0.2j, 20, tg.pair_lifts(g, [[x] for x in range(g.n)]))
     want = (obs.values * lifted.diagonals.imag).sum() / lifted.diagonals.imag.sum()
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -314,6 +315,74 @@ def test_kernel_average_general_zero_disorder_mean(small_case):
     kd = qe.diagonal_kernel(obs)
     got = qe.kernel_average_general(kd, g, pot0, 0.3 + 0.2j, depth=60)
     assert got == pytest.approx(obs.values.mean(), abs=1e-12)
+
+
+def _lifted_kernels(g):
+    return [
+        qe.edge_kernel(g),
+        qe.ring_kernel(g, 2, value=0.5),
+        qe.ring_kernel(g, 3),
+        qe.diagonal_kernel(qe.make_observable("indicator", g.n, seed=17, alpha=0.5)),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_lifted_pairs_match_pairwise_oracle_bitwise(q):
+    # one lift per kernel and graph, products one step at a time over all
+    # entries: the same bits as a BFS geodesic and a scalar product per entry
+    g = graphs.generate_random_regular(48, q, seed=13)
+    pot = anderson.sample_potential(48, SPEC, 0.3, seed=8)
+    lambdas = [-1.7, 0.0, 0.4, 2.1]
+    for kernel in _lifted_kernels(g):
+        lifts = qe._kernel_lifts(kernel, g)
+        want_curve = []
+        for lam in lambdas:
+            gamma = complex(lam, 0.1)
+            got = tg.lifted_green(g, pot, gamma, 14, lifts)
+            diag, pairs, viol = oracles.lifted_green_pairwise(
+                g, pot, gamma, 14, kernel.rows, kernel.cols
+            )
+            assert np.array_equal(got.diagonals, diag), kernel.tag
+            assert np.array_equal(got.pair_values, pairs), kernel.tag
+            assert np.array_equal(got.violations, viol), kernel.tag
+            want_curve.append((kernel.values * pairs.imag).sum() / diag.imag.sum())
+        curve = qe.kernel_average_general_curve(kernel, g, pot, lambdas, 0.1, depth=14)
+        assert np.array_equal(curve.values, np.array(want_curve)), kernel.tag
+        per_lambda = [qe.kernel_average_general(kernel, g, pot, complex(lam, 0.1), depth=14)
+                      for lam in lambdas]
+        assert np.array_equal(curve.values, np.array(per_lambda)), kernel.tag
+
+
+def test_kernel_lifts_run_one_geodesic_per_far_entry(small_case, monkeypatch):
+    g, pot, _, _ = small_case
+    calls = []
+    bfs = graphs.distance_and_geodesic
+
+    def counted(*args):
+        calls.append(args[1:])
+        return bfs(*args)
+
+    monkeypatch.setattr(graphs, "distance_and_geodesic", counted)
+    lambdas = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    edges, ring2 = qe.edge_kernel(g), qe.ring_kernel(g, 2)
+    qe.kernel_average_general_curve(edges, g, pot, lambdas, 0.2, depth=10)
+    assert calls == []
+    qe.kernel_average_general_curve(ring2, g, pot, lambdas, 0.2, depth=10)
+    assert sorted(calls) == sorted(zip(ring2.rows.tolist(), ring2.cols.tolist()))
+
+    profile = tg.distance_ratio_profile(
+        2, SPEC, 0.2, 0.2, 2, [-1.0, 0.0, 1.0], samples=4, seed=1, depth=6
+    )
+    # one BFS per ring-2 entry and graph, none for the edge kernel
+    for builder, far in ((qe.edge_kernel, False), (lambda g: qe.ring_kernel(g, 2), True)):
+        calls.clear()
+        qe.average_equivalence_check(
+            2, SPEC, 0.2, [32, 40], [(1, 11), (2, 12)], lambdas, 0.2,
+            profile, cover_depth=10, kernel_builder=builder,
+        )
+        entries = sum(builder(graphs.generate_random_regular(n, 2, gs)).rows.size
+                      for n in (32, 40) for gs in (1, 2))
+        assert len(calls) == (entries if far else 0)
 
 
 def test_kernel_statistic_from_general_curve(small_case):

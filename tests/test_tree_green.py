@@ -344,7 +344,7 @@ def test_lifted_green_matches_cover_ball(n, seed, depth):
     gamma = 0.4 + 0.25j
     a = int(g.neighbors[0][0])
     b = int(next(w for w in g.neighbors[a] if w != 0))
-    lifted = tg.lifted_green(g, pot, gamma, depth, pairs=[[0], [0, a], [0, a, b]])
+    lifted = tg.lifted_green(g, pot, gamma, depth, tg.pair_lifts(g, [[0], [0, a], [0, a, b]]))
     dense, nodes = _cover_ball_oracle(g, pot, gamma, depth, 0)
     na = next(i for i, (v, pi) in enumerate(nodes) if pi == 0 and v == a)
     nb = next(i for i, (v, pi) in enumerate(nodes) if pi == na and v == b)
@@ -359,7 +359,7 @@ def test_lifted_green_zero_disorder_uniform():
     # so 400 rounds push the truncation error below 1e-12
     g = graphs.generate_random_regular(12, 2, seed=2)
     pot = anderson.sample_potential(12, SPEC, 0.0, seed=1)
-    lifted = tg.lifted_green(g, pot, 0.0 + 0.1j, 400, pairs=[[0]])
+    lifted = tg.lifted_green(g, pot, 0.0 + 0.1j, 400, tg.pair_lifts(g, [[0]]))
     free_diag = tg.green_diagonal(
         [tg.free_forward_green_complex(0.1j, 2)] * 3, 0.0, 0.0, 0.1j
     )
@@ -373,14 +373,53 @@ def test_lifted_green_rejects_backtracking():
     with pytest.raises(ConfigError, match="backtrack"):
         tg.lifted_green(
             g, anderson.sample_potential(10, SPEC, 0.1, seed=1),
-            0.2j, 5, pairs=[[0, a, 0]],
+            0.2j, 5, tg.pair_lifts(g, [[0, a, 0]]),
         )
+
+
+def test_pair_lifts_rejects_bad_paths():
+    g = graphs.generate_random_regular(10, 2, seed=4)
+    a = int(g.neighbors[0][0])
+    far = next(v for v in range(1, g.n) if v not in g.neighbors[0])
+    with pytest.raises(ConfigError, match=rf"path step \(0, {far}\) is not an edge"):
+        tg.pair_lifts(g, [[0], [0, a], [0, far]])
+    with pytest.raises(ConfigError, match="empty pair path"):
+        tg.pair_lifts(g, [[0], []])
+    with pytest.raises(ConfigError, match="out of range"):
+        tg.pair_lifts(g, [[0, a], [g.n]])
+    # the first bad path is reported, at its first bad step
+    b = int(next(w for w in g.neighbors[a] if w != 0))
+    with pytest.raises(ConfigError, match=rf"path \[0, {a}, 0\] backtracks at step 0"):
+        tg.pair_lifts(g, [[0, a, b], [0, a, 0], [a, 0, a]])
+
+
+def test_pair_lifts_table():
+    g = graphs.generate_random_regular(10, 2, seed=4)
+    a = int(g.neighbors[0][1])
+    b = int(next(w for w in g.neighbors[a] if w != 0))
+    lifts = tg.pair_lifts(g, [[3], [0, a, b], [0, a]])
+    # u -> neighbors[u, j] has id u*(q+1) + j
+    jb = int(np.searchsorted(g.neighbors[a], b))
+    assert lifts.starts.tolist() == [3, 0, 0]
+    assert lifts.steps.tolist() == [[-1, -1], [1, a * 3 + jb], [1, -1]]
+    assert tg.pair_lifts(g, [[1], [2]]).steps.shape == (2, 0)
+
+
+def test_lifted_green_rejects_depth_shorter_than_a_path():
+    g = graphs.generate_random_regular(10, 2, seed=4)
+    a = int(g.neighbors[0][0])
+    b = int(next(w for w in g.neighbors[a] if w != 0))
+    pot = anderson.sample_potential(10, SPEC, 0.1, seed=1)
+    lifts = tg.pair_lifts(g, [[0], [0, a, b]])
+    with pytest.raises(ConfigError, match=r"cover depth 1 shorter than a requested geodesic \(2 steps\)"):
+        tg.lifted_green(g, pot, 0.2j, 1, lifts)
+    assert tg.lifted_green(g, pot, 0.2j, 2, lifts).pair_values.shape == (2,)
 
 
 def test_lifted_green_bound_checks():
     g = graphs.generate_random_regular(30, 2, seed=9)
     pot = anderson.sample_potential(30, SPEC, 0.4, seed=3)
-    lifted = tg.lifted_green(g, pot, 0.1 + 0.15j, 30, pairs=[[0]])
+    lifted = tg.lifted_green(g, pot, 0.1 + 0.15j, 30, tg.pair_lifts(g, [[0]]))
     assert lifted.violations[:3].tolist() == [0, 0, 0]
     assert lifted.violations[3] > 0
 
