@@ -4,7 +4,11 @@ Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level over a (samples x level width) array, in sample blocks of at
 most ``_BLOCK_NODES`` nodes per level, and sweep every gamma of a grid over
 the potentials that a block draws once; message passing is vectorized
-across the directed edges of a graph.  Results are reproducible bit for bit
+across the directed edges of a graph.  A call allocates its level, round
+and scratch arrays once (``SweepWork`` for the trees) and reuses them at
+every level, block and round, so its memory is paged in once rather than
+at every level; the operations and their order are those of the plain
+array expressions.  Results are reproducible bit for bit
 and depend neither on the blocking nor on the other gammas of a grid: child
 sums run in child order, complex reciprocals and products go through
 explicit formulas, and potentials come from the counter-based streams of
@@ -32,6 +36,8 @@ nodes-visited].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._rng import draw_omega_vec, hash_u64_vec
@@ -55,16 +61,23 @@ def crecip_vec(z: np.ndarray) -> np.ndarray:
     return crecip_parts(z.real, z.imag)
 
 
-def crecip_parts(zr, zi) -> np.ndarray:
+def crecip_parts(zr, zi, out=None, den=None) -> np.ndarray:
     """1/(zr + 1j*zi) by ``crecip_scalar``'s formula, from real arrays (or scalars).
 
     Taking the parts apart saves the complex temporaries of the cavity
-    update gamma - eps*omega - sum, whose site term is real.
+    update gamma - eps*omega - sum, whose site term is real.  ``out``
+    (complex) and ``den`` (float), of the broadcast shape, are optional
+    buffers; ``out.imag`` holds zi*zi on the way.
     """
-    den = zr * zr + zi * zi
-    out = np.empty(np.shape(den), dtype=np.complex128)
-    out.real = zr / den
-    out.imag = -zi / den
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(zi)), dtype=np.complex128)
+    den = np.multiply(zr, zr, out=den if den is not None else np.empty(out.shape))
+    np.multiply(zi, zi, out=out.imag)
+    den += out.imag
+    np.divide(zr, den, out=out.real)
+    # -zi/den: the quotient of a negated operand is the negated quotient
+    np.divide(zi, den, out=out.imag)
+    np.negative(out.imag, out=out.imag)
     return out
 
 
@@ -82,6 +95,11 @@ def tree_node_count(q: int, depth: int, branches: int) -> int:
     return 1 + branches * per_branch
 
 
+def level_sizes(q: int, depth: int, branches: int) -> list[int]:
+    """Nodes per sample on each level 1..depth."""
+    return [branches * q**k for k in range(depth)]
+
+
 def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
     """Level-order id of the first node in each level, index 1..depth."""
     off = np.zeros(depth + 1, dtype=np.int64)
@@ -91,12 +109,23 @@ def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
     return off
 
 
-def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.ndarray) -> None:
+def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.ndarray,
+               scratch=None) -> None:
+    """Add the bound violations of ``values`` to ``viol``.
+
+    ``scratch`` is an optional (float64 array, bool array) pair of the shape
+    of ``values``.
+    """
+    if scratch is None:
+        scratch = np.empty(values.shape), np.empty(values.shape, dtype=bool)
+    scratch, mask = scratch
     viol[3] += values.size
     im = values.imag
-    viol[0] += int(np.count_nonzero(im >= 0.0))
-    viol[1] += int(np.count_nonzero(np.abs(values) > abs_cap * (1.0 + _SLACK)))
-    viol[2] += int(np.count_nonzero(-im < im_floor * (1.0 - _SLACK)))
+    viol[0] += int(np.count_nonzero(np.greater_equal(im, 0.0, out=mask)))
+    np.abs(values, out=scratch)
+    viol[1] += int(np.count_nonzero(np.greater(scratch, abs_cap * (1.0 + _SLACK), out=mask)))
+    # -im < floor exactly when im > -floor: negation is exact
+    viol[2] += int(np.count_nonzero(np.greater(im, -(im_floor * (1.0 - _SLACK)), out=mask)))
 
 
 # ----------------------------------------------------------------------
@@ -109,19 +138,61 @@ def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.nda
 _BLOCK_NODES = 2**16
 
 
-def _sum_children(kids, count):
+class SweepWork:
+    """Buffers that a tree sweep reuses from level to level and block to block.
+
+    Sized for ``rows`` samples of a ball whose levels hold ``sizes`` nodes
+    per sample: the level values (two, used in turn), the child sums, the
+    real and imaginary parts of the denominators and their squared modulus
+    (also the float scratch of the checks), the check mask, the uint64
+    scratch of the potential draws, and the potentials of every level.
+    Every array a level needs is a view of the first cells of one of these,
+    so a sweep touches the same pages at every level.
+    """
+
+    def __init__(self, rows: int, sizes):
+        cells = rows * max(sizes)
+        self._buffers = {
+            "level0": np.empty(cells, dtype=np.complex128),
+            "level1": np.empty(cells, dtype=np.complex128),
+            "sums": np.empty(cells, dtype=np.complex128),
+            "zr": np.empty(cells),
+            "zi": np.empty(cells),
+            "den": np.empty(cells),
+            "mask": np.empty(cells, dtype=bool),
+            "bits0": np.empty(cells, dtype=np.uint64),
+            "bits1": np.empty(cells, dtype=np.uint64),
+        }
+        self.sites = np.empty(rows * sum(sizes))
+        self._views = {}
+
+    def view(self, name: str, shape: tuple) -> np.ndarray:
+        """The first cells of buffer ``name`` as an array of ``shape``, made once per shape."""
+        view = self._views.get((name, shape))
+        if view is None:
+            view = self._buffers[name][: math.prod(shape)].reshape(shape)
+            self._views[(name, shape)] = view
+        return view
+
+
+def _sum_children(kids, count, out=None):
     """Sum of ``count`` children along the last axis, in child order from 0.
 
     The same bits as a scalar loop ``s = 0j; s += z``.  A last axis of
-    length 1 holds one value shared by all ``count`` children.
+    length 1 holds one value shared by all ``count`` children.  ``out`` is
+    an optional complex buffer of the result's shape.
     """
-    total = np.zeros(kids.shape[:-1], dtype=np.complex128)
+    total = np.empty(kids.shape[:-1], dtype=np.complex128) if out is None else out
+    total.fill(0.0)
     for j in range(count):
-        total = total + kids[..., j % kids.shape[-1]]
+        total += kids[..., j % kids.shape[-1]]
     return total
 
 
-def cavity_levels(q, sizes, gamma, leaf, site):
+_LEVEL_BUFFERS = ("level0", "level1")
+
+
+def cavity_levels(q, sizes, gamma, leaf, site, work):
     """The cavity recursion z = 1/(gamma - site - sum of q children), leaves first.
 
     Values have shape (samples, sizes[k-1]) at level k = 1..depth, in level
@@ -130,31 +201,46 @@ def cavity_levels(q, sizes, gamma, leaf, site):
     size 1 this is the eps = 0 chain, where all siblings coincide.
     ``site(k)`` returns eps*omega on level k with that shape; bare leaves
     call it, free leaves (``leaf`` not None) do not and are one row shared
-    by every sample.  Yields (k, values) for k = depth, ..., 1.
+    by every sample.  Yields (k, values) for k = depth, ..., 1; the values
+    live in the buffers of ``work`` (a ``SweepWork``) and are overwritten
+    two levels later.
     """
     depth = len(sizes)
     values = None
     for k in range(depth, 0, -1):
         width = sizes[k - 1]
-        if values is not None:
-            kids = values.reshape(values.shape[0], width, -1)
-            total = _sum_children(kids, q)
-            values = crecip_parts(gamma.real - site(k) - total.real, gamma.imag - total.imag)
-        elif leaf is None:
-            values = crecip_parts(gamma.real - site(k), gamma.imag)
+        out = _LEVEL_BUFFERS[k % 2]
+        if values is None and leaf is not None:
+            values = work.view(out, (1, width))
+            values.fill(leaf)
+            yield k, values
+            continue
+        pot = site(k)
+        if values is None:
+            shape = pot.shape
+            zr = np.subtract(gamma.real, pot, out=work.view("zr", shape))
+            zi = gamma.imag
         else:
-            values = np.full((1, width), leaf, dtype=np.complex128)
+            rows = values.shape[0]
+            total = _sum_children(values.reshape(rows, width, -1), q,
+                                  work.view("sums", (rows, width)))
+            shape = (max(pot.shape[0], rows), width)
+            zr = np.subtract(gamma.real, pot, out=work.view("zr", shape))
+            zr -= total.real
+            zi = np.subtract(gamma.imag, total.imag, out=work.view("zi", (rows, width)))
+        values = crecip_parts(zr, zi, work.view(out, shape), work.view("den", shape))
         yield k, values
 
 
 def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
-                 spine_len, ray_branch, abs_caps, im_floors):
+                 spine_len, ray_branch, abs_caps, im_floors, work):
     """One disorder realization per key swept over a depth-``depth`` tree ball,
     at every gamma of the grid ``gammas``.
 
     ``keys`` is uint64 of shape (m, 1); each sample draws its potentials
     level by level from the stream of its key, once per block, and every
     gamma is swept over the same draws with its own leaf, cap and floor.
+    ``work`` is a ``SweepWork`` for at least m rows of this ball.
     The spines hold the cavity values at depths 1..spine_len along the first
     ray of branch ``ray_branch``.  Returns (branch values (G, m, branches),
     spines (G, m, spine_len), root-site potentials (m,), violation counters
@@ -162,22 +248,28 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
     """
     m = keys.shape[0]
     offsets = level_offsets(q, depth, branches)
-    sizes = [branches * q**k for k in range(depth)]
+    sizes = level_sizes(q, depth, branches)
     sites = {}
 
     def site(k):
         if k not in sites:
+            shape = (m, sizes[k - 1])
             ids = offsets[k] + np.arange(sizes[k - 1], dtype=np.int64)
-            sites[k] = eps * draw_omega_vec(pot_kind, pot_a, keys, ids)
+            start = m * (offsets[k] - 1)
+            out = work.sites[start : start + m * sizes[k - 1]].reshape(shape)
+            scratch = (work.view("bits0", shape), work.view("bits1", shape))
+            sites[k] = draw_omega_vec(pot_kind, pot_a, keys, ids, out, scratch)
+            sites[k] *= eps
         return sites[k]
 
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
     branch = np.empty((len(gammas), m, branches), dtype=np.complex128)
     spine = np.empty((len(gammas), m, spine_len), dtype=np.complex128)
     for i, gamma in enumerate(gammas):
-        for k, values in cavity_levels(q, sizes, gamma, leaves[i], site):
+        for k, values in cavity_levels(q, sizes, gamma, leaves[i], site, work):
             counts = np.zeros(4, dtype=np.int64)
-            _check_vec(values, abs_caps[i], im_floors[i], counts)
+            scratch = work.view("den", values.shape), work.view("mask", values.shape)
+            _check_vec(values, abs_caps[i], im_floors[i], counts, scratch)
             viol[i] += counts * (m // values.shape[0])  # a free-leaf row stands for all m samples
             if k <= spine_len:
                 spine[i, :, k - 1] = values[:, ray_branch * q ** (k - 1)]
@@ -205,10 +297,12 @@ def ray_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     im = np.empty((len(gammas), samples, r_max + 1), dtype=np.float64)
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    for block in _sample_blocks(samples, (q + 1) * q ** (depth - 1)):
+    blocks = _sample_blocks(samples, (q + 1) * q ** (depth - 1))
+    work = SweepWork(blocks[0].stop, level_sizes(q, depth, q + 1))
+    for block in blocks:
         branch, spine, omega_root, counts = _sweep_block(
             q, depth, q + 1, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
-            r_max, ray_branch, abs_caps, im_floors,
+            r_max, ray_branch, abs_caps, im_floors, work,
         )
         viol += counts
         site_root = eps * omega_root
@@ -232,10 +326,12 @@ def cavity_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samp
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     zeta = np.empty((len(gammas), samples), dtype=np.complex128)
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    for block in _sample_blocks(samples, q**depth):
+    blocks = _sample_blocks(samples, q**depth)
+    work = SweepWork(blocks[0].stop, level_sizes(q, depth, q))
+    for block in blocks:
         branch, _, omega_root, counts = _sweep_block(
             q, depth, q, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
-            0, 0, abs_caps, im_floors,
+            0, 0, abs_caps, im_floors, work,
         )
         viol += counts
         site_root = eps * omega_root
@@ -264,13 +360,27 @@ def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floo
 
     Edge ids are vertex-major (u -> its j-th neighbor is u*deg + j), so row u
     of the (vertices, deg) view holds the messages out of u.  Returns
-    (messages, violation counters of the updates).
+    (messages, violation counters of the updates); ``msg`` is left as it is.
+    Every round reuses the buffers of the first, in the order of operations
+    of ``crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))``.
     """
     viol = np.zeros(4, dtype=np.int64)
     deg = nbrs.size // omega.size
-    site_pot = eps * omega[nbrs]
-    for _ in range(rounds):
-        site_sum = _sum_children(msg.reshape(-1, deg), deg)
-        msg = crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))
-        _check_vec(msg, abs_cap, im_floor, viol)
+    g = complex(gamma)
+    # the real part of gamma - site_pot; its imaginary part is g.imag - 0.0 = g.imag
+    base = g.real - eps * omega[nbrs]
+    outs = (np.empty_like(msg), np.empty_like(msg))
+    site_sum = np.empty(omega.size, dtype=np.complex128)
+    diff = np.empty_like(msg)
+    zr, zi, den = np.empty(msg.size), np.empty(msg.size), np.empty(msg.size)
+    scratch = zr, np.empty(msg.size, dtype=bool)  # zr is free once msg is built
+    for r in range(rounds):
+        out = outs[r % 2]
+        _sum_children(msg.reshape(-1, deg), deg, site_sum)
+        np.take(site_sum, nbrs, out=diff)
+        diff -= np.take(msg, rev, out=out)
+        np.subtract(base, diff.real, out=zr)
+        np.subtract(g.imag, diff.imag, out=zi)
+        msg = crecip_parts(zr, zi, out, den)
+        _check_vec(msg, abs_cap, im_floor, viol, scratch)
     return msg, viol

@@ -20,6 +20,7 @@ where ``mix64`` is the splitmix64 finalizer (Vigna's constants).
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -68,46 +69,77 @@ def derive_key(key: int, *indices: int | str) -> int:
 # ----------------------------------------------------------------------
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_vec(z: np.ndarray, tmp=None) -> np.ndarray:
+    """splitmix64 finalizer of ``z`` in place; ``tmp`` is uint64 scratch of its shape."""
+    tmp = np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
-def hash_u64_vec(key, ctrs: np.ndarray) -> np.ndarray:
+def hash_u64_vec(key, ctrs: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """``hash_u64`` over an array of counters.
 
     ``key`` is an int or a uint64 array of shape (m, 1), which broadcasts
     against ``ctrs`` to give m streams at once, each with the same bits as
-    its scalar key.
+    its scalar key.  ``out`` and ``tmp`` are optional uint64 buffers of the
+    result's shape; the result is written into ``out`` when given.
     """
     ctrs = ctrs.astype(np.uint64, copy=False)
-    z = np.uint64(key) + (ctrs + np.uint64(1)) * np.uint64(GOLDEN)
-    return _mix64_vec(z)
+    z = np.add(np.uint64(key), (ctrs + np.uint64(1)) * np.uint64(GOLDEN), out=out)
+    return _mix64_vec(z, tmp)
+
+
+def _unit_from_bits(bits: np.ndarray, out=None) -> np.ndarray:
+    """53-bit integers ``bits`` times 2**-53, into the float64 array ``out`` when given."""
+    if out is None:
+        out = bits.astype(np.float64)
+    else:
+        np.copyto(out, bits)
+    out *= 2.0**-53
+    return out
 
 
 def uniform01_vec(h: np.ndarray) -> np.ndarray:
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _unit_from_bits(h >> np.uint64(11))
 
 
-def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray) -> np.ndarray:
+def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray, out=None,
+                   scratch=None) -> np.ndarray:
     """Vectorized i.i.d. draws from the site-potential distribution.
 
     ``indices`` are sample counters (vertex ids or tree-node ids); each index
     owns OMEGA_STRIDE consecutive counters in the stream keyed by ``key``.
     A key array of shape (m, 1) gives draws of shape (m, len(indices)).
+    A caller that sweeps level after level may pass ``out`` (float64) and
+    ``scratch`` (two uint64 arrays), each of the result's shape, to reuse
+    them; the draws are the same bits either way.
     """
+    bits, tmp = scratch if scratch is not None else (None, None)
     base = indices.astype(np.uint64) * np.uint64(OMEGA_STRIDE)
-    u0 = uniform01_vec(hash_u64_vec(key, base))
+    h = hash_u64_vec(key, base, bits, tmp)
+    h >>= np.uint64(11)
+    u0 = _unit_from_bits(h, out)
     if kind == POT_UNIFORM:
-        return bound * (2.0 * u0 - 1.0)
+        # bound * (2 u0 - 1), in place
+        u0 *= 2.0
+        u0 -= 1.0
+        u0 *= bound
+        return u0
     if kind == POT_TWO_POINT:
-        return np.where(u0 >= 0.5, bound, -bound)
+        u0[...] = np.where(u0 >= 0.5, bound, -bound)
+        return u0
     if kind == POT_RESCALED_BETA:
         u1 = uniform01_vec(hash_u64_vec(key, base + np.uint64(1)))
         u2 = uniform01_vec(hash_u64_vec(key, base + np.uint64(2)))
         med = np.minimum(np.maximum(np.minimum(u0, u1), u2), np.maximum(u0, u1))
-        return bound * (2.0 * med - 1.0)
+        u0[...] = bound * (2.0 * med - 1.0)
+        return u0
     raise ValueError(f"unknown potential kind code {kind}")
 
 

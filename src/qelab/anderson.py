@@ -2,9 +2,10 @@
 
 The operator is H = A + eps * diag(omega) on a (q+1)-regular graph, with the
 site potentials omega drawn i.i.d. from a compactly supported distribution.
-Eigendecomposition is dense divide-and-conquer LAPACK (scipy.linalg.eigh,
-driver "evd") behind a dimension cap; every decomposition is checked against
-residual and orthonormality bounds.
+H has one format, the dense symmetric ndarray, built behind a dimension
+cap.  Eigendecomposition is divide-and-conquer LAPACK (``numpy.linalg.eigh``,
+driver syevd); every decomposition is checked against residual and
+orthonormality bounds.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from . import _rng
 from .errors import BudgetError, ConfigError, InvariantError
@@ -98,11 +97,12 @@ def sample_potential(n: int, spec: PotentialSpec, epsilon: float, seed: int) -> 
     return PotentialAssignment(omega=omega, epsilon=float(epsilon), spec=spec)
 
 
-def assemble(graph, pot: PotentialAssignment):
-    """H = A + eps * diag(omega) as a CSR matrix.
+def assemble(graph, pot: PotentialAssignment) -> np.ndarray:
+    """H = A + eps * diag(omega) as a dense symmetric array.
 
     ``graph`` needs only ``n`` and ``edges``; test fixtures may pass
-    non-regular edge lists through a (n, edges) tuple.
+    non-regular edge lists through a (n, edges) tuple.  A vertex count above
+    ``DIMENSION_CAP`` raises BudgetError before anything is allocated.
     """
     if isinstance(graph, tuple):
         n, edges = graph
@@ -111,10 +111,20 @@ def assemble(graph, pot: PotentialAssignment):
         n, edges = graph.n, graph.edges
     if pot.omega.size != n:
         raise ConfigError(f"potential length {pot.omega.size} != vertex count {n}")
-    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    vals = np.concatenate([np.ones(2 * len(edges)), pot.epsilon * pot.omega])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    _check_dimension(n, DIMENSION_CAP)
+    h = np.zeros((n, n), dtype=np.float64)
+    h[edges[:, 0], edges[:, 1]] = 1.0
+    h[edges[:, 1], edges[:, 0]] = 1.0
+    h[np.diag_indices(n)] = pot.epsilon * pot.omega
+    return h
+
+
+def _check_dimension(n: int, dimension_cap: int) -> None:
+    if n > dimension_cap:
+        raise BudgetError(
+            f"dimension {n} exceeds the dense-solver cap {dimension_cap}; "
+            "lower the vertex count"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,25 +155,19 @@ def _canonical_signs(vecs: np.ndarray) -> None:
     vecs *= np.where(flip, -1.0, 1.0)
 
 
-def eigendecompose(matrix, dimension_cap: int = DIMENSION_CAP) -> SpectralData:
-    """Dense symmetric eigendecomposition (divide and conquer) with invariant checks.
-
-    ``matrix`` is sparse (as ``assemble`` returns it) or dense.  The checks
-    run on its CSR form; only the input of ``eigh`` is densified.
-    """
+def eigendecompose(matrix: np.ndarray, dimension_cap: int = DIMENSION_CAP) -> SpectralData:
+    """Dense symmetric eigendecomposition (divide and conquer) with invariant checks."""
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ConfigError("operator must be square")
-    if n > dimension_cap:
-        raise BudgetError(
-            f"dimension {n} exceeds the dense-solver cap {dimension_cap}; "
-            "lower the vertex count"
-        )
-    h = scipy.sparse.csr_matrix(matrix, dtype=np.float64)
+    _check_dimension(n, dimension_cap)
+    h = np.asarray(matrix, dtype=np.float64)
     # |h - h.T| <= 1e-12 entrywise; a NaN fails the comparison
-    if not np.all(np.abs((h - h.T).data) <= 1e-12):
+    asym = h - h.T
+    if not np.all(np.abs(asym, out=asym) <= 1e-12):
         raise ConfigError("operator is not symmetric")
-    vals, vecs = scipy.linalg.eigh(h.toarray(), driver="evd")
+    del asym
+    vals, vecs = np.linalg.eigh(h)
     if n == 0:
         return SpectralData(eigenvalues=vals, eigenvectors=vecs)
     _canonical_signs(vecs)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import _kernels, _rng, tree_green
 from .anderson import PotentialSpec, SpectralData
@@ -212,27 +211,44 @@ def tree_return_moment(q: int, k: int, epsilon: float, pot_spec: PotentialSpec) 
     return total
 
 
+def _times_h(keys, vals, nbrs, site):
+    """The entries of P @ H from those of P.
+
+    Entries are sorted keys row*n + col with their values; equal keys are
+    summed.  H is the adjacency of the neighbor table ``nbrs`` plus
+    diag(``site``), or no diagonal when ``site`` is None.
+    """
+    n, deg = nbrs.shape
+    rows, cols = np.divmod(keys, n)
+    new_keys = [(rows[:, None] * n + nbrs[cols]).reshape(-1)]
+    new_vals = [np.repeat(vals, deg)]
+    if site is not None:
+        new_keys.append(keys)
+        new_vals.append(vals * site[cols])
+    out, slot = np.unique(np.concatenate(new_keys), return_inverse=True)
+    return out, np.bincount(slot, weights=np.concatenate(new_vals), minlength=out.size)
+
+
 def graph_return_moment(graph, pot, k: int) -> float:
-    """trace(H^k) / n via sparse powers; exact integers when eps = 0."""
+    """trace(H^k) / n from the neighbor table and eps*omega; no n x n array.
+
+    H^ceil(k/2) and H^floor(k/2) are built as sorted (row, col, value)
+    entries, and the trace of their product (H is symmetric) is the sum of
+    the products of their common entries.  At eps = 0 every value is a walk
+    count, an integer held exactly, so the moment is exact.
+    """
     if k > LLN_K_CAP:
         raise ConfigError(f"moment order {k} beyond the cap {LLN_K_CAP}")
     if k == 0:
         return 1.0
     n = graph.n
-    if pot.epsilon == 0.0:
-        rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-        cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-        h = scipy.sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
-        )
-    else:
-        from .anderson import assemble
-
-        h = assemble(graph, pot)
-    power = h.copy()
-    for _ in range(k - 1):
-        power = power @ h
-    return float(power.diagonal().sum()) / n
+    site = pot.epsilon * pot.omega if pot.epsilon != 0.0 else None
+    powers = [(np.arange(n) * (n + 1), np.ones(n))]  # the identity
+    for _ in range((k + 1) // 2):
+        powers.append(_times_h(*powers[-1], graph.neighbors, site))
+    (left_keys, left), (right_keys, right) = powers[(k + 1) // 2], powers[k // 2]
+    _, li, ri = np.intersect1d(left_keys, right_keys, assume_unique=True, return_indices=True)
+    return float(np.sum(left[li] * right[ri])) / n
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ of self-loops and multi-edges, so every accepted graph is simple and exactly
 regular.  All structural queries (distances, geodesics, injectivity radii,
 expansion) are deterministic: neighbor lists are stored sorted ascending and
 BFS ties resolve to the smallest neighbor id.  Nothing here builds an n x n
-array: the expansion check runs Lanczos on the sparse adjacency.
+array: the expansion check runs Lanczos on the neighbor table.
 """
 
 from __future__ import annotations
@@ -130,9 +130,10 @@ def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None 
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         keys = lo * n + hi
-        if np.unique(keys).size != keys.size:
-            continue
         order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        if np.any(ordered[1:] == ordered[:-1]):
+            continue
         edges = np.stack([lo[order], hi[order]], axis=1)
         neighbors = _neighbors_from_edges(n, q, edges)
         return RegularGraph(n=n, q=q, neighbors=neighbors, edges=edges)
@@ -249,13 +250,13 @@ def _bfs_cycles(g: RegularGraph):
             cand = np.sort((slot[:, None] * n + nbrs[vert]).reshape(-1))
             cand = cand[~_sorted_member(prev, cand)]  # the edge back to the parent
             inside = _sorted_member(front, cand)
-            odd = np.unique(cand[inside] // n)
+            odd = cand[inside] // n  # repeated slots only assign the same values again
             cycle[src[odd]] = 2 * m - 1
             done[odd] = True
             fresh = cand[~inside]
             first = np.ones(fresh.size, dtype=bool)
             first[1:] = fresh[1:] != fresh[:-1]
-            even = np.unique(fresh[~first] // n)
+            even = fresh[~first] // n
             even = even[~done[even]]
             cycle[src[even]] = 2 * m
             done[even] = True
@@ -302,38 +303,94 @@ class ExpansionReport:
 # a deflated eigenvalue above 1 - CONNECTED_TOL is the Perron eigenvalue of
 # a second component
 CONNECTED_TOL = 1e-8
+# Lanczos stops once the Ritz estimates of both ends are this small
+LANCZOS_TOL = RESIDUAL_RTOL / 100
+LANCZOS_MAX_STEPS = 5000
+LANCZOS_CHECK_SPACING = 8
+
+
+def _lanczos_step(op, v, v_prev, beta_prev):
+    """One step of the three-term recurrence: (alpha, unnormalized next vector)."""
+    w = op(v)
+    w -= beta_prev * v_prev
+    alpha = float(v @ w)
+    w -= alpha * v
+    return alpha, w
+
+
+def _lanczos_ends(op, start, n: int):
+    """Lowest and highest eigenpair of the symmetric operator ``op`` by Lanczos.
+
+    No basis is stored: the first pass keeps the recurrence coefficients and,
+    per end, the step at which its Ritz estimate |beta_m s_{m,i}| fell to
+    ``LANCZOS_TOL`` with the eigenvector s of that tridiagonal matrix; a
+    second pass runs the same recurrence again and sums the Ritz vectors.
+    Each end keeps the Krylov space in which it converged, before a spurious
+    copy of it can appear.  Returns (eigenvalues (2,), vectors (n, 2)).
+    """
+    alphas, betas = [], []
+    found = [None, None]  # per end: (step, Ritz value, eigenvector of T)
+    v_prev = np.zeros(n)
+    v = start / np.linalg.norm(start)
+    beta = 0.0
+    check = 1
+    cap = min(LANCZOS_MAX_STEPS, n)  # Krylov spaces have dimension at most n
+    for m in range(1, cap + 1):
+        alpha, w = _lanczos_step(op, v, v_prev, beta)
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta <= LANCZOS_TOL or m == check or m == cap:
+            # every step up to 16, then every m/SPACING-th: the checks cost
+            # O(m**3) summed, and end at most m/SPACING steps late
+            check = m + max(1, m // LANCZOS_CHECK_SPACING) if m >= 16 else m + 1
+            t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+            theta, s = np.linalg.eigh(t)
+            for end, col in enumerate((0, m - 1)):
+                if found[end] is None and abs(beta * s[-1, col]) <= LANCZOS_TOL:
+                    found[end] = (m, theta[col], s[:, col])
+            if found[0] is not None and found[1] is not None:
+                break
+        v_prev, v = v, w / beta
+    else:
+        raise InvariantError(f"expansion Lanczos did not converge in {cap} steps")
+
+    vecs = np.zeros((n, 2))
+    v_prev = np.zeros(n)
+    v = start / np.linalg.norm(start)
+    last = max(found[0][0], found[1][0])
+    for j in range(last):
+        for end, (steps, _, s) in enumerate(found):
+            if j < steps:
+                vecs[:, end] += s[j] * v
+        if j + 1 < last:
+            _, w = _lanczos_step(op, v, v_prev, betas[j - 1] if j else 0.0)
+            v_prev, v = v, w / betas[j]
+    return np.array([found[0][1], found[1][1]]), vecs
 
 
 def exp_check(g: RegularGraph) -> ExpansionReport:
     """Spectral-gap check of the normalized adjacency M = (q+1)^-1 A.
 
     beta = 1 - max{|mu| : mu != top Perron eigenvalue}.  The Perron vector
-    u = 1/sqrt(n) of a regular graph is exact, so Lanczos (ARPACK) runs on
-    the deflated operator M - u u^T and returns its two end eigenvalues.  A
-    disconnected graph keeps eigenvalue 1 after the deflation and reports
-    beta <= 0 with connected=False.  The Lanczos start vector comes from a
-    counter stream keyed by (n, q), never from ARPACK's internal generator,
-    so the result does not depend on earlier calls; the returned Ritz pairs
-    pass the residual and orthonormality checks of ``eigendecompose``.
+    u = 1/sqrt(n) of a regular graph is exact, so Lanczos runs on the
+    deflated operator M - u u^T, applied through the neighbor table, and
+    returns its two end eigenvalues.  A disconnected graph keeps eigenvalue
+    1 after the deflation and reports beta <= 0 with connected=False.  The
+    Lanczos start vector comes from a counter stream keyed by (n, q), so the
+    result does not depend on earlier calls; memory is O(n), and the
+    returned Ritz pairs pass the residual and orthonormality checks of
+    ``eigendecompose``.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
     n, deg = g.n, g.q + 1
-    adj = scipy.sparse.csr_matrix(
-        (np.full(n * deg, 1.0 / deg), g.directed_targets(), g.directed_indptr()),
-        shape=(n, n),
-    )
+    nbrs = np.ascontiguousarray(g.neighbors.T)
 
     def deflated(x):  # (M - u u^T) x for a vector or a block of columns
-        return adj @ x - x.sum(axis=0) / n
+        return x[nbrs].sum(axis=0) / deg - x.sum(axis=0) / n
 
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=deflated, matmat=deflated, dtype=np.float64
-    )
     key = derive_key(n, "exp-check", g.q)
     v0 = uniform01_vec(hash_u64_vec(key, np.arange(n, dtype=np.uint64))) - 0.5
-    mu, vecs = scipy.sparse.linalg.eigsh(op, k=2, which="BE", v0=v0)
+    mu, vecs = _lanczos_ends(deflated, v0, n)
 
     residual = float(np.max(np.abs(deflated(vecs) - vecs * mu)))
     if residual > RESIDUAL_RTOL * max(float(np.max(np.abs(mu))), 1.0):

@@ -144,7 +144,9 @@ def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
         return np.full(depth, leaf, dtype=np.complex128)
     values = np.empty(depth, dtype=np.complex128)
     no_site = np.zeros((1, 1))
-    for k, level in _kernels.cavity_levels(q, [1] * depth, gamma, leaf, lambda k: no_site):
+    sizes = [1] * depth
+    work = _kernels.SweepWork(1, sizes)
+    for k, level in _kernels.cavity_levels(q, sizes, gamma, leaf, lambda k: no_site, work):
         values[k - 1] = level[0, 0]
     return values
 

@@ -4,16 +4,20 @@ Each one is an independent or slower route to a quantity the package
 computes: the cavity fixed point by iteration, materialized tree balls for
 dense inversion, the full root row of a ball, the lifted Green function
 pair by pair, the rational Kesten-McKay form, a single-sample tree sweep,
-and scalar potential draws.
+scalar potential draws, and the scipy routes (CSR powers, ARPACK) that the
+numpy moment and expansion checks replace.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
-from qelab import _kernels, _rng, graphs, tree_green
+from qelab import _kernels, _rng, esd, graphs, tree_green
 from qelab._rng import OMEGA_STRIDE, POT_RESCALED_BETA, POT_TWO_POINT, POT_UNIFORM, hash_u64
-from qelab.errors import BudgetError, ConfigError
+from qelab.anderson import RESIDUAL_RTOL
+from qelab.errors import BudgetError, ConfigError, InvariantError
 
 # ----------------------------------------------------------------------
 # cavity values and tree balls
@@ -46,6 +50,7 @@ def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
     branch, spine, omega_root, viol = _kernels._sweep_block(
         q, depth, branches, eps, [gamma], [leaf], pot_kind, pot_a,
         np.full((1, 1), key, dtype=np.uint64), spine_len, ray_branch, [abs_cap], [im_floor],
+        _kernels.SweepWork(1, _kernels.level_sizes(q, depth, branches)),
     )
     return branch[0, 0].copy(), spine[0, 0].copy(), float(omega_root[0]), viol[0].copy()
 
@@ -121,8 +126,9 @@ def full_ball_green_row(
         return epsilon * omegas[None, offsets[k] : offsets[k] + sizes[k - 1]]
 
     values_by_level: list[np.ndarray] = [None] * (depth + 1)
-    for k, values in _kernels.cavity_levels(q, sizes, g, leaf, site):
-        values_by_level[k] = values[0]
+    work = _kernels.SweepWork(1, sizes)
+    for k, values in _kernels.cavity_levels(q, sizes, g, leaf, site, work):
+        values_by_level[k] = values[0].copy()
 
     row = np.empty(n, dtype=np.complex128)
     diag = tree_green.green_diagonal(values_by_level[1], float(omegas[0]), epsilon, g)
@@ -218,3 +224,71 @@ def draw_omega_scalar(kind: int, bound: float, key: int, index: int) -> float:
         med = min(max(min(u0, u1), u2), max(u0, u1))
         return bound * (2.0 * med - 1.0)
     raise ValueError(f"unknown potential kind code {kind}")
+
+
+# ----------------------------------------------------------------------
+# sparse routes: CSR powers and ARPACK
+# ----------------------------------------------------------------------
+
+
+def assemble_csr(graph, pot):
+    """H = A + eps * diag(omega) as a CSR matrix."""
+    n, edges = graph.n, graph.edges
+    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+    vals = np.concatenate([np.ones(2 * len(edges)), pot.epsilon * pot.omega])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def graph_return_moment_csr(graph, pot, k: int) -> float:
+    """trace(H^k) / n via sparse powers; exact integers when eps = 0."""
+    if k > esd.LLN_K_CAP:
+        raise ConfigError(f"moment order {k} beyond the cap {esd.LLN_K_CAP}")
+    if k == 0:
+        return 1.0
+    n = graph.n
+    if pot.epsilon == 0.0:
+        rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
+        cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
+        h = scipy.sparse.csr_matrix(
+            (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
+        )
+    else:
+        h = assemble_csr(graph, pot)
+    power = h.copy()
+    for _ in range(k - 1):
+        power = power @ h
+    return float(power.diagonal().sum()) / n
+
+
+def exp_check_arpack(g):
+    """``graphs.exp_check`` by ARPACK (``eigsh``, k=2, both ends) on a CSR adjacency."""
+    n, deg = g.n, g.q + 1
+    adj = scipy.sparse.csr_matrix(
+        (np.full(n * deg, 1.0 / deg), g.directed_targets(), g.directed_indptr()),
+        shape=(n, n),
+    )
+
+    def deflated(x):  # (M - u u^T) x for a vector or a block of columns
+        return adj @ x - x.sum(axis=0) / n
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=deflated, matmat=deflated, dtype=np.float64
+    )
+    key = _rng.derive_key(n, "exp-check", g.q)
+    v0 = _rng.uniform01_vec(_rng.hash_u64_vec(key, np.arange(n, dtype=np.uint64))) - 0.5
+    mu, vecs = scipy.sparse.linalg.eigsh(op, k=2, which="BE", v0=v0)
+
+    residual = float(np.max(np.abs(deflated(vecs) - vecs * mu)))
+    if residual > RESIDUAL_RTOL * max(float(np.max(np.abs(mu))), 1.0):
+        raise InvariantError(f"expansion Ritz residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e}")
+    gram_err = float(np.max(np.abs(vecs.T @ vecs - np.eye(2))))
+    if gram_err > RESIDUAL_RTOL:
+        raise InvariantError(f"expansion Ritz vectors deviate from orthonormal by {gram_err:.3e}")
+
+    connected = float(mu.max()) <= 1.0 - graphs.CONNECTED_TOL
+    second = float(np.max(np.abs(mu)))
+    beta = 1.0 - second
+    if not connected:
+        beta = min(beta, 0.0)
+    return graphs.ExpansionReport(second_modulus=second, beta=beta, connected=connected)

@@ -1,7 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from qelab import anderson, graphs
 from qelab.errors import BudgetError, ConfigError
@@ -47,19 +48,19 @@ def test_assemble_k4_and_chain():
     spec = anderson.PotentialSpec()
     pot = anderson.sample_potential(4, spec, 0.0, seed=1)
     h = anderson.assemble(k4, pot)
-    assert scipy.sparse.isspmatrix_csr(h)
-    assert np.array_equal(h.toarray().sum(axis=1), np.full(4, 3.0))
+    assert isinstance(h, np.ndarray)
+    assert np.array_equal(h.sum(axis=1), np.full(4, 3.0))
     chain = anderson.assemble(
         (2, [(0, 1)]),
         anderson.PotentialAssignment(omega=np.zeros(2), epsilon=0.0, spec=spec),
     )
-    assert np.array_equal(chain.toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(chain, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_assemble_trace_identity():
     g = graphs.generate_random_regular(64, 2, seed=7)
     pot = anderson.sample_potential(64, anderson.PotentialSpec(), 0.2, seed=3)
-    h = anderson.assemble(g, pot).toarray()
+    h = anderson.assemble(g, pot)
     assert np.trace(h) == pytest.approx(0.2 * pot.omega.sum(), rel=1e-12)
     assert np.array_equal(h, h.T)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 2 * len(g.edges)
@@ -137,7 +138,7 @@ def test_sign_convention_matches_column_loop():
     g = graphs.generate_random_regular(200, 2, seed=4)
     pot = anderson.sample_potential(200, anderson.PotentialSpec(), 0.3, seed=2)
     h = anderson.assemble(g, pot)
-    _, raw = scipy.linalg.eigh(h.toarray(), driver="evd")
+    _, raw = scipy.linalg.eigh(h, driver="evd")
     got = anderson.eigendecompose(h).eigenvectors
     assert np.array_equal(got.view(np.int64), signs_by_column_loop(raw).view(np.int64))
     # leading entries under the threshold, an all-zero column, negative zeros
@@ -153,9 +154,8 @@ def test_eigendecompose_rejects_asymmetric_and_nan():
     h = np.zeros((3, 3))
     h[0, 1] = h[1, 0] = 1.0
     h[1, 0] += 2e-12
-    for bad in (h, scipy.sparse.csr_matrix(h)):
-        with pytest.raises(ConfigError, match="symmetric"):
-            anderson.eigendecompose(bad)
+    with pytest.raises(ConfigError, match="symmetric"):
+        anderson.eigendecompose(h)
     h[1, 0] = 1.0 + 1e-13  # within the 1e-12 tolerance
     anderson.eigendecompose(h)
     for i, j in [(0, 0), (0, 2)]:
@@ -168,6 +168,31 @@ def test_eigendecompose_rejects_asymmetric_and_nan():
 def test_dimension_cap():
     with pytest.raises(BudgetError):
         anderson.eigendecompose(np.zeros((5000, 5000)), dimension_cap=4096)
+
+
+def test_assemble_refuses_beyond_the_cap_before_allocating():
+    n = 5000
+    g = graphs.generate_random_regular(n, 2, seed=1)
+    pot = anderson.sample_potential(n, anderson.PotentialSpec(), 0.2, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="cap"):
+            anderson.assemble(g, pot)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the n x n array would take 200 MB
+
+
+@pytest.mark.parametrize("n", [250, 1000])
+def test_eigendecompose_matches_scipy_evd(n):
+    g = graphs.generate_random_regular(n, 2, seed=n)
+    pot = anderson.sample_potential(n, anderson.PotentialSpec(), 0.3, seed=n + 1)
+    h = anderson.assemble(g, pot)
+    vals, raw = scipy.linalg.eigh(h, driver="evd")
+    sd = anderson.eigendecompose(h)
+    assert np.max(np.abs(sd.eigenvalues - vals)) <= 1e-12
+    assert np.max(np.abs(sd.eigenvectors - signs_by_column_loop(raw))) <= 1e-12
 
 
 def test_perron_multiplicity_connected_vs_not():

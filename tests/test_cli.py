@@ -226,13 +226,31 @@ def test_console_entry_point(tmp_path):
     assert "qelab" in res.stdout
 
 
-def test_import_leaves_scipy_integrate_and_optimize_unloaded():
-    code = ("import sys, qelab, qelab.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=_child_env())
+def test_import_and_run_leave_scipy_unloaded(tmp_path):
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import qelab, qelab.cli\n"
+        "after_import = scipy_modules()\n"
+        "code = qelab.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2],"
+        " '--threads', '1'])\n"
+        "print(json.dumps([code, after_import, scipy_modules()]))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, _write(tmp_path, MINI), str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(),
+    )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert json.loads(res.stdout) == [0, [], []]
+
+
+def test_spectrum_beyond_the_dense_cap_exits_3(tmp_path):
+    cfg = dict(MINI, n_values=[5000])
+    out = tmp_path / "o"
+    assert cli.main(["spectrum", "--config", _write(tmp_path, cfg), "--out", str(out),
+                     "--threads", "1"]) == 3
+    assert sorted(p.name for p in out.rglob("*")) == ["config_resolved.json"]
 
 
 def test_per_eigenvalue_dump(tmp_path):

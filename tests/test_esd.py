@@ -184,3 +184,30 @@ def test_lln_moment_check_k1_k2():
     assert k2.tree_moment == pytest.approx(3 + 0.04 / 3, abs=1e-14)
     fluctuation = 0.04 * (pot.omega**2).std() / math.sqrt(500)
     assert k2.abs_diff <= 3 * fluctuation
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_graph_return_moment_matches_csr_powers(q):
+    g = graphs.generate_random_regular(60, q, seed=5)
+    for eps in (0.0, 0.2):
+        pot = anderson.sample_potential(g.n, SPEC, eps, seed=3)
+        for k in range(1, esd.LLN_K_CAP + 1):
+            got = esd.graph_return_moment(g, pot, k)
+            want = oracles.graph_return_moment_csr(g, pot, k)
+            if eps == 0.0:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), k
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want), k
+
+
+def test_lln_moment_check_beyond_the_dense_cap():
+    n = 6000
+    assert n > anderson.DIMENSION_CAP
+    g = graphs.generate_random_regular(n, 2, seed=1)
+    pot = anderson.sample_potential(n, SPEC, 0.2, seed=1)
+    rows = esd.lln_moment_check(g, pot, 4)
+    assert [row.k for row in rows] == [1, 2, 3, 4]
+    assert rows[1].graph_moment == pytest.approx(3 + 0.04 * (pot.omega**2).mean(), rel=1e-12)
+    for row in rows:
+        want = oracles.graph_return_moment_csr(g, pot, row.k)
+        assert abs(row.graph_moment - want) <= 1e-12 * abs(want)

@@ -1,13 +1,15 @@
+import itertools
 import json
 from collections import deque
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
 from qelab import graphs
-from qelab.errors import ConfigError, GenerationError
+from qelab.errors import ConfigError, GenerationError, InvariantError
 
 K33_EDGES = [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
 
@@ -302,11 +304,15 @@ def test_exp_check_matches_dense(n, q, seed):
 
 def test_exp_check_deterministic_after_other_arpack_calls():
     g = graphs.generate_random_regular(500, 2, seed=3)
-    first = graphs.exp_check(g)
-    assert graphs.exp_check(g) == first
+
+    def bits(rep):
+        return np.array([rep.second_modulus, rep.beta]).tobytes(), rep.connected
+
+    first = bits(graphs.exp_check(g))
+    assert bits(graphs.exp_check(g)) == first
     m = np.random.default_rng(0).standard_normal((80, 80))
     scipy.sparse.linalg.eigsh(m + m.T, k=3)  # advances ARPACK's internal random state
-    assert graphs.exp_check(g) == first
+    assert bits(graphs.exp_check(g)) == first
 
 
 def test_exp_check_beyond_dense_cap():
@@ -359,3 +365,40 @@ def test_reverse_edge_index():
             expected[e] = v * deg + int(np.searchsorted(g.neighbors[v], u))
         assert g.reverse_edge_index().dtype == np.int64
         assert np.array_equal(g.reverse_edge_index(), expected)
+
+
+def _assert_matches_arpack(g):
+    rep = graphs.exp_check(g)
+    want = oracles.exp_check_arpack(g)
+    assert abs(rep.second_modulus - want.second_modulus) <= 1e-10
+    assert rep.connected == want.connected
+    return rep
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_exp_check_matches_arpack_where_krylov_breaks_down(q):
+    # the complete graph on q+2 vertices: the Krylov space is invariant after two steps
+    complete = graphs.graph_from_edges(q + 2, q, itertools.combinations(range(q + 2), 2))
+    rep = _assert_matches_arpack(complete)
+    assert rep.second_modulus == pytest.approx(1.0 / (q + 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,q,seed", [(250, 2, 101), (1000, 2, 4), (1200, 3, 301), (5000, 2, 1)])
+def test_exp_check_matches_arpack(n, q, seed):
+    assert _assert_matches_arpack(graphs.generate_random_regular(n, q, seed)).connected
+
+
+def test_exp_check_matches_arpack_on_disconnected_unions():
+    a = graphs.generate_random_regular(300, 2, seed=1)
+    b = graphs.generate_random_regular(200, 2, seed=2)
+    edges = np.concatenate([a.edges, b.edges + a.n]).tolist()
+    for g in (graphs.graph_from_edges(a.n + b.n, 2, edges), graphs.graph_from_edges(8, 2, TWO_K4_EDGES)):
+        rep = _assert_matches_arpack(g)
+        assert not rep.connected
+        assert rep.beta <= 0.0
+
+
+def test_exp_check_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(graphs, "LANCZOS_MAX_STEPS", 5)
+    with pytest.raises(InvariantError, match="did not converge in 5 steps"):
+        graphs.exp_check(graphs.generate_random_regular(250, 2, seed=101))
