@@ -39,11 +39,11 @@ from .esd import (  # noqa: F401
 )
 from .qe import (  # noqa: F401
     Kernel,
+    KernelAverageCurve,
     Observable,
     QEReport,
-    average_equivalence_check,
     edge_kernel,
-    kernel_average_general,
+    kernel_average_general_curve,
     kernel_average_simple,
     make_observable,
     qe_statistic_diag,

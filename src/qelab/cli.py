@@ -396,7 +396,7 @@ def _qe_kernel(point):
     return [
         (eta0, qe.qe_statistic_kernel(
             point.spectrum, point.kernel, cfg["lambda0"],
-            qe.kernel_average_simple(point.kernel, profile), eta0=eta0, q=cfg["q"],
+            qe.kernel_average_simple(point.kernel, profile), q=cfg["q"],
         ))
         for eta0, profile in point.run.profiles.items()
     ]

@@ -108,8 +108,11 @@ def ids_cdf(
     """CDF of the eta-smoothed density of states on a uniform ``_IDS_GRID``-point grid.
 
     The density at lam is (1/pi) E[Im G(o,o; lam + i eta)], one Monte-Carlo
-    ray estimate per grid point with its own substream.
+    ray estimate per grid point with its own substream.  The work budget
+    applies to the whole grid, before the first sweep.
     """
+    if epsilon != 0.0:
+        tree_green._check_budget(_kernels.tree_node_count(q, depth, q + 1), samples * _IDS_GRID)
     edge = 2.0 * math.sqrt(q) + abs(epsilon) * pot_spec.support_bound + 4.0 * eta
     grid = np.linspace(-edge, edge, _IDS_GRID)
     dens = np.empty(_IDS_GRID)

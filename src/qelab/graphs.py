@@ -46,9 +46,6 @@ class RegularGraph:
     edges: np.ndarray
     _rev: np.ndarray = field(default=None, repr=False, compare=False)
 
-    def directed_indptr(self) -> np.ndarray:
-        return np.arange(self.n + 1, dtype=np.int64) * (self.q + 1)
-
     def directed_targets(self) -> np.ndarray:
         """Flat target array; directed edge u->neighbors[u, j] has id u*(q+1)+j."""
         return self.neighbors.reshape(-1)

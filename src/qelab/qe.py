@@ -8,8 +8,8 @@ The central quantity is the normalized windowed sum
 for diagonal observables (the reference bracket is the plain average <a>)
 and for finite-range kernels (the bracket weights per-distance kernel mass
 with tree Green-function ratios).  The diagonal path is the R = 0 kernel
-path with a constant unit ratio curve, so the two reports coincide bitwise
-on shared inputs.
+path with a constant curve, so the two reports coincide bitwise on shared
+inputs.
 """
 
 from __future__ import annotations
@@ -199,72 +199,11 @@ def ring_kernel(g: RegularGraph, r: int, value: float = 1.0) -> Kernel:
 
 @dataclass(frozen=True)
 class KernelAverageCurve:
-    """lambda -> averaged kernel bracket sum_r ratio_r(lambda) * S_r."""
+    """lambda -> reference bracket <K>(lambda), linear between tabulated values.
 
-    lambdas: np.ndarray
-    ratios: np.ndarray
-    weights: np.ndarray
-    eta: float
-    r_max: int
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=np.float64)
-        out = np.zeros(lam.shape, dtype=self.weights.dtype)
-        for r in range(self.r_max + 1):
-            out = out + np.interp(lam, self.lambdas, self.ratios[r]) * self.weights[r]
-        return out
-
-    def interpolation_error_bound(self) -> float:
-        """Second-order bound on the linear-interpolation error of the bracket.
-
-        max over interior grid points of |second difference| / 8, weighted by
-        the per-distance kernel mass; shrinks with the grid spacing squared.
-        """
-        if self.lambdas.size < 3:
-            return 0.0
-        bound = 0.0
-        for r in range(self.r_max + 1):
-            d2 = np.abs(np.diff(self.ratios[r], n=2))
-            if d2.size:
-                bound += float(np.max(d2)) / 8.0 * abs(complex(self.weights[r]))
-        return bound
-
-
-def unit_diagonal_curve(kernel: Kernel) -> KernelAverageCurve:
-    """Constant curve <K>(lambda) = S_0; the diagonal-observable bracket."""
-    if kernel.r_max != 0:
-        raise ConfigError("unit curve is only defined for range-0 kernels")
-    return KernelAverageCurve(
-        lambdas=np.array([-1e30, 1e30]),
-        ratios=np.ones((1, 2)),
-        weights=kernel.distance_mass(),
-        eta=0.0,
-        r_max=0,
-    )
-
-
-def kernel_average_simple(kernel: Kernel, profile: DistanceRatioProfile) -> KernelAverageCurve:
-    """Distance-only averaged bracket from a tree ratio profile.
-
-    Valid because the disorder-averaged Im G depends only on the graph
-    distance of the pair; for range 0 the curve is constantly S_0 = <a>.
+    ``values[i]`` is the bracket at ``lambdas[i]`` (ascending); ``eta`` is the
+    imaginary part of the spectral parameter it was computed at.
     """
-    if profile.r_max < kernel.r_max:
-        raise ConfigError(
-            f"profile reaches distance {profile.r_max} but the kernel has range {kernel.r_max}"
-        )
-    return KernelAverageCurve(
-        lambdas=profile.lambdas,
-        ratios=profile.ratios[: kernel.r_max + 1],
-        weights=kernel.distance_mass(),
-        eta=profile.eta,
-        r_max=kernel.r_max,
-    )
-
-
-@dataclass(frozen=True)
-class TabulatedKernelAverage:
-    """Interpolated bracket curve tabulated from potential-dependent averages."""
 
     lambdas: np.ndarray
     values: np.ndarray
@@ -274,6 +213,48 @@ class TabulatedKernelAverage:
     def __call__(self, lam):
         return np.interp(lam, self.lambdas, self.values)
 
+    def interpolation_error_bound(self) -> float:
+        """Second-order bound on the linear-interpolation error of the bracket.
+
+        max over interior grid points of |second difference of values| / 8;
+        shrinks with the grid spacing squared.
+        """
+        if self.values.size < 3:
+            return 0.0
+        return float(np.max(np.abs(np.diff(self.values, n=2)))) / 8.0
+
+
+def unit_diagonal_curve(kernel: Kernel) -> KernelAverageCurve:
+    """Constant curve <K>(lambda) = S_0; the diagonal-observable bracket."""
+    if kernel.r_max != 0:
+        raise ConfigError("unit curve is only defined for range-0 kernels")
+    return KernelAverageCurve(
+        lambdas=np.array([-1e30, 1e30]),
+        values=np.repeat(kernel.distance_mass(), 2),
+        eta=0.0,
+        r_max=0,
+    )
+
+
+def kernel_average_simple(kernel: Kernel, profile: DistanceRatioProfile) -> KernelAverageCurve:
+    """Distance-only averaged bracket sum_r ratio_r(lambda) * S_r from a tree
+    ratio profile, tabulated on the profile's grid.
+
+    Valid because the disorder-averaged Im G depends only on the graph
+    distance of the pair; for range 0 the curve is constantly S_0 = <a>.
+    """
+    if profile.r_max < kernel.r_max:
+        raise ConfigError(
+            f"profile reaches distance {profile.r_max} but the kernel has range {kernel.r_max}"
+        )
+    mass = kernel.distance_mass()
+    return KernelAverageCurve(
+        lambdas=profile.lambdas,
+        values=sum(profile.ratios[r] * mass[r] for r in range(kernel.r_max + 1)),
+        eta=profile.eta,
+        r_max=kernel.r_max,
+    )
+
 
 def kernel_average_general_curve(
     kernel: Kernel,
@@ -282,37 +263,26 @@ def kernel_average_general_curve(
     lambdas,
     eta0: float,
     depth: int,
-) -> TabulatedKernelAverage:
-    """Lifted-average bracket tabulated over a lambda grid.
+) -> KernelAverageCurve:
+    """Potential-dependent bracket through the lifted Green function,
+    tabulated over a lambda grid.
 
-    Feeds qe_statistic_kernel when the reference bracket should carry the
-    actual potential realization instead of the disorder average.  The
-    kernel entries are lifted once for the whole grid.
+    At each lambda: sum over kernel entries of K(x,y) * Im g_lift(x~, y~),
+    normalized by the total lifted diagonal mass.  Feeds qe_statistic_kernel
+    when the reference bracket should carry the actual potential realization
+    instead of the disorder average.  The kernel entries are lifted once for
+    the whole grid, along BFS geodesics (always non-backtracking).
     """
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     lifts = _kernel_lifts(kernel, g)
-    values = np.array([
-        _lifted_average(kernel, lifts, g, pot, complex(lam, eta0), depth) for lam in lambdas
-    ])
-    return TabulatedKernelAverage(
-        lambdas=lambdas, values=values, eta=eta0, r_max=kernel.r_max
+    values = []
+    for lam in lambdas:
+        lifted = tree_green.lifted_green(g, pot, complex(lam, eta0), depth, lifts)
+        values.append((kernel.values * lifted.pair_values.imag).sum() / lifted.diagonals.imag.sum())
+        del lifted  # one lambda's pair values alive at a time
+    return KernelAverageCurve(
+        lambdas=lambdas, values=np.array(values), eta=eta0, r_max=kernel.r_max
     )
-
-
-def kernel_average_general(
-    kernel: Kernel,
-    g: RegularGraph,
-    pot: PotentialAssignment,
-    gamma,
-    depth: int,
-):
-    """Potential-dependent averaged bracket through the lifted Green function.
-
-    sum over kernel entries of K(x,y) * Im g_lift(x~, y~), normalized by the
-    total lifted diagonal mass; pair lifts follow BFS geodesics (always
-    non-backtracking).
-    """
-    return _lifted_average(kernel, _kernel_lifts(kernel, g), g, pot, gamma, depth)
 
 
 def _kernel_lifts(kernel: Kernel, g: RegularGraph) -> tree_green.PairLifts:
@@ -329,13 +299,6 @@ def _kernel_lifts(kernel: Kernel, g: RegularGraph) -> tree_green.PairLifts:
     return tree_green.pair_lifts(g, paths)
 
 
-def _lifted_average(kernel, lifts, g, pot, gamma, depth):
-    lifted = tree_green.lifted_green(g, pot, gamma, depth, lifts)
-    numerator = (kernel.values * lifted.pair_values.imag).sum()
-    denominator = lifted.diagonals.imag.sum()
-    return numerator / denominator
-
-
 # ----------------------------------------------------------------------
 # windowed eigenfunction statistics
 # ----------------------------------------------------------------------
@@ -347,9 +310,7 @@ class QEReport:
 
     statistic: float
     window_count: int
-    n: int
     lambda0: float
-    eta0: float
     r_max: int
     eigen_indices: np.ndarray
     eigen_values: np.ndarray
@@ -392,8 +353,7 @@ def qe_statistic_kernel(
     kernel: Kernel,
     lambda0: float,
     averages: KernelAverageCurve,
-    eta0: float | None = None,
-    q: int | None = None,
+    q: int,
 ) -> QEReport:
     """Windowed statistic (1/N) sum |<psi_i, K psi_i> - <K>(lambda_i)|.
 
@@ -409,7 +369,6 @@ def qe_statistic_kernel(
         )
     if averages.r_max < kernel.r_max:
         raise ConfigError("average curve does not cover the kernel range")
-    eta0 = averages.eta if eta0 is None else eta0
     mask = spec_data.window_mask(lambda0)
     idx = np.nonzero(mask)[0]
     lams = spec_data.eigenvalues[idx]
@@ -419,9 +378,7 @@ def qe_statistic_kernel(
     return QEReport(
         statistic=statistic,
         window_count=int(idx.size),
-        n=spec_data.n,
         lambda0=lambda0,
-        eta0=float(eta0),
         r_max=kernel.r_max,
         eigen_indices=idx,
         eigen_values=lams,
@@ -434,72 +391,18 @@ def qe_statistic_diag(
     spec_data: SpectralData,
     obs: Observable,
     lambda0: float,
-    q: int | None = None,
+    q: int,
 ) -> QEReport:
     """Diagonal-observable statistic; the R = 0 kernel path with <K> = <a>."""
     kernel = diagonal_kernel(obs)
-    return qe_statistic_kernel(
-        spec_data, kernel, lambda0, unit_diagonal_curve(kernel), eta0=0.0, q=q
-    )
+    return qe_statistic_kernel(spec_data, kernel, lambda0, unit_diagonal_curve(kernel), q)
 
 
-def _validate_window(lambda0: float, q: int | None) -> None:
+def _validate_window(lambda0: float, q: int) -> None:
     if not (lambda0 > 0):
         raise ConfigError("lambda0 must be positive")
-    if q is not None and lambda0 >= 2.0 * np.sqrt(q):
+    if lambda0 >= 2.0 * np.sqrt(q):
         raise ConfigError(
             f"lambda0 = {lambda0} outside the open interval (0, 2*sqrt(q)) = "
             f"(0, {2.0 * np.sqrt(q):.6f})"
         )
-
-
-# ----------------------------------------------------------------------
-# consequence diagnostics
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquivalenceTable:
-    """Median gap between lifted and distance-only kernel averages, by size."""
-
-    medians: list
-    gaps: dict
-
-
-def average_equivalence_check(
-    q: int,
-    pot_spec,
-    epsilon: float,
-    n_values,
-    seed_pairs,
-    lambdas,
-    eta0: float,
-    profile: DistanceRatioProfile,
-    cover_depth: int,
-    kernel_builder=edge_kernel,
-) -> EquivalenceTable:
-    """Gap |<K>_lifted - <K>_tree| over a size grid, medianed over seeds.
-
-    The kernel is built from graph structure only, so it is independent of
-    the potential by construction.
-    """
-    from .anderson import sample_potential
-    from .graphs import generate_random_regular
-
-    medians = []
-    gaps = {}
-    for n in n_values:
-        diffs = []
-        for gs, ps in seed_pairs:
-            g = generate_random_regular(n, q, gs)
-            kernel = kernel_builder(g)
-            curve = kernel_average_simple(kernel, profile)
-            pot = sample_potential(n, pot_spec, epsilon, ps)
-            lifts = _kernel_lifts(kernel, g)
-            for lam in lambdas:
-                lhs = _lifted_average(kernel, lifts, g, pot, complex(lam, eta0), cover_depth)
-                rhs = complex(curve(lam)).real
-                diffs.append(abs(lhs - rhs))
-        gaps[n] = diffs
-        medians.append(float(np.median(diffs)))
-    return EquivalenceTable(medians=medians, gaps=gaps)

@@ -4,17 +4,20 @@ Each one is an independent or slower route to a quantity the package
 computes: the cavity fixed point by iteration, materialized tree balls for
 dense inversion, the full root row of a ball, the lifted Green function
 pair by pair, the rational Kesten-McKay form, a single-sample tree sweep,
-scalar potential draws, and the scipy routes (CSR powers, ARPACK) that the
-numpy moment and expansion checks replace.
+scalar potential draws, the scipy routes (CSR powers, ARPACK) that the
+numpy moment and expansion checks replace, the per-distance interpolation
+bound of a distance-only bracket, and the gap between the lifted and the
+distance-only brackets over a size grid.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from qelab import _kernels, _rng, esd, graphs, tree_green
+from qelab import _kernels, _rng, anderson, esd, graphs, qe, tree_green
 from qelab._rng import OMEGA_STRIDE, POT_RESCALED_BETA, POT_TWO_POINT, POT_UNIFORM, hash_u64
 from qelab.anderson import RESIDUAL_RTOL
 from qelab.errors import BudgetError, ConfigError, InvariantError
@@ -265,7 +268,7 @@ def exp_check_arpack(g):
     """``graphs.exp_check`` by ARPACK (``eigsh``, k=2, both ends) on a CSR adjacency."""
     n, deg = g.n, g.q + 1
     adj = scipy.sparse.csr_matrix(
-        (np.full(n * deg, 1.0 / deg), g.directed_targets(), g.directed_indptr()),
+        (np.full(n * deg, 1.0 / deg), g.directed_targets(), np.arange(n + 1) * deg),
         shape=(n, n),
     )
 
@@ -292,3 +295,60 @@ def exp_check_arpack(g):
     if not connected:
         beta = min(beta, 0.0)
     return graphs.ExpansionReport(second_modulus=second, beta=beta, connected=connected)
+
+
+# ----------------------------------------------------------------------
+# kernel brackets
+# ----------------------------------------------------------------------
+
+
+def per_distance_interpolation_bound(kernel, profile) -> float:
+    """sum_r max|second difference of ratio_r| / 8 * |S_r|: the bound of the
+    distance-only bracket taken one distance at a time."""
+    mass = kernel.distance_mass()
+    return sum(
+        float(np.max(np.abs(np.diff(profile.ratios[r], n=2)))) / 8.0 * abs(complex(mass[r]))
+        for r in range(kernel.r_max + 1)
+    )
+
+
+@dataclass(frozen=True)
+class EquivalenceTable:
+    """Median gap between lifted and distance-only kernel averages, by size."""
+
+    medians: list
+    gaps: dict
+
+
+def average_equivalence_check(
+    q: int,
+    pot_spec,
+    epsilon: float,
+    n_values,
+    seed_pairs,
+    lambdas,
+    eta0: float,
+    profile,
+    cover_depth: int,
+    kernel_builder=qe.edge_kernel,
+) -> EquivalenceTable:
+    """Gap |<K>_lifted - <K>_tree| over a size grid, medianed over seeds.
+
+    The kernel is built from graph structure only, so it is independent of
+    the potential by construction.
+    """
+    medians = []
+    gaps = {}
+    for n in n_values:
+        diffs = []
+        for gs, ps in seed_pairs:
+            g = graphs.generate_random_regular(n, q, gs)
+            kernel = kernel_builder(g)
+            curve = qe.kernel_average_simple(kernel, profile)
+            pot = anderson.sample_potential(n, pot_spec, epsilon, ps)
+            lifted = qe.kernel_average_general_curve(kernel, g, pot, lambdas, eta0, cover_depth)
+            for lam, lhs in zip(lifted.lambdas, lifted.values):
+                diffs.append(abs(lhs - complex(curve(lam)).real))
+        gaps[n] = diffs
+        medians.append(float(np.median(diffs)))
+    return EquivalenceTable(medians=medians, gaps=gaps)

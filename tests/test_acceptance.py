@@ -115,7 +115,7 @@ def test_criterion_05_kernel_reduction_and_trend(reference_run, decompose_cache)
 
 
 def test_criterion_06_average_equivalence(reference_profile):
-    table = qe.average_equivalence_check(
+    table = oracles.average_equivalence_check(
         2, SPEC, 0.2,
         [250, 1000],
         [(101, 201), (102, 202), (103, 203), (104, 204), (105, 205)],

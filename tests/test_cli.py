@@ -88,9 +88,10 @@ def test_bad_n_rejected_before_the_profile(tmp_path, monkeypatch):
 
 def test_unpinned_depth_hits_the_profile_budget_at_once(tmp_path, monkeypatch):
     # the README's minimal config without mc.depth: the depth resolves to 22,
-    # and the profile's 97 lambdas x 256 balls of 1.26e7 nodes (run), or the
+    # and the profile's 97 lambdas x 256 balls of 1.26e7 nodes (run), the
     # moment table's 20 points x 256 balls of 8.4e6 nodes (check-conditions),
-    # exceed the Monte-Carlo work cap before any ball or graph is built
+    # or the ids reference's 129 grid points x 256 balls of 1.26e7 nodes
+    # (esd) exceed the Monte-Carlo work cap before any ball or graph is built
     from qelab import _kernels, graphs
 
     def unreachable(*args, **kwargs):
@@ -102,8 +103,9 @@ def test_unpinned_depth_hits_the_profile_budget_at_once(tmp_path, monkeypatch):
     raw = {"q": 2, "n_values": [250, 1000], "graph_seeds": [101, 102], "pot_seeds": [201, 202],
            "epsilon": 0.2, "lambda0": 2.4, "eta0_values": [0.2]}
     assert cli.resolve_config(raw)["mc"]["depth"] == 22
-    cfg = _write(tmp_path, raw)
-    for command in ("run", "check-conditions"):
+    for command, extra in (("run", {}), ("check-conditions", {}),
+                           ("esd", {"esd": {"reference": "ids"}})):
+        cfg = _write(tmp_path, dict(raw, **extra), f"{command}.json")
         out = tmp_path / command
         assert cli.main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
         assert sorted(p.name for p in out.iterdir()) == ["config_resolved.json"]

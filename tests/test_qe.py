@@ -185,8 +185,7 @@ def test_zero_kernel_statistic(small_case):
     g, _, sd, _ = small_case
     kernel = qe.edge_kernel(g, value=0.0)
     curve = qe.KernelAverageCurve(
-        lambdas=np.array([-3.0, 3.0]), ratios=np.zeros((2, 2)),
-        weights=np.zeros(2), eta=0.2, r_max=1,
+        lambdas=np.array([-3.0, 3.0]), values=np.zeros(2), eta=0.2, r_max=1,
     )
     rep = qe.qe_statistic_kernel(sd, kernel, 2.0, curve, q=2)
     assert rep.statistic == 0.0
@@ -222,8 +221,7 @@ def test_kernel_requires_real_for_positive_range(small_case):
     g, _, sd, _ = small_case
     kernel = qe.edge_kernel(g)
     curve = qe.KernelAverageCurve(
-        lambdas=np.array([-3.0, 3.0]), ratios=np.ones((2, 2)),
-        weights=np.zeros(2), eta=0.2, r_max=1,
+        lambdas=np.array([-3.0, 3.0]), values=np.zeros(2), eta=0.2, r_max=1,
     )
     complex_sd = anderson.SpectralData(
         eigenvalues=sd.eigenvalues,
@@ -286,6 +284,19 @@ def test_kernel_average_interpolation_error_reported(small_case, reference_profi
     assert 0.0 <= bound < 0.05  # second-order small at 0.05 grid spacing
     flat = qe.unit_diagonal_curve(qe.diagonal_kernel(qe.make_observable("constant", g.n)))
     assert flat.interpolation_error_bound() == 0.0
+    # the bound on the tabulated sum never exceeds the per-distance one, and
+    # equals it for kernels supported on a single distance; the ring-2 kernel
+    # needs a profile reaching distance 2 on the same grid
+    ring_profile = tg.distance_ratio_profile(
+        2, SPEC, 0.2, 0.2, 2, reference_profile.lambdas, samples=64, seed=911_000, depth=8
+    )
+    for kernel, profile in ((qe.edge_kernel(g), reference_profile),
+                            (qe.ring_kernel(g, 2), ring_profile)):
+        bound = qe.kernel_average_simple(kernel, profile).interpolation_error_bound()
+        per_distance = oracles.per_distance_interpolation_bound(kernel, profile)
+        assert bound > 0.0
+        assert bound <= per_distance * (1 + 1e-12), kernel.tag
+        assert bound == pytest.approx(per_distance, rel=1e-12), kernel.tag
 
 
 def test_kernel_average_simple_range_mismatch(small_case):
@@ -300,10 +311,10 @@ def test_kernel_average_simple_range_mismatch(small_case):
 def test_kernel_average_general_examples(small_case):
     g, pot, _, obs = small_case
     zero = qe.edge_kernel(g, value=0.0)
-    assert qe.kernel_average_general(zero, g, pot, 0.5 + 0.2j, depth=20) == 0.0
+    assert qe.kernel_average_general_curve(zero, g, pot, [0.5], 0.2, depth=20).values[0] == 0.0
     # R = 0 reduces to the lifted-diagonal weighted mean
     kd = qe.diagonal_kernel(obs)
-    got = qe.kernel_average_general(kd, g, pot, 0.5 + 0.2j, depth=20)
+    got = qe.kernel_average_general_curve(kd, g, pot, [0.5], 0.2, depth=20).values[0]
     lifted = tg.lifted_green(g, pot, 0.5 + 0.2j, 20, tg.pair_lifts(g, [[x] for x in range(g.n)]))
     want = (obs.values * lifted.diagonals.imag).sum() / lifted.diagonals.imag.sum()
     assert got == pytest.approx(want, rel=1e-12)
@@ -313,7 +324,7 @@ def test_kernel_average_general_zero_disorder_mean(small_case):
     g, _, _, obs = small_case
     pot0 = anderson.sample_potential(64, SPEC, 0.0, seed=3)
     kd = qe.diagonal_kernel(obs)
-    got = qe.kernel_average_general(kd, g, pot0, 0.3 + 0.2j, depth=60)
+    got = qe.kernel_average_general_curve(kd, g, pot0, [0.3], 0.2, depth=60).values[0]
     assert got == pytest.approx(obs.values.mean(), abs=1e-12)
 
 
@@ -348,9 +359,6 @@ def test_lifted_pairs_match_pairwise_oracle_bitwise(q):
             want_curve.append((kernel.values * pairs.imag).sum() / diag.imag.sum())
         curve = qe.kernel_average_general_curve(kernel, g, pot, lambdas, 0.1, depth=14)
         assert np.array_equal(curve.values, np.array(want_curve)), kernel.tag
-        per_lambda = [qe.kernel_average_general(kernel, g, pot, complex(lam, 0.1), depth=14)
-                      for lam in lambdas]
-        assert np.array_equal(curve.values, np.array(per_lambda)), kernel.tag
 
 
 def test_kernel_lifts_run_one_geodesic_per_far_entry(small_case, monkeypatch):
@@ -376,7 +384,7 @@ def test_kernel_lifts_run_one_geodesic_per_far_entry(small_case, monkeypatch):
     # one BFS per ring-2 entry and graph, none for the edge kernel
     for builder, far in ((qe.edge_kernel, False), (lambda g: qe.ring_kernel(g, 2), True)):
         calls.clear()
-        qe.average_equivalence_check(
+        oracles.average_equivalence_check(
             2, SPEC, 0.2, [32, 40], [(1, 11), (2, 12)], lambdas, 0.2,
             profile, cover_depth=10, kernel_builder=builder,
         )
@@ -394,7 +402,8 @@ def test_kernel_statistic_from_general_curve(small_case):
     rep = qe.qe_statistic_kernel(sd, kernel, 2.0, curve, q=2)
     assert np.isfinite(rep.statistic) and rep.statistic >= 0
     assert rep.window_count == DIAG_REFERENCE_WINDOW
-    assert rep.eta0 == 0.2
+    bound = curve.interpolation_error_bound()
+    assert np.isfinite(bound) and bound >= 0.0
 
 
 def test_ring_kernel_statistic_r2(small_case):
@@ -417,7 +426,7 @@ def test_average_equivalence_zero_disorder_r0():
     def builder(g):
         return qe.diagonal_kernel(qe.make_observable("indicator", g.n, seed=17, alpha=0.5))
 
-    table = qe.average_equivalence_check(
+    table = oracles.average_equivalence_check(
         2, SPEC, 0.0, [32, 64], [(1, 11)], [-0.5, 0.0, 0.5], 0.2,
         profile, kernel_builder=builder, cover_depth=60,
     )
