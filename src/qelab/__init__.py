@@ -58,6 +58,5 @@ from .tree_green import (  # noqa: F401
     green_condition_moments,
     green_diagonal,
     lifted_green,
-    mc_expectation_im_green,
     pair_lifts,
 )

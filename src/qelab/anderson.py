@@ -100,18 +100,14 @@ def sample_potential(n: int, spec: PotentialSpec, epsilon: float, seed: int) -> 
 def assemble(graph, pot: PotentialAssignment) -> np.ndarray:
     """H = A + eps * diag(omega) as a dense symmetric array.
 
-    ``graph`` needs only ``n`` and ``edges``; test fixtures may pass
-    non-regular edge lists through a (n, edges) tuple.  A vertex count above
-    ``DIMENSION_CAP`` raises BudgetError before anything is allocated.
+    ``graph`` needs only ``n`` and an (E, 2) integer array ``edges``.  A
+    vertex count above ``DIMENSION_CAP`` raises BudgetError before anything
+    is allocated.
     """
-    if isinstance(graph, tuple):
-        n, edges = graph
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    else:
-        n, edges = graph.n, graph.edges
+    n, edges = graph.n, graph.edges
     if pot.omega.size != n:
         raise ConfigError(f"potential length {pot.omega.size} != vertex count {n}")
-    _check_dimension(n, DIMENSION_CAP)
+    _check_dimension(n)
     h = np.zeros((n, n), dtype=np.float64)
     h[edges[:, 0], edges[:, 1]] = 1.0
     h[edges[:, 1], edges[:, 0]] = 1.0
@@ -119,10 +115,10 @@ def assemble(graph, pot: PotentialAssignment) -> np.ndarray:
     return h
 
 
-def _check_dimension(n: int, dimension_cap: int) -> None:
-    if n > dimension_cap:
+def _check_dimension(n: int) -> None:
+    if n > DIMENSION_CAP:
         raise BudgetError(
-            f"dimension {n} exceeds the dense-solver cap {dimension_cap}; "
+            f"dimension {n} exceeds the dense-solver cap {DIMENSION_CAP}; "
             "lower the vertex count"
         )
 
@@ -155,12 +151,12 @@ def _canonical_signs(vecs: np.ndarray) -> None:
     vecs *= np.where(flip, -1.0, 1.0)
 
 
-def eigendecompose(matrix: np.ndarray, dimension_cap: int = DIMENSION_CAP) -> SpectralData:
+def eigendecompose(matrix: np.ndarray) -> SpectralData:
     """Dense symmetric eigendecomposition (divide and conquer) with invariant checks."""
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ConfigError("operator must be square")
-    _check_dimension(n, dimension_cap)
+    _check_dimension(n)
     h = np.asarray(matrix, dtype=np.float64)
     # |h - h.T| <= 1e-12 entrywise; a NaN fails the comparison
     asym = h - h.T

@@ -84,7 +84,7 @@ def _merge(defaults, override, path="config"):
     return out
 
 
-# numeric fields by dotted path; a field whose default is a list holds a list
+# typed fields by dotted path; a field whose default is a list holds a list
 # of such values, and mc.depth may also be null (resolved below)
 _INTEGER_FIELDS = (
     "q", "n_values", "graph_seeds", "pot_seeds", "observable.vertex", "observable.seed",
@@ -96,6 +96,7 @@ _REAL_FIELDS = (
     "observable.constant", "kernel.value", "mc.lambda_spacing", "mc.eta_grid",
     "mc.lambda_grid", "mc.s_values", "conditions.c_lower", "conditions.c_upper",
 )
+_BOOLEAN_FIELDS = ("potential.allow_atomic", "output.per_eigenvalue", "output.spectrum_dump")
 
 
 def _is_integer(value) -> bool:
@@ -106,13 +107,22 @@ def _is_real(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-def _check_numeric_types(cfg) -> None:
+def _is_boolean(value) -> bool:
+    return type(value) is bool
+
+
+def _field(cfg, path: str):
+    for part in path.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+def _check_field_types(cfg) -> None:
     for fields, accept, what in ((_INTEGER_FIELDS, _is_integer, "an integer"),
-                                 (_REAL_FIELDS, _is_real, "a finite number")):
+                                 (_REAL_FIELDS, _is_real, "a finite number"),
+                                 (_BOOLEAN_FIELDS, _is_boolean, "true or false")):
         for path in fields:
-            value, default = cfg, DEFAULT_CONFIG
-            for part in path.split("."):
-                value, default = value[part], default[part]
+            value, default = _field(cfg, path), _field(DEFAULT_CONFIG, path)
             if path == "mc.depth" and value is None:
                 continue
             if isinstance(default, list):
@@ -125,7 +135,7 @@ def _check_numeric_types(cfg) -> None:
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and validate; raises ConfigError on schema violations."""
     cfg = _merge(DEFAULT_CONFIG, raw)
-    _check_numeric_types(cfg)
+    _check_field_types(cfg)
     q = cfg["q"]
     if q < 2:
         raise ConfigError("q must be an integer >= 2")
@@ -140,8 +150,9 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("eta0 values must be positive")
     if len(cfg["graph_seeds"]) != len(cfg["pot_seeds"]):
         raise ConfigError("graph_seeds and pot_seeds must pair up (equal lengths)")
-    if not cfg["n_values"]:
-        raise ConfigError("n_values must not be empty")
+    for path in ("n_values", "eta0_values", "mc.lambda_grid", "mc.eta_grid"):
+        if not _field(cfg, path):
+            raise ConfigError(f"{path} must not be empty")
     for n in cfg["n_values"]:
         if n < q + 2 or (n * (q + 1)) % 2:
             raise ConfigError(f"n = {n} admits no simple {q + 1}-regular graph; "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, _rng, tree_green
+from . import _kernels, tree_green
 from .anderson import PotentialSpec, SpectralData
 from .errors import ConfigError
 
@@ -107,26 +107,19 @@ def ids_cdf(
 ) -> CdfTable:
     """CDF of the eta-smoothed density of states on a uniform ``_IDS_GRID``-point grid.
 
-    The density at lam is (1/pi) E[Im G(o,o; lam + i eta)], one Monte-Carlo
-    ray estimate per grid point with its own substream.  The work budget
-    applies to the whole grid, before the first sweep.
+    The density at lam is (1/pi) E[Im G(o,o; lam + i eta)]: the r = 0 row of
+    one distance profile over the grid, every point swept over the same
+    balls, under the profile's budget guard for the whole grid.
     """
-    if epsilon != 0.0:
-        tree_green._check_budget(_kernels.tree_node_count(q, depth, q + 1), samples * _IDS_GRID)
     edge = 2.0 * math.sqrt(q) + abs(epsilon) * pot_spec.support_bound + 4.0 * eta
     grid = np.linspace(-edge, edge, _IDS_GRID)
-    dens = np.empty(_IDS_GRID)
-    viol = np.zeros(4, dtype=np.int64)
-    for i, lam in enumerate(grid):
-        ray = tree_green.mc_expectation_im_green(
-            q, pot_spec, epsilon, complex(float(lam), eta), r_max=0, depth=depth,
-            samples=samples, seed=_rng.derive_key(seed, "ids-grid", i), leaf_mode=leaf_mode,
-        )
-        dens[i] = float(ray.means[0]) / math.pi
-        viol += ray.violations
+    profile = tree_green.distance_ratio_profile(
+        q, pot_spec, epsilon, eta, 0, grid, samples, seed, depth, leaf_mode
+    )
+    dens = profile.means[0] / math.pi
     cum = _cumulative_trapezoid(dens, grid)
     cum /= cum[-1]
-    return CdfTable(grid, cum, viol)
+    return CdfTable(grid, cum, profile.violations)
 
 
 # ----------------------------------------------------------------------

@@ -103,9 +103,9 @@ def _leaf_value(gamma: complex, q: int, leaf_mode: str) -> complex | None:
     raise ConfigError(f"unknown leaf_mode {leaf_mode!r}; expected 'bare' or 'free'")
 
 
-def _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode, lam_sup):
-    """Leaves, modulus caps 1/eta and Im floors (taken at |lambda| = ``lam_sup``)
-    of a gamma grid.
+def _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode):
+    """Leaves, modulus caps 1/eta and Im floors of a gamma grid, each floor
+    taken at that gamma's own |lambda| = |Re gamma|.
 
     eta must be positive, except on the closed-form free path (eps = 0, free
     leaves), where the recursion is stationary at eta = 0.
@@ -115,7 +115,7 @@ def _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode, lam_sup):
             raise ConfigError("eta must be strictly positive for Green evaluations")
     leaves = [_leaf_value(g, q, leaf_mode) for g in gammas]
     caps = [1.0 / g.imag if g.imag > 0 else np.inf for g in gammas]
-    floors = [imag_floor(q, epsilon, pot_spec.support_bound, lam_sup, g.imag) for g in gammas]
+    floors = [imag_floor(q, epsilon, pot_spec.support_bound, abs(g.real), g.imag) for g in gammas]
     return leaves, caps, floors
 
 
@@ -165,19 +165,6 @@ def green_diagonal(zeta_children, omega_root: float, epsilon: float, gamma) -> c
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RayExpectation:
-    """Sample means of Im G(root, y_r) for r = 0..r_max, with standard errors.
-
-    ``violations`` holds the sweeps' counts of sign, cap and floor
-    violations and of cavity values checked.
-    """
-
-    means: np.ndarray
-    stderrs: np.ndarray
-    violations: np.ndarray
-
-
 def _mean_stderr(columns: np.ndarray):
     means = columns.mean(axis=0)
     if columns.shape[0] > 1:
@@ -187,88 +174,23 @@ def _mean_stderr(columns: np.ndarray):
     return means, stderrs
 
 
-def _ray_grid(q, pot_spec, epsilon, gammas, r_max, depth, samples, batch_key, leaf_mode, lam_sup):
-    """Sample means and stderrs of Im G(o, y_r), r = 0..r_max, at every gamma
-    of a grid, all swept over the same ``samples`` balls of ``batch_key``.
-
-    The floors are taken at |lambda| = ``lam_sup``.  Returns (means and
-    stderrs of shape (G, r_max + 1), violation counters (G, 4)).  At
-    eps = 0 each gamma is the closed-form chain, with zero stderr; otherwise
-    the budget guard of ``_check_budget`` applies to the grid.
-    """
-    if samples < 1:
-        raise ConfigError("need at least one sample")
-    if depth < r_max + 1:
-        raise ConfigError(
-            f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1"
-        )
-    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode, lam_sup)
-    if epsilon == 0.0:
-        viol = np.zeros((len(gammas), 4), dtype=np.int64)
-        means = np.empty((len(gammas), r_max + 1), dtype=np.float64)
-        for i, g in enumerate(gammas):
-            values = _zero_disorder_chain(q, depth, g, leaf_mode)
-            _kernels._check_vec(values, caps[i], floors[i], viol[i])
-            green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, g)
-            means[i, 0] = green.imag
-            for r in range(1, r_max + 1):
-                green = green * values[r - 1]
-                means[i, r] = green.imag
-        return means, np.zeros_like(means), viol
-
-    _check_budget(_kernels.tree_node_count(q, depth, q + 1), samples * len(gammas))
-    im, viol = _kernels.ray_batch(
-        q, depth, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
-        batch_key, samples, r_max, 0, caps, floors,
-    )
-    means = np.empty((len(gammas), r_max + 1), dtype=np.float64)
-    stderrs = np.empty_like(means)
-    for i in range(len(gammas)):
-        means[i], stderrs[i] = _mean_stderr(im[i])
-    return means, stderrs, viol
-
-
-def mc_expectation_im_green(
-    q: int,
-    pot_spec: PotentialSpec,
-    epsilon: float,
-    gamma,
-    r_max: int,
-    depth: int,
-    samples: int,
-    seed: int,
-    leaf_mode: str = "free",
-) -> RayExpectation:
-    """Monte-Carlo estimate of E[Im G(o, y_r)] along one ray of the tree.
-
-    Each sample sweeps an independent depth-L ball (substream keyed by the
-    sample index), takes the Schur diagonal and multiplies cavity values
-    down the first ray; the floors are taken at |lambda| = |Re gamma|.
-    Deterministic for fixed seed: fixed substreams, fixed summation order.
-    """
-    g = complex(gamma)
-    means, stderrs, viol = _ray_grid(
-        q, pot_spec, epsilon, [g], r_max, depth, samples,
-        _rng.derive_key(seed, "mc-ray"), leaf_mode, abs(g.real),
-    )
-    return RayExpectation(means=means[0], stderrs=stderrs[0], violations=viol[0])
-
-
 @dataclass(frozen=True)
 class DistanceRatioProfile:
-    """E[Im G(o, y_r)] / E[Im G(o, o)] on a lambda grid at fixed eta.
+    """Monte-Carlo estimates of E[Im G(o, y_r)] on a lambda grid at fixed eta.
 
-    ratios[0] is identically one; rows r >= 1 are the distance-r profiles
-    entering the averaged kernel bracket.  The profile depends only on
-    (q, epsilon, eta, distribution), never on a graph or a potential seed.
-    ``violations`` sums the counters of its ray sweeps (layout as in
-    ``RayExpectation``).
+    ``means`` and ``stderrs`` have shape (r_max + 1, L): row r holds the
+    sample means of Im G(o, y_r) at each of the L lambdas and their standard
+    errors.  ``ratios`` = means / means[0], so ratios[0] is identically one;
+    rows r >= 1 are the distance-r profiles entering the averaged kernel
+    bracket.  The profile depends only on (q, epsilon, eta, distribution),
+    never on a graph or a potential seed.  ``violations`` sums the sweeps'
+    counts of sign, cap and floor violations and of cavity values checked.
     """
 
     lambdas: np.ndarray
     ratios: np.ndarray
-    diag_means: np.ndarray
-    diag_stderrs: np.ndarray
+    means: np.ndarray
+    stderrs: np.ndarray
     eta: float
     r_max: int
     violations: np.ndarray
@@ -286,25 +208,53 @@ def distance_ratio_profile(
     depth: int,
     leaf_mode: str = "free",
 ) -> DistanceRatioProfile:
-    """Monte-Carlo distance profile over a lambda grid.
+    """Monte-Carlo distance profile over a lambda grid (one point or more).
 
-    Every lambda is swept over the same balls (common random numbers), so
-    differences along the grid, and between profiles of one seed at other
-    eta, carry little sampling noise.  The work caps apply to the whole grid.
+    Each sample sweeps an independent depth-L ball (substream keyed by the
+    sample index), takes the Schur diagonal and multiplies cavity values
+    down the first ray.  Every lambda is swept over the same balls (common
+    random numbers), so a lambda's estimate does not depend on the rest of
+    the grid, and differences along the grid, and between profiles of one
+    seed at other eta, carry little sampling noise.  The budget guard of
+    ``_check_budget`` applies to the whole grid.  At eps = 0 each lambda is
+    the closed-form chain, with zero stderr.  Deterministic for fixed seed:
+    fixed substreams, fixed summation order.
     """
+    if samples < 1:
+        raise ConfigError("need at least one sample")
+    if depth < r_max + 1:
+        raise ConfigError(
+            f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1"
+        )
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
-    if lambdas.size < 2:
-        raise ConfigError("profile needs at least two lambda grid points")
-    lam_sup = float(np.max(np.abs(lambdas)))
-    means, stderrs, viol = _ray_grid(
-        q, pot_spec, epsilon, [complex(lam, eta) for lam in lambdas], r_max, depth,
-        samples, _rng.derive_key(seed, "profile"), leaf_mode, lam_sup,
-    )
+    gammas = [complex(lam, eta) for lam in lambdas]
+    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
+    means = np.empty((r_max + 1, len(gammas)), dtype=np.float64)
+    if epsilon == 0.0:
+        viol = np.zeros((len(gammas), 4), dtype=np.int64)
+        for i, g in enumerate(gammas):
+            values = _zero_disorder_chain(q, depth, g, leaf_mode)
+            _kernels._check_vec(values, caps[i], floors[i], viol[i])
+            green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, g)
+            means[0, i] = green.imag
+            for r in range(1, r_max + 1):
+                green = green * values[r - 1]
+                means[r, i] = green.imag
+        stderrs = np.zeros_like(means)
+    else:
+        _check_budget(_kernels.tree_node_count(q, depth, q + 1), samples * len(gammas))
+        im, viol = _kernels.ray_batch(
+            q, depth, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
+            _rng.derive_key(seed, "profile"), samples, r_max, 0, caps, floors,
+        )
+        stderrs = np.empty_like(means)
+        for i in range(len(gammas)):
+            means[:, i], stderrs[:, i] = _mean_stderr(im[i])
     return DistanceRatioProfile(
         lambdas=lambdas,
-        ratios=(means / means[:, :1]).T.copy(),
-        diag_means=means[:, 0].copy(),
-        diag_stderrs=stderrs[:, 0].copy(),
+        ratios=means / means[:1],
+        means=means,
+        stderrs=stderrs,
         eta=eta,
         r_max=r_max,
         violations=viol.sum(axis=0),
@@ -402,10 +352,9 @@ def green_condition_moments(
     s_list = tuple(float(s) for s in s_list)
     if any(s <= 0 for s in s_list):
         raise ConfigError("inverse-moment exponents must be positive")
-    lam_sup = max(abs(x) for x in lambda_grid)
     grid = [(lam, float(eta)) for lam in lambda_grid for eta in eta_grid]
     gammas = [complex(lam, eta) for lam, eta in grid]
-    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode, lam_sup)
+    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
     if epsilon != 0.0:
         _check_budget(_kernels.tree_node_count(q, depth, q), samples * len(gammas))
         zeta, viol = _kernels.cavity_batch(

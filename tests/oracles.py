@@ -114,7 +114,7 @@ def full_ball_green_row(
     Returns (row, omegas) with row[v] = G(root, v) for level-ordered v.
     """
     g = complex(gamma)
-    (leaf,), _, _ = tree_green._grid_bounds(q, pot_spec, epsilon, [g], leaf_mode, abs(g.real))
+    (leaf,), _, _ = tree_green._grid_bounds(q, pot_spec, epsilon, [g], leaf_mode)
     n = _kernels.tree_node_count(q, depth, branches)
     if n > 200000:
         raise BudgetError(f"full-ball evaluation on {n} nodes; lower the depth")

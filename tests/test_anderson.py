@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_assemble_k4_and_chain():
     assert isinstance(h, np.ndarray)
     assert np.array_equal(h.sum(axis=1), np.full(4, 3.0))
     chain = anderson.assemble(
-        (2, [(0, 1)]),
+        SimpleNamespace(n=2, edges=np.array([[0, 1]])),
         anderson.PotentialAssignment(omega=np.zeros(2), epsilon=0.0, spec=spec),
     )
     assert np.array_equal(chain, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -167,7 +168,7 @@ def test_eigendecompose_rejects_asymmetric_and_nan():
 
 def test_dimension_cap():
     with pytest.raises(BudgetError):
-        anderson.eigendecompose(np.zeros((5000, 5000)), dimension_cap=4096)
+        anderson.eigendecompose(np.zeros((5000, 5000)))
 
 
 def test_assemble_refuses_beyond_the_cap_before_allocating():

@@ -67,7 +67,14 @@ def test_resolve_config_defaults_and_validation():
                        ({"eta0_values": ["0.2"]}, "eta0_values"),
                        ({"mc": {"depth": 12.5}}, "mc.depth"),
                        ({"mc": {"samples": True}}, "mc.samples"),
-                       ({"n_values": [250.0]}, "n_values")]:
+                       ({"n_values": [250.0]}, "n_values"),
+                       ({"eta0_values": []}, "eta0_values"),
+                       ({"mc": {"lambda_grid": []}}, "mc.lambda_grid"),
+                       ({"mc": {"eta_grid": []}}, "mc.eta_grid"),
+                       ({"potential": {"kind": "two-point", "allow_atomic": "false"}},
+                        "potential.allow_atomic"),
+                       ({"output": {"per_eigenvalue": "false"}}, "output.per_eigenvalue"),
+                       ({"output": {"spectrum_dump": 1}}, "output.spectrum_dump")]:
         with pytest.raises(ConfigError, match=field):
             cli.resolve_config(raw)
     for n_values in ([65], [2]):
@@ -374,13 +381,13 @@ def test_strict_invariants_ids_violation(tmp_path, monkeypatch):
 
     from qelab import tree_green
 
-    real = tree_green.mc_expectation_im_green
+    real = tree_green.distance_ratio_profile
 
     def injected(*args, **kwargs):
-        ray = real(*args, **kwargs)
-        return dataclasses.replace(ray, violations=ray.violations + np.array([0, 1, 0, 0]))
+        prof = real(*args, **kwargs)
+        return dataclasses.replace(prof, violations=prof.violations + np.array([0, 1, 0, 0]))
 
-    monkeypatch.setattr(tree_green, "mc_expectation_im_green", injected)
+    monkeypatch.setattr(tree_green, "distance_ratio_profile", injected)
     cfg = _write(tmp_path, dict(MINI, esd={"reference": "ids"},
                                 mc={"samples": 4, "depth": 4, "lambda_spacing": 0.5}))
     assert cli.main(["esd", "--config", cfg, "--out", str(tmp_path / "strict"), "--threads", "1",

@@ -15,10 +15,8 @@ def ids_density(q, epsilon, lam, eta, samples, seed, depth=None):
     """(1/pi) E[Im G(o,o; lam + i eta)] and its stderr, one grid point of ``esd.ids_cdf``."""
     if depth is None:
         depth = tg.suggest_depth(q, max(eta, 0.05))
-    ray = tg.mc_expectation_im_green(
-        q, SPEC, epsilon, complex(lam, eta), r_max=0, depth=depth, samples=samples, seed=seed
-    )
-    return float(ray.means[0]) / math.pi, float(ray.stderrs[0]) / math.pi
+    ray = tg.distance_ratio_profile(q, SPEC, epsilon, eta, 0, [lam], samples, seed, depth)
+    return float(ray.means[0, 0]) / math.pi, float(ray.stderrs[0, 0]) / math.pi
 
 
 def test_kesten_mckay_values():
@@ -90,6 +88,28 @@ def test_ids_density_free_closed_form():
     zeta = tg.free_forward_green_complex(0.5 + 0.1j, 2)
     diag = tg.green_diagonal([zeta] * 3, 0.0, 0.0, 0.5 + 0.1j)
     assert density2 == pytest.approx(diag.imag / math.pi, abs=1e-10)
+
+
+def test_ids_cdf_free_grid_closed_form(monkeypatch):
+    # at eps = 0 every density of the grid is the closed complex form, and
+    # the whole grid comes from one distance profile
+    profiles = []
+    real = tg.distance_ratio_profile
+
+    def spy(*args, **kwargs):
+        profiles.append(real(*args, **kwargs))
+        return profiles[-1]
+
+    monkeypatch.setattr(tg, "distance_ratio_profile", spy)
+    table = esd.ids_cdf(2, SPEC, 0.0, 0.2, samples=4, seed=1, depth=12)
+    (profile,) = profiles
+    assert np.array_equal(profile.lambdas, table.grid)
+    for lam, density in zip(table.grid, profile.means[0] / math.pi):
+        gamma = complex(lam, 0.2)
+        zeta = tg.free_forward_green_complex(gamma, 2)
+        diag = tg.green_diagonal([zeta] * 3, 0.0, 0.0, gamma)
+        assert abs(density - diag.imag / math.pi) <= 1e-12
+    assert table.violations[:3].tolist() == [0, 0, 0]
 
 
 def test_ids_density_mc_consistency():

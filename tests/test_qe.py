@@ -104,16 +104,17 @@ def test_kernel_statistic_against_brute_force(small_case):
         2, SPEC, 0.2, 0.2, 1, np.linspace(-2.2, 2.2, 23), samples=200, seed=5, depth=10
     )
     # the grid sweep equals a loop of one-gamma ray batches over the same balls
-    floor = tg.imag_floor(2, 0.2, SPEC.support_bound, 2.2, 0.2)
     violations = np.zeros(4, dtype=np.int64)
     for i, lam in enumerate(profile.lambdas):
         gamma = complex(lam, 0.2)
+        floor = tg.imag_floor(2, 0.2, SPEC.support_bound, abs(lam), 0.2)
         im, viol = _kernels.ray_batch(
             2, 10, 0.2, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
             SPEC.support_bound, _rng.derive_key(5, "profile"), 200, 1, 0, [5.0], [floor],
         )
         means, stderrs = tg._mean_stderr(im[0])
-        assert profile.diag_means[i] == means[0] and profile.diag_stderrs[i] == stderrs[0]
+        assert np.array_equal(profile.means[:, i], means)
+        assert np.array_equal(profile.stderrs[:, i], stderrs)
         assert profile.ratios[1, i] == means[1] / means[0] and profile.ratios[0, i] == 1.0
         violations += viol[0]
     assert np.array_equal(profile.violations, violations)

@@ -110,17 +110,17 @@ def test_sweep_cavity_invariants():
 def test_sweep_work_cap():
     # depth 24 puts one q=2 ball beyond DEFAULT_WORK_CAP = 2**24 nodes
     with pytest.raises(BudgetError, match="lower the depth"):
-        tg.mc_expectation_im_green(2, SPEC, 0.3, 0.5 + 0.1j, 1, 24, 1, 1)
+        tg.distance_ratio_profile(2, SPEC, 0.3, 0.1, 1, [0.5], 1, 1, 24)
     # zero disorder collapses to a chain: any depth is fine
-    tg.mc_expectation_im_green(2, SPEC, 0.0, 0.5 + 0.1j, 1, 300, 1, 1)
+    tg.distance_ratio_profile(2, SPEC, 0.0, 0.1, 1, [0.5], 1, 1, 300)
 
 
 def test_eta_zero_rejected_unless_free_zero_disorder():
     with pytest.raises(ConfigError):
-        tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.0j, 1, 4, 2, 1)
+        tg.distance_ratio_profile(2, SPEC, 0.2, 0.0, 1, [0.5], 2, 1, 4)
     with pytest.raises(ConfigError):
-        tg.mc_expectation_im_green(2, SPEC, 0.0, 0.5 + 0.0j, 1, 4, 2, 1, leaf_mode="bare")
-    tg.mc_expectation_im_green(2, SPEC, 0.0, 0.5 + 0.0j, 1, 4, 2, 1, leaf_mode="free")
+        tg.distance_ratio_profile(2, SPEC, 0.0, 0.0, 1, [0.5], 2, 1, 4, leaf_mode="bare")
+    tg.distance_ratio_profile(2, SPEC, 0.0, 0.0, 1, [0.5], 2, 1, 4, leaf_mode="free")
     chain = tg._zero_disorder_chain(2, 4, 0.5 + 0.0j, "free")
     assert chain[0] == tg.free_forward_green(0.5, 2)
 
@@ -175,33 +175,31 @@ def test_depth3_path_matches_dense():
 
 
 # ----------------------------------------------------------------------
-# Monte-Carlo ray expectations
+# Monte-Carlo distance profiles
 # ----------------------------------------------------------------------
 
 
 def test_mc_free_values_exact():
-    ray = tg.mc_expectation_im_green(
-        2, SPEC, 0.0, 0.0 + 0.0j, r_max=1, depth=60, samples=16, seed=1, leaf_mode="free"
+    ray = tg.distance_ratio_profile(
+        2, SPEC, 0.0, 0.0, 1, [0.0], samples=16, seed=1, depth=60, leaf_mode="free"
     )
-    assert ray.means[0] == pytest.approx(math.sqrt(2) / 3, abs=1e-14)
-    assert ray.means[1] == pytest.approx(0.0, abs=1e-14)
-    assert ray.stderrs.tolist() == [0.0, 0.0]
+    assert ray.means[0, 0] == pytest.approx(math.sqrt(2) / 3, abs=1e-14)
+    assert ray.means[1, 0] == pytest.approx(0.0, abs=1e-14)
+    assert ray.stderrs[:, 0].tolist() == [0.0, 0.0]
 
 
 def test_mc_stderr_scale():
-    ray = tg.mc_expectation_im_green(
-        2, SPEC, 0.2, 0.5 + 0.05j, r_max=0, depth=10, samples=10000, seed=4
-    )
-    assert ray.stderrs[0] < 0.01 * ray.means[0]
+    ray = tg.distance_ratio_profile(2, SPEC, 0.2, 0.05, 0, [0.5], samples=10000, seed=4, depth=10)
+    assert ray.stderrs[0, 0] < 0.01 * ray.means[0, 0]
 
 
 def test_mc_depth_doubling_stabilizes():
     # free-seeded sweeps: doubling the depth moves the estimate by < 5e-3
     for eta in (0.05, 0.1, 0.2):
-        a = tg.mc_expectation_im_green(2, SPEC, 0.2, complex(0.5, eta), 1, 8, 1500, 9)
-        b = tg.mc_expectation_im_green(2, SPEC, 0.2, complex(0.5, eta), 1, 16, 1500, 9)
-        assert abs(a.means[0] - b.means[0]) < 5e-3
-        assert abs(a.means[1] - b.means[1]) < 5e-3
+        a = tg.distance_ratio_profile(2, SPEC, 0.2, eta, 1, [0.5], 1500, 9, 8)
+        b = tg.distance_ratio_profile(2, SPEC, 0.2, eta, 1, [0.5], 1500, 9, 16)
+        assert abs(a.means[0, 0] - b.means[0, 0]) < 5e-3
+        assert abs(a.means[1, 0] - b.means[1, 0]) < 5e-3
 
 
 def test_mc_distance_only_dependence():
@@ -221,14 +219,31 @@ def test_mc_distance_only_dependence():
 
 
 def test_mc_determinism_and_guards():
-    a = tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.2j, 1, 8, 200, 5)
-    b = tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.2j, 1, 8, 200, 5)
+    a = tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, 1, [0.5], 200, 5, 8)
+    b = tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, 1, [0.5], 200, 5, 8)
     assert np.array_equal(a.means, b.means)
     with pytest.raises(ConfigError):
-        tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.2j, r_max=5, depth=5, samples=10, seed=1)
+        tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, r_max=5, lambdas=[0.5], samples=10, seed=1,
+                                  depth=5)
     with pytest.raises(BudgetError):
         # 100000 balls of depth 20 exceed DEFAULT_MC_WORK_CAP = 2**33 nodes
-        tg.mc_expectation_im_green(2, SPEC, 0.2, 0.5 + 0.2j, 1, 20, 100000, 1)
+        tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, 1, [0.5], 100000, 1, 20)
+
+
+def test_profile_grid_points_share_balls():
+    # one key for the grid: each lambda equals a one-point profile of the
+    # same seed bit for bit, though the floors differ with |lam|
+    lams = [-1.5, 0.25, 0.8]
+    grid = tg.distance_ratio_profile(2, SPEC, 0.3, 0.15, 2, lams, samples=40, seed=6, depth=7)
+    violations = np.zeros(4, dtype=np.int64)
+    for i, lam in enumerate(lams):
+        single = tg.distance_ratio_profile(2, SPEC, 0.3, 0.15, 2, [lam], samples=40, seed=6, depth=7)
+        assert grid.lambdas[i] == lam
+        assert grid.means[:, i].tobytes() == single.means[:, 0].tobytes()
+        assert grid.stderrs[:, i].tobytes() == single.stderrs[:, 0].tobytes()
+        assert grid.ratios[:, i].tobytes() == single.ratios[:, 0].tobytes()
+        violations += single.violations
+    assert np.array_equal(grid.violations, violations)
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +297,8 @@ def test_moments_deterministic_floor():
 
 def test_moments_grid_points_share_balls():
     # one key for the table: each point equals a one-point table of the same
-    # seed (|lam| is the same everywhere, so the floors match), counters included
-    lams, etas = [-0.5, 0.5], [0.1, 0.3]
+    # seed (each floor is taken at its own |lam|), counters included
+    lams, etas = [-0.5, 1.0], [0.1, 0.3]
     table = tg.green_condition_moments(2, SPEC, 0.3, lams, etas, [1.0], samples=40, seed=6, depth=7)
     points = iter(table.points)
     for lam in lams:
