@@ -2,17 +2,18 @@
 
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level over a (samples x level width) array, in sample blocks of at
-most ``_BLOCK_NODES`` nodes per level, and sweep every gamma of a grid over
-the potentials that a block draws once; message passing is vectorized
-across the directed edges of a graph.  A call allocates its level, round
-and scratch arrays once (``SweepWork`` for the trees) and reuses them at
-every level, block and round, so its memory is paged in once rather than
-at every level; the operations and their order are those of the plain
-array expressions.  Results are reproducible bit for bit
-and depend neither on the blocking nor on the other gammas of a grid: child
-sums run in child order, complex reciprocals and products go through
-explicit formulas, and potentials come from the counter-based streams of
-``_rng``.  The golden digests in ``tests/test_kernels.py`` pin them, and
+most ``_BLOCK_NODES`` nodes on the widest level they compute (a free-leaf
+level is one row shared by every sample and does not count), and sweep
+every gamma of a grid over the potentials that a block draws once; message
+passing is vectorized across the directed edges of a graph.  A call
+allocates its level, round and scratch arrays once (``SweepWork`` for the
+trees) and reuses them at every level, block and round, so its memory is
+paged in once rather than at every level; the operations and their order
+are those of the plain array expressions.  Results are reproducible bit
+for bit and depend neither on the blocking nor on the other gammas of a
+grid: child sums run in child order, complex reciprocals and products go
+through explicit formulas, and potentials come from the counter-based
+streams of ``_rng``.  The golden digests in ``tests/test_kernels.py`` pin them, and
 ``tests/test_sample_blocks.py`` compares the batches with a per-sample loop
 and with one-gamma calls.
 
@@ -24,7 +25,10 @@ Conventions shared by every kernel:
 * a cavity value z satisfies ``Im z < 0``, ``|z| <= 1/eta`` and
   ``|Im z| >= eta / c_tilde**2``; kernels count violations of these bounds
   (with a 1e-12 relative slack for floating-point rounding) instead of
-  raising, callers decide what to do with the counts;
+  raising, callers decide what to do with the counts.  A level or round
+  whose values provably keep all three bounds is checked in one pass, from
+  the squared moduli its reciprocals left behind; any other is counted
+  node by node (``_check_vec``);
 * tree nodes are numbered in level order: root 0, then level k holding
   ``branches * q**(k-1)`` nodes; node ids feed the potential stream;
 * ``leaf`` is the free fixed-point value that seeds every leaf, or None for
@@ -43,6 +47,8 @@ import numpy as np
 from ._rng import draw_omega_vec, hash_u64_vec
 
 _SLACK = 1e-12
+# the smallest normal float64: below it a squared modulus loses relative precision
+_TINY = 2.0**-1022
 
 
 def crecip_scalar(z: complex) -> complex:
@@ -58,26 +64,31 @@ def crecip_scalar(z: complex) -> complex:
 
 
 def crecip_vec(z: np.ndarray) -> np.ndarray:
-    return crecip_parts(z.real, z.imag)
+    return crecip_parts(z.real, -z.imag)
 
 
-def crecip_parts(zr, zi, out=None, den=None) -> np.ndarray:
-    """1/(zr + 1j*zi) by ``crecip_scalar``'s formula, from real arrays (or scalars).
+def crecip_parts(zr, ni, out=None, den=None) -> np.ndarray:
+    """1/(zr - 1j*ni) by ``crecip_scalar``'s formula, from real arrays (or scalars).
 
-    Taking the parts apart saves the complex temporaries of the cavity
-    update gamma - eps*omega - sum, whose site term is real.  ``out``
+    ``ni`` is the negated imaginary part of the denominator, so its quotient
+    ni/den is the formula's -zi/den with no negation pass: the quotient of a
+    negated operand is the negated quotient.  The cavity update of the tree
+    levels and of the message rounds, gamma - eps*omega - sum, forms it as
+    sum.imag - gamma.imag, which is -(gamma.imag - sum.imag) bit for bit
+    unless the two cancel exactly (+0 against -0), and they never do while
+    the children keep Im z < 0 < eta.  Taking the parts apart also saves the
+    complex temporaries of that update, whose site term is real.  ``out``
     (complex) and ``den`` (float), of the broadcast shape, are optional
-    buffers; ``out.imag`` holds zi*zi on the way.
+    buffers; ``out.imag`` holds ni*ni on the way, and ``den`` is left
+    holding the squared modulus zr*zr + ni*ni, which ``_check_vec`` reads.
     """
     if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(zi)), dtype=np.complex128)
+        out = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(ni)), dtype=np.complex128)
     den = np.multiply(zr, zr, out=den if den is not None else np.empty(out.shape))
-    np.multiply(zi, zi, out=out.imag)
+    np.multiply(ni, ni, out=out.imag)
     den += out.imag
     np.divide(zr, den, out=out.real)
-    # -zi/den: the quotient of a negated operand is the negated quotient
-    np.divide(zi, den, out=out.imag)
-    np.negative(out.imag, out=out.imag)
+    np.divide(ni, den, out=out.imag)
     return out
 
 
@@ -110,16 +121,30 @@ def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
 
 
 def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.ndarray,
-               scratch=None) -> None:
+               scratch=None, den=None) -> None:
     """Add the bound violations of ``values`` to ``viol``.
 
-    ``scratch`` is an optional (float64 array, bool array) pair of the shape
-    of ``values``.
+    ``den``, when given, is the squared modulus of the denominators whose
+    reciprocals ``values`` are, as ``crecip_parts`` leaves it.  Two
+    reductions then decide most calls in one pass: if the largest Im z is
+    below 0 and at most -floor, and every den*cap**2 >= 1 (|z| = 1/sqrt(den)
+    up to a few ulp, far inside the 1e-12 slack), all three counts are 0.
+    The sign test is strict because the floor can be 0, a NaN fails every
+    comparison, and a den below the smallest normal float (whose rounding
+    is not relative) is not trusted; any of these falls back to the exact
+    counts, which take |z| per node.  ``scratch`` is an optional (float64
+    array, bool array) pair of the shape of ``values`` for the exact counts.
     """
+    viol[3] += values.size
+    if den is not None and values.size:
+        top = values.imag.max()
+        low = den.min()
+        if (top < 0.0 and top <= -(im_floor * (1.0 - _SLACK))
+                and low >= _TINY and low * (abs_cap * abs_cap) >= 1.0):
+            return
     if scratch is None:
         scratch = np.empty(values.shape), np.empty(values.shape, dtype=bool)
     scratch, mask = scratch
-    viol[3] += values.size
     im = values.imag
     viol[0] += int(np.count_nonzero(np.greater_equal(im, 0.0, out=mask)))
     np.abs(values, out=scratch)
@@ -132,10 +157,16 @@ def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.nda
 # cavity recursion on tree balls
 # ----------------------------------------------------------------------
 
-# Samples are swept together in blocks of at most this many tree nodes per
-# level, so one complex level array stays near 1 MB.  In timings of
-# cavity_batch at q=3, depth 8, 2**15 was slower and 2**17 no faster.
-_BLOCK_NODES = 2**16
+# Samples are swept together in blocks of at most this many tree nodes on
+# the widest level a sweep computes, so one complex level array stays near
+# 0.5 MB.  On the moment table (q=3, depth 8, free leaves: 14 samples a
+# block) 2**16 was not measurably faster and raised peak RSS by 2.3 MB (6%).
+_BLOCK_NODES = 2**15
+
+
+def _drawn_sizes(sizes, free_leaves):
+    """Widths of the levels a sweep draws potentials for: all but a free-leaf row."""
+    return sizes[:-1] if free_leaves else sizes
 
 
 class SweepWork:
@@ -143,27 +174,30 @@ class SweepWork:
 
     Sized for ``rows`` samples of a ball whose levels hold ``sizes`` nodes
     per sample: the level values (two, used in turn), the child sums, the
-    real and imaginary parts of the denominators and their squared modulus
-    (also the float scratch of the checks), the check mask, the uint64
-    scratch of the potential draws, and the potentials of every level.
-    Every array a level needs is a view of the first cells of one of these,
-    so a sweep touches the same pages at every level.
+    real and negated imaginary parts of the denominators and their squared
+    modulus (also the float scratch of the checks), the check mask, the
+    uint64 scratch of the potential draws, and the potentials of every
+    level.  With ``free_leaves`` the deepest level is one row shared by
+    every sample: it needs the cells of one row only, and ``sites`` leaves
+    it out.  Every array a level needs is a view of the first cells of one
+    of these, so a sweep touches the same pages at every level.
     """
 
-    def __init__(self, rows: int, sizes):
-        cells = rows * max(sizes)
+    def __init__(self, rows: int, sizes, free_leaves: bool = False):
+        drawn = _drawn_sizes(sizes, free_leaves)
+        cells = max(rows * max(drawn, default=0), sizes[-1])
         self._buffers = {
             "level0": np.empty(cells, dtype=np.complex128),
             "level1": np.empty(cells, dtype=np.complex128),
             "sums": np.empty(cells, dtype=np.complex128),
             "zr": np.empty(cells),
-            "zi": np.empty(cells),
+            "ni": np.empty(cells),
             "den": np.empty(cells),
             "mask": np.empty(cells, dtype=bool),
             "bits0": np.empty(cells, dtype=np.uint64),
             "bits1": np.empty(cells, dtype=np.uint64),
         }
-        self.sites = np.empty(rows * sum(sizes))
+        self.sites = np.empty(rows * sum(drawn))
         self._views = {}
 
     def view(self, name: str, shape: tuple) -> np.ndarray:
@@ -178,13 +212,15 @@ class SweepWork:
 def _sum_children(kids, count, out=None):
     """Sum of ``count`` children along the last axis, in child order from 0.
 
-    The same bits as a scalar loop ``s = 0j; s += z``.  A last axis of
-    length 1 holds one value shared by all ``count`` children.  ``out`` is
-    an optional complex buffer of the result's shape.
+    The same bits as a scalar loop ``s = 0j; s += z``: the first pass adds
+    child 0 to 0j (which turns a -0.0 part into +0.0) instead of filling
+    zeros and adding.  A last axis of length 1 holds one value shared by all
+    ``count`` children.  ``out`` is an optional complex buffer of the
+    result's shape.
     """
     total = np.empty(kids.shape[:-1], dtype=np.complex128) if out is None else out
-    total.fill(0.0)
-    for j in range(count):
+    np.add(kids[..., 0], 0.0, out=total)
+    for j in range(1, count):
         total += kids[..., j % kids.shape[-1]]
     return total
 
@@ -201,9 +237,11 @@ def cavity_levels(q, sizes, gamma, leaf, site, work):
     size 1 this is the eps = 0 chain, where all siblings coincide.
     ``site(k)`` returns eps*omega on level k with that shape; bare leaves
     call it, free leaves (``leaf`` not None) do not and are one row shared
-    by every sample.  Yields (k, values) for k = depth, ..., 1; the values
-    live in the buffers of ``work`` (a ``SweepWork``) and are overwritten
-    two levels later.
+    by every sample.  Yields (k, values, den) for k = depth, ..., 1, where
+    den is the squared modulus of the level's denominators (None on a
+    free-leaf row) for ``_check_vec``; both live in the buffers of ``work``
+    (a ``SweepWork``), values are overwritten two levels later and den at
+    the next level.
     """
     depth = len(sizes)
     values = None
@@ -213,13 +251,13 @@ def cavity_levels(q, sizes, gamma, leaf, site, work):
         if values is None and leaf is not None:
             values = work.view(out, (1, width))
             values.fill(leaf)
-            yield k, values
+            yield k, values, None
             continue
         pot = site(k)
         if values is None:
             shape = pot.shape
             zr = np.subtract(gamma.real, pot, out=work.view("zr", shape))
-            zi = gamma.imag
+            ni = -gamma.imag
         else:
             rows = values.shape[0]
             total = _sum_children(values.reshape(rows, width, -1), q,
@@ -227,9 +265,10 @@ def cavity_levels(q, sizes, gamma, leaf, site, work):
             shape = (max(pot.shape[0], rows), width)
             zr = np.subtract(gamma.real, pot, out=work.view("zr", shape))
             zr -= total.real
-            zi = np.subtract(gamma.imag, total.imag, out=work.view("zi", (rows, width)))
-        values = crecip_parts(zr, zi, work.view(out, shape), work.view("den", shape))
-        yield k, values
+            ni = np.subtract(total.imag, gamma.imag, out=work.view("ni", (rows, width)))
+        den = work.view("den", shape)
+        values = crecip_parts(zr, ni, work.view(out, shape), den)
+        yield k, values, den
 
 
 def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
@@ -266,10 +305,11 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
     branch = np.empty((len(gammas), m, branches), dtype=np.complex128)
     spine = np.empty((len(gammas), m, spine_len), dtype=np.complex128)
     for i, gamma in enumerate(gammas):
-        for k, values in cavity_levels(q, sizes, gamma, leaves[i], site, work):
+        for k, values, den in cavity_levels(q, sizes, gamma, leaves[i], site, work):
             counts = np.zeros(4, dtype=np.int64)
+            # den is read before the exact counts overwrite it
             scratch = work.view("den", values.shape), work.view("mask", values.shape)
-            _check_vec(values, abs_caps[i], im_floors[i], counts, scratch)
+            _check_vec(values, abs_caps[i], im_floors[i], counts, scratch, den)
             viol[i] += counts * (m // values.shape[0])  # a free-leaf row stands for all m samples
             if k <= spine_len:
                 spine[i, :, k - 1] = values[:, ray_branch * q ** (k - 1)]
@@ -278,11 +318,19 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
     return branch, spine, omega_root, viol
 
 
-def _sample_blocks(samples, level_width):
-    """Slices of consecutive samples with at most ``_BLOCK_NODES`` nodes on a
-    level that is ``level_width`` wide per sample, or one sample if wider."""
-    per_block = max(1, _BLOCK_NODES // level_width)
-    return [slice(start, min(start + per_block, samples)) for start in range(0, samples, per_block)]
+def _sweep_plan(samples, sizes, leaves):
+    """Blocks of consecutive samples, and the ``SweepWork`` they share, for a
+    sweep of ``samples`` balls with levels of ``sizes`` nodes per sample.
+
+    A block holds at most ``_BLOCK_NODES`` nodes on the widest level the
+    sweep computes, or one sample if that level alone is wider.  When every
+    gamma has a free leaf, the leaf level is one shared row and not counted.
+    """
+    free = all(leaf is not None for leaf in leaves)
+    per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free) or sizes))
+    blocks = [slice(start, min(start + per_block, samples))
+              for start in range(0, samples, per_block)]
+    return blocks, SweepWork(blocks[0].stop, sizes, free)
 
 
 def ray_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
@@ -297,8 +345,7 @@ def ray_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     im = np.empty((len(gammas), samples, r_max + 1), dtype=np.float64)
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    blocks = _sample_blocks(samples, (q + 1) * q ** (depth - 1))
-    work = SweepWork(blocks[0].stop, level_sizes(q, depth, q + 1))
+    blocks, work = _sweep_plan(samples, level_sizes(q, depth, q + 1), leaves)
     for block in blocks:
         branch, spine, omega_root, counts = _sweep_block(
             q, depth, q + 1, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
@@ -326,8 +373,7 @@ def cavity_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samp
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     zeta = np.empty((len(gammas), samples), dtype=np.complex128)
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    blocks = _sample_blocks(samples, q**depth)
-    work = SweepWork(blocks[0].stop, level_sizes(q, depth, q))
+    blocks, work = _sweep_plan(samples, level_sizes(q, depth, q), leaves)
     for block in blocks:
         branch, _, omega_root, counts = _sweep_block(
             q, depth, q, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
@@ -362,7 +408,8 @@ def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floo
     of the (vertices, deg) view holds the messages out of u.  Returns
     (messages, violation counters of the updates); ``msg`` is left as it is.
     Every round reuses the buffers of the first, in the order of operations
-    of ``crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))``.
+    of ``crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))`` with
+    the imaginary part negated as ``crecip_parts`` takes it.
     """
     viol = np.zeros(4, dtype=np.int64)
     deg = nbrs.size // omega.size
@@ -372,7 +419,7 @@ def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floo
     outs = (np.empty_like(msg), np.empty_like(msg))
     site_sum = np.empty(omega.size, dtype=np.complex128)
     diff = np.empty_like(msg)
-    zr, zi, den = np.empty(msg.size), np.empty(msg.size), np.empty(msg.size)
+    zr, ni, den = np.empty(msg.size), np.empty(msg.size), np.empty(msg.size)
     scratch = zr, np.empty(msg.size, dtype=bool)  # zr is free once msg is built
     for r in range(rounds):
         out = outs[r % 2]
@@ -380,7 +427,7 @@ def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floo
         np.take(site_sum, nbrs, out=diff)
         diff -= np.take(msg, rev, out=out)
         np.subtract(base, diff.real, out=zr)
-        np.subtract(g.imag, diff.imag, out=zi)
-        msg = crecip_parts(zr, zi, out, den)
-        _check_vec(msg, abs_cap, im_floor, viol, scratch)
+        np.subtract(diff.imag, g.imag, out=ni)
+        msg = crecip_parts(zr, ni, out, den)
+        _check_vec(msg, abs_cap, im_floor, viol, scratch, den)
     return msg, viol

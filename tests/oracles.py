@@ -130,7 +130,7 @@ def full_ball_green_row(
 
     values_by_level: list[np.ndarray] = [None] * (depth + 1)
     work = _kernels.SweepWork(1, sizes)
-    for k, values in _kernels.cavity_levels(q, sizes, g, leaf, site, work):
+    for k, values, _ in _kernels.cavity_levels(q, sizes, g, leaf, site, work):
         values_by_level[k] = values[0].copy()
 
     row = np.empty(n, dtype=np.complex128)

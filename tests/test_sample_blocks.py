@@ -1,9 +1,10 @@
 """The blocked ray and cavity batches against a per-sample loop and per-gamma calls.
 
 ``ray_batch`` and ``cavity_batch`` sweep many samples at once, in blocks of
-at most ``_kernels._BLOCK_NODES`` nodes per tree level.  The oracle here is
-the per-sample loop they replaced: one ``oracles.cavity_sweep`` per sample
-key, the root sum in CPython scalars, ``crecip_scalar`` and the complex ``*``.
+at most ``_kernels._BLOCK_NODES`` nodes on the widest tree level they
+compute.  The oracle here is the per-sample loop they replaced: one
+``oracles.cavity_sweep`` per sample key, the root sum in CPython scalars,
+``crecip_scalar`` and the complex ``*``.
 Outputs and violation counters must match bit for bit, however the samples
 fall into blocks.  A grid of gammas swept over one draw of the potentials
 must give, gamma by gamma, the bits of a one-gamma call with the same key.
@@ -22,8 +23,9 @@ ABS_CAP = 1.2
 IM_FLOOR = 0.25
 DEPTH = {2: 6, 3: 5, 4: 4}
 KINDS = [_rng.POT_UNIFORM, _rng.POT_RESCALED_BETA, _rng.POT_TWO_POINT]
-# (samples, _BLOCK_NODES): one sample; ragged blocks of 2-7 samples; one sample per block
-LAYOUTS = [(1, _kernels._BLOCK_NODES), (37, 700), (5, 1)]
+# (samples, _BLOCK_NODES): one sample (any block size holds it; 2**16 keeps
+# the test ids); ragged blocks of 2-7 samples; one sample per block
+LAYOUTS = [(1, 2**16), (37, 700), (5, 1)]
 # a grid of mixed lambda and eta, each gamma with its own cap and floor
 GRID = [GAMMA, -0.6 + 0.1j, 1.1 + 0.4j, 0.3 + 0.05j]
 GRID_CAPS = [ABS_CAP, 2.0, 1.0, 1.5]
@@ -128,27 +130,74 @@ def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, bloc
 @pytest.mark.parametrize("block_nodes", [1, 100, 700, 4096])
 def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
-    sweep = _kernels._sweep_block
-    seen = []
+    sweep, levels = _kernels._sweep_block, _kernels.cavity_levels
+    seen, shapes = [], []
 
     def recording(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest):
         seen.append(keys.shape[0])
         return sweep(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest)
 
+    def recording_levels(*args):
+        for k, values, den in levels(*args):
+            shapes.append(values.shape)
+            yield k, values, den
+
     monkeypatch.setattr(_kernels, "_sweep_block", recording)
+    monkeypatch.setattr(_kernels, "cavity_levels", recording_levels)
     q, depth, samples = 3, 5, 29
-    batches = [
-        (4 * 3**4, lambda: _kernels.ray_batch(q, depth, EPS, GRID, [None] * len(GRID),
-                                              _rng.POT_UNIFORM, 1.0, 5, samples, 2, 0,
-                                              GRID_CAPS, GRID_FLOORS)),
-        (3**5, lambda: _kernels.cavity_batch(q, depth, EPS, GRID, [None] * len(GRID),
-                                             _rng.POT_UNIFORM, 1.0, 7, samples,
-                                             GRID_CAPS, GRID_FLOORS)),
-    ]
-    for leaf_width, run in batches:
-        seen.clear()
-        run()
-        assert sum(seen) == samples
-        # every block but the last is as full as the limit allows
-        assert seen[:-1] == [max(1, block_nodes // leaf_width)] * (len(seen) - 1)
-        assert all(m * leaf_width <= block_nodes or m == 1 for m in seen)
+    for leaf_mode in ("bare", "free"):
+        leaves = [leaf_for(leaf_mode, q, g) for g in GRID]
+        # the widest level a sweep computes per sample: the leaf level, or with
+        # free leaves the level above it, since the leaf level is one shared row
+        widest = depth - 1 if leaf_mode == "free" else depth
+        batches = [
+            (4 * 3 ** (widest - 1), lambda: _kernels.ray_batch(
+                q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 5, samples, 2, 0,
+                GRID_CAPS, GRID_FLOORS)),
+            (3**widest, lambda: _kernels.cavity_batch(
+                q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 7, samples,
+                GRID_CAPS, GRID_FLOORS)),
+        ]
+        for width, run in batches:
+            seen.clear()
+            shapes.clear()
+            run()
+            assert sum(seen) == samples
+            # every block but the last is as full as the limit allows
+            assert seen[:-1] == [max(1, block_nodes // width)] * (len(seen) - 1)
+            assert all(m * width <= block_nodes or m == 1 for m in seen)
+            # and every level a block sweeps, a shared free-leaf row included,
+            # holds at most that many nodes, or one row
+            assert len(shapes) == len(seen) * len(GRID) * depth
+            assert all(rows * cols <= block_nodes or rows == 1 for rows, cols in shapes)
+
+
+@pytest.mark.parametrize("batch", ["ray", "cavity"])
+def test_free_leaf_sweep_work_stays_within_block_nodes(batch, monkeypatch):
+    # the moment table's ball (q=3, depth 8) and the reference profile's
+    # (q=2, depth 12), with free leaves: the buffers hold no level wider
+    # than the block, and no potentials for the leaf level, which draws none
+    made = []
+
+    class Recorded(_kernels.SweepWork):
+        def __init__(self, rows, sizes, free_leaves=False):
+            super().__init__(rows, sizes, free_leaves)
+            made.append((self, rows, sizes))
+
+    monkeypatch.setattr(_kernels, "SweepWork", Recorded)
+    if batch == "ray":
+        q, depth = 2, 12
+        gamma = 0.5 + 0.2j
+        leaf = tree_green.free_forward_green_complex(gamma, q)
+        _kernels.ray_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 5, 12,
+                           depth - 1, 0, [5.0], [0.0])
+    else:
+        q, depth = 3, 8
+        gamma = 0.5 + 0.05j
+        leaf = tree_green.free_forward_green_complex(gamma, q)
+        _kernels.cavity_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 7, 16,
+                              [20.0], [0.0])
+    (work, rows, sizes), = made
+    assert rows == _kernels._BLOCK_NODES // sizes[-2]
+    assert all(buffer.size <= _kernels._BLOCK_NODES for buffer in work._buffers.values())
+    assert work.sites.size == rows * sum(sizes[:-1])
