@@ -25,16 +25,13 @@ from .graphs import (  # noqa: F401
     distance_and_geodesic,
     exp_check,
     generate_random_regular,
-    girth,
     injectivity_radius,
-    load_graph_json,
     save_graph_json,
 )
 from .esd import (  # noqa: F401
     esd_compare,
     ids_cdf,
     kesten_mckay_cdf,
-    kesten_mckay_density,
     lln_moment_check,
 )
 from .qe import (  # noqa: F401

@@ -3,19 +3,23 @@
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level over a (samples x level width) array, in sample blocks of at
 most ``_BLOCK_NODES`` nodes on the widest level they compute (a free-leaf
-level is one row shared by every sample and does not count), and sweep
-every gamma of a grid over the potentials that a block draws once; message
-passing is vectorized across the directed edges of a graph.  A call
-allocates its level, round and scratch arrays once (``SweepWork`` for the
-trees) and reuses them at every level, block and round, so its memory is
-paged in once rather than at every level; the operations and their order
-are those of the plain array expressions.  Results are reproducible bit
-for bit and depend neither on the blocking nor on the other gammas of a
-grid: child sums run in child order, complex reciprocals and products go
-through explicit formulas, and potentials come from the counter-based
-streams of ``_rng``.  The golden digests in ``tests/test_kernels.py`` pin them, and
-``tests/test_sample_blocks.py`` compares the batches with a per-sample loop
-and with one-gamma calls.
+level is one value shared by every node and does not count), and sweep
+every gamma of a grid over the potentials that a block draws once.  Each
+level is updated in chunks of consecutive sample rows of at most a quarter
+of that budget, so the temporaries of an update stay in cache while the
+block, and with it the number of samples that share one numpy call on the
+narrow top levels, stays large.  Message passing is vectorized across the
+directed edges of a graph.  A call allocates its level, round and scratch
+arrays once (``SweepWork`` for the trees) and reuses them at every level,
+chunk, block and round, so its memory is paged in once rather than at
+every level; the operations and their order are those of the plain array
+expressions, elementwise, so neither chunks nor blocks change a bit.
+Results are reproducible bit for bit and depend neither on the blocking
+nor on the other gammas of a grid: child sums run in child order, complex
+reciprocals and products go through explicit formulas, and potentials come
+from the counter-based streams of ``_rng``.  The golden digests in
+``tests/test_kernels.py`` pin them, and ``tests/test_sample_blocks.py``
+compares the batches with a per-sample loop and with one-gamma calls.
 
 Conventions shared by every kernel:
 
@@ -40,6 +44,7 @@ nodes-visited].
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -79,14 +84,18 @@ def crecip_parts(zr, ni, out=None, den=None) -> np.ndarray:
     the children keep Im z < 0 < eta.  Taking the parts apart also saves the
     complex temporaries of that update, whose site term is real.  ``out``
     (complex) and ``den`` (float), of the broadcast shape, are optional
-    buffers; ``out.imag`` holds ni*ni on the way, and ``den`` is left
-    holding the squared modulus zr*zr + ni*ni, which ``_check_vec`` reads.
+    buffers; ``out.imag`` holds an array ni*ni on the way (one number ni is
+    squared once), and ``den`` is left holding the squared modulus
+    zr*zr + ni*ni, which ``_check_vec`` reads.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(ni)), dtype=np.complex128)
     den = np.multiply(zr, zr, out=den if den is not None else np.empty(out.shape))
-    np.multiply(ni, ni, out=out.imag)
-    den += out.imag
+    if np.ndim(ni):
+        np.multiply(ni, ni, out=out.imag)
+        den += out.imag
+    else:
+        den += ni * ni
     np.divide(zr, den, out=out.real)
     np.divide(ni, den, out=out.imag)
     return out
@@ -121,27 +130,32 @@ def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
 
 
 def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.ndarray,
-               scratch=None, den=None) -> None:
+               scratch=None, den=None, ni=None) -> None:
     """Add the bound violations of ``values`` to ``viol``.
 
     ``den``, when given, is the squared modulus of the denominators whose
-    reciprocals ``values`` are, as ``crecip_parts`` leaves it.  Two
-    reductions then decide most calls in one pass: if the largest Im z is
-    below 0 and at most -floor, and every den*cap**2 >= 1 (|z| = 1/sqrt(den)
-    up to a few ulp, far inside the 1e-12 slack), all three counts are 0.
-    The sign test is strict because the floor can be 0, a NaN fails every
-    comparison, and a den below the smallest normal float (whose rounding
-    is not relative) is not trusted; any of these falls back to the exact
-    counts, which take |z| per node.  ``scratch`` is an optional (float64
-    array, bool array) pair of the shape of ``values`` for the exact counts.
+    reciprocals ``values`` are, as ``crecip_parts`` leaves it, and ``ni``
+    their negated imaginary parts.  Two reductions then decide most calls
+    in one pass: if every den*cap**2 >= 1 (|z| = 1/sqrt(den) up to a few
+    ulp, far inside the 1e-12 slack) and the largest Im z is below 0 and at
+    most -floor, all three counts are 0.  When ``ni`` is one number shared
+    by every denominator, the largest Im z is ni / den.max() exactly,
+    without a pass over ``values``: it certifies only when it is below 0, so
+    ni < 0, and a correctly rounded ni/den then grows with den (an array
+    ``ni`` is not read).  The sign test is strict because the floor can be
+    0, a NaN fails every comparison, and a den below the smallest normal
+    float (whose rounding is not relative) is not trusted; any of these
+    falls back to the exact counts, which take |z| per node.  ``scratch``
+    is an optional (float64 array, bool array) pair of the shape of
+    ``values`` for the exact counts.
     """
     viol[3] += values.size
     if den is not None and values.size:
-        top = values.imag.max()
         low = den.min()
-        if (top < 0.0 and top <= -(im_floor * (1.0 - _SLACK))
-                and low >= _TINY and low * (abs_cap * abs_cap) >= 1.0):
-            return
+        if low >= _TINY and low * (abs_cap * abs_cap) >= 1.0:
+            top = values.imag.max() if ni is None or np.ndim(ni) else ni / den.max()
+            if top < 0.0 and top <= -(im_floor * (1.0 - _SLACK)):
+                return
     if scratch is None:
         scratch = np.empty(values.shape), np.empty(values.shape, dtype=bool)
     scratch, mask = scratch
@@ -158,55 +172,86 @@ def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.nda
 # ----------------------------------------------------------------------
 
 # Samples are swept together in blocks of at most this many tree nodes on
-# the widest level a sweep computes, so one complex level array stays near
-# 0.5 MB.  On the moment table (q=3, depth 8, free leaves: 14 samples a
-# block) 2**16 was not measurably faster and raised peak RSS by 2.3 MB (6%).
-_BLOCK_NODES = 2**15
+# the widest level a sweep computes, and every level is updated in chunks of
+# consecutive sample rows of at most a quarter of that (``_row_chunks``).
+# A level update keeps about 60 bytes a node in flight (child sums, the parts
+# of the denominators, the output chunk, potentials, mask), so a 2**14-node
+# chunk stays near 1 MB, within a 2 MB per-core L2; only the two level arrays
+# and the potentials span the whole block.  On the moment table (q=3,
+# depth 8, free leaves: 29 samples a block) 2**17 was about 7% faster and
+# raised peak RSS by 2 MB (5%).
+_BLOCK_NODES = 2**16
+
+
+def _row_chunks(rows, width):
+    """Slices of consecutive sample rows, first to last, that update ``rows``
+    rows of a level ``width`` nodes wide: each holds at most
+    ``_BLOCK_NODES // 4`` nodes, or one row if a row alone is wider."""
+    step = max(1, _BLOCK_NODES // 4 // width)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def _drawn_sizes(sizes, free_leaves):
-    """Widths of the levels a sweep draws potentials for: all but a free-leaf row."""
+    """Widths of the levels a sweep draws potentials for: all but a free-leaf level."""
     return sizes[:-1] if free_leaves else sizes
+
+
+# views of a chunk's scratch: child sums, real and negated imaginary parts of
+# the denominators, their squared modulus, the (float, mask) scratch of the
+# exact checks (den is free once checked) and the uint64 scratch of the draws
+_Chunk = collections.namedtuple("_Chunk", "sums zr ni den check bits")
 
 
 class SweepWork:
     """Buffers that a tree sweep reuses from level to level and block to block.
 
-    Sized for ``rows`` samples of a ball whose levels hold ``sizes`` nodes
-    per sample: the level values (two, used in turn), the child sums, the
-    real and negated imaginary parts of the denominators and their squared
-    modulus (also the float scratch of the checks), the check mask, the
-    uint64 scratch of the potential draws, and the potentials of every
-    level.  With ``free_leaves`` the deepest level is one row shared by
-    every sample: it needs the cells of one row only, and ``sites`` leaves
-    it out.  Every array a level needs is a view of the first cells of one
-    of these, so a sweep touches the same pages at every level.
+    Sized for blocks of up to ``rows`` samples of a ball whose levels hold
+    ``sizes`` nodes per sample.  The level values (two, used in turn) and the
+    potentials of every level span the whole block.  The scratch of a level
+    update spans one chunk of rows (``_row_chunks``), never more than the
+    block's widest level: the child sums, the real and negated imaginary
+    parts of the denominators and their squared modulus (also the float
+    scratch of the checks), the check mask and the uint64 scratch of the
+    potential draws.  With ``free_leaves`` the deepest level is one value
+    shared by every node of every sample: it takes no cells and no
+    potentials.  Every array an update needs is a view of the first cells
+    of one of these, so a sweep touches the same pages at every level and
+    chunk.
     """
 
     def __init__(self, rows: int, sizes, free_leaves: bool = False):
         drawn = _drawn_sizes(sizes, free_leaves)
-        cells = max(rows * max(drawn, default=0), sizes[-1])
-        self._buffers = {
-            "level0": np.empty(cells, dtype=np.complex128),
-            "level1": np.empty(cells, dtype=np.complex128),
-            "sums": np.empty(cells, dtype=np.complex128),
-            "zr": np.empty(cells),
-            "ni": np.empty(cells),
-            "den": np.empty(cells),
-            "mask": np.empty(cells, dtype=bool),
-            "bits0": np.empty(cells, dtype=np.uint64),
-            "bits1": np.empty(cells, dtype=np.uint64),
+        chunk = max((_row_chunks(rows, w)[0].stop * w for w in drawn), default=0)
+        # level k lives in levels[k % 2], sized by the widest level of its parity
+        self.levels = tuple(
+            np.empty(rows * max(drawn[1 - parity :: 2], default=0), dtype=np.complex128)
+            for parity in (0, 1)
+        )
+        self.scratch = {
+            "sums": np.empty(chunk, dtype=np.complex128),
+            "zr": np.empty(chunk),
+            "ni": np.empty(chunk),
+            "den": np.empty(chunk),
+            "mask": np.empty(chunk, dtype=bool),
+            "bits0": np.empty(chunk, dtype=np.uint64),
+            "bits1": np.empty(chunk, dtype=np.uint64),
         }
         self.sites = np.empty(rows * sum(drawn))
-        self._views = {}
+        self._chunks = {}
 
-    def view(self, name: str, shape: tuple) -> np.ndarray:
-        """The first cells of buffer ``name`` as an array of ``shape``, made once per shape."""
-        view = self._views.get((name, shape))
-        if view is None:
-            view = self._buffers[name][: math.prod(shape)].reshape(shape)
-            self._views[(name, shape)] = view
-        return view
+    def level(self, k: int, shape: tuple) -> np.ndarray:
+        """Level k's values: the first cells of the level array of k's parity."""
+        return self.levels[k % 2][: math.prod(shape)].reshape(shape)
+
+    def chunk(self, shape: tuple) -> _Chunk:
+        """The scratch of one chunk update as arrays of ``shape``, made once per shape."""
+        views = self._chunks.get(shape)
+        if views is None:
+            v = {name: b[: math.prod(shape)].reshape(shape) for name, b in self.scratch.items()}
+            views = _Chunk(v["sums"], v["zr"], v["ni"], v["den"], (v["den"], v["mask"]),
+                           (v["bits0"], v["bits1"]))
+            self._chunks[shape] = views
+        return views
 
 
 def _sum_children(kids, count, out=None):
@@ -225,50 +270,58 @@ def _sum_children(kids, count, out=None):
     return total
 
 
-_LEVEL_BUFFERS = ("level0", "level1")
-
-
 def cavity_levels(q, sizes, gamma, leaf, site, work):
     """The cavity recursion z = 1/(gamma - site - sum of q children), leaves first.
 
-    Values have shape (samples, sizes[k-1]) at level k = 1..depth, in level
-    order along the last axis.  A level kept at the size of the level above
-    it holds one value shared by all q children of each parent: with every
+    Level k = 1..depth holds (samples, sizes[k-1]) values, in level order
+    along the last axis.  A level kept at the size of the level above it
+    holds one value shared by all q children of each parent: with every
     size 1 this is the eps = 0 chain, where all siblings coincide.
-    ``site(k)`` returns eps*omega on level k with that shape; bare leaves
-    call it, free leaves (``leaf`` not None) do not and are one row shared
-    by every sample.  Yields (k, values, den) for k = depth, ..., 1, where
-    den is the squared modulus of the level's denominators (None on a
-    free-leaf row) for ``_check_vec``; both live in the buffers of ``work``
-    (a ``SweepWork``), values are overwritten two levels later and den at
-    the next level.
+    ``site(k)`` returns eps*omega on level k for every sample.  Bare leaves
+    call it; free leaves (``leaf`` not None) do not: they are one value,
+    shared by every node of every sample, and every node of the level above
+    sums the same q copies of it, so that level's denominators share one
+    negated imaginary part.
+
+    Each level is updated in chunks of consecutive sample rows
+    (``_row_chunks``).  Yields (k, rows, values, den, ni) per chunk, for
+    k = depth, ..., 1: the samples ``rows`` (a slice), their values, and
+    the squared moduli ``den`` and negated imaginary parts ``ni`` of the
+    denominators (an array, or one number on the bare leaf level and above
+    free leaves), as ``_check_vec`` takes them.  A free-leaf level comes as
+    one read-only (1, width) chunk for ``rows = slice(None)``, with den and
+    ni None.  values and den live in the buffers of ``work`` (a
+    ``SweepWork``); values are overwritten two levels later, den at the
+    next chunk.
     """
     depth = len(sizes)
     values = None
     for k in range(depth, 0, -1):
         width = sizes[k - 1]
-        out = _LEVEL_BUFFERS[k % 2]
         if values is None and leaf is not None:
-            values = work.view(out, (1, width))
-            values.fill(leaf)
-            yield k, values, None
+            values = np.broadcast_to(np.complex128(leaf), (1, width))
+            yield k, slice(None), values, None, None
             continue
         pot = site(k)
         if values is None:
-            shape = pot.shape
-            zr = np.subtract(gamma.real, pot, out=work.view("zr", shape))
-            ni = -gamma.imag
+            kids, total, ni = None, None, -gamma.imag
+        elif k == depth - 1 and leaf is not None:
+            kids, total = None, _sum_children(values[:, :1, None], q)[0, 0]
+            ni = total.imag - gamma.imag
         else:
-            rows = values.shape[0]
-            total = _sum_children(values.reshape(rows, width, -1), q,
-                                  work.view("sums", (rows, width)))
-            shape = (max(pot.shape[0], rows), width)
-            zr = np.subtract(gamma.real, pot, out=work.view("zr", shape))
-            zr -= total.real
-            ni = np.subtract(total.imag, gamma.imag, out=work.view("ni", (rows, width)))
-        den = work.view("den", shape)
-        values = crecip_parts(zr, ni, work.view(out, shape), den)
-        yield k, values, den
+            kids = values.reshape(values.shape[0], width, -1)
+        m = pot.shape[0]
+        level = work.level(k, (m, width))
+        for rows in _row_chunks(m, width):
+            chunk = work.chunk((rows.stop - rows.start, width))
+            zr = np.subtract(gamma.real, pot[rows], out=chunk.zr)
+            if kids is not None:
+                total = _sum_children(kids[rows], q, chunk.sums)
+                ni = np.subtract(total.imag, gamma.imag, out=chunk.ni)
+            if total is not None:
+                zr -= total.real
+            yield k, rows, crecip_parts(zr, ni, level[rows], chunk.den), chunk.den, ni
+        values = level
 
 
 def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
@@ -277,13 +330,14 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
     at every gamma of the grid ``gammas``.
 
     ``keys`` is uint64 of shape (m, 1); each sample draws its potentials
-    level by level from the stream of its key, once per block, and every
-    gamma is swept over the same draws with its own leaf, cap and floor.
-    ``work`` is a ``SweepWork`` for at least m rows of this ball.
-    The spines hold the cavity values at depths 1..spine_len along the first
-    ray of branch ``ray_branch``.  Returns (branch values (G, m, branches),
-    spines (G, m, spine_len), root-site potentials (m,), violation counters
-    (G, 4) summed over the block).
+    level by level from the stream of its key, once per block and in the
+    row chunks of the level updates, and every gamma is swept over the same
+    draws with its own leaf, cap and floor.  ``work`` is a ``SweepWork`` for
+    at least m rows of this ball.  The spines hold the cavity values at
+    depths 1..spine_len along the first ray of branch ``ray_branch``.
+    Returns (branch values (G, m, branches), spines (G, m, spine_len),
+    root-site potentials (m,), violation counters (G, 4) summed over the
+    block).
     """
     m = keys.shape[0]
     offsets = level_offsets(q, depth, branches)
@@ -292,28 +346,34 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
 
     def site(k):
         if k not in sites:
-            shape = (m, sizes[k - 1])
-            ids = offsets[k] + np.arange(sizes[k - 1], dtype=np.int64)
+            width = sizes[k - 1]
+            ids = offsets[k] + np.arange(width, dtype=np.int64)
             start = m * (offsets[k] - 1)
-            out = work.sites[start : start + m * sizes[k - 1]].reshape(shape)
-            scratch = (work.view("bits0", shape), work.view("bits1", shape))
-            sites[k] = draw_omega_vec(pot_kind, pot_a, keys, ids, out, scratch)
-            sites[k] *= eps
+            sites[k] = work.sites[start : start + m * width].reshape(m, width)
+            for rows in _row_chunks(m, width):
+                out = sites[k][rows]
+                draw_omega_vec(pot_kind, pot_a, keys[rows], ids, out, work.chunk(out.shape).bits)
+                out *= eps
         return sites[k]
 
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
     branch = np.empty((len(gammas), m, branches), dtype=np.complex128)
     spine = np.empty((len(gammas), m, spine_len), dtype=np.complex128)
     for i, gamma in enumerate(gammas):
-        for k, values, den in cavity_levels(q, sizes, gamma, leaves[i], site, work):
-            counts = np.zeros(4, dtype=np.int64)
-            # den is read before the exact counts overwrite it
-            scratch = work.view("den", values.shape), work.view("mask", values.shape)
-            _check_vec(values, abs_caps[i], im_floors[i], counts, scratch, den)
-            viol[i] += counts * (m // values.shape[0])  # a free-leaf row stands for all m samples
+        for k, rows, values, den, ni in cavity_levels(q, sizes, gamma, leaves[i], site, work):
+            if den is None:
+                # a free-leaf level: one value for all m * width nodes
+                counts = np.zeros(4, dtype=np.int64)
+                _check_vec(values[:, :1], abs_caps[i], im_floors[i], counts)
+                viol[i] += counts * (m * values.shape[1])
+            else:
+                # den is read before the exact counts overwrite it
+                _check_vec(values, abs_caps[i], im_floors[i], viol[i],
+                           work.chunk(values.shape).check, den, ni)
             if k <= spine_len:
-                spine[i, :, k - 1] = values[:, ray_branch * q ** (k - 1)]
-        branch[i] = values
+                spine[i, rows, k - 1] = values[:, ray_branch * q ** (k - 1)]
+            if k == 1:
+                branch[i, rows] = values
     omega_root = draw_omega_vec(pot_kind, pot_a, keys, np.zeros(1, dtype=np.int64))[:, 0]
     return branch, spine, omega_root, viol
 
@@ -324,7 +384,7 @@ def _sweep_plan(samples, sizes, leaves):
 
     A block holds at most ``_BLOCK_NODES`` nodes on the widest level the
     sweep computes, or one sample if that level alone is wider.  When every
-    gamma has a free leaf, the leaf level is one shared row and not counted.
+    gamma has a free leaf, the leaf level is one shared value and not counted.
     """
     free = all(leaf is not None for leaf in leaves)
     per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free) or sizes))

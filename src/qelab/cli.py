@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -545,6 +544,9 @@ def _run_grid(run: _Run, names, threads: int):
     if threads <= 1 or len(tasks) == 1:
         values = [_evaluate_point(t) for t in tasks]
     else:
+        # imported here: it loads multiprocessing, which a one-thread run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             values = list(pool.map(_evaluate_point, tasks))
     return {

@@ -24,24 +24,14 @@ _CDF_GRID = 8193
 _IDS_GRID = 129
 
 
-def kesten_mckay_density(lam: float, q: int) -> float:
-    """Limiting spectral density of large random (q+1)-regular graphs.
-
-    Computed as (1/pi) Im of the free tree Green diagonal at lam + i0;
-    zero outside the open band (-2 sqrt(q), 2 sqrt(q)).
-    """
-    if abs(lam) >= 2.0 * math.sqrt(q):
-        return 0.0
-    zeta = tree_green.free_forward_green(lam, q)
-    diag = tree_green.green_diagonal([zeta] * (q + 1), 0.0, 0.0, complex(lam, 0.0))
-    return diag.imag / math.pi
-
-
 def kesten_mckay_densities(lams, q: int) -> np.ndarray:
-    """``kesten_mckay_density`` over an array, bit for bit the same values.
+    """Limiting spectral density of large random (q+1)-regular graphs at ``lams``.
 
-    Follows ``free_forward_green`` and ``green_diagonal`` step for step: the
-    q+1 cavity values are summed one by one, then 1/(0 - lam + sum).
+    (1/pi) Im of the free tree Green diagonal at lam + i0, zero outside the
+    open band (-2 sqrt(q), 2 sqrt(q)).  Follows ``free_forward_green`` and
+    ``green_diagonal`` step for step, so each value has the bits of the
+    scalar route: the q+1 cavity values are summed one by one, then
+    1/(0 - lam + sum).
     """
     lams = np.asarray(lams, dtype=np.float64)
     out = np.zeros(lams.shape)

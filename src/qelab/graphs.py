@@ -278,13 +278,6 @@ def injectivity_radius(g: RegularGraph) -> InjectivityProfile:
     return InjectivityProfile(radii=np.where(cycle > 0, cycle // 2 - 1, reach))
 
 
-def girth(g: RegularGraph) -> int:
-    """Length of a shortest cycle (n + 1 for an acyclic graph)."""
-    cycle, _ = _bfs_cycles(g)
-    found = cycle[cycle > 0]
-    return int(found.min()) if found.size else g.n + 1
-
-
 # ----------------------------------------------------------------------
 # expansion
 # ----------------------------------------------------------------------
@@ -415,17 +408,3 @@ def save_graph_json(g: RegularGraph, path) -> None:
         json.dump(payload, f, separators=(",", ":"), sort_keys=True)
         f.write("\n")
 
-
-def load_graph_json(path) -> RegularGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    try:
-        n = int(payload["n"])
-        q = int(payload["q"])
-        edges = payload["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"graph file {path} is missing fields: {exc}") from exc
-    for e in edges:
-        if len(e) != 2 or not (0 <= e[0] < e[1] < n):
-            raise ConfigError(f"graph file {path}: bad edge entry {e}")
-    return graph_from_edges(n, q, edges)

@@ -146,7 +146,7 @@ def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
     no_site = np.zeros((1, 1))
     sizes = [1] * depth
     work = _kernels.SweepWork(1, sizes)
-    for k, level, _ in _kernels.cavity_levels(q, sizes, gamma, leaf, lambda k: no_site, work):
+    for k, _, level, _, _ in _kernels.cavity_levels(q, sizes, gamma, leaf, lambda k: no_site, work):
         values[k - 1] = level[0, 0]
     return values
 

@@ -3,13 +3,15 @@
 Each one is an independent or slower route to a quantity the package
 computes: the cavity fixed point by iteration, materialized tree balls for
 dense inversion, the full root row of a ball, the lifted Green function
-pair by pair, the rational Kesten-McKay form, a single-sample tree sweep,
-scalar potential draws, the scipy routes (CSR powers, ARPACK) that the
-numpy moment and expansion checks replace, the per-distance interpolation
-bound of a distance-only bracket, and the gap between the lifted and the
+pair by pair, the scalar and the rational Kesten-McKay forms, a
+single-sample tree sweep, scalar potential draws, the girth and the graph
+file reader, the scipy routes (CSR powers, ARPACK) that the numpy moment
+and expansion checks replace, the per-distance interpolation bound of a
+distance-only bracket, and the gap between the lifted and the
 distance-only brackets over a size grid.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -130,7 +132,7 @@ def full_ball_green_row(
 
     values_by_level: list[np.ndarray] = [None] * (depth + 1)
     work = _kernels.SweepWork(1, sizes)
-    for k, values, _ in _kernels.cavity_levels(q, sizes, g, leaf, site, work):
+    for k, _, values, _, _ in _kernels.cavity_levels(q, sizes, g, leaf, site, work):
         values_by_level[k] = values[0].copy()
 
     row = np.empty(n, dtype=np.complex128)
@@ -202,6 +204,20 @@ def lifted_green_pairwise(graph, pot, gamma, depth, rows, cols):
 # ----------------------------------------------------------------------
 
 
+def kesten_mckay_density(lam: float, q: int) -> float:
+    """Limiting spectral density of large random (q+1)-regular graphs.
+
+    Computed as (1/pi) Im of the free tree Green diagonal at lam + i0;
+    zero outside the open band (-2 sqrt(q), 2 sqrt(q)).  The scalar route
+    that ``esd.kesten_mckay_densities`` follows bit for bit.
+    """
+    if abs(lam) >= 2.0 * math.sqrt(q):
+        return 0.0
+    zeta = tree_green.free_forward_green(lam, q)
+    diag = tree_green.green_diagonal([zeta] * (q + 1), 0.0, 0.0, complex(lam, 0.0))
+    return diag.imag / math.pi
+
+
 def kesten_mckay_density_rational(lam: float, q: int) -> float:
     """Closed rational form of the Kesten-McKay density; used as a cross-check."""
     band = 4.0 * q - lam * lam
@@ -227,6 +243,34 @@ def draw_omega_scalar(kind: int, bound: float, key: int, index: int) -> float:
         med = min(max(min(u0, u1), u2), max(u0, u1))
         return bound * (2.0 * med - 1.0)
     raise ValueError(f"unknown potential kind code {kind}")
+
+
+# ----------------------------------------------------------------------
+# graph structure and files
+# ----------------------------------------------------------------------
+
+
+def girth(g) -> int:
+    """Length of a shortest cycle (n + 1 for an acyclic graph)."""
+    cycle, _ = graphs._bfs_cycles(g)
+    found = cycle[cycle > 0]
+    return int(found.min()) if found.size else g.n + 1
+
+
+def load_graph_json(path):
+    """The ``RegularGraph`` of a file that ``graphs.save_graph_json`` wrote."""
+    with open(path, "r", encoding="utf-8") as f:
+        payload = json.load(f)
+    try:
+        n = int(payload["n"])
+        q = int(payload["q"])
+        edges = payload["edges"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"graph file {path} is missing fields: {exc}") from exc
+    for e in edges:
+        if len(e) != 2 or not (0 <= e[0] < e[1] < n):
+            raise ConfigError(f"graph file {path}: bad edge entry {e}")
+    return graphs.graph_from_edges(n, q, edges)
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_criterion_02_free_case_identities():
         assert point.abs_mean == want
         assert point.abs_stderr == 0.0
 
-    km = esd.kesten_mckay_density(0.0, 2)
+    km = oracles.kesten_mckay_density(0.0, 2)
     assert abs(km - 0.15005) <= 1e-5
     _passed(2, "free cavity value, fixed point, zero-variance moments, KM density")
 
@@ -145,7 +145,7 @@ def test_criterion_07_kesten_mckay_convergence(decompose_cache):
 
 def test_criterion_08_lln_moment_matching(decompose_cache):
     g, _, _ = decompose_cache(2000, 101, 201, 0.2)
-    gr = graphs.girth(g)
+    gr = oracles.girth(g)
     pot0 = anderson.sample_potential(2000, SPEC, 0.0, seed=201)
     rows0 = esd.lln_moment_check(g, pot0, min(gr - 1, 6))
     for row in rows0:

