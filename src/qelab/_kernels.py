@@ -1,5 +1,10 @@
 """Hot numeric kernels: cavity tree sweeps and directed-edge message passing.
 
+``tree_batch`` is the one entry point of the tree sweeps: it returns the
+root cavity values, the values along one ray (the spine) and the violation
+counters of a batch of balls, and the distance profile (q + 1 branches) and
+the moment table (q branches) both read what they need from it.
+
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level over a (samples x level width) array, in sample blocks of at
 most ``_BLOCK_NODES`` nodes on the widest level they compute (a free-leaf
@@ -19,7 +24,7 @@ nor on the other gammas of a grid: child sums run in child order, complex
 reciprocals and products go through explicit formulas, and potentials come
 from the counter-based streams of ``_rng``.  The golden digests in
 ``tests/test_kernels.py`` pin them, and ``tests/test_sample_blocks.py``
-compares the batches with a per-sample loop and with one-gamma calls.
+compares ``tree_batch`` with a per-sample loop and with one-gamma calls.
 
 Conventions shared by every kernel:
 
@@ -145,7 +150,8 @@ def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.nda
     ``ni`` is not read).  The sign test is strict because the floor can be
     0, a NaN fails every comparison, and a den below the smallest normal
     float (whose rounding is not relative) is not trusted; any of these
-    falls back to the exact counts, which take |z| per node.  ``scratch``
+    falls back to the exact counts, which take |z| per node and count a NaN
+    on the sign bound (the other two comparisons pass it).  ``scratch``
     is an optional (float64 array, bool array) pair of the shape of
     ``values`` for the exact counts.
     """
@@ -160,7 +166,8 @@ def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.nda
         scratch = np.empty(values.shape), np.empty(values.shape, dtype=bool)
     scratch, mask = scratch
     im = values.imag
-    viol[0] += int(np.count_nonzero(np.greater_equal(im, 0.0, out=mask)))
+    # not (Im z < 0) rather than Im z >= 0, so that a NaN counts as a sign violation
+    viol[0] += values.size - int(np.count_nonzero(np.less(im, 0.0, out=mask)))
     np.abs(values, out=scratch)
     viol[1] += int(np.count_nonzero(np.greater(scratch, abs_cap * (1.0 + _SLACK), out=mask)))
     # -im < floor exactly when im > -floor: negation is exact
@@ -325,7 +332,7 @@ def cavity_levels(q, sizes, gamma, leaf, site, work):
 
 
 def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
-                 spine_len, ray_branch, abs_caps, im_floors, work):
+                 ray_branch, abs_caps, im_floors, work, root, spine):
     """One disorder realization per key swept over a depth-``depth`` tree ball,
     at every gamma of the grid ``gammas``.
 
@@ -333,15 +340,17 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
     level by level from the stream of its key, once per block and in the
     row chunks of the level updates, and every gamma is swept over the same
     draws with its own leaf, cap and floor.  ``work`` is a ``SweepWork`` for
-    at least m rows of this ball.  The spines hold the cavity values at
-    depths 1..spine_len along the first ray of branch ``ray_branch``.
-    Returns (branch values (G, m, branches), spines (G, m, spine_len),
-    root-site potentials (m,), violation counters (G, 4) summed over the
-    block).
+    at least m rows of this ball.  Writes the root cavity values into
+    ``root`` (G, m), taken in each row chunk of level 1, and the cavity
+    values at depths 1..spine_len along the first ray of branch
+    ``ray_branch`` into ``spine`` (G, m, spine_len).  Returns the violation
+    counters (G, 4) of levels 1..depth, summed over the block; the roots are
+    not checked.
     """
     m = keys.shape[0]
     offsets = level_offsets(q, depth, branches)
     sizes = level_sizes(q, depth, branches)
+    spine_len = spine.shape[2]
     sites = {}
 
     def site(k):
@@ -356,9 +365,8 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
                 out *= eps
         return sites[k]
 
+    site_root = eps * draw_omega_vec(pot_kind, pot_a, keys, np.zeros(1, dtype=np.int64))[:, 0]
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    branch = np.empty((len(gammas), m, branches), dtype=np.complex128)
-    spine = np.empty((len(gammas), m, spine_len), dtype=np.complex128)
     for i, gamma in enumerate(gammas):
         for k, rows, values, den, ni in cavity_levels(q, sizes, gamma, leaves[i], site, work):
             if den is None:
@@ -373,79 +381,43 @@ def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
             if k <= spine_len:
                 spine[i, rows, k - 1] = values[:, ray_branch * q ** (k - 1)]
             if k == 1:
-                branch[i, rows] = values
-    omega_root = draw_omega_vec(pot_kind, pot_a, keys, np.zeros(1, dtype=np.int64))[:, 0]
-    return branch, spine, omega_root, viol
+                root[i, rows] = crecip_vec(
+                    gamma - site_root[rows] - _sum_children(values, branches))
+    return viol
 
 
-def _sweep_plan(samples, sizes, leaves):
-    """Blocks of consecutive samples, and the ``SweepWork`` they share, for a
-    sweep of ``samples`` balls with levels of ``sizes`` nodes per sample.
+def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
+               spine_len, ray_branch, abs_caps, im_floors):
+    """Cavity sweeps of ``samples`` independent depth-``depth`` balls whose
+    root has ``branches`` subtrees, at every gamma of ``gammas`` (with
+    matching ``leaves``, ``abs_caps`` and ``im_floors``) over the same balls.
 
-    A block holds at most ``_BLOCK_NODES`` nodes on the widest level the
-    sweep computes, or one sample if that level alone is wider.  When every
-    gamma has a free leaf, the leaf level is one shared value and not counted.
+    Sample s draws its potentials from the stream keyed by
+    ``hash_u64(batch_key, s)``.  Samples are swept in blocks of consecutive
+    samples holding at most ``_BLOCK_NODES`` nodes on the widest level the
+    sweep computes, or one sample if that level alone is wider (a free-leaf
+    level, when every gamma has one, is one shared value and not counted);
+    all blocks share one ``SweepWork``.  Returns (root cavity values
+    1/(gamma - eps*omega_root - sum of the branch values), shape
+    (G, samples); cavity values at depths 1..spine_len along the first ray
+    of branch ``ray_branch``, shape (G, samples, spine_len); violation
+    counters of levels 1..depth, shape (G, 4)).  The roots are not checked:
+    with q + 1 branches a root is -G(o, o), with q it is a cavity value.
     """
+    keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
+    sizes = level_sizes(q, depth, branches)
     free = all(leaf is not None for leaf in leaves)
     per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free) or sizes))
-    blocks = [slice(start, min(start + per_block, samples))
-              for start in range(0, samples, per_block)]
-    return blocks, SweepWork(blocks[0].stop, sizes, free)
-
-
-def ray_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
-              r_max, ray_branch, abs_caps, im_floors):
-    """Im G(root, y_r) for r = 0..r_max on ``samples`` independent balls, at
-    every gamma of ``gammas`` (with matching ``leaves``, ``abs_caps`` and
-    ``im_floors``) over the same balls.
-
-    y_r is the depth-r node on the first ray of branch ``ray_branch``.
-    Returns (array of shape (G, samples, r_max + 1), violation counters (G, 4)).
-    """
-    keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    im = np.empty((len(gammas), samples, r_max + 1), dtype=np.float64)
+    work = SweepWork(min(per_block, samples), sizes, free)
+    root = np.empty((len(gammas), samples), dtype=np.complex128)
+    spine = np.empty((len(gammas), samples, spine_len), dtype=np.complex128)
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    blocks, work = _sweep_plan(samples, level_sizes(q, depth, q + 1), leaves)
-    for block in blocks:
-        branch, spine, omega_root, counts = _sweep_block(
-            q, depth, q + 1, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
-            r_max, ray_branch, abs_caps, im_floors, work,
-        )
-        viol += counts
-        site_root = eps * omega_root
-        for i, gamma in enumerate(gammas):
-            g = crecip_vec(site_root - gamma + _sum_children(branch[i], q + 1))
-            im[i, block, 0] = g.imag
-            for r in range(1, r_max + 1):
-                g = cmul_vec(g, spine[i, :, r - 1])
-                im[i, block, r] = g.imag
-    return im, viol
-
-
-def cavity_batch(q, depth, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
-                 abs_caps, im_floors):
-    """Root cavity values of ``samples`` independent q-branch balls, at every
-    gamma of ``gammas`` (with matching ``leaves``, ``abs_caps`` and
-    ``im_floors``) over the same balls.
-
-    Returns (complex array of shape (G, samples), violation counters (G, 4)).
-    """
-    keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    zeta = np.empty((len(gammas), samples), dtype=np.complex128)
-    viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    blocks, work = _sweep_plan(samples, level_sizes(q, depth, q), leaves)
-    for block in blocks:
-        branch, _, omega_root, counts = _sweep_block(
-            q, depth, q, eps, gammas, leaves, pot_kind, pot_a, keys[block, None],
-            0, 0, abs_caps, im_floors, work,
-        )
-        viol += counts
-        site_root = eps * omega_root
-        for i, gamma in enumerate(gammas):
-            zeta[i, block] = crecip_vec(gamma - site_root - _sum_children(branch[i], q))
-    for i in range(len(gammas)):
-        _check_vec(zeta[i], abs_caps[i], im_floors[i], viol[i])
-    return zeta, viol
+    for start in range(0, samples, per_block):
+        block = slice(start, min(start + per_block, samples))
+        viol += _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a,
+                             keys[block, None], ray_branch, abs_caps, im_floors, work,
+                             root[:, block], spine[:, block])
+    return root, spine, viol
 
 
 # ----------------------------------------------------------------------

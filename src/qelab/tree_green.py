@@ -21,6 +21,12 @@ L of order 10 (see the benchmark and the stabilization tests).
 
 Cavity values z always satisfy Im z < 0, |z| <= 1/eta and
 |Im z| >= eta / c_tilde**2; sweeps count violations of these bounds.
+
+Both Monte-Carlo estimators sweep their balls through one kernel,
+``_kernels.tree_batch``: the distance profile with q + 1 branches at the
+root (G(o, o) is minus the root value, and the spine carries it down a ray),
+the moment table with q (the root value is a cavity value, which the table
+checks against the bounds itself).
 """
 
 from __future__ import annotations
@@ -174,6 +180,22 @@ def _mean_stderr(columns: np.ndarray):
     return means, stderrs
 
 
+def _ray_green_im(root, spine):
+    """Im G(o, y_r) for r = 0..spine_len, shape (G, samples, spine_len + 1),
+    from the (q + 1)-branch roots and the spines of ``_kernels.tree_batch``.
+
+    G(o, o) is -root, the Schur diagonal 1/(eps*omega - gamma + sum of the
+    branch values); G(o, y_r) multiplies it by the cavity values down the ray.
+    """
+    green = -root
+    im = np.empty(root.shape + (spine.shape[-1] + 1,))
+    im[..., 0] = green.imag
+    for r in range(spine.shape[-1]):
+        green = _kernels.cmul_vec(green, spine[..., r])
+        im[..., r + 1] = green.imag
+    return im
+
+
 @dataclass(frozen=True)
 class DistanceRatioProfile:
     """Monte-Carlo estimates of E[Im G(o, y_r)] on a lambda grid at fixed eta.
@@ -243,10 +265,11 @@ def distance_ratio_profile(
         stderrs = np.zeros_like(means)
     else:
         _check_budget(_kernels.tree_node_count(q, depth, q + 1), samples * len(gammas))
-        im, viol = _kernels.ray_batch(
-            q, depth, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
+        root, spine, viol = _kernels.tree_batch(
+            q, depth, q + 1, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
             _rng.derive_key(seed, "profile"), samples, r_max, 0, caps, floors,
         )
+        im = _ray_green_im(root, spine)
         stderrs = np.empty_like(means)
         for i in range(len(gammas)):
             means[:, i], stderrs[:, i] = _mean_stderr(im[i])
@@ -357,10 +380,12 @@ def green_condition_moments(
     leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
     if epsilon != 0.0:
         _check_budget(_kernels.tree_node_count(q, depth, q), samples * len(gammas))
-        zeta, viol = _kernels.cavity_batch(
-            q, depth, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
-            _rng.derive_key(seed, "green-moments"), samples, caps, floors,
+        zeta, _, viol = _kernels.tree_batch(
+            q, depth, q, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
+            _rng.derive_key(seed, "green-moments"), samples, 0, 0, caps, floors,
         )
+        for i in range(len(gammas)):
+            _kernels._check_vec(zeta[i], caps[i], floors[i], viol[i])
         points = [_moment_point(lam, eta, zeta[i].imag, floors[i], s_list, viol[i])
                   for i, (lam, eta) in enumerate(grid)]
         return GreenMomentTable(points=points, s_values=s_list, depth=depth)

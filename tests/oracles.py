@@ -4,10 +4,10 @@ Each one is an independent or slower route to a quantity the package
 computes: the cavity fixed point by iteration, materialized tree balls for
 dense inversion, the full root row of a ball, the lifted Green function
 pair by pair, the scalar and the rational Kesten-McKay forms, a
-single-sample tree sweep, scalar potential draws, the girth and the graph
-file reader, the scipy routes (CSR powers, ARPACK) that the numpy moment
-and expansion checks replace, the per-distance interpolation bound of a
-distance-only bracket, and the gap between the lifted and the
+node-by-node sweep of one tree ball, scalar potential draws, the girth and
+the graph file reader, the scipy routes (CSR powers, ARPACK) that the numpy
+moment and expansion checks replace, the per-distance interpolation bound
+of a distance-only bracket, and the gap between the lifted and the
 distance-only brackets over a size grid.
 """
 
@@ -45,19 +45,48 @@ def fixed_point_forward_green(gamma, q: int, tol: float = 1e-12, max_iter: int =
 
 def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
                  spine_len, ray_branch, abs_cap, im_floor):
-    """One disorder realization swept over a depth-``depth`` tree ball.
+    """One disorder realization swept over a depth-``depth`` tree ball, node by node.
 
-    Potentials are drawn level by level from the stream keyed by ``key``.
-    The spine records the cavity values at depths 1..spine_len along the
-    first ray of branch ``ray_branch``.  Returns (branch values at the
-    root, spine, root-site potential, violation counters).
+    CPython scalars throughout, leaves first: node v of level k (level-order
+    id) takes z = crecip_scalar(gamma - eps*omega_v - s), s the sum of its q
+    children from 0j in child order, and the deepest level takes ``leaf``
+    (free leaves) or s = 0j (bare leaves).  Potentials come from the stream
+    keyed by ``key``.  Every node of levels 1..depth is checked against the
+    bounds on its own (a NaN counts on the sign bound).  The spine records
+    the cavity values at depths 1..spine_len along the first ray of branch
+    ``ray_branch``.  Returns (branch values at the root, spine, root-site
+    potential, violation counters).
     """
-    branch, spine, omega_root, viol = _kernels._sweep_block(
-        q, depth, branches, eps, [gamma], [leaf], pot_kind, pot_a,
-        np.full((1, 1), key, dtype=np.uint64), spine_len, ray_branch, [abs_cap], [im_floor],
-        _kernels.SweepWork(1, _kernels.level_sizes(q, depth, branches)),
-    )
-    return branch[0, 0].copy(), spine[0, 0].copy(), float(omega_root[0]), viol[0].copy()
+    g = complex(gamma)
+    n = _kernels.tree_node_count(q, depth, branches)
+    omegas = _rng.draw_omega_vec(pot_kind, pot_a, key, np.arange(n, dtype=np.int64)).tolist()
+    cap_edge = abs_cap * (1.0 + _kernels._SLACK)
+    floor_edge = -(im_floor * (1.0 - _kernels._SLACK))
+    sign = cap = floor = visited = 0
+    spine = np.empty(spine_len, dtype=np.complex128)
+    below, first = [], n
+    for k in range(depth, 0, -1):
+        width = branches * q ** (k - 1)
+        first -= width
+        visited += width
+        level = []
+        for j in range(width):
+            if k == depth and leaf is not None:
+                z = complex(leaf)
+            else:
+                s = 0j
+                for c in below[j * q : (j + 1) * q]:
+                    s += c
+                z = _kernels.crecip_scalar(g - eps * omegas[first + j] - s)
+            sign += not z.imag < 0.0
+            cap += abs(z) > cap_edge
+            floor += z.imag > floor_edge
+            level.append(z)
+        if k <= spine_len:
+            spine[k - 1] = level[ray_branch * q ** (k - 1)]
+        below = level
+    viol = np.array([sign, cap, floor, visited], dtype=np.int64)
+    return np.array(below, dtype=np.complex128), spine, omegas[0], viol
 
 
 def materialized_tree_operator(

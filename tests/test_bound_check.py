@@ -216,12 +216,13 @@ def test_shared_part_thresholds_hit_exactly():
 
 @pytest.mark.parametrize("im_floor", [0.0, 0.05])
 def test_shared_part_nan_falls_back(im_floor):
-    # a NaN leaf makes the shared sum, and so ni, NaN; the exact counts pass
-    # a NaN z on every bound, since it fails every comparison
+    # a NaN leaf makes the shared sum, and so ni, NaN; the exact counts take a
+    # NaN z as a sign violation (it is not below 0) and pass it on the cap and
+    # the floor, whose comparisons it fails
     values, den = shared_reciprocals(ZR, np.nan)
     fast, exact, one_pass = shared_counts(values, den, np.nan, 10.0, im_floor)
     assert np.array_equal(fast, exact) and not one_pass
-    assert list(exact) == [0, 0, 0, values.size]
+    assert list(exact) == [values.size, 0, 0, values.size]
     # a NaN potential makes one zr, and so den.max(), NaN
     zr = ZR.copy()
     zr[3, 5] = np.nan
@@ -270,12 +271,9 @@ def test_sweep_counters_match_exact_counts(leaf_mode, monkeypatch):
 
     def sweeps():
         with np.errstate(all="ignore"):
-            return (
-                _kernels.ray_batch(q, depth, 0.35, grid, leaves, _rng.POT_UNIFORM, 1.0, 41,
-                                   samples, depth - 1, 1, caps, floors)[1],
-                _kernels.cavity_batch(q, depth, 0.35, grid, leaves, _rng.POT_UNIFORM, 1.0, 43,
-                                      samples, caps, floors)[1],
-            )
+            return [_kernels.tree_batch(q, depth, branches, 0.35, grid, leaves, _rng.POT_UNIFORM,
+                                        1.0, key, samples, spine_len, 1, caps, floors)[2]
+                    for branches, spine_len, key in [(q + 1, depth - 1, 41), (q, 0, 43)]]
 
     fast = sweeps()
     check = _kernels._check_vec
@@ -287,3 +285,20 @@ def test_sweep_counters_match_exact_counts(leaf_mode, monkeypatch):
     for got, want in zip(fast, sweeps()):
         assert np.array_equal(got, want)
     assert fast[0][0, 1] > 0 and fast[1][0, 1] > 0
+
+
+def test_nan_leaf_counts_on_the_sign_bound():
+    # every value of a sweep seeded with NaN leaves is NaN: each node counts
+    # once on the sign bound and on neither of the others, and the NaN roots
+    # come out as they are
+    q, depth, samples = 2, 4, 9
+    gammas, caps, floors = [0.3 + 0.2j, 0.5 + 0.2j], [5.0, 5.0], [0.0, 0.01]
+    leaves = [complex(np.nan, np.nan), tree_green.free_forward_green_complex(gammas[1], q)]
+    for branches in (q, q + 1):
+        root, spine, viol = _kernels.tree_batch(q, depth, branches, 0.35, gammas, leaves,
+                                                _rng.POT_UNIFORM, 1.0, 3, samples, 2, 0,
+                                                caps, floors)
+        nodes = samples * (_kernels.tree_node_count(q, depth, branches) - 1)
+        assert list(viol[0]) == [nodes, 0, 0, nodes]
+        assert np.isnan(root[0]).all() and np.isnan(spine[0]).all()
+        assert list(viol[1]) == [0, 0, 0, nodes] and not np.isnan(root[1]).any()

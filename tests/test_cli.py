@@ -105,8 +105,7 @@ def test_unpinned_depth_hits_the_profile_budget_at_once(tmp_path, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the budget guard")
 
-    monkeypatch.setattr(_kernels, "ray_batch", unreachable)
-    monkeypatch.setattr(_kernels, "cavity_batch", unreachable)
+    monkeypatch.setattr(_kernels, "tree_batch", unreachable)
     monkeypatch.setattr(graphs, "generate_random_regular", unreachable)
     raw = {"q": 2, "n_values": [250, 1000], "graph_seeds": [101, 102], "pot_seeds": [201, 202],
            "epsilon": 0.2, "lambda0": 2.4, "eta0_values": [0.2]}

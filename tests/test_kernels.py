@@ -93,19 +93,26 @@ def test_sweep_golden(q, depth, eps, leaf_mode):
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("eps", [0.25, 0.0])
 def test_ray_and_cavity_batches_golden(eps, leaf_mode):
+    # "ray": Im G(o, y_r), r = 0..2, of (q+1)-branch balls down a ray of branch
+    # 1, as the distance profile takes them; "cavity": q-branch root values,
+    # their own bound checks added to the counters, as the moment table takes them
     q, depth, samples = 2, 7, 64
     gamma = 0.2 + 0.3j
     leaf = leaf_for(leaf_mode, gamma, q)
-    im, viol = _kernels.ray_batch(
-        q, depth, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 99, samples,
-        2, 1, [1.0 / gamma.imag], [1e-9],
+    cap, floor = 1.0 / gamma.imag, 1e-9
+    root, spine, viol = _kernels.tree_batch(
+        q, depth, q + 1, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 99, samples, 2, 1,
+        [cap], [floor],
     )
-    assert im.shape == (1, samples, 3) and viol.shape == (1, 4)
+    assert root.shape == (1, samples) and spine.shape == (1, samples, 2) and viol.shape == (1, 4)
+    im = tree_green._ray_green_im(root, spine)
     assert digest(im[0], viol[0]) == GOLDEN[f"ray/{eps}/{leaf_mode}"]
-    zeta, viol = _kernels.cavity_batch(
-        q, depth, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 101, samples,
-        [1.0 / gamma.imag], [1e-9],
+    zeta, spine, viol = _kernels.tree_batch(
+        q, depth, q, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 101, samples, 0, 0,
+        [cap], [floor],
     )
+    assert spine.shape == (1, samples, 0)
+    _kernels._check_vec(zeta[0], cap, floor, viol[0])
     assert digest(zeta[0], viol[0]) == GOLDEN[f"cavity/{eps}/{leaf_mode}"]
 
 

@@ -1,14 +1,17 @@
-"""The blocked ray and cavity batches against a per-sample loop and per-gamma calls.
+"""``tree_batch`` against a per-sample loop and per-gamma calls.
 
-``ray_batch`` and ``cavity_batch`` sweep many samples at once, in blocks of
-at most ``_kernels._BLOCK_NODES`` nodes on the widest tree level they
-compute, and update each level in chunks of sample rows of at most a
-quarter of that.  The oracle here is the per-sample loop they replaced: one
-``oracles.cavity_sweep`` per sample key, the root sum in CPython scalars,
-``crecip_scalar`` and the complex ``*``.
-Outputs and violation counters must match bit for bit, however the samples
-fall into blocks.  A grid of gammas swept over one draw of the potentials
-must give, gamma by gamma, the bits of a one-gamma call with the same key.
+``_kernels.tree_batch``, the one entry point of the tree sweeps, sweeps
+many samples at once, in blocks of at most ``_kernels._BLOCK_NODES`` nodes
+on the widest tree level it computes, and updates each level in chunks of
+sample rows of at most a quarter of that.  The oracle here is a per-sample
+loop that shares no code with it: one ``oracles.cavity_sweep`` per sample
+key (a node-by-node CPython sweep with its own bound comparisons), the root
+sum in CPython scalars, ``crecip_scalar`` and, down the ray of the distance
+profile, the complex ``*``.  Roots, spines, profile values and violation
+counters must match bit for bit, however the samples fall into blocks, with
+q + 1 branches (the distance profile's balls) and with q (the moment
+table's).  A grid of gammas swept over one draw of the potentials must
+give, gamma by gamma, the bits of a one-gamma call with the same key.
 """
 
 import numpy as np
@@ -38,42 +41,29 @@ def leaf_for(leaf_mode, q, gamma=GAMMA):
     return tree_green.free_forward_green_complex(gamma, q) if leaf_mode == "free" else None
 
 
-def ray_oracle(q, depth, leaf, kind, batch_key, samples, r_max, ray_branch):
+def sweep_oracle(q, depth, branches, leaf, kind, batch_key, samples, spine_len, ray_branch):
+    """(roots, spines, Im G(o, y_r) for r = 0..spine_len, counters), one sample at a time."""
     keys = _rng.hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    im = np.empty((samples, r_max + 1), dtype=np.float64)
+    root = np.empty(samples, dtype=np.complex128)
+    spines = np.empty((samples, spine_len), dtype=np.complex128)
+    im = np.empty((samples, spine_len + 1), dtype=np.float64)
     viol = np.zeros(4, dtype=np.int64)
     for m in range(samples):
-        branch, spine, omega_root, counts = oracles.cavity_sweep(
-            q, depth, q + 1, EPS, GAMMA, leaf, kind, 1.0, int(keys[m]),
-            r_max, ray_branch, ABS_CAP, IM_FLOOR,
+        branch, spines[m], omega_root, counts = oracles.cavity_sweep(
+            q, depth, branches, EPS, GAMMA, leaf, kind, 1.0, int(keys[m]),
+            spine_len, ray_branch, ABS_CAP, IM_FLOOR,
         )
         viol += counts
         s = 0.0j
         for z in branch:
             s += z
-        g = _kernels.crecip_scalar(EPS * omega_root - GAMMA + s)
+        root[m] = _kernels.crecip_scalar(GAMMA - EPS * omega_root - s)
+        g = -complex(root[m])
         im[m, 0] = g.imag
-        for r in range(1, r_max + 1):
-            g = g * spine[r - 1]
-            im[m, r] = g.imag
-    return im, viol
-
-
-def cavity_oracle(q, depth, leaf, kind, batch_key, samples):
-    keys = _rng.hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
-    zeta = np.empty(samples, dtype=np.complex128)
-    viol = np.zeros(4, dtype=np.int64)
-    for m in range(samples):
-        branch, _, omega_root, counts = oracles.cavity_sweep(
-            q, depth, q, EPS, GAMMA, leaf, kind, 1.0, int(keys[m]), 0, 0, ABS_CAP, IM_FLOOR,
-        )
-        viol += counts
-        s = 0.0j
-        for z in branch:
-            s += z
-        zeta[m] = _kernels.crecip_scalar(GAMMA - EPS * omega_root - s)
-    _kernels._check_vec(zeta, ABS_CAP, IM_FLOOR, viol)
-    return zeta, viol
+        for r in range(spine_len):
+            g = g * complex(spines[m, r])
+            im[m, r + 1] = g.imag
+    return root, spines, im, viol
 
 
 @pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
@@ -83,22 +73,19 @@ def cavity_oracle(q, depth, leaf, kind, batch_key, samples):
 def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes, monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
     depth, leaf = DEPTH[q], leaf_for(leaf_mode, q)
-    r_max = depth - 1
-    for ray_branch in (0, q):
-        im, viol = _kernels.ray_batch(
-            q, depth, EPS, [GAMMA], [leaf], kind, 1.0, 41, samples,
-            r_max, ray_branch, [ABS_CAP], [IM_FLOOR],
+    # the distance profile's balls down two rays, and the moment table's
+    for branches, spine_len, ray_branch, key in [(q + 1, depth - 1, 0, 41),
+                                                 (q + 1, depth - 1, q, 41), (q, 0, 0, 43)]:
+        root, spine, viol = _kernels.tree_batch(
+            q, depth, branches, EPS, [GAMMA], [leaf], kind, 1.0, key, samples,
+            spine_len, ray_branch, [ABS_CAP], [IM_FLOOR],
         )
-        want_im, want_viol = ray_oracle(q, depth, leaf, kind, 41, samples, r_max, ray_branch)
-        assert np.array_equal(im, want_im[None])
-        assert np.array_equal(viol, want_viol[None])
+        want = sweep_oracle(q, depth, branches, leaf, kind, key, samples, spine_len, ray_branch)
+        assert np.array_equal(root, want[0][None])
+        assert np.array_equal(spine, want[1][None])
+        assert np.array_equal(tree_green._ray_green_im(root, spine), want[2][None])
+        assert np.array_equal(viol, want[3][None])
         assert leaf_mode == "free" or (viol[0, 1] > 0 and viol[0, 2] > 0)
-    zeta, viol = _kernels.cavity_batch(
-        q, depth, EPS, [GAMMA], [leaf], kind, 1.0, 43, samples, [ABS_CAP], [IM_FLOOR],
-    )
-    want_zeta, want_viol = cavity_oracle(q, depth, leaf, kind, 43, samples)
-    assert np.array_equal(zeta, want_zeta[None])
-    assert np.array_equal(viol, want_viol[None])
 
 
 @pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
@@ -110,23 +97,22 @@ def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, bloc
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
     depth = DEPTH[q]
     leaves = [leaf_for(leaf_mode, q, g) for g in GRID]
-    im, viol = _kernels.ray_batch(q, depth, EPS, GRID, leaves, kind, 1.0, 41, samples,
-                                  depth - 1, 1, GRID_CAPS, GRID_FLOORS)
-    zeta, zviol = _kernels.cavity_batch(q, depth, EPS, GRID, leaves, kind, 1.0, 43, samples,
-                                        GRID_CAPS, GRID_FLOORS)
-    assert im.shape == (len(GRID), samples, depth) and zeta.shape == (len(GRID), samples)
-    for i, gamma in enumerate(GRID):
-        args = ([gamma], [leaves[i]], kind, 1.0)
-        bounds = ([GRID_CAPS[i]], [GRID_FLOORS[i]])
-        one_im, one_viol = _kernels.ray_batch(q, depth, EPS, *args, 41, samples,
-                                              depth - 1, 1, *bounds)
-        assert np.array_equal(im[i], one_im[0])
-        assert np.array_equal(viol[i], one_viol[0])
-        one_zeta, one_zviol = _kernels.cavity_batch(q, depth, EPS, *args, 43, samples, *bounds)
-        assert np.array_equal(zeta[i], one_zeta[0])
-        assert np.array_equal(zviol[i], one_zviol[0])
-    # bare-leaf counters differ between gammas, so a mix-up of caps or floors shows
-    assert leaf_mode == "free" or len({tuple(v) for v in viol}) == len(GRID)
+    for branches, spine_len, key in [(q + 1, depth - 1, 41), (q, 0, 43)]:
+        root, spine, viol = _kernels.tree_batch(
+            q, depth, branches, EPS, GRID, leaves, kind, 1.0, key, samples, spine_len, 1,
+            GRID_CAPS, GRID_FLOORS,
+        )
+        assert root.shape == (len(GRID), samples)
+        assert spine.shape == (len(GRID), samples, spine_len)
+        for i, gamma in enumerate(GRID):
+            one = _kernels.tree_batch(
+                q, depth, branches, EPS, [gamma], [leaves[i]], kind, 1.0, key, samples,
+                spine_len, 1, [GRID_CAPS[i]], [GRID_FLOORS[i]],
+            )
+            for got, want in zip((root, spine, viol), one):
+                assert np.array_equal(got[i], want[0])
+        # bare-leaf counters differ between gammas, so a mix-up of caps or floors shows
+        assert leaf_mode == "free" or len({tuple(v) for v in viol}) == len(GRID)
 
 
 @pytest.mark.parametrize("block_nodes", [1, 100, 700, 4096])
@@ -151,21 +137,15 @@ def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
     for leaf_mode in ("bare", "free"):
         leaves = [leaf_for(leaf_mode, q, g) for g in GRID]
         for samples in (29, 1):
-            batches = [
-                (_kernels.level_sizes(q, depth, q + 1), lambda: _kernels.ray_batch(
-                    q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 5, samples, 2, 0,
-                    GRID_CAPS, GRID_FLOORS)),
-                (_kernels.level_sizes(q, depth, q), lambda: _kernels.cavity_batch(
-                    q, depth, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0, 7, samples,
-                    GRID_CAPS, GRID_FLOORS)),
-            ]
-            for sizes, run in batches:
+            for branches, spine_len in [(q + 1, 2), (q, 0)]:
+                sizes = _kernels.level_sizes(q, depth, branches)
                 # the widest level a sweep computes per sample: the leaf level, or
                 # with free leaves the level above it, as the leaf level is one value
                 width = sizes[-2] if leaf_mode == "free" else sizes[-1]
                 seen.clear()
                 updates.clear()
-                run()
+                _kernels.tree_batch(q, depth, branches, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0,
+                                    5, samples, spine_len, 0, GRID_CAPS, GRID_FLOORS)
                 assert sum(seen) == samples
                 # every block but the last is as full as the limit allows
                 per_block = max(1, block_nodes // width)
@@ -215,14 +195,11 @@ def test_free_leaf_sweep_work_stays_within_block_nodes(batch, monkeypatch):
     monkeypatch.setattr(_kernels, "SweepWork", Recorded)
     monkeypatch.setattr(_kernels, "cavity_levels", recording_levels)
     q, depth, samples = {"ray": (2, 12, 30), "cavity": (3, 8, 40), "tiny": (3, 4, 32)}[batch]
+    branches, spine_len = (q, 0) if batch == "cavity" else (q + 1, depth - 1)
     gamma = 0.5 + 0.05j
     leaf = tree_green.free_forward_green_complex(gamma, q)
-    if batch == "cavity":
-        _kernels.cavity_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 7, samples,
-                              [20.0], [0.0])
-    else:
-        _kernels.ray_batch(q, depth, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 5, samples,
-                           depth - 1, 0, [20.0], [0.0])
+    _kernels.tree_batch(q, depth, branches, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 7,
+                        samples, spine_len, 0, [20.0], [0.0])
     (work, rows, sizes), = made
     widest = sizes[-2]
     assert rows == min(samples, _kernels._BLOCK_NODES // widest)

@@ -206,12 +206,12 @@ def test_mc_distance_only_dependence():
     gamma = 0.5 + 0.2j
     means, stderrs = {}, {}
     for ray_branch in (0, 2):
-        im, _ = _kernels.ray_batch(
-            2, 10, 0.25, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
+        root, spine, _ = _kernels.tree_batch(
+            2, 10, 3, 0.25, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
             SPEC.support_bound, _rng.derive_key(7, "mc-ray"), 3000, 2, ray_branch,
             [1.0 / gamma.imag], [tg.imag_floor(2, 0.25, SPEC.support_bound, 0.5, 0.2)],
         )
-        means[ray_branch], stderrs[ray_branch] = tg._mean_stderr(im[0])
+        means[ray_branch], stderrs[ray_branch] = tg._mean_stderr(tg._ray_green_im(root, spine)[0])
     for r in (1, 2):
         gap = abs(means[0][r] - means[2][r])
         sig = math.hypot(stderrs[0][r], stderrs[2][r])
@@ -228,6 +228,24 @@ def test_mc_determinism_and_guards():
     with pytest.raises(BudgetError):
         # 100000 balls of depth 20 exceed DEFAULT_MC_WORK_CAP = 2**33 nodes
         tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, 1, [0.5], 100000, 1, 20)
+
+
+def test_profile_roots_keep_the_cavity_bounds():
+    # the acceptance profile grid (q=2, eps=0.2, eta=0.2, depth 12, free
+    # leaves): every (q+1)-branch root, -G(o, o), is a cavity value of the
+    # ball and keeps Im z < 0, |z| <= 1/eta and |Im z| >= eta/c_tilde**2,
+    # though no sweep checks it
+    q, eps, eta = 2, 0.2, 0.2
+    gammas = [complex(lam, eta) for lam in np.linspace(-2.4, 2.4, 97)]
+    leaves, caps, floors = tg._grid_bounds(q, SPEC, eps, gammas, "free")
+    root, _, _ = _kernels.tree_batch(
+        q, 12, q + 1, eps, gammas, leaves, SPEC.kind_code, SPEC.support_bound,
+        _rng.derive_key(911, "profile"), 64, 0, 0, caps, floors,
+    )
+    slack = _kernels._SLACK
+    assert (root.imag < 0.0).all()
+    assert (np.abs(root) <= np.array(caps)[:, None] * (1.0 + slack)).all()
+    assert (-root.imag >= np.array(floors)[:, None] * (1.0 - slack)).all()
 
 
 def test_profile_grid_points_share_balls():
@@ -266,7 +284,7 @@ def test_moments_budget_guard_before_any_sweep(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the moment table swept a ball before its budget guard")
 
-    monkeypatch.setattr(_kernels, "cavity_batch", unreachable)
+    monkeypatch.setattr(_kernels, "tree_batch", unreachable)
     # 20 points x 256 balls of 8.4e6 nodes (q=2, depth 22) exceed DEFAULT_MC_WORK_CAP
     lams, etas = [-1.0, -0.5, 0.0, 0.5, 1.0], [0.05, 0.1, 0.2, 0.4]
     with pytest.raises(BudgetError, match="MC budget"):
@@ -287,7 +305,8 @@ def test_moments_deterministic_floor():
         2, SPEC, 0.3, [-1.0, 0.0, 1.0], [0.05, 0.2], [1.0, 2.0], samples=500, seed=8, depth=10
     )
     viol = table.total_violations()
-    assert viol[3] > 0
+    # every node of every ball is checked, the root included
+    assert viol[3] == 6 * 500 * _kernels.tree_node_count(2, 10, 2)
     assert viol[:3].tolist() == [0, 0, 0]
     for p in table.points:
         assert p.abs_mean > 0 and np.isfinite(p.abs_mean)
