@@ -14,11 +14,15 @@ level is updated in chunks of consecutive sample rows of at most a quarter
 of that budget, so the temporaries of an update stay in cache while the
 block, and with it the number of samples that share one numpy call on the
 narrow top levels, stays large.  Message passing is vectorized across the
-directed edges of a graph.  A call allocates its level, round and scratch
-arrays once (``SweepWork`` for the trees) and reuses them at every level,
-chunk, block and round, so its memory is paged in once rather than at
-every level; the operations and their order are those of the plain array
-expressions, elementwise, so neither chunks nor blocks change a bit.
+directed edges of a graph; its gathers write straight into their round
+buffers (``np.take`` in "wrap" mode, which numpy does not buffer, unlike
+the default "raise"), so the edge indices are range-checked once per call
+and an index out of range raises instead of wrapping.  A call allocates
+its level, round and scratch arrays once (``SweepWork`` for the trees) and
+reuses them at every level, chunk, block and round, so its memory is paged
+in once rather than at every level; the operations and their order are
+those of the plain array expressions, elementwise, so neither chunks nor
+blocks change a bit.
 Results are reproducible bit for bit and depend neither on the blocking
 nor on the other gammas of a grid: child sums run in child order, complex
 reciprocals and products go through explicit formulas, and potentials come
@@ -77,7 +81,7 @@ def crecip_vec(z: np.ndarray) -> np.ndarray:
     return crecip_parts(z.real, -z.imag)
 
 
-def crecip_parts(zr, ni, out=None, den=None) -> np.ndarray:
+def crecip_parts(zr, ni, out=None, den=None, sq=None) -> np.ndarray:
     """1/(zr - 1j*ni) by ``crecip_scalar``'s formula, from real arrays (or scalars).
 
     ``ni`` is the negated imaginary part of the denominator, so its quotient
@@ -89,16 +93,16 @@ def crecip_parts(zr, ni, out=None, den=None) -> np.ndarray:
     the children keep Im z < 0 < eta.  Taking the parts apart also saves the
     complex temporaries of that update, whose site term is real.  ``out``
     (complex) and ``den`` (float), of the broadcast shape, are optional
-    buffers; ``out.imag`` holds an array ni*ni on the way (one number ni is
-    squared once), and ``den`` is left holding the squared modulus
-    zr*zr + ni*ni, which ``_check_vec`` reads.
+    buffers; an array ni*ni goes through ``sq`` (float, contiguous) when
+    given, else through the strided ``out.imag`` (one number ni is squared
+    once), and ``den`` is left holding the squared modulus zr*zr + ni*ni,
+    which ``_check_vec`` reads.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(ni)), dtype=np.complex128)
     den = np.multiply(zr, zr, out=den if den is not None else np.empty(out.shape))
     if np.ndim(ni):
-        np.multiply(ni, ni, out=out.imag)
-        den += out.imag
+        den += np.multiply(ni, ni, out=out.imag if sq is None else sq)
     else:
         den += ni * ni
     np.divide(zr, den, out=out.real)
@@ -401,8 +405,9 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     1/(gamma - eps*omega_root - sum of the branch values), shape
     (G, samples); cavity values at depths 1..spine_len along the first ray
     of branch ``ray_branch``, shape (G, samples, spine_len); violation
-    counters of levels 1..depth, shape (G, 4)).  The roots are not checked:
-    with q + 1 branches a root is -G(o, o), with q it is a cavity value.
+    counters of levels 1..depth, shape (G, 4)).  The roots are not checked
+    here: with q + 1 branches a root is -G(o, o), with q it is a cavity
+    value, and each caller checks its roots itself.
     """
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     sizes = level_sizes(q, depth, branches)
@@ -437,12 +442,20 @@ def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floo
     """``rounds`` cavity updates of every directed-edge message.
 
     Edge ids are vertex-major (u -> its j-th neighbor is u*deg + j), so row u
-    of the (vertices, deg) view holds the messages out of u.  Returns
+    of the (vertices, deg) view holds the messages out of u, ``nbrs[e]`` is
+    the target vertex of edge e and ``rev[e]`` its reverse edge.  Returns
     (messages, violation counters of the updates); ``msg`` is left as it is.
     Every round reuses the buffers of the first, in the order of operations
     of ``crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))`` with
-    the imaginary part negated as ``crecip_parts`` takes it.
+    the imaginary part negated as ``crecip_parts`` takes it.  The gathers
+    run in ``np.take``'s "wrap" mode, which writes straight into its output
+    (the default "raise" mode buffers it), so the indices are range-checked
+    once per call instead: an index out of range raises IndexError.
     """
+    if nbrs.size and not (0 <= nbrs.min() and nbrs.max() < omega.size):
+        raise IndexError(f"edge target out of range for {omega.size} vertices")
+    if rev.size and not (0 <= rev.min() and rev.max() < msg.size):
+        raise IndexError(f"reverse edge out of range for {msg.size} edges")
     viol = np.zeros(4, dtype=np.int64)
     deg = nbrs.size // omega.size
     g = complex(gamma)
@@ -451,15 +464,16 @@ def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floo
     outs = (np.empty_like(msg), np.empty_like(msg))
     site_sum = np.empty(omega.size, dtype=np.complex128)
     diff = np.empty_like(msg)
+    sq = diff.view(np.float64)[: msg.size]  # diff is free once zr and ni are built
     zr, ni, den = np.empty(msg.size), np.empty(msg.size), np.empty(msg.size)
     scratch = zr, np.empty(msg.size, dtype=bool)  # zr is free once msg is built
     for r in range(rounds):
         out = outs[r % 2]
         _sum_children(msg.reshape(-1, deg), deg, site_sum)
-        np.take(site_sum, nbrs, out=diff)
-        diff -= np.take(msg, rev, out=out)
+        np.take(site_sum, nbrs, out=diff, mode="wrap")
+        diff -= np.take(msg, rev, out=out, mode="wrap")
         np.subtract(base, diff.real, out=zr)
         np.subtract(diff.imag, g.imag, out=ni)
-        msg = crecip_parts(zr, ni, out, den)
+        msg = crecip_parts(zr, ni, out, den, sq)
         _check_vec(msg, abs_cap, im_floor, viol, scratch, den)
     return msg, viol

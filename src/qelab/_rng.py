@@ -95,13 +95,14 @@ def hash_u64_vec(key, ctrs: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return _mix64_vec(z, tmp)
 
 
-def _unit_from_bits(bits: np.ndarray, out=None) -> np.ndarray:
-    """53-bit integers ``bits`` times 2**-53, into the float64 array ``out`` when given."""
+def _unit_from_bits(bits: np.ndarray, out=None, scale: float = 2.0**-53) -> np.ndarray:
+    """53-bit integers ``bits`` times ``scale`` (a power of two, so exact),
+    into the float64 array ``out`` when given."""
     if out is None:
         out = bits.astype(np.float64)
     else:
         np.copyto(out, bits)
-    out *= 2.0**-53
+    out *= scale
     return out
 
 
@@ -124,13 +125,15 @@ def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray, out=None,
     base = indices.astype(np.uint64) * np.uint64(OMEGA_STRIDE)
     h = hash_u64_vec(key, base, bits, tmp)
     h >>= np.uint64(11)
-    u0 = _unit_from_bits(h, out)
     if kind == POT_UNIFORM:
-        # bound * (2 u0 - 1), in place
-        u0 *= 2.0
-        u0 -= 1.0
-        u0 *= bound
-        return u0
+        # bound * (2 u0 - 1), in place: h * 2**-52 is 2 u0 exactly, and a
+        # bound of 1.0 leaves every value as it is
+        u = _unit_from_bits(h, out, 2.0**-52)
+        u -= 1.0
+        if bound != 1.0:
+            u *= bound
+        return u
+    u0 = _unit_from_bits(h, out)
     if kind == POT_TWO_POINT:
         u0[...] = np.where(u0 >= 0.5, bound, -bound)
         return u0

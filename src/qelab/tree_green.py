@@ -25,8 +25,9 @@ Cavity values z always satisfy Im z < 0, |z| <= 1/eta and
 Both Monte-Carlo estimators sweep their balls through one kernel,
 ``_kernels.tree_batch``: the distance profile with q + 1 branches at the
 root (G(o, o) is minus the root value, and the spine carries it down a ray),
-the moment table with q (the root value is a cavity value, which the table
-checks against the bounds itself).
+the moment table with q (the root value is a cavity value).  Each checks
+its root values against the cavity bounds itself: the operator bound that
+gives them to the levels of a ball gives them to the root too.
 """
 
 from __future__ import annotations
@@ -272,6 +273,9 @@ def distance_ratio_profile(
         im = _ray_green_im(root, spine)
         stderrs = np.empty_like(means)
         for i in range(len(gammas)):
+            # a (q + 1)-branch root 1/(gamma - eps*omega - sum) keeps the cavity
+            # bounds by the same operator bound as the levels below it
+            _kernels._check_vec(root[i], caps[i], floors[i], viol[i])
             means[:, i], stderrs[:, i] = _mean_stderr(im[i])
     return DistanceRatioProfile(
         lambdas=lambdas,

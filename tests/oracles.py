@@ -3,12 +3,12 @@
 Each one is an independent or slower route to a quantity the package
 computes: the cavity fixed point by iteration, materialized tree balls for
 dense inversion, the full root row of a ball, the lifted Green function
-pair by pair, the scalar and the rational Kesten-McKay forms, a
-node-by-node sweep of one tree ball, scalar potential draws, the girth and
-the graph file reader, the scipy routes (CSR powers, ARPACK) that the numpy
-moment and expansion checks replace, the per-distance interpolation bound
-of a distance-only bracket, and the gap between the lifted and the
-distance-only brackets over a size grid.
+pair by pair, the message rounds edge by edge, the scalar and the
+rational Kesten-McKay forms, a node-by-node sweep of one tree ball, scalar
+potential draws, the girth and the graph file reader, the scipy routes
+(CSR powers, ARPACK) that the numpy moment and expansion checks replace,
+the per-distance interpolation bound of a distance-only bracket, and the
+gap between the lifted and the distance-only brackets over a size grid.
 """
 
 import json
@@ -193,6 +193,46 @@ def directed_edge_ids(g, path) -> np.ndarray:
             raise ConfigError(f"path step ({u}, {v}) is not an edge")
         ids[k] = u * deg + j
     return ids
+
+
+def message_rounds(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
+    """``_kernels.messages_advance`` as a per-edge loop over CPython scalars.
+
+    Each round sums the messages out of every vertex from 0j in edge order,
+    then takes, for edge e into v = nbrs[e], the denominator
+    gamma - eps*omega[v] - (sum at v - msg[rev[e]]) and its reciprocal by
+    the conjugate formula; every new message is checked against the three
+    bounds on its own (a NaN counts on the sign bound).  Returns (messages,
+    violation counters [sign, cap, floor, visited]).
+    """
+    g = complex(gamma)
+    nbrs, rev, omega = nbrs.tolist(), rev.tolist(), omega.tolist()
+    msg = msg.tolist()
+    deg = len(nbrs) // len(omega)
+    cap_edge = abs_cap * (1.0 + 1e-12)
+    floor_edge = -(im_floor * (1.0 - 1e-12))
+    sign = cap = floor = visited = 0
+    for _ in range(rounds):
+        sums = []
+        for v in range(len(omega)):
+            s = 0j
+            for z in msg[v * deg : (v + 1) * deg]:
+                s += z
+            sums.append(s)
+        new = []
+        for e, v in enumerate(nbrs):
+            cut = sums[v] - msg[rev[e]]
+            zr = (g.real - eps * omega[v]) - cut.real
+            zi = g.imag - cut.imag
+            den = zr * zr + zi * zi
+            z = complex(zr / den, -zi / den)
+            sign += not (z.imag < 0.0)
+            cap += abs(z) > cap_edge
+            floor += z.imag > floor_edge
+            visited += 1
+            new.append(z)
+        msg = new
+    return np.array(msg, dtype=np.complex128), np.array([sign, cap, floor, visited])
 
 
 def lifted_green_pairwise(graph, pot, gamma, depth, rows, cols):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from qelab import anderson, graphs
-from qelab.errors import BudgetError, ConfigError
+from qelab.errors import BudgetError, ConfigError, InvariantError
 
 
 def test_sample_potential_deterministic_and_bounded():
@@ -164,6 +164,53 @@ def test_eigendecompose_rejects_asymmetric_and_nan():
         nan[i, j] = np.nan
         with pytest.raises(ConfigError, match="symmetric"):
             anderson.eigendecompose(nan)
+
+
+@pytest.mark.parametrize("entry", [(66, 3), (3, 66), (66, 64), (65, 66)])
+def test_asymmetry_in_the_last_row_block_raises(entry):
+    # 67 rows: the last block of the blocked check holds 67 % 8 = 3 rows
+    g = graphs.generate_random_regular(68, 2, seed=4)
+    pot = anderson.sample_potential(68, anderson.PotentialSpec(), 0.2, seed=4)
+    h = anderson.assemble(g, pot)[:67, :67].copy()
+    anderson.eigendecompose(h)
+    for value in (h[entry] + 1e-9, np.nan):
+        bad = h.copy()
+        bad[entry] = value
+        with pytest.raises(ConfigError, match="symmetric"):
+            anderson.eigendecompose(bad)
+
+
+@pytest.mark.parametrize("row", [0, 66])
+def test_perturbed_eigenvector_fails_the_residual(monkeypatch, row):
+    # a 64-vertex graph plus three isolated sites: a perturbation in row 66
+    # shows in the residual of row 66 alone, the last, partial row block
+    g = graphs.generate_random_regular(64, 2, seed=4)
+    pot = anderson.sample_potential(64, anderson.PotentialSpec(), 0.2, seed=4)
+    h = np.zeros((67, 67))
+    h[:64, :64] = anderson.assemble(g, pot)
+    h[np.arange(64, 67), np.arange(64, 67)] = [0.5, -0.25, 0.125]
+    eigh = np.linalg.eigh
+
+    def perturbed(matrix):
+        vals, vecs = eigh(matrix)
+        vecs[row, 10] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(anderson.np.linalg, "eigh", perturbed)
+    with pytest.raises(InvariantError, match="eigen residual"):
+        anderson.eigendecompose(h)
+
+
+def test_blocked_residual_matches_the_dense_product():
+    g = graphs.generate_random_regular(301, 3, seed=2)
+    pot = anderson.sample_potential(301, anderson.PotentialSpec(), 0.3, seed=3)
+    rng = np.random.default_rng(5)
+    dense = rng.uniform(-1.0, 1.0, size=(203, 203)) / 15.0
+    for h in (anderson.assemble(g, pot), dense + dense.T):
+        vals, vecs = np.linalg.eigh(h)
+        gemm = float(np.max(np.abs(h @ vecs - vecs * vals)))
+        assert abs(anderson._max_residual(h, vals, vecs) - gemm) <= 1e-15
+        assert gemm > 0.0
 
 
 def test_dimension_cap():

@@ -131,6 +131,40 @@ def test_message_passing_golden(eps):
     assert digest(msg0, msg, viol + counts) == GOLDEN[f"messages/{eps}"]
 
 
+@pytest.mark.parametrize("eps", [0.3, 0.0])
+@pytest.mark.parametrize("cap, floor", [(5.0, 0.0), (1.2, 0.3)])
+def test_message_rounds_match_per_edge_loop(eps, cap, floor):
+    # the tight cap and floor make the counters count, through the exact path
+    g = graphs.generate_random_regular(40, 2, seed=8)
+    pot = anderson.sample_potential(40, SPEC, eps, seed=2)
+    gamma = 0.1 + 0.2j
+    nbrs, rev = g.directed_targets(), g.reverse_edge_index()
+    msg0, _ = _kernels.messages_init(nbrs, pot.omega, pot.epsilon, gamma, cap, floor)
+    msg, viol = _kernels.messages_advance(
+        nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor
+    )
+    want, want_viol = oracles.message_rounds(
+        nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor
+    )
+    assert msg.tobytes() == want.tobytes()
+    assert viol.tolist() == want_viol.tolist()
+    if floor:
+        assert viol[:3].sum() > 0
+
+
+@pytest.mark.parametrize("which, bad", [("nbrs", -1), ("nbrs", 40), ("rev", -1), ("rev", 120)])
+def test_message_indices_out_of_range_raise(which, bad):
+    g = graphs.generate_random_regular(40, 2, seed=8)
+    pot = anderson.sample_potential(40, SPEC, 0.3, seed=2)
+    index = {"nbrs": g.directed_targets(), "rev": g.reverse_edge_index()}
+    msg0, _ = _kernels.messages_init(index["nbrs"], pot.omega, 0.3, 0.2j, 5.0, 0.0)
+    index[which] = index[which].copy()
+    index[which][7] = bad
+    with pytest.raises(IndexError):
+        _kernels.messages_advance(index["nbrs"], index["rev"], pot.omega, 0.3, 0.2j, msg0, 1,
+                                  5.0, 0.0)
+
+
 def test_zero_disorder_chain_matches_kernel_sweep():
     q, depth = 2, 10
     gamma = 0.3 + 0.15j

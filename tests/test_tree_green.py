@@ -234,7 +234,7 @@ def test_profile_roots_keep_the_cavity_bounds():
     # the acceptance profile grid (q=2, eps=0.2, eta=0.2, depth 12, free
     # leaves): every (q+1)-branch root, -G(o, o), is a cavity value of the
     # ball and keeps Im z < 0, |z| <= 1/eta and |Im z| >= eta/c_tilde**2,
-    # though no sweep checks it
+    # and the profile counts any that does not
     q, eps, eta = 2, 0.2, 0.2
     gammas = [complex(lam, eta) for lam in np.linspace(-2.4, 2.4, 97)]
     leaves, caps, floors = tg._grid_bounds(q, SPEC, eps, gammas, "free")
@@ -246,6 +246,24 @@ def test_profile_roots_keep_the_cavity_bounds():
     assert (root.imag < 0.0).all()
     assert (np.abs(root) <= np.array(caps)[:, None] * (1.0 + slack)).all()
     assert (-root.imag >= np.array(floors)[:, None] * (1.0 - slack)).all()
+
+
+def test_profile_counts_a_bad_root(monkeypatch):
+    # a NaN root, or one past the modulus cap, reaches the profile's counters
+    sweep = _kernels.tree_batch
+
+    def bad_roots(*args):
+        root, spine, viol = sweep(*args)
+        root[0, 0] = complex(np.nan, np.nan)
+        root[0, 1] = -2j / 0.2
+        return root, spine, viol
+
+    monkeypatch.setattr(_kernels, "tree_batch", bad_roots)
+    profile = tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, 1, [0.5], samples=8, seed=3, depth=4)
+    monkeypatch.undo()
+    clean = tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, 1, [0.5], samples=8, seed=3, depth=4)
+    assert clean.violations[:3].tolist() == [0, 0, 0]
+    assert (profile.violations - clean.violations).tolist() == [1, 1, 0, 0]
 
 
 def test_profile_grid_points_share_balls():
