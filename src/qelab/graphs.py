@@ -54,11 +54,12 @@ class RegularGraph:
         """For each directed edge (u -> v), the id of (v -> u)."""
         rev = object.__getattribute__(self, "_rev")
         if rev is None:
-            # directed edge ids ascend with the key u*n + v (neighbor rows are
-            # sorted), so the id of (v -> u) is the rank of v*n + u
+            # (u -> v) is edge u*deg + j; its reverse is v*deg + the position
+            # of u in row v of the neighbor table
+            deg = self.q + 1
             targets = self.directed_targets()
-            srcs = np.repeat(np.arange(self.n, dtype=np.int64), self.q + 1)
-            rev = np.searchsorted(srcs * self.n + targets, targets * self.n + srcs)
+            srcs = np.repeat(np.arange(self.n, dtype=np.int64), deg)
+            rev = targets * deg + (self.neighbors[targets] == srcs[:, None]).argmax(axis=1)
             object.__setattr__(self, "_rev", rev)
         return rev
 
@@ -71,13 +72,14 @@ def _neighbors_from_edges(n: int, q: int, edges: np.ndarray) -> np.ndarray:
     it shows as a repeated neighbor.
     """
     edges = edges.reshape(-1, 2)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    u, v = edges[:, 0], edges[:, 1]
+    # both directions as keys src*n + dst (endpoints lie in [0, n), so keys
+    # order like (src, dst) pairs); one sort gives the rows in order
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    src, dst = np.divmod(keys, n)
     degree = np.bincount(src, minlength=n)
     repeated = np.zeros(n, dtype=bool)
-    repeated[src[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])]] = True
+    repeated[src[1:][keys[1:] == keys[:-1]]] = True
     bad = np.flatnonzero((degree != q + 1) | repeated)
     if bad.size:
         x = int(bad[0])
@@ -124,14 +126,10 @@ def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None 
         b = stubs[1::2]
         if np.any(a == b):
             continue
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        if np.any(ordered[1:] == ordered[:-1]):
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        if np.any(keys[1:] == keys[:-1]):
             continue
-        edges = np.stack([lo[order], hi[order]], axis=1)
+        edges = np.stack(np.divmod(keys, n), axis=1)
         neighbors = _neighbors_from_edges(n, q, edges)
         return RegularGraph(n=n, q=q, neighbors=neighbors, edges=edges)
     raise GenerationError(

@@ -153,15 +153,13 @@ def edge_kernel(g: RegularGraph, value: float = 1.0) -> Kernel:
     """All-ones (scaled) kernel supported on graph edges; range 1."""
     if abs(value) > 1.0:
         raise ConfigError("edge kernel value must satisfy |value| <= 1")
-    deg = g.q + 1
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), deg)
-    cols = g.neighbors.reshape(-1).copy()
-    order = np.lexsort((cols, rows))
+    # neighbor rows are sorted, so the entries come in (row, col) order
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.q + 1)
     return Kernel(
         n=g.n,
         r_max=1,
-        rows=rows[order],
-        cols=cols[order],
+        rows=rows,
+        cols=g.neighbors.reshape(-1).copy(),
         values=np.full(rows.size, value, dtype=np.float64),
         distances=np.ones(rows.size, dtype=np.int64),
         tag=f"edges:{value}",
@@ -288,15 +286,25 @@ def kernel_average_general_curve(
 def _kernel_lifts(kernel: Kernel, g: RegularGraph) -> tree_green.PairLifts:
     """Lifts of the kernel entries along their BFS geodesics.
 
-    An entry (x, x) lifts as [x] and an adjacent pair as [x, y], which is
-    the BFS geodesic of an edge; only pairs further apart run a BFS.
+    An entry (x, x) lifts to no step and an adjacent pair to the edge x -> y,
+    which is the BFS geodesic of an edge; only pairs further apart run a BFS,
+    and their steps fill the same table, padded with -1.
     """
-    adjacent = (g.neighbors[kernel.rows] == kernel.cols[:, None]).any(axis=1)
-    paths = [
-        [x] if x == y else [x, y] if near else graphs.distance_and_geodesic(g, x, y)[1]
-        for x, y, near in zip(kernel.rows.tolist(), kernel.cols.tolist(), adjacent.tolist())
-    ]
-    return tree_green.pair_lifts(g, paths)
+    rows, cols = kernel.rows, kernel.cols
+    if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= g.n):
+        raise ConfigError(f"kernel entries out of range for n={g.n}")
+    hit = g.neighbors[rows] == cols[:, None]
+    adjacent = hit.any(axis=1)
+    far = np.flatnonzero(~adjacent & (rows != cols))
+    far_steps = tree_green.pair_lifts(g, [
+        graphs.distance_and_geodesic(g, x, y)[1]
+        for x, y in zip(rows[far].tolist(), cols[far].tolist())
+    ]).steps
+    width = max(far_steps.shape[1], int(adjacent.any()))
+    steps = np.full((rows.size, width), -1, dtype=np.int64)
+    steps[adjacent, :1] = (rows * (g.q + 1) + hit.argmax(axis=1))[adjacent, None]
+    steps[far, :far_steps.shape[1]] = far_steps
+    return tree_green.PairLifts(starts=rows.astype(np.int64), steps=steps)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,11 @@ pair by pair, the message rounds edge by edge, the scalar and the
 rational Kesten-McKay forms, a node-by-node sweep of one tree ball, scalar
 potential draws, the girth and the graph file reader, the scipy routes
 (CSR powers, ARPACK) that the numpy moment and expansion checks replace,
-the per-distance interpolation bound of a distance-only bracket, and the
-gap between the lifted and the distance-only brackets over a size grid.
+the per-distance interpolation bound of a distance-only bracket, the
+gap between the lifted and the distance-only brackets over a size grid, and
+the sort-based graph tables (lexsorted neighbor rows and edge kernel, the
+argsort pairing test, the searchsorted reverse edges) that the package
+builds in fewer passes.
 """
 
 import json
@@ -340,6 +343,67 @@ def load_graph_json(path):
         if len(e) != 2 or not (0 <= e[0] < e[1] < n):
             raise ConfigError(f"graph file {path}: bad edge entry {e}")
     return graphs.graph_from_edges(n, q, edges)
+
+
+def neighbors_lexsort(n: int, q: int, edges) -> np.ndarray:
+    """Sorted neighbor rows by a lexsort of (src, dst), with the same checks
+    and messages as ``graphs._neighbors_from_edges``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    degree = np.bincount(src, minlength=n)
+    repeated = np.zeros(n, dtype=bool)
+    repeated[src[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])]] = True
+    bad = np.flatnonzero((degree != q + 1) | repeated)
+    if bad.size:
+        x = int(bad[0])
+        if degree[x] != q + 1:
+            raise ConfigError(f"vertex {x} has degree {degree[x]}, expected {q + 1}")
+        raise ConfigError(f"vertex {x} carries a repeated neighbor")
+    return dst.reshape(n, q + 1)
+
+
+def random_regular_argsort(n: int, q: int, seed: int, max_attempts: int = 200_000):
+    """(edges, neighbors) of ``graphs.generate_random_regular`` from the same
+    stub permutations, testing multi-edges on a stable argsort of the keys."""
+    rng = _rng.numpy_generator(_rng.derive_key(seed, "pairing", n, q))
+    stubs_base = np.repeat(np.arange(n, dtype=np.int64), q + 1)
+    for _ in range(max_attempts):
+        stubs = rng.permutation(stubs_base)
+        a, b = stubs[0::2], stubs[1::2]
+        if np.any(a == b):
+            continue
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        if np.any(ordered[1:] == ordered[:-1]):
+            continue
+        edges = np.stack([lo[order], hi[order]], axis=1)
+        return edges, neighbors_lexsort(n, q, edges)
+    raise AssertionError(f"no simple pairing in {max_attempts} attempts")
+
+
+def reverse_edges_searchsorted(g) -> np.ndarray:
+    """Id of (v -> u) per directed edge (u -> v), as the rank of the key v*n + u
+    among the keys u*n + v, which ascend with the edge ids."""
+    targets = g.directed_targets()
+    srcs = np.repeat(np.arange(g.n, dtype=np.int64), g.q + 1)
+    return np.searchsorted(srcs * g.n + targets, targets * g.n + srcs)
+
+
+def edge_kernel_lexsort(g, value: float = 1.0):
+    """``qe.edge_kernel`` with its entries put in (row, col) order by a lexsort."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.q + 1)
+    cols = g.neighbors.reshape(-1).copy()
+    order = np.lexsort((cols, rows))
+    return qe.Kernel(
+        n=g.n, r_max=1, rows=rows[order], cols=cols[order],
+        values=np.full(rows.size, value, dtype=np.float64),
+        distances=np.ones(rows.size, dtype=np.int64), tag=f"edges:{value}",
+    )
 
 
 # ----------------------------------------------------------------------

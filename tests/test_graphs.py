@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from qelab import graphs
+from qelab import graphs, qe
 from qelab.errors import ConfigError, GenerationError, InvariantError
 
 K33_EDGES = [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
@@ -166,6 +166,42 @@ def test_graph_from_edges_error_messages():
     # the degree check comes first for the same vertex
     with pytest.raises(ConfigError, match=r"^vertex 1 has degree 4, expected 3$"):
         graphs.graph_from_edges(4, 2, [(1, 1), (0, 1), (1, 2), (0, 2), (0, 3), (2, 3)])
+
+
+# (n, q, seed): both q = 2 sizes of the reference grid, spectra_large's q = 3
+# graph, lifted_curve's N = 10000 graph, and two higher degrees
+GRAPH_TABLE_CASES = [(250, 2, 101), (1000, 2, 101), (1200, 3, 301), (10000, 2, 501),
+                     (64, 4, 7), (30, 5, 3)]
+
+
+@pytest.mark.parametrize("n,q,seed", GRAPH_TABLE_CASES)
+def test_graph_tables_match_sort_oracles(n, q, seed):
+    # one key sort per table against the lexsort / stable-argsort /
+    # searchsorted constructions: the same arrays, dtypes included
+    g = graphs.generate_random_regular(n, q, seed)
+    edges, neighbors = oracles.random_regular_argsort(n, q, seed)
+    kernel, want = qe.edge_kernel(g), oracles.edge_kernel_lexsort(g)
+    rev, want_rev = g.reverse_edge_index(), oracles.reverse_edges_searchsorted(g)
+    for got, ref in ((g.edges, edges), (g.neighbors, neighbors), (rev, want_rev),
+                     (kernel.rows, want.rows), (kernel.cols, want.cols),
+                     (kernel.values, want.values), (kernel.distances, want.distances)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_neighbor_table_errors_match_lexsort_oracle():
+    # the first bad vertex and its message, on edge lists that reach the
+    # table without graph_from_edges' repeated-edge check
+    g = graphs.generate_random_regular(64, 4, seed=7)
+    moved = g.edges.copy()
+    moved[10, 1] = (moved[10, 1] + 1) % 64  # one degree up, one down (or a repeat)
+    doubled = np.concatenate([g.edges[:-1], g.edges[:1]])  # a repeated edge
+    looped = g.edges.copy()
+    looped[20] = [looped[20, 0], looped[20, 0]]  # a self-loop
+    for edges in (moved, doubled, looped, g.edges[:-1]):
+        with pytest.raises(ConfigError) as want:
+            oracles.neighbors_lexsort(64, 4, edges)
+        with pytest.raises(ConfigError, match=f"^{want.value}$"):
+            graphs._neighbors_from_edges(64, 4, edges)
 
 
 def test_distance_and_geodesic_examples():

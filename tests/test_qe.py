@@ -331,13 +331,46 @@ def test_kernel_average_general_zero_disorder_mean(small_case):
     assert got == pytest.approx(obs.values.mean(), abs=1e-12)
 
 
+def _mixed_kernel(g):
+    """Diagonal, adjacent and distance-2 entries in one kernel, in (row, col) order."""
+    parts = [qe.diagonal_kernel(qe.make_observable("constant", g.n, constant=0.25)),
+             qe.edge_kernel(g), qe.ring_kernel(g, 2, value=-0.5)]
+    rows, cols, values, distances = (np.concatenate([getattr(k, f) for k in parts])
+                                     for f in ("rows", "cols", "values", "distances"))
+    order = np.lexsort((cols, rows))
+    return qe.Kernel(n=g.n, r_max=2, rows=rows[order], cols=cols[order],
+                     values=values[order], distances=distances[order], tag="mixed")
+
+
 def _lifted_kernels(g):
     return [
         qe.edge_kernel(g),
         qe.ring_kernel(g, 2, value=0.5),
         qe.ring_kernel(g, 3),
         qe.diagonal_kernel(qe.make_observable("indicator", g.n, seed=17, alpha=0.5)),
+        _mixed_kernel(g),
     ]
+
+
+@pytest.mark.parametrize("n,q,seed", [(250, 2, 101), (64, 4, 7), (30, 5, 3)])
+def test_kernel_entries_in_row_col_order(n, q, seed):
+    # the Kernel docstring's order, which edge_kernel takes from the sorted
+    # neighbor rows without a sort of its own
+    g = graphs.generate_random_regular(n, q, seed)
+    kernels = [qe.edge_kernel(g), qe.ring_kernel(g, 2),
+               qe.diagonal_kernel(qe.make_observable("indicator", n, seed=3, alpha=0.5))]
+    for kernel in kernels:
+        assert kernel.rows.size
+        assert np.all(np.diff(kernel.rows * n + kernel.cols) > 0), kernel.tag
+
+
+def test_kernel_lifts_reject_entries_out_of_range(small_case):
+    g = small_case[0]
+    for x, y in ((-1, -1), (g.n, g.n), (0, g.n)):
+        bad = qe.Kernel(n=g.n, r_max=0, rows=np.array([0, x]), cols=np.array([0, y]),
+                        values=np.ones(2), distances=np.zeros(2, dtype=np.int64), tag="bad")
+        with pytest.raises(ConfigError, match="out of range"):
+            qe._kernel_lifts(bad, g)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -379,6 +412,10 @@ def test_kernel_lifts_run_one_geodesic_per_far_entry(small_case, monkeypatch):
     qe.kernel_average_general_curve(edges, g, pot, lambdas, 0.2, depth=10)
     assert calls == []
     qe.kernel_average_general_curve(ring2, g, pot, lambdas, 0.2, depth=10)
+    assert sorted(calls) == sorted(zip(ring2.rows.tolist(), ring2.cols.tolist()))
+    # diagonal and adjacent entries of a mixed kernel run none
+    calls.clear()
+    qe._kernel_lifts(_mixed_kernel(g), g)
     assert sorted(calls) == sorted(zip(ring2.rows.tolist(), ring2.cols.tolist()))
 
     profile = tg.distance_ratio_profile(
