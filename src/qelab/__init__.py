@@ -53,7 +53,6 @@ from .tree_green import (  # noqa: F401
     free_forward_green,
     free_forward_green_complex,
     green_condition_moments,
-    green_diagonal,
     lifted_green,
     pair_lifts,
 )

@@ -65,24 +65,18 @@ _SLACK = 1e-12
 _TINY = 2.0**-1022
 
 
-def crecip_scalar(z: complex) -> complex:
-    """1/z via the explicit conjugate formula.
+def crecip_vec(z: np.ndarray) -> np.ndarray:
+    """1/z via the explicit conjugate formula (z.real - 1j*z.imag) / |z|**2.
 
     numpy and CPython disagree in the last bit of complex division; every
-    kernel routes through this one formula (or ``crecip_vec``) so results
-    stay bit-identical.  Safe without Smith scaling: cavity denominators
-    live in [eta, O(1/eta)].
+    kernel routes through this one formula so results stay bit-identical.
+    Safe without Smith scaling: cavity denominators live in [eta, O(1/eta)].
     """
-    den = z.real * z.real + z.imag * z.imag
-    return complex(z.real / den, -z.imag / den)
-
-
-def crecip_vec(z: np.ndarray) -> np.ndarray:
     return crecip_parts(z.real, -z.imag)
 
 
 def crecip_parts(zr, ni, out=None, den=None, sq=None) -> np.ndarray:
-    """1/(zr - 1j*ni) by ``crecip_scalar``'s formula, from real arrays (or scalars).
+    """1/(zr - 1j*ni) by ``crecip_vec``'s formula, from real arrays (or scalars).
 
     ``ni`` is the negated imaginary part of the denominator, so its quotient
     ni/den is the formula's -zi/den with no negation pass: the quotient of a

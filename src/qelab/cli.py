@@ -83,31 +83,17 @@ def _merge(defaults, override, path="config"):
     return out
 
 
-# typed fields by dotted path; a field whose default is a list holds a list
-# of such values, and mc.depth may also be null (resolved below)
-_INTEGER_FIELDS = (
-    "q", "n_values", "graph_seeds", "pot_seeds", "observable.vertex", "observable.seed",
-    "kernel.range", "mc.samples", "mc.depth", "mc.seed",
-    "conditions.bst_radii", "lln.k_max",
-)
-_REAL_FIELDS = (
-    "epsilon", "potential.support_bound", "lambda0", "eta0_values", "observable.alpha",
-    "observable.constant", "kernel.value", "mc.lambda_spacing", "mc.eta_grid",
-    "mc.lambda_grid", "mc.s_values", "conditions.c_lower", "conditions.c_upper",
-)
-_BOOLEAN_FIELDS = ("potential.allow_atomic", "output.per_eigenvalue", "output.spectrum_dump")
-
-
-def _is_integer(value) -> bool:
-    return type(value) is int  # JSON true/false load as bool, a subclass of int
-
-
-def _is_real(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _is_boolean(value) -> bool:
-    return type(value) is bool
+# each field takes the type of its default (a list default: a list of
+# entries of its entries' type), checked and named as here
+_TYPES = {
+    # JSON true/false load as bool, a subclass of int
+    int: (lambda value: type(value) is int, "an integer"),
+    float: (lambda value: type(value) in (int, float) and math.isfinite(value), "a finite number"),
+    bool: (lambda value: type(value) is bool, "true or false"),
+    str: (lambda value: type(value) is str, "a string"),
+}
+# the type of a field whose default is null; null stays allowed there
+_NULLABLE = {"mc.depth": int, "observable.path": str}
 
 
 def _field(cfg, path: str):
@@ -117,17 +103,20 @@ def _field(cfg, path: str):
 
 
 def _check_field_types(cfg) -> None:
-    for fields, accept, what in ((_INTEGER_FIELDS, _is_integer, "an integer"),
-                                 (_REAL_FIELDS, _is_real, "a finite number"),
-                                 (_BOOLEAN_FIELDS, _is_boolean, "true or false")):
-        for path in fields:
-            value, default = _field(cfg, path), _field(DEFAULT_CONFIG, path)
-            if path == "mc.depth" and value is None:
-                continue
-            if isinstance(default, list):
-                if not isinstance(value, list) or not all(accept(v) for v in value):
-                    raise ConfigError(f"{path} must be a list, each entry {what}")
-            elif not accept(value):
+    fields = list(DEFAULT_CONFIG.items())  # (dotted path, default) in config order
+    while fields:
+        path, default = fields.pop(0)
+        if isinstance(default, dict):
+            fields[:0] = [(f"{path}.{key}", value) for key, value in default.items()]
+            continue
+        value = _field(cfg, path)
+        if isinstance(default, list):
+            accept, what = _TYPES[type(default[0])]
+            if not isinstance(value, list) or not all(accept(v) for v in value):
+                raise ConfigError(f"{path} must be a list, each entry {what}")
+        elif default is not None or value is not None:
+            accept, what = _TYPES[_NULLABLE[path] if default is None else type(default)]
+            if not accept(value):
                 raise ConfigError(f"{path} must be {what}, got {value!r}")
 
 

@@ -29,9 +29,9 @@ def kesten_mckay_densities(lams, q: int) -> np.ndarray:
 
     (1/pi) Im of the free tree Green diagonal at lam + i0, zero outside the
     open band (-2 sqrt(q), 2 sqrt(q)).  Follows ``free_forward_green`` and
-    ``green_diagonal`` step for step, so each value has the bits of the
-    scalar route: the q+1 cavity values are summed one by one, then
-    1/(0 - lam + sum).
+    the scalar Schur diagonal step for step, so each value has the bits of
+    the scalar route (``tests/oracles.py``): the q+1 cavity values are
+    summed one by one, then 1/(0 - lam + sum).
     """
     lams = np.asarray(lams, dtype=np.float64)
     out = np.zeros(lams.shape)

@@ -89,17 +89,6 @@ def _neighbors_from_edges(n: int, q: int, edges: np.ndarray) -> np.ndarray:
     return dst.reshape(n, q + 1)
 
 
-def graph_from_edges(n: int, q: int, edges) -> RegularGraph:
-    """Build and validate a RegularGraph from an undirected edge list."""
-    arr = np.asarray(sorted((min(u, v), max(u, v)) for u, v in edges), dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ConfigError("edge endpoint out of range")
-    if len({(int(u), int(v)) for u, v in arr}) != len(arr):
-        raise ConfigError("repeated edge in input")
-    neighbors = _neighbors_from_edges(n, q, arr)
-    return RegularGraph(n=n, q=q, neighbors=neighbors, edges=arr)
-
-
 def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None = None) -> RegularGraph:
     """Sample a simple (q+1)-regular graph by rejection from the pairing model.
 
@@ -171,23 +160,6 @@ def distance_and_geodesic(g: RegularGraph, x: int, y: int):
     return UNREACHABLE, []
 
 
-def distances_within(g: RegularGraph, x: int, radius: int) -> dict[int, int]:
-    """Vertices within ``radius`` of x, mapped to their distance."""
-    dist = {x: 0}
-    frontier = deque([x])
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        if du == radius:
-            continue
-        for v in g.neighbors[u]:
-            v = int(v)
-            if v not in dist:
-                dist[v] = du + 1
-                frontier.append(v)
-    return dist
-
-
 # ----------------------------------------------------------------------
 # injectivity radius and (BST) statistic
 # ----------------------------------------------------------------------
@@ -198,10 +170,6 @@ class InjectivityProfile:
     """Per-vertex injectivity radii plus the small-radius fraction statistic."""
 
     radii: np.ndarray  # int64, shape (n,)
-
-    def histogram(self) -> dict[int, int]:
-        values, counts = np.unique(self.radii, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
 
     def small_radius_fraction(self, r: int) -> float:
         """|{x : rho(x) < r}| / n, the quantity that must vanish for (BST)."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import _rng, graphs, tree_green
 from .anderson import PotentialAssignment, SpectralData
 from .errors import ConfigError
-from .graphs import RegularGraph, distances_within
+from .graphs import RegularGraph
 from .tree_green import DistanceRatioProfile
 
 
@@ -44,9 +44,6 @@ class Observable:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def mean(self) -> complex | float:
-        return self.values.mean()
 
 
 def make_observable(kind: str, n: int, seed: int = 0, *, constant: float = 1.0,
@@ -170,20 +167,23 @@ def ring_kernel(g: RegularGraph, r: int, value: float = 1.0) -> Kernel:
     """Indicator (scaled) of pairs at graph distance exactly r."""
     if r == 0:
         return diagonal_kernel(make_observable("constant", g.n, constant=value))
-    rows, cols = [], []
-    for x in range(g.n):
-        for y, d in sorted(distances_within(g, x, r).items()):
-            if d == r:
-                rows.append(x)
-                cols.append(y)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    order = np.lexsort((cols, rows))
+    # level d holds the pairs (x, y) at distance d as sorted keys x*n + y, for
+    # every x at once; a neighbor of a vertex at distance d lies at d - 1, d
+    # or d + 1, so the neighbors of level d minus levels d - 1 and d are d + 1
+    n = g.n
+    prev = np.empty(0, dtype=np.int64)
+    front = np.arange(n, dtype=np.int64) * (n + 1)
+    for _ in range(r):
+        src, vert = np.divmod(front, n)
+        cand = np.unique(src[:, None] * n + g.neighbors[vert])
+        cand = cand[~(graphs._sorted_member(front, cand) | graphs._sorted_member(prev, cand))]
+        prev, front = front, cand
+    rows, cols = np.divmod(front, n)
     return Kernel(
-        n=g.n,
+        n=n,
         r_max=r,
-        rows=rows[order],
-        cols=cols[order],
+        rows=rows,
+        cols=cols,
         values=np.full(rows.size, value, dtype=np.float64),
         distances=np.full(rows.size, r, dtype=np.int64),
         tag=f"ring:{r}:{value}",

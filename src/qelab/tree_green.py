@@ -22,12 +22,13 @@ L of order 10 (see the benchmark and the stabilization tests).
 Cavity values z always satisfy Im z < 0, |z| <= 1/eta and
 |Im z| >= eta / c_tilde**2; sweeps count violations of these bounds.
 
-Both Monte-Carlo estimators sweep their balls through one kernel,
-``_kernels.tree_batch``: the distance profile with q + 1 branches at the
-root (G(o, o) is minus the root value, and the spine carries it down a ray),
-the moment table with q (the root value is a cavity value).  Each checks
-its root values against the cavity bounds itself: the operator bound that
-gives them to the levels of a ball gives them to the root too.
+Both tree estimators get their balls from one helper, ``_sweep_grid``:
+the distance profile with q + 1 branches at the root (G(o, o) is minus the
+root value, and the spine carries it down a ray), the moment table with q
+(the root value is a cavity value).  It sweeps them through
+``_kernels.tree_batch``, or at eps = 0 through the chain, and checks the
+roots against the cavity bounds with the levels below them: the operator
+bound that gives them to the levels of a ball gives them to the root too.
 """
 
 from __future__ import annotations
@@ -158,13 +159,51 @@ def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
     return values
 
 
-def green_diagonal(zeta_children, omega_root: float, epsilon: float, gamma) -> complex:
-    """Schur diagonal: G(o,o) = 1 / (eps*omega - gamma + sum of cavity values)."""
-    g = complex(gamma)
-    acc = 0.0j
-    for z in np.asarray(zeta_children, dtype=np.complex128):
-        acc += z
-    return _kernels.crecip_scalar(epsilon * omega_root - g + acc)
+def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, samples, key,
+                spine_len):
+    """Checked cavity sweeps of the balls of a tree estimator at every gamma of a grid.
+
+    The balls have depth ``depth`` and ``branches`` subtrees at the root.
+    Returns (root values, shape (G, m); cavity values at depths
+    1..spine_len down the first ray, shape (G, m, spine_len); violation
+    counters of every level and of the roots, shape (G, 4); the Im floors of
+    the grid).  A root is 1/(gamma - eps*omega - sum of the branch values):
+    with q + 1 branches it is -G(o, o), with q a cavity value, and the
+    operator bound that gives the cavity bounds to the levels of a ball
+    gives them to its root too.
+
+    With disorder the m = ``samples`` balls come from ``_kernels.tree_batch``
+    (potentials keyed by ``key``) under the budget guard of ``_check_budget``.
+    At eps = 0 all siblings coincide and every ball is the same, taken as
+    one sample (m = 1): the ``_zero_disorder_chain`` one level longer than
+    the ball holds its levels 1..depth below its top.  A q-branch root is
+    the free fixed point (free leaves, where the recursion is stationary)
+    or the chain's top (bare leaves).
+    """
+    if samples < 1:
+        raise ConfigError("need at least one sample")
+    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
+    if epsilon == 0.0:
+        chains = np.array([_zero_disorder_chain(q, depth + 1, g, leaf_mode) for g in gammas])
+        levels = chains[:, 1:]
+        if branches == q:
+            root = np.array(leaves) if leaf_mode == "free" else chains[:, 0]
+        else:
+            root = _kernels.crecip_vec(
+                np.array(gammas) - _kernels._sum_children(levels[:, :1], branches))
+        root, spine = root[:, None], levels[:, None, :spine_len]
+        viol = np.zeros((len(gammas), 4), dtype=np.int64)
+        for i in range(len(gammas)):
+            _kernels._check_vec(levels[i], caps[i], floors[i], viol[i])
+    else:
+        _check_budget(_kernels.tree_node_count(q, depth, branches), samples * len(gammas))
+        root, spine, viol = _kernels.tree_batch(
+            q, depth, branches, epsilon, gammas, leaves, pot_spec.kind_code,
+            pot_spec.support_bound, key, samples, spine_len, 0, caps, floors,
+        )
+    for i in range(len(gammas)):
+        _kernels._check_vec(root[i], caps[i], floors[i], viol[i])
+    return root, spine, viol, floors
 
 
 # ----------------------------------------------------------------------
@@ -172,10 +211,13 @@ def green_diagonal(zeta_children, omega_root: float, epsilon: float, gamma) -> c
 # ----------------------------------------------------------------------
 
 
-def _mean_stderr(columns: np.ndarray):
-    means = columns.mean(axis=0)
-    if columns.shape[0] > 1:
-        stderrs = columns.std(axis=0, ddof=1) / math.sqrt(columns.shape[0])
+def _mean_stderr(batch: np.ndarray):
+    """Means over the samples of a batch, axis 1 of shape (G, samples, ...),
+    and their standard errors (0 for one sample)."""
+    samples = batch.shape[1]
+    means = batch.mean(axis=1)
+    if samples > 1:
+        stderrs = batch.std(axis=1, ddof=1) / math.sqrt(samples)
     else:
         stderrs = np.zeros_like(means)
     return means, stderrs
@@ -239,44 +281,19 @@ def distance_ratio_profile(
     random numbers), so a lambda's estimate does not depend on the rest of
     the grid, and differences along the grid, and between profiles of one
     seed at other eta, carry little sampling noise.  The budget guard of
-    ``_check_budget`` applies to the whole grid.  At eps = 0 each lambda is
-    the closed-form chain, with zero stderr.  Deterministic for fixed seed:
-    fixed substreams, fixed summation order.
+    ``_check_budget`` applies to the whole grid.  At eps = 0 every ball is
+    the same chain: one sample, with zero stderr.  Deterministic for fixed
+    seed: fixed substreams, fixed summation order.
     """
-    if samples < 1:
-        raise ConfigError("need at least one sample")
     if depth < r_max + 1:
         raise ConfigError(
             f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1"
         )
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     gammas = [complex(lam, eta) for lam in lambdas]
-    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
-    means = np.empty((r_max + 1, len(gammas)), dtype=np.float64)
-    if epsilon == 0.0:
-        viol = np.zeros((len(gammas), 4), dtype=np.int64)
-        for i, g in enumerate(gammas):
-            values = _zero_disorder_chain(q, depth, g, leaf_mode)
-            _kernels._check_vec(values, caps[i], floors[i], viol[i])
-            green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, g)
-            means[0, i] = green.imag
-            for r in range(1, r_max + 1):
-                green = green * values[r - 1]
-                means[r, i] = green.imag
-        stderrs = np.zeros_like(means)
-    else:
-        _check_budget(_kernels.tree_node_count(q, depth, q + 1), samples * len(gammas))
-        root, spine, viol = _kernels.tree_batch(
-            q, depth, q + 1, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
-            _rng.derive_key(seed, "profile"), samples, r_max, 0, caps, floors,
-        )
-        im = _ray_green_im(root, spine)
-        stderrs = np.empty_like(means)
-        for i in range(len(gammas)):
-            # a (q + 1)-branch root 1/(gamma - eps*omega - sum) keeps the cavity
-            # bounds by the same operator bound as the levels below it
-            _kernels._check_vec(root[i], caps[i], floors[i], viol[i])
-            means[:, i], stderrs[:, i] = _mean_stderr(im[i])
+    root, spine, viol, _ = _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, q + 1,
+                                       samples, _rng.derive_key(seed, "profile"), r_max)
+    means, stderrs = (np.ascontiguousarray(a.T) for a in _mean_stderr(_ray_green_im(root, spine)))
     return DistanceRatioProfile(
         lambdas=lambdas,
         ratios=means / means[:1],
@@ -336,24 +353,6 @@ class GreenMomentTable:
         return min(abs_means), max(sq_means)
 
 
-def _moment_point(lam, eta, zeta_im, floor, s_list, viol) -> MomentPoint:
-    """Moments of the root field's imaginary parts ``zeta_im`` at one grid point.
-
-    The inverse moments are taken of |Im z| clamped below at ``floor``.
-    """
-    abs_vals = np.abs(zeta_im)
-    sq_vals = zeta_im * zeta_im
-    abs_mean, abs_err = _mean_stderr(abs_vals[:, None])
-    sq_mean, sq_err = _mean_stderr(sq_vals[:, None])
-    clamped = np.maximum(abs_vals, floor) if floor > 0 else abs_vals
-    inverse = {}
-    for s in s_list:
-        m, e = _mean_stderr((clamped ** (-s))[:, None])
-        inverse[s] = (float(m[0]), float(e[0]))
-    return MomentPoint(lam, eta, float(abs_mean[0]), float(abs_err[0]),
-                       float(sq_mean[0]), float(sq_err[0]), inverse, viol)
-
-
 def green_condition_moments(
     q: int,
     pot_spec: PotentialSpec,
@@ -372,8 +371,8 @@ def green_condition_moments(
     eta/c_tilde**2 (a no-op in exact arithmetic) so they are finite by
     construction.  Every grid point is swept over the same balls (one key
     and one call for the whole table, under the budget guard of
-    ``_check_budget``); at eps = 0 the field is deterministic and every
-    sample coincides.
+    ``_check_budget``); at eps = 0 the field is deterministic: one sample,
+    with zero stderrs.
     """
     lambda_grid = [float(x) for x in lambda_grid]
     s_list = tuple(float(s) for s in s_list)
@@ -381,33 +380,19 @@ def green_condition_moments(
         raise ConfigError("inverse-moment exponents must be positive")
     grid = [(lam, float(eta)) for lam in lambda_grid for eta in eta_grid]
     gammas = [complex(lam, eta) for lam, eta in grid]
-    leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
-    if epsilon != 0.0:
-        _check_budget(_kernels.tree_node_count(q, depth, q), samples * len(gammas))
-        zeta, _, viol = _kernels.tree_batch(
-            q, depth, q, epsilon, gammas, leaves, pot_spec.kind_code, pot_spec.support_bound,
-            _rng.derive_key(seed, "green-moments"), samples, 0, 0, caps, floors,
-        )
-        for i in range(len(gammas)):
-            _kernels._check_vec(zeta[i], caps[i], floors[i], viol[i])
-        points = [_moment_point(lam, eta, zeta[i].imag, floors[i], s_list, viol[i])
-                  for i, (lam, eta) in enumerate(grid)]
-        return GreenMomentTable(points=points, s_values=s_list, depth=depth)
-    # the field is deterministic: a point mass whose moments are evaluated
-    # exactly rather than averaged over constant samples
-    points = []
-    for i, (lam, eta) in enumerate(grid):
-        if leaf_mode == "free":
-            z = leaves[i]
-        else:
-            # the root is the top of a chain one level longer
-            z = complex(_zero_disorder_chain(q, depth + 1, gammas[i], leaf_mode)[0])
-        viol = np.zeros(4, dtype=np.int64)
-        _kernels._check_vec(np.asarray([z]), caps[i], floors[i], viol)
-        im_abs = abs(z.imag)
-        clamped = max(im_abs, floors[i])
-        inverse = {s: (clamped ** (-s), 0.0) for s in s_list}
-        points.append(MomentPoint(lam, eta, im_abs, 0.0, z.imag * z.imag, 0.0, inverse, viol))
+    zeta, _, viol, floors = _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, q,
+                                        samples, _rng.derive_key(seed, "green-moments"), 0)
+    abs_vals = np.abs(zeta.imag)
+    abs_mean, abs_err = _mean_stderr(abs_vals)
+    sq_mean, sq_err = _mean_stderr(zeta.imag * zeta.imag)
+    clamped = np.maximum(abs_vals, np.array(floors)[:, None])
+    inverse = {s: _mean_stderr(clamped ** (-s)) for s in s_list}
+    points = [
+        MomentPoint(lam, eta, float(abs_mean[i]), float(abs_err[i]), float(sq_mean[i]),
+                    float(sq_err[i]), {s: (float(m[i]), float(e[i]))
+                                       for s, (m, e) in inverse.items()}, viol[i])
+        for i, (lam, eta) in enumerate(grid)
+    ]
     return GreenMomentTable(points=points, s_values=s_list, depth=depth)
 
 
@@ -499,8 +484,8 @@ def lifted_green(
     one step at a time over all pairs.
     """
     g = complex(gamma)
-    if g.imag <= 0:
-        raise ConfigError("eta must be strictly positive for the lifted Green function")
+    # messages start at the bare site values
+    _, (abs_cap,), (floor,) = _grid_bounds(graph.q, pot.spec, pot.epsilon, [g], "bare")
     if depth < 1:
         raise ConfigError("depth must be at least 1")
     max_steps = lifts.steps.shape[1]
@@ -508,8 +493,6 @@ def lifted_green(
         raise ConfigError(
             f"cover depth {depth} shorter than a requested geodesic ({max_steps} steps)"
         )
-    floor = imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, abs(g.real), g.imag)
-    abs_cap = 1.0 / g.imag
     targets = graph.directed_targets()
     rev = graph.reverse_edge_index()
 

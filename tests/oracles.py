@@ -1,21 +1,24 @@
 """Reference implementations that only the tests call.
 
 Each one is an independent or slower route to a quantity the package
-computes: the cavity fixed point by iteration, materialized tree balls for
-dense inversion, the full root row of a ball, the lifted Green function
-pair by pair, the message rounds edge by edge, the scalar and the
-rational Kesten-McKay forms, a node-by-node sweep of one tree ball, scalar
-potential draws, the girth and the graph file reader, the scipy routes
-(CSR powers, ARPACK) that the numpy moment and expansion checks replace,
-the per-distance interpolation bound of a distance-only bracket, the
-gap between the lifted and the distance-only brackets over a size grid, and
-the sort-based graph tables (lexsorted neighbor rows and edge kernel, the
-argsort pairing test, the searchsorted reverse edges) that the package
-builds in fewer passes.
+computes: the cavity fixed point by iteration, the scalar reciprocal and
+Schur diagonal, materialized tree balls for dense inversion, the full root
+row of a ball, the eps = 0 profile and moment table by scalar arithmetic,
+the lifted Green function pair by pair, the message rounds edge by edge,
+the scalar and the rational Kesten-McKay forms, a node-by-node sweep of
+one tree ball, scalar potential draws, the girth, the graph file reader
+and the edge-list constructor, the ring kernel by one BFS per vertex, the
+scipy routes (CSR powers, ARPACK) that the numpy moment and expansion
+checks replace, the per-distance interpolation bound of a distance-only
+bracket, the gap between the lifted and the distance-only brackets over a
+size grid, and the sort-based graph tables (lexsorted neighbor rows and
+edge kernel, the argsort pairing test, the searchsorted reverse edges) that
+the package builds in fewer passes.
 """
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,22 @@ from qelab.errors import BudgetError, ConfigError, InvariantError
 # ----------------------------------------------------------------------
 # cavity values and tree balls
 # ----------------------------------------------------------------------
+
+
+def crecip_scalar(z: complex) -> complex:
+    """1/z by ``_kernels.crecip_vec``'s conjugate formula, in CPython scalars."""
+    den = z.real * z.real + z.imag * z.imag
+    return complex(z.real / den, -z.imag / den)
+
+
+def green_diagonal(zeta_children, omega_root: float, epsilon: float, gamma) -> complex:
+    """Schur diagonal: G(o,o) = 1 / (eps*omega - gamma + sum of cavity values),
+    the sum taken from 0j in child order."""
+    g = complex(gamma)
+    acc = 0.0j
+    for z in np.asarray(zeta_children, dtype=np.complex128):
+        acc += z
+    return crecip_scalar(epsilon * omega_root - g + acc)
 
 
 def fixed_point_forward_green(gamma, q: int, tol: float = 1e-12, max_iter: int = 1_000_000) -> complex:
@@ -80,7 +99,7 @@ def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
                 s = 0j
                 for c in below[j * q : (j + 1) * q]:
                     s += c
-                z = _kernels.crecip_scalar(g - eps * omegas[first + j] - s)
+                z = crecip_scalar(g - eps * omegas[first + j] - s)
             sign += not z.imag < 0.0
             cap += abs(z) > cap_edge
             floor += z.imag > floor_edge
@@ -168,7 +187,7 @@ def full_ball_green_row(
         values_by_level[k] = values[0].copy()
 
     row = np.empty(n, dtype=np.complex128)
-    diag = tree_green.green_diagonal(values_by_level[1], float(omegas[0]), epsilon, g)
+    diag = green_diagonal(values_by_level[1], float(omegas[0]), epsilon, g)
     row[0] = diag
     prev = diag * values_by_level[1]
     row[offsets[1] : offsets[1] + branches] = prev
@@ -178,6 +197,42 @@ def full_ball_green_row(
         prev = parents * values_by_level[k]
         row[offsets[k] : offsets[k] + width * q] = prev
     return row, omegas
+
+
+def zero_disorder_profile(q, eta, r_max, lambdas, depth, leaf_mode):
+    """Means of the eps = 0 distance profile by the scalar route, shape
+    (r_max + 1, L): per lambda the depth-``depth`` chain, the Schur diagonal
+    of q + 1 copies of its top and CPython products down it."""
+    lambdas = sorted(float(x) for x in lambdas)
+    means = np.empty((r_max + 1, len(lambdas)))
+    for i, lam in enumerate(lambdas):
+        gamma = complex(lam, eta)
+        values = tree_green._zero_disorder_chain(q, depth, gamma, leaf_mode)
+        green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, gamma)
+        means[0, i] = green.imag
+        for r in range(1, r_max + 1):
+            green = green * complex(values[r - 1])
+            means[r, i] = green.imag
+    return means
+
+
+def zero_disorder_moments(q, pot_spec, lambda_grid, eta_grid, s_list, depth, leaf_mode):
+    """The eps = 0 moment table as a point mass, in CPython floats: per
+    (lam, eta), lam major, (|Im z|, (Im z)**2, {s: max(|Im z|, floor)**-s})
+    of the root z, the free fixed point (free leaves) or the top of the
+    depth + 1 chain (bare leaves)."""
+    rows = []
+    for lam in lambda_grid:
+        for eta in eta_grid:
+            gamma = complex(lam, eta)
+            if leaf_mode == "free":
+                z = complex(tree_green.free_forward_green_complex(gamma, q))
+            else:
+                z = complex(tree_green._zero_disorder_chain(q, depth + 1, gamma, leaf_mode)[0])
+            floor = tree_green.imag_floor(q, 0.0, pot_spec.support_bound, abs(lam), eta)
+            clamped = max(abs(z.imag), floor)
+            rows.append((abs(z.imag), z.imag * z.imag, {s: clamped ** (-s) for s in s_list}))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +341,7 @@ def kesten_mckay_density(lam: float, q: int) -> float:
     if abs(lam) >= 2.0 * math.sqrt(q):
         return 0.0
     zeta = tree_green.free_forward_green(lam, q)
-    diag = tree_green.green_diagonal([zeta] * (q + 1), 0.0, 0.0, complex(lam, 0.0))
+    diag = green_diagonal([zeta] * (q + 1), 0.0, 0.0, complex(lam, 0.0))
     return diag.imag / math.pi
 
 
@@ -322,6 +377,38 @@ def draw_omega_scalar(kind: int, bound: float, key: int, index: int) -> float:
 # ----------------------------------------------------------------------
 
 
+def graph_from_edges(n: int, q: int, edges):
+    """Build and validate a RegularGraph from an undirected edge list."""
+    arr = np.asarray(sorted((min(u, v), max(u, v)) for u, v in edges), dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise ConfigError("edge endpoint out of range")
+    if len({(int(u), int(v)) for u, v in arr}) != len(arr):
+        raise ConfigError("repeated edge in input")
+    neighbors = graphs._neighbors_from_edges(n, q, arr)
+    return graphs.RegularGraph(n=n, q=q, neighbors=neighbors, edges=arr)
+
+
+def ring_pairs_bfs(g, r: int):
+    """(rows, cols) of ``qe.ring_kernel``: one BFS per vertex x, stopped at
+    depth r, and the vertices found at distance exactly r in ascending order."""
+    rows, cols = [], []
+    for x in range(g.n):
+        dist = {x: 0}
+        frontier = deque([x])
+        while frontier:
+            u = frontier.popleft()
+            if dist[u] == r:
+                continue
+            for v in g.neighbors[u].tolist():
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    frontier.append(v)
+        far = sorted(y for y, d in dist.items() if d == r)
+        rows += [x] * len(far)
+        cols += far
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
 def girth(g) -> int:
     """Length of a shortest cycle (n + 1 for an acyclic graph)."""
     cycle, _ = graphs._bfs_cycles(g)
@@ -342,7 +429,7 @@ def load_graph_json(path):
     for e in edges:
         if len(e) != 2 or not (0 <= e[0] < e[1] < n):
             raise ConfigError(f"graph file {path}: bad edge entry {e}")
-    return graphs.graph_from_edges(n, q, edges)
+    return graph_from_edges(n, q, edges)
 
 
 def neighbors_lexsort(n: int, q: int, edges) -> np.ndarray:

@@ -2,6 +2,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
 
@@ -248,7 +249,7 @@ def test_perron_multiplicity_connected_vs_not():
     pot = anderson.sample_potential(20, anderson.PotentialSpec(), 0.0, seed=1)
     sd = anderson.eigendecompose(anderson.assemble(g, pot))
     assert np.count_nonzero(np.abs(sd.eigenvalues - 3.0) < 1e-8) == 1
-    two = graphs.graph_from_edges(
+    two = oracles.graph_from_edges(
         8, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
     )

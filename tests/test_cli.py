@@ -75,7 +75,12 @@ def test_resolve_config_defaults_and_validation():
                        ({"potential": {"kind": "two-point", "allow_atomic": "false"}},
                         "potential.allow_atomic"),
                        ({"output": {"per_eigenvalue": "false"}}, "output.per_eigenvalue"),
-                       ({"output": {"spectrum_dump": 1}}, "output.spectrum_dump")]:
+                       ({"output": {"spectrum_dump": 1}}, "output.spectrum_dump"),
+                       ({"kernel": {"shape": ["edges"]}}, "kernel.shape"),
+                       ({"potential": {"kind": {"a": 1}}}, "potential.kind"),
+                       ({"mc": {"leaf_mode": ["free"]}}, "mc.leaf_mode"),
+                       ({"observable": {"kind": ["delta"]}}, "observable.kind"),
+                       ({"observable": {"kind": "file", "path": 3}}, "observable.path")]:
         with pytest.raises(ConfigError, match=field):
             cli.resolve_config(raw)
     for n_values in ([65], [2]):
@@ -412,3 +417,41 @@ def test_strict_invariants_ids_violation(tmp_path, monkeypatch):
     assert cli.main(["esd", "--config", cfg, "--out", str(tmp_path / "strict"), "--threads", "1",
                      "--strict-invariants"]) == 4
     assert cli.main(["esd", "--config", cfg, "--out", str(tmp_path / "lax"), "--threads", "1"]) == 0
+
+
+# the benchmark tracer reads work and violation counters from the arguments
+# (q, depth, samples, epsilon, graph) and the results (``.violations``, and
+# ``GreenMomentTable.points``, ``.depth`` and ``.total_violations()``) of the
+# functions it wraps; untraced benchmark runs would not notice a change that
+# broke them.  Installed in a child process, its wrappers stay out of the
+# other tests.
+TRACED = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer as tracing
+from qelab import anderson, graphs, qe, tree_green
+tracer = tracing.Tracer(tracing.TIME_GROUPS)
+tracing.install(tracer)
+spec = anderson.PotentialSpec()
+tree_green.distance_ratio_profile(2, spec, 0.2, 0.2, 1, [-0.5, 0.5], 8, 1, 4)
+tree_green.green_condition_moments(2, spec, 0.2, [0.0, 0.5], [0.2], [1.0], 8, 1, 4)
+g = graphs.generate_random_regular(40, 2, 3)
+pot = anderson.sample_potential(40, spec, 0.2, 4)
+qe.kernel_average_general_curve(qe.edge_kernel(g), g, pot, [0.0, 0.5], 0.2, depth=6)
+print(json.dumps(tracing.layer_metrics(tracer)))
+"""
+
+
+def test_tracer_reads_its_counters():
+    tracer_py = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    source = tracer_py.read_bytes()
+    res = subprocess.run([sys.executable, "-c", TRACED, str(tracer_py.parent)],
+                         capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    metrics = json.loads(res.stdout.splitlines()[-1])
+    # 2 grid points x 8 balls of 31 nodes (q = 2, depth 4, q branches);
+    # 2 lambdas x 40 vertices x 3 directed edges each x 5 rounds
+    assert metrics["tree_green.cavity_nodes"] == 2 * 8 * 31
+    assert metrics["tree_green.message_updates"] == 2 * 40 * 3 * 5
+    assert metrics["tree_green.bound_violations"] == 0
+    assert tracer_py.read_bytes() == source

@@ -28,11 +28,11 @@ def small_case():
 
 def test_observable_examples():
     const = qe.make_observable("constant", 4, constant=1.0)
-    assert const.mean() == 1.0
+    assert const.values.mean() == 1.0
     ind = qe.make_observable("indicator", 64, seed=3, alpha=0.5)
-    assert ind.mean() == 0.5
+    assert ind.values.mean() == 0.5
     delta = qe.make_observable("delta", 10, vertex=3)
-    assert delta.mean() == pytest.approx(0.1)
+    assert delta.values.mean() == pytest.approx(0.1)
     with pytest.raises(ConfigError):
         qe.make_observable("constant", 4, constant=1.5)
 
@@ -112,7 +112,7 @@ def test_kernel_statistic_against_brute_force(small_case):
             2, 10, 3, 0.2, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
             SPEC.support_bound, _rng.derive_key(5, "profile"), 200, 1, 0, [5.0], [floor],
         )
-        means, stderrs = tg._mean_stderr(tg._ray_green_im(root, spine)[0])
+        means, stderrs = (a[0] for a in tg._mean_stderr(tg._ray_green_im(root, spine)))
         assert np.array_equal(profile.means[:, i], means)
         assert np.array_equal(profile.stderrs[:, i], stderrs)
         assert profile.ratios[1, i] == means[1] / means[0] and profile.ratios[0, i] == 1.0
@@ -254,6 +254,17 @@ def test_ring_kernel_distances(small_case):
     for x, y in zip(ring.rows[:20], ring.cols[:20]):
         d, _ = graphs.distance_and_geodesic(g, int(x), int(y))
         assert d == 2
+
+
+@pytest.mark.parametrize("n,q,r", [(250, 2, 2), (1000, 2, 3), (1200, 3, 2), (64, 4, 3),
+                                   (30, 5, 2), (20, 2, 5)])
+def test_ring_kernel_matches_per_vertex_bfs(n, q, r):
+    g = graphs.generate_random_regular(n, q, seed=11)
+    ring = qe.ring_kernel(g, r, value=0.5)
+    rows, cols = oracles.ring_pairs_bfs(g, r)
+    assert ring.rows.dtype == ring.cols.dtype == np.int64
+    assert np.array_equal(ring.rows, rows) and np.array_equal(ring.cols, cols)
+    assert (ring.distances == r).all() and (ring.values == 0.5).all()
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ on the widest tree level it computes, and updates each level in chunks of
 sample rows of at most a quarter of that.  The oracle here is a per-sample
 loop that shares no code with it: one ``oracles.cavity_sweep`` per sample
 key (a node-by-node CPython sweep with its own bound comparisons), the root
-sum in CPython scalars, ``crecip_scalar`` and, down the ray of the distance
-profile, the complex ``*``.  Roots, spines, profile values and violation
+sum in CPython scalars, ``oracles.crecip_scalar`` and, down the ray of the
+distance profile, the complex ``*``.  Roots, spines, profile values and violation
 counters must match bit for bit, however the samples fall into blocks, with
 q + 1 branches (the distance profile's balls) and with q (the moment
 table's).  A grid of gammas swept over one draw of the potentials must
@@ -57,7 +57,7 @@ def sweep_oracle(q, depth, branches, leaf, kind, batch_key, samples, spine_len, 
         s = 0.0j
         for z in branch:
             s += z
-        root[m] = _kernels.crecip_scalar(GAMMA - EPS * omega_root - s)
+        root[m] = oracles.crecip_scalar(GAMMA - EPS * omega_root - s)
         g = -complex(root[m])
         im[m, 0] = g.imag
         for r in range(spine_len):

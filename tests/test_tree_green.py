@@ -132,18 +132,16 @@ def test_eta_zero_rejected_unless_free_zero_disorder():
 
 def test_green_diagonal_free_value_and_kesten_mckay():
     zeta = tg.free_forward_green(0.0, 2)
-    diag = tg.green_diagonal([zeta] * 3, 0.0, 0.0, 0.0 + 0.0j)
+    diag = oracles.green_diagonal([zeta] * 3, 0.0, 0.0, 0.0 + 0.0j)
     assert diag == pytest.approx(1j * math.sqrt(2) / 3, abs=1e-14)
     assert diag.imag / math.pi == pytest.approx(0.15005, abs=1e-5)
 
 
 def test_two_site_chain_identities():
-    from qelab._kernels import crecip_scalar
-
     gamma = 1j
-    zeta = crecip_scalar(gamma)  # bare cavity at the far site
+    zeta = oracles.crecip_scalar(gamma)  # bare cavity at the far site
     assert zeta == -1j
-    diag = tg.green_diagonal([zeta], 0.0, 0.0, gamma)
+    diag = oracles.green_diagonal([zeta], 0.0, 0.0, gamma)
     assert diag == pytest.approx(0.5j, abs=1e-15)
     off = diag * zeta  # the off-diagonal factorizes along the path
     assert off == pytest.approx(0.5, abs=1e-15)
@@ -155,7 +153,7 @@ def test_two_site_chain_identities():
 def test_green_diagonal_resolvent_bound():
     for seed in range(5):
         root_values, _, omega_root, _ = sweep(2, 0.3, 0.7 + 0.2j, 8, seed)
-        diag = tg.green_diagonal(root_values, omega_root, 0.3, 0.7 + 0.2j)
+        diag = oracles.green_diagonal(root_values, omega_root, 0.3, 0.7 + 0.2j)
         assert 0 < diag.imag <= 1.0 / 0.2 + 1e-12
 
 
@@ -165,7 +163,7 @@ def test_depth3_path_matches_dense():
     h, _, offsets = oracles.materialized_tree_operator(q, depth, q + 1, eps, SPEC, seed)
     dense = np.linalg.inv(h - gamma * np.eye(h.shape[0]))
     root_values, spine, omega_root, _ = sweep(q, eps, gamma, depth, seed, spine_len=depth)
-    diag = tg.green_diagonal(root_values, omega_root, eps, gamma)
+    diag = oracles.green_diagonal(root_values, omega_root, eps, gamma)
     for r in range(1, depth + 1):
         value = diag
         for z in spine[:r]:
@@ -211,7 +209,8 @@ def test_mc_distance_only_dependence():
             SPEC.support_bound, _rng.derive_key(7, "mc-ray"), 3000, 2, ray_branch,
             [1.0 / gamma.imag], [tg.imag_floor(2, 0.25, SPEC.support_bound, 0.5, 0.2)],
         )
-        means[ray_branch], stderrs[ray_branch] = tg._mean_stderr(tg._ray_green_im(root, spine)[0])
+        means[ray_branch], stderrs[ray_branch] = (
+            a[0] for a in tg._mean_stderr(tg._ray_green_im(root, spine)))
     for r in (1, 2):
         gap = abs(means[0][r] - means[2][r])
         sig = math.hypot(stderrs[0][r], stderrs[2][r])
@@ -298,6 +297,33 @@ def test_moments_free_exact_zero_variance():
         assert point.square_mean == want * want
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("leaf_mode,eta", [("free", 0.0), ("free", 0.05), ("free", 0.4),
+                                           ("bare", 0.05), ("bare", 0.4)])
+def test_zero_disorder_matches_scalar_route(q, leaf_mode, eta):
+    # eps = 0 runs the chain through the same roots, checks and reductions as
+    # the sweeps; the scalar route gives the same means (== also matches an
+    # exact zero of the other sign: Im G(o, y_r) at lambda = 0, odd r) and
+    # the same moments, the inverse ones within 1 ulp (numpy ** against
+    # CPython's); the counters count the depth + 1 values of each chain
+    lams, s_list, depth, r_max = [-1.3, 0.0, 0.4, 1.1], (0.5, 1.0, 2.0), 14, 3
+    profile = tg.distance_ratio_profile(q, SPEC, 0.0, eta, r_max, lams, 8, 5, depth, leaf_mode)
+    means = oracles.zero_disorder_profile(q, eta, r_max, lams, depth, leaf_mode)
+    assert np.array_equal(profile.means, means)
+    assert np.array_equal(profile.ratios, means / means[:1])
+    assert not profile.stderrs.any()
+    assert profile.violations.tolist() == [0, 0, 0, len(lams) * (depth + 1)]
+    table = tg.green_condition_moments(q, SPEC, 0.0, lams, [eta], s_list, 8, 5, depth, leaf_mode)
+    want = oracles.zero_disorder_moments(q, SPEC, lams, [eta], s_list, depth, leaf_mode)
+    for point, (abs_mean, square_mean, inverse) in zip(table.points, want, strict=True):
+        assert (point.abs_mean, point.square_mean) == (abs_mean, square_mean)
+        assert point.abs_stderr == point.square_stderr == 0.0
+        for s in s_list:
+            est, err = point.inverse[s]
+            assert err == 0.0 and abs(est - inverse[s]) <= np.spacing(inverse[s])
+    assert table.total_violations().tolist() == [0, 0, 0, len(lams) * (depth + 1)]
+
+
 def test_moments_budget_guard_before_any_sweep(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the moment table swept a ball before its budget guard")
@@ -307,6 +333,9 @@ def test_moments_budget_guard_before_any_sweep(monkeypatch):
     lams, etas = [-1.0, -0.5, 0.0, 0.5, 1.0], [0.05, 0.1, 0.2, 0.4]
     with pytest.raises(BudgetError, match="MC budget"):
         tg.green_condition_moments(2, SPEC, 0.2, lams, etas, [1.0], samples=256, seed=1, depth=22)
+    for eps in (0.2, 0.0):
+        with pytest.raises(ConfigError, match="at least one sample"):
+            tg.green_condition_moments(2, SPEC, eps, lams, etas, [1.0], samples=0, seed=1, depth=4)
 
 
 def test_moments_jensen_consistency():
@@ -412,7 +441,7 @@ def test_lifted_green_zero_disorder_uniform():
     g = graphs.generate_random_regular(12, 2, seed=2)
     pot = anderson.sample_potential(12, SPEC, 0.0, seed=1)
     lifted = tg.lifted_green(g, pot, 0.0 + 0.1j, 400, tg.pair_lifts(g, [[0]]))
-    free_diag = tg.green_diagonal(
+    free_diag = oracles.green_diagonal(
         [tg.free_forward_green_complex(0.1j, 2)] * 3, 0.0, 0.0, 0.1j
     )
     assert np.ptp(np.abs(lifted.diagonals)) == 0.0  # vertex-independent
