@@ -1,9 +1,13 @@
 """Hot numeric kernels: cavity tree sweeps and directed-edge message passing.
 
-``tree_batch`` is the one entry point of the tree sweeps: it returns the
-root cavity values, the values along one ray (the spine) and the violation
-counters of a batch of balls, and the distance profile (q + 1 branches) and
-the moment table (q branches) both read what they need from it.
+Each operation has one path.  ``tree_batch`` is the one entry point of the
+tree sweeps: it loops over blocks of samples and returns the root cavity
+values, the values along one ray (the spine) and the violation counters of
+a batch of balls, and the distance profile (q + 1 branches) and the moment
+table (q branches) both read what they need from it.  ``messages_advance``
+is the one message round; from zero messages its first round gives the
+bare site values 1/(gamma - eps*omega).  ``crecip_parts`` is the one
+reciprocal of both.
 
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level over a (samples x level width) array, in sample blocks of at
@@ -86,19 +90,15 @@ def crecip_parts(zr, ni, out=None, den=None, sq=None) -> np.ndarray:
     unless the two cancel exactly (+0 against -0), and they never do while
     the children keep Im z < 0 < eta.  Taking the parts apart also saves the
     complex temporaries of that update, whose site term is real.  ``out``
-    (complex) and ``den`` (float), of the broadcast shape, are optional
-    buffers; an array ni*ni goes through ``sq`` (float, contiguous) when
-    given, else through the strided ``out.imag`` (one number ni is squared
-    once), and ``den`` is left holding the squared modulus zr*zr + ni*ni,
-    which ``_check_vec`` reads.
+    (complex) and ``den`` (float), of the broadcast shape, and ``sq`` (float,
+    of the shape of ``ni``, for ni*ni) are optional buffers; without ``sq``
+    numpy allocates the square.  ``den`` is left holding the squared modulus
+    zr*zr + ni*ni, which ``_check_vec`` reads.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(ni)), dtype=np.complex128)
     den = np.multiply(zr, zr, out=den if den is not None else np.empty(out.shape))
-    if np.ndim(ni):
-        den += np.multiply(ni, ni, out=out.imag if sq is None else sq)
-    else:
-        den += ni * ni
+    den += np.multiply(ni, ni, out=sq)
     np.divide(zr, den, out=out.real)
     np.divide(ni, den, out=out.imag)
     return out
@@ -320,68 +320,16 @@ def cavity_levels(q, sizes, gamma, leaf, site, work):
         for rows in _row_chunks(m, width):
             chunk = work.chunk((rows.stop - rows.start, width))
             zr = np.subtract(gamma.real, pot[rows], out=chunk.zr)
+            sq = None
             if kids is not None:
                 total = _sum_children(kids[rows], q, chunk.sums)
                 ni = np.subtract(total.imag, gamma.imag, out=chunk.ni)
+                # the child sums are spent once zr and ni are built
+                sq = chunk.sums.view(np.float64)[:, :width]
             if total is not None:
                 zr -= total.real
-            yield k, rows, crecip_parts(zr, ni, level[rows], chunk.den), chunk.den, ni
+            yield k, rows, crecip_parts(zr, ni, level[rows], chunk.den, sq), chunk.den, ni
         values = level
-
-
-def _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys,
-                 ray_branch, abs_caps, im_floors, work, root, spine):
-    """One disorder realization per key swept over a depth-``depth`` tree ball,
-    at every gamma of the grid ``gammas``.
-
-    ``keys`` is uint64 of shape (m, 1); each sample draws its potentials
-    level by level from the stream of its key, once per block and in the
-    row chunks of the level updates, and every gamma is swept over the same
-    draws with its own leaf, cap and floor.  ``work`` is a ``SweepWork`` for
-    at least m rows of this ball.  Writes the root cavity values into
-    ``root`` (G, m), taken in each row chunk of level 1, and the cavity
-    values at depths 1..spine_len along the first ray of branch
-    ``ray_branch`` into ``spine`` (G, m, spine_len).  Returns the violation
-    counters (G, 4) of levels 1..depth, summed over the block; the roots are
-    not checked.
-    """
-    m = keys.shape[0]
-    offsets = level_offsets(q, depth, branches)
-    sizes = level_sizes(q, depth, branches)
-    spine_len = spine.shape[2]
-    sites = {}
-
-    def site(k):
-        if k not in sites:
-            width = sizes[k - 1]
-            ids = offsets[k] + np.arange(width, dtype=np.int64)
-            start = m * (offsets[k] - 1)
-            sites[k] = work.sites[start : start + m * width].reshape(m, width)
-            for rows in _row_chunks(m, width):
-                out = sites[k][rows]
-                draw_omega_vec(pot_kind, pot_a, keys[rows], ids, out, work.chunk(out.shape).bits)
-                out *= eps
-        return sites[k]
-
-    site_root = eps * draw_omega_vec(pot_kind, pot_a, keys, np.zeros(1, dtype=np.int64))[:, 0]
-    viol = np.zeros((len(gammas), 4), dtype=np.int64)
-    for i, gamma in enumerate(gammas):
-        for k, rows, values, den, ni in cavity_levels(q, sizes, gamma, leaves[i], site, work):
-            if den is None:
-                # a free-leaf level: one value for all m * width nodes
-                counts = np.zeros(4, dtype=np.int64)
-                _check_vec(values[:, :1], abs_caps[i], im_floors[i], counts)
-                viol[i] += counts * (m * values.shape[1])
-            else:
-                # den is read before the exact counts overwrite it
-                _check_vec(values, abs_caps[i], im_floors[i], viol[i],
-                           work.chunk(values.shape).check, den, ni)
-            if k <= spine_len:
-                spine[i, rows, k - 1] = values[:, ray_branch * q ** (k - 1)]
-            if k == 1:
-                root[i, rows] = crecip_vec(
-                    gamma - site_root[rows] - _sum_children(values, branches))
-    return viol
 
 
 def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
@@ -395,15 +343,19 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     samples holding at most ``_BLOCK_NODES`` nodes on the widest level the
     sweep computes, or one sample if that level alone is wider (a free-leaf
     level, when every gamma has one, is one shared value and not counted);
-    all blocks share one ``SweepWork``.  Returns (root cavity values
-    1/(gamma - eps*omega_root - sum of the branch values), shape
+    all blocks share one ``SweepWork``.  A block draws its potentials level
+    by level, once and in the row chunks of the level updates, and sweeps
+    every gamma over the same draws with its own leaf, cap and floor.
+    Returns (root cavity values 1/(gamma - eps*omega_root - sum of the
+    branch values), taken in each row chunk of level 1, shape
     (G, samples); cavity values at depths 1..spine_len along the first ray
     of branch ``ray_branch``, shape (G, samples, spine_len); violation
     counters of levels 1..depth, shape (G, 4)).  The roots are not checked
     here: with q + 1 branches a root is -G(o, o), with q it is a cavity
     value, and each caller checks its roots itself.
     """
-    keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
+    keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))[:, None]
+    offsets = level_offsets(q, depth, branches)
     sizes = level_sizes(q, depth, branches)
     free = all(leaf is not None for leaf in leaves)
     per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free) or sizes))
@@ -413,23 +365,47 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
     for start in range(0, samples, per_block):
         block = slice(start, min(start + per_block, samples))
-        viol += _sweep_block(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a,
-                             keys[block, None], ray_branch, abs_caps, im_floors, work,
-                             root[:, block], spine[:, block])
+        m = block.stop - start
+        sites = {}
+
+        def site(k):
+            if k not in sites:
+                width = sizes[k - 1]
+                ids = offsets[k] + np.arange(width, dtype=np.int64)
+                first = m * (offsets[k] - 1)
+                sites[k] = work.sites[first : first + m * width].reshape(m, width)
+                for rows in _row_chunks(m, width):
+                    out = sites[k][rows]
+                    draw_omega_vec(pot_kind, pot_a, keys[block][rows], ids, out,
+                                   work.chunk(out.shape).bits)
+                    out *= eps
+            return sites[k]
+
+        site_root = eps * draw_omega_vec(pot_kind, pot_a, keys[block],
+                                         np.zeros(1, dtype=np.int64))[:, 0]
+        roots, rays = root[:, block], spine[:, block]
+        for i, gamma in enumerate(gammas):
+            for k, rows, values, den, ni in cavity_levels(q, sizes, gamma, leaves[i], site, work):
+                if den is None:
+                    # a free-leaf level: one value for all m * width nodes
+                    counts = np.zeros(4, dtype=np.int64)
+                    _check_vec(values[:, :1], abs_caps[i], im_floors[i], counts)
+                    viol[i] += counts * (m * values.shape[1])
+                else:
+                    # den is read before the exact counts overwrite it
+                    _check_vec(values, abs_caps[i], im_floors[i], viol[i],
+                               work.chunk(values.shape).check, den, ni)
+                if k <= spine_len:
+                    rays[i, rows, k - 1] = values[:, ray_branch * q ** (k - 1)]
+                if k == 1:
+                    roots[i, rows] = crecip_vec(
+                        gamma - site_root[rows] - _sum_children(values, branches))
     return root, spine, viol
 
 
 # ----------------------------------------------------------------------
 # message passing on the directed edges of a finite graph
 # ----------------------------------------------------------------------
-
-
-def messages_init(nbrs, omega, eps, gamma, abs_cap, im_floor):
-    """Bare-site starting messages; returns (messages, violation counters)."""
-    viol = np.zeros(4, dtype=np.int64)
-    msg = crecip_vec(gamma - eps * omega[nbrs])
-    _check_vec(msg, abs_cap, im_floor, viol)
-    return msg, viol
 
 
 def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):

@@ -168,6 +168,8 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("mc.leaf_mode must be 'bare' or 'free'")
     if mc["samples"] < 2:
         raise ConfigError("mc.samples must be at least 2")
+    if mc["depth"] is not None and mc["depth"] < 1:
+        raise ConfigError("mc.depth must be at least 1")
     if mc["lambda_spacing"] <= 0:
         raise ConfigError("mc.lambda_spacing must be positive")
     if cfg["lln"]["k_max"] > esd.LLN_K_CAP:

@@ -50,16 +50,22 @@ class RegularGraph:
         """Flat target array; directed edge u->neighbors[u, j] has id u*(q+1)+j."""
         return self.neighbors.reshape(-1)
 
+    def edge_ids(self, u, v):
+        """Ids of the directed edges u -> v, for vertex arrays of one shape.
+
+        u -> v is an edge when v appears in row u of the neighbor table, at
+        position j, and its id is u*(q+1) + j.  Returns (ids, found); where
+        found is False, v is no neighbor of u and the id is u's first edge.
+        """
+        hit = self.neighbors[u] == v[..., None]
+        return u * (self.q + 1) + hit.argmax(axis=-1), hit.any(axis=-1)
+
     def reverse_edge_index(self) -> np.ndarray:
         """For each directed edge (u -> v), the id of (v -> u)."""
         rev = object.__getattribute__(self, "_rev")
         if rev is None:
-            # (u -> v) is edge u*deg + j; its reverse is v*deg + the position
-            # of u in row v of the neighbor table
-            deg = self.q + 1
-            targets = self.directed_targets()
-            srcs = np.repeat(np.arange(self.n, dtype=np.int64), deg)
-            rev = targets * deg + (self.neighbors[targets] == srcs[:, None]).argmax(axis=1)
+            srcs = np.repeat(np.arange(self.n, dtype=np.int64), self.q + 1)
+            rev, _ = self.edge_ids(self.directed_targets(), srcs)
             object.__setattr__(self, "_rev", rev)
         return rev
 

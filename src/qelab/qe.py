@@ -293,8 +293,7 @@ def _kernel_lifts(kernel: Kernel, g: RegularGraph) -> tree_green.PairLifts:
     rows, cols = kernel.rows, kernel.cols
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= g.n):
         raise ConfigError(f"kernel entries out of range for n={g.n}")
-    hit = g.neighbors[rows] == cols[:, None]
-    adjacent = hit.any(axis=1)
+    ids, adjacent = g.edge_ids(rows, cols)
     far = np.flatnonzero(~adjacent & (rows != cols))
     far_steps = tree_green.pair_lifts(g, [
         graphs.distance_and_geodesic(g, x, y)[1]
@@ -302,7 +301,7 @@ def _kernel_lifts(kernel: Kernel, g: RegularGraph) -> tree_green.PairLifts:
     ]).steps
     width = max(far_steps.shape[1], int(adjacent.any()))
     steps = np.full((rows.size, width), -1, dtype=np.int64)
-    steps[adjacent, :1] = (rows * (g.q + 1) + hit.argmax(axis=1))[adjacent, None]
+    steps[adjacent, :1] = ids[adjacent, None]
     steps[far, :far_steps.shape[1]] = far_steps
     return tree_green.PairLifts(starts=rows.astype(np.int64), steps=steps)
 

@@ -8,8 +8,8 @@ the Schur diagonal formula, and the product factorization of off-diagonal
 entries along tree geodesics.  Monte-Carlo expectations sample the recursion
 on exact depth-L tree balls (work grows like q**L, guarded by a cap; at
 eps = 0 the ball collapses to a single chain).  The same recursion run as
-message passing on the directed edges of a finite graph yields the truncated
-Green function of the universal-cover lift.
+message passing on the directed edges of a finite graph, from zero
+messages, yields the truncated Green function of the universal-cover lift.
 
 Leaf seeding: sweeps can start leaves at the bare site value 1/(gamma -
 eps*omega), which is exact for materialized finite balls, or at the
@@ -25,7 +25,8 @@ Cavity values z always satisfy Im z < 0, |z| <= 1/eta and
 Both tree estimators get their balls from one helper, ``_sweep_grid``:
 the distance profile with q + 1 branches at the root (G(o, o) is minus the
 root value, and the spine carries it down a ray), the moment table with q
-(the root value is a cavity value).  It sweeps them through
+(the root value is a cavity value).  It checks the depth, eta and the work
+budget before it builds any leaf or floor, then sweeps the balls through
 ``_kernels.tree_batch``, or at eps = 0 through the chain, and checks the
 roots against the cavity bounds with the levels below them: the operator
 bound that gives them to the levels of a ball gives them to the root too.
@@ -115,12 +116,10 @@ def _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode):
     """Leaves, modulus caps 1/eta and Im floors of a gamma grid, each floor
     taken at that gamma's own |lambda| = |Re gamma|.
 
-    eta must be positive, except on the closed-form free path (eps = 0, free
-    leaves), where the recursion is stationary at eta = 0.
+    The callers check eta first: it must be positive, except on the
+    closed-form free path (eps = 0, free leaves), where the recursion is
+    stationary at eta = 0 and the cap is infinite.
     """
-    for g in gammas:
-        if not (g.imag > 0 or (g.imag == 0 and epsilon == 0.0 and leaf_mode == "free")):
-            raise ConfigError("eta must be strictly positive for Green evaluations")
     leaves = [_leaf_value(g, q, leaf_mode) for g in gammas]
     caps = [1.0 / g.imag if g.imag > 0 else np.inf for g in gammas]
     floors = [imag_floor(q, epsilon, pot_spec.support_bound, abs(g.real), g.imag) for g in gammas]
@@ -182,6 +181,14 @@ def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, sample
     """
     if samples < 1:
         raise ConfigError("need at least one sample")
+    if depth < 1:
+        raise ConfigError("depth must be at least 1")
+    for g in gammas:
+        if not (g.imag > 0 or (g.imag == 0 and epsilon == 0.0 and leaf_mode == "free")):
+            raise ConfigError("eta must be strictly positive for Green evaluations")
+    # the guard runs before the leaves and floors, whose cost grows with the grid
+    if epsilon != 0.0:
+        _check_budget(_kernels.tree_node_count(q, depth, branches), samples * len(gammas))
     leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
     if epsilon == 0.0:
         chains = np.array([_zero_disorder_chain(q, depth + 1, g, leaf_mode) for g in gammas])
@@ -196,7 +203,6 @@ def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, sample
         for i in range(len(gammas)):
             _kernels._check_vec(levels[i], caps[i], floors[i], viol[i])
     else:
-        _check_budget(_kernels.tree_node_count(q, depth, branches), samples * len(gammas))
         root, spine, viol = _kernels.tree_batch(
             q, depth, branches, epsilon, gammas, leaves, pot_spec.kind_code,
             pot_spec.support_bound, key, samples, spine_len, 0, caps, floors,
@@ -449,15 +455,13 @@ def pair_lifts(graph, paths) -> PairLifts:
     if np.any(back):
         i, k = _first_bad(back)
         raise ConfigError(f"path {list(paths[i])} backtracks at step {k}")
-    # u -> v is an edge when v appears in row u of the neighbor table; its
-    # id takes the position j found there
     u, v, live = verts[:, :-1], verts[:, 1:], inside[:, 1:]
-    hit = graph.neighbors[np.where(live, u, 0)] == v[:, :, None]
-    stray = live & ~hit.any(axis=2)
+    ids, found = graph.edge_ids(np.where(live, u, 0), v)
+    stray = live & ~found
     if np.any(stray):
         i, k = _first_bad(stray)
         raise ConfigError(f"path step ({u[i, k]}, {v[i, k]}) is not an edge")
-    steps = np.where(live, u * (graph.q + 1) + hit.argmax(axis=2), -1)
+    steps = np.where(live, ids, -1)
     return PairLifts(starts=verts[:, 0].copy(), steps=steps)
 
 
@@ -484,7 +488,8 @@ def lifted_green(
     one step at a time over all pairs.
     """
     g = complex(gamma)
-    # messages start at the bare site values
+    if not g.imag > 0:
+        raise ConfigError("eta must be strictly positive for Green evaluations")
     _, (abs_cap,), (floor,) = _grid_bounds(graph.q, pot.spec, pot.epsilon, [g], "bare")
     if depth < 1:
         raise ConfigError("depth must be at least 1")
@@ -496,14 +501,15 @@ def lifted_green(
     targets = graph.directed_targets()
     rev = graph.reverse_edge_index()
 
-    # messages after r rounds are cavity values with r levels below their
-    # target; the diagonal uses round depth-1, step k of a path round depth-k
-    msg, viol = _kernels.messages_init(targets, pot.omega, pot.epsilon, g, abs_cap, floor)
-    history: dict[int, np.ndarray] = {0: msg}
-    # rounds before depth - max_steps are never read back: run them as one call
-    lead = min(max(depth - max_steps, 0), depth - 1)
+    # messages start at zero, so round 1 gives the bare site values and
+    # round r cavity values with r - 1 levels below their target; the
+    # diagonal reads round depth, step k of a path round depth + 1 - k
+    msg = np.zeros(targets.size, dtype=np.complex128)
+    viol = np.zeros(4, dtype=np.int64)
+    history: dict[int, np.ndarray] = {}
     done = 0
-    for r in range(max(lead, 1), depth):
+    # rounds before depth + 1 - max_steps are never read back: run them as one call
+    for r in range(min(depth + 1 - max_steps, depth), depth + 1):
         msg, counts = _kernels.messages_advance(
             targets, rev, pot.omega, pot.epsilon, g, msg, r - done, abs_cap, floor,
         )
@@ -518,5 +524,6 @@ def lifted_green(
     for k in range(1, max_steps + 1):
         edge = lifts.steps[:, k - 1]
         rows = np.flatnonzero(edge >= 0)
-        pair_values[rows] = _kernels.cmul_vec(pair_values[rows], history[depth - k][edge[rows]])
+        pair_values[rows] = _kernels.cmul_vec(pair_values[rows],
+                                              history[depth + 1 - k][edge[rows]])
     return LiftedGreen(diagonals=diagonals, pair_values=pair_values, violations=viol)

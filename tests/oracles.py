@@ -296,17 +296,18 @@ def message_rounds(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor)
 def lifted_green_pairwise(graph, pot, gamma, depth, rows, cols):
     """``tree_green.lifted_green`` for the entries (rows[i], cols[i]), one at a time.
 
-    Keeps the messages of every round (one round per call), runs a BFS
-    geodesic for every off-diagonal entry and multiplies its factors as
-    numpy scalars.  Returns (diagonals, pair values, violation counters).
+    Keeps the messages of every round from zero (one round per call), runs
+    a BFS geodesic for every off-diagonal entry and multiplies its factors
+    as numpy scalars.  Returns (diagonals, pair values, violation counters).
     """
     g = complex(gamma)
     floor = tree_green.imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, abs(g.real), g.imag)
     targets = graph.directed_targets()
     rev = graph.reverse_edge_index()
-    msg, viol = _kernels.messages_init(targets, pot.omega, pot.epsilon, g, 1.0 / g.imag, floor)
+    msg = np.zeros(targets.size, dtype=np.complex128)
+    viol = np.zeros(4, dtype=np.int64)
     history = [msg]
-    for _ in range(1, depth):
+    for _ in range(depth):
         msg, counts = _kernels.messages_advance(
             targets, rev, pot.omega, pot.epsilon, g, msg, 1, 1.0 / g.imag, floor,
         )
@@ -321,7 +322,7 @@ def lifted_green_pairwise(graph, pot, gamma, depth, rows, cols):
         if x != y:
             _, path = graphs.distance_and_geodesic(graph, int(x), int(y))
             for k, e in enumerate(directed_edge_ids(graph, path), start=1):
-                value *= history[depth - k][e]
+                value *= history[depth + 1 - k][e]
         pair_values[i] = value
     return diagonals, pair_values, viol
 

@@ -67,6 +67,8 @@ def test_resolve_config_defaults_and_validation():
                        ({"lambda0": "1.0"}, "lambda0"),
                        ({"eta0_values": ["0.2"]}, "eta0_values"),
                        ({"mc": {"depth": 12.5}}, "mc.depth"),
+                       ({"mc": {"depth": 0}}, "mc.depth"),
+                       ({"mc": {"depth": -3}}, "mc.depth"),
                        ({"mc": {"samples": True}}, "mc.samples"),
                        ({"n_values": [250.0]}, "n_values"),
                        ({"eta0_values": []}, "eta0_values"),

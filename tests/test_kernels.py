@@ -121,12 +121,13 @@ def test_message_passing_golden(eps):
     g = graphs.generate_random_regular(40, 2, seed=8)
     pot = anderson.sample_potential(40, SPEC, eps, seed=2)
     gamma = 0.1 + 0.2j
-    msg0, viol = _kernels.messages_init(
-        g.directed_targets(), pot.omega, pot.epsilon, gamma, 5.0, 0.0
+    nbrs, rev = g.directed_targets(), g.reverse_edge_index()
+    zero = np.zeros(nbrs.size, dtype=np.complex128)
+    msg0, viol = _kernels.messages_advance(
+        nbrs, rev, pot.omega, pot.epsilon, gamma, zero, 1, 5.0, 0.0
     )
     msg, counts = _kernels.messages_advance(
-        g.directed_targets(), g.reverse_edge_index(),
-        pot.omega, pot.epsilon, gamma, msg0, 12, 5.0, 0.0,
+        nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, 5.0, 0.0
     )
     assert digest(msg0, msg, viol + counts) == GOLDEN[f"messages/{eps}"]
 
@@ -139,7 +140,18 @@ def test_message_rounds_match_per_edge_loop(eps, cap, floor):
     pot = anderson.sample_potential(40, SPEC, eps, seed=2)
     gamma = 0.1 + 0.2j
     nbrs, rev = g.directed_targets(), g.reverse_edge_index()
-    msg0, _ = _kernels.messages_init(nbrs, pot.omega, pot.epsilon, gamma, cap, floor)
+    zero = np.zeros(nbrs.size, dtype=np.complex128)
+    msg0, viol0 = _kernels.messages_advance(
+        nbrs, rev, pot.omega, pot.epsilon, gamma, zero, 1, cap, floor
+    )
+    # one round from zero is the bare site value 1/(gamma - eps*omega), counted alike
+    bare = _kernels.crecip_vec(gamma - pot.epsilon * pot.omega[nbrs])
+    bare_viol = np.zeros(4, dtype=np.int64)
+    _kernels._check_vec(bare, cap, floor, bare_viol)
+    assert msg0.tobytes() == bare.tobytes()
+    assert viol0.tolist() == bare_viol.tolist()
+    if floor:
+        assert viol0[:3].sum() > 0
     msg, viol = _kernels.messages_advance(
         nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor
     )
@@ -157,11 +169,11 @@ def test_message_indices_out_of_range_raise(which, bad):
     g = graphs.generate_random_regular(40, 2, seed=8)
     pot = anderson.sample_potential(40, SPEC, 0.3, seed=2)
     index = {"nbrs": g.directed_targets(), "rev": g.reverse_edge_index()}
-    msg0, _ = _kernels.messages_init(index["nbrs"], pot.omega, 0.3, 0.2j, 5.0, 0.0)
+    zero = np.zeros(index["nbrs"].size, dtype=np.complex128)
     index[which] = index[which].copy()
     index[which][7] = bad
     with pytest.raises(IndexError):
-        _kernels.messages_advance(index["nbrs"], index["rev"], pot.omega, 0.3, 0.2j, msg0, 1,
+        _kernels.messages_advance(index["nbrs"], index["rev"], pot.omega, 0.3, 0.2j, zero, 1,
                                   5.0, 0.0)
 
 

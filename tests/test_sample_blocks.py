@@ -118,19 +118,21 @@ def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, bloc
 @pytest.mark.parametrize("block_nodes", [1, 100, 700, 4096])
 def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
-    sweep, levels = _kernels._sweep_block, _kernels.cavity_levels
+    draw, levels = _kernels.draw_omega_vec, _kernels.cavity_levels
     seen, updates = [], []
 
-    def recording(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest):
-        seen.append(keys.shape[0])
-        return sweep(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, keys, *rest)
+    def recording(kind, a, keys, ids, *rest):
+        # each block draws its root sites (node 0) once, for all its samples
+        if ids[0] == 0:
+            seen.append(keys.shape[0])
+        return draw(kind, a, keys, ids, *rest)
 
     def recording_levels(*args):
         for k, rows, values, den, ni in levels(*args):
             updates.append((k, rows, values.shape, den is None))
             yield k, rows, values, den, ni
 
-    monkeypatch.setattr(_kernels, "_sweep_block", recording)
+    monkeypatch.setattr(_kernels, "draw_omega_vec", recording)
     monkeypatch.setattr(_kernels, "cavity_levels", recording_levels)
     q, depth = 3, 5
     chunk = block_nodes // 4

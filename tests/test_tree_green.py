@@ -336,6 +336,25 @@ def test_moments_budget_guard_before_any_sweep(monkeypatch):
     for eps in (0.2, 0.0):
         with pytest.raises(ConfigError, match="at least one sample"):
             tg.green_condition_moments(2, SPEC, eps, lams, etas, [1.0], samples=0, seed=1, depth=4)
+        for depth in (0, -3):
+            with pytest.raises(ConfigError, match="depth must be at least 1"):
+                tg.green_condition_moments(2, SPEC, eps, lams, etas, [1.0], samples=4, seed=1,
+                                           depth=depth)
+
+
+def test_profile_budget_guard_before_any_leaf_or_floor(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the profile built a leaf or a floor before its budget guard")
+
+    monkeypatch.setattr(tg, "_leaf_value", unreachable)
+    monkeypatch.setattr(tg, "imag_floor", unreachable)
+    # 2001 lambdas x 256 balls of 1.26e7 nodes (q=2, depth 22) exceed DEFAULT_MC_WORK_CAP
+    lams = np.linspace(-2.0, 2.0, 2001)
+    with pytest.raises(BudgetError, match="MC budget"):
+        tg.distance_ratio_profile(2, SPEC, 0.2, 0.2, 1, lams, 256, 1, 22)
+    # eta is checked before the budget
+    with pytest.raises(ConfigError, match="eta must be strictly positive"):
+        tg.distance_ratio_profile(2, SPEC, 0.2, 0.0, 1, lams, 256, 1, 22)
 
 
 def test_moments_jensen_consistency():
@@ -446,6 +465,23 @@ def test_lifted_green_zero_disorder_uniform():
     )
     assert np.ptp(np.abs(lifted.diagonals)) == 0.0  # vertex-independent
     assert abs(lifted.diagonals[0] - free_diag) < 1e-10
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_lifted_green_diagonal_only_matches_pairwise_oracle(depth):
+    # a lift table without steps reads only the last round, the first one
+    # the loop records
+    g = graphs.generate_random_regular(20, 2, seed=3)
+    pot = anderson.sample_potential(20, SPEC, 0.3, seed=5)
+    gamma = 0.4 + 0.25j
+    lifts = tg.pair_lifts(g, [[0], [7], [19]])
+    assert lifts.steps.shape == (3, 0)
+    got = tg.lifted_green(g, pot, gamma, depth, lifts)
+    diag, pairs, viol = oracles.lifted_green_pairwise(g, pot, gamma, depth, [0, 7, 19], [0, 7, 19])
+    assert np.array_equal(got.diagonals, diag)
+    assert np.array_equal(got.pair_values, pairs)
+    assert np.array_equal(got.violations, viol)
+    assert viol[3] == depth * g.n * (g.q + 1)
 
 
 def test_lifted_green_rejects_backtracking():
