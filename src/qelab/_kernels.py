@@ -338,7 +338,8 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     root has ``branches`` subtrees, at every gamma of ``gammas`` (with
     matching ``leaves``, ``abs_caps`` and ``im_floors``) over the same balls.
 
-    Sample s draws its potentials from the stream keyed by
+    Sample s draws its potentials from the distribution named ``pot_kind``
+    (a ``PotentialSpec.kind``) on [-pot_a, pot_a], in the stream keyed by
     ``hash_u64(batch_key, s)``.  Samples are swept in blocks of consecutive
     samples holding at most ``_BLOCK_NODES`` nodes on the widest level the
     sweep computes, or one sample if that level alone is wider (a free-leaf

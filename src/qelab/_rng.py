@@ -31,10 +31,6 @@ _MIX2 = 0x94D049BB133111EB
 # kinds so that switching the distribution does not re-map indices
 OMEGA_STRIDE = 4
 
-POT_UNIFORM = 0
-POT_RESCALED_BETA = 1
-POT_TWO_POINT = 2
-
 
 def mix64(z: int) -> int:
     z &= MASK64
@@ -110,9 +106,10 @@ def uniform01_vec(h: np.ndarray) -> np.ndarray:
     return _unit_from_bits(h >> np.uint64(11))
 
 
-def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray, out=None,
+def draw_omega_vec(kind: str, bound: float, key, indices: np.ndarray, out=None,
                    scratch=None) -> np.ndarray:
-    """Vectorized i.i.d. draws from the site-potential distribution.
+    """Vectorized i.i.d. draws from the site-potential distribution ``kind``
+    ("uniform", "rescaled-beta" or "two-point") on [-bound, bound].
 
     ``indices`` are sample counters (vertex ids or tree-node ids); each index
     owns OMEGA_STRIDE consecutive counters in the stream keyed by ``key``.
@@ -125,7 +122,7 @@ def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray, out=None,
     base = indices.astype(np.uint64) * np.uint64(OMEGA_STRIDE)
     h = hash_u64_vec(key, base, bits, tmp)
     h >>= np.uint64(11)
-    if kind == POT_UNIFORM:
+    if kind == "uniform":
         # bound * (2 u0 - 1), in place: h * 2**-52 is 2 u0 exactly, and a
         # bound of 1.0 leaves every value as it is
         u = _unit_from_bits(h, out, 2.0**-52)
@@ -134,16 +131,16 @@ def draw_omega_vec(kind: int, bound: float, key, indices: np.ndarray, out=None,
             u *= bound
         return u
     u0 = _unit_from_bits(h, out)
-    if kind == POT_TWO_POINT:
+    if kind == "two-point":
         u0[...] = np.where(u0 >= 0.5, bound, -bound)
         return u0
-    if kind == POT_RESCALED_BETA:
+    if kind == "rescaled-beta":
         u1 = uniform01_vec(hash_u64_vec(key, base + np.uint64(1)))
         u2 = uniform01_vec(hash_u64_vec(key, base + np.uint64(2)))
         med = np.minimum(np.maximum(np.minimum(u0, u1), u2), np.maximum(u0, u1))
         u0[...] = bound * (2.0 * med - 1.0)
         return u0
-    raise ValueError(f"unknown potential kind code {kind}")
+    raise ValueError(f"unknown potential kind {kind!r}")
 
 
 def numpy_generator(key: int) -> np.random.Generator:

@@ -25,11 +25,7 @@ RESIDUAL_RTOL = 1e-8
 # rows per block of the symmetry and residual checks
 _CHECK_ROWS = 8
 
-_KIND_CODES = {
-    "uniform": _rng.POT_UNIFORM,
-    "rescaled-beta": _rng.POT_RESCALED_BETA,
-    "two-point": _rng.POT_TWO_POINT,
-}
+_KINDS = ("uniform", "rescaled-beta", "two-point")
 
 
 @dataclass(frozen=True)
@@ -47,14 +43,10 @@ class PotentialSpec:
     allow_atomic: bool = False
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown potential kind {self.kind!r}")
         if not (self.support_bound > 0):
             raise ConfigError("support_bound must be positive")
-
-    @property
-    def kind_code(self) -> int:
-        return _KIND_CODES[self.kind]
 
     @property
     def continuous(self) -> bool:
@@ -96,9 +88,7 @@ def sample_potential(n: int, spec: PotentialSpec, epsilon: float, seed: int) -> 
             "site distribution; pass allow_atomic=True to override"
         )
     key = _rng.derive_key(seed, "potential")
-    omega = _rng.draw_omega_vec(
-        spec.kind_code, spec.support_bound, key, np.arange(n, dtype=np.int64)
-    )
+    omega = _rng.draw_omega_vec(spec.kind, spec.support_bound, key, np.arange(n, dtype=np.int64))
     return PotentialAssignment(omega=omega, epsilon=float(epsilon), spec=spec)
 
 

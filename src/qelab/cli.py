@@ -70,16 +70,29 @@ DEFAULT_CONFIG = {
 
 
 def _merge(defaults, override, path="config"):
+    """``defaults`` with the fields of ``override``, each checked against the
+    type of its default as it is merged."""
     if not isinstance(override, dict):
         raise ConfigError(f"{path} must be a JSON object")
     out = copy.deepcopy(defaults)
     for key, value in override.items():
+        name = f"{path}.{key}"
         if key not in defaults:
-            raise ConfigError(f"unknown config field {path}.{key}")
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], value, f"{path}.{key}")
-        else:
-            out[key] = value
+            raise ConfigError(f"unknown config field {name}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            out[key] = _merge(default, value, name)
+            continue
+        field = name.removeprefix("config.")
+        if isinstance(default, list):
+            accept, what = _TYPES[type(default[0])]
+            if not isinstance(value, list) or not all(accept(v) for v in value):
+                raise ConfigError(f"{field} must be a list, each entry {what}")
+        elif default is not None or value is not None:
+            accept, what = _TYPES[_NULLABLE[field] if default is None else type(default)]
+            if not accept(value):
+                raise ConfigError(f"{field} must be {what}, got {value!r}")
+        out[key] = value
     return out
 
 
@@ -102,38 +115,10 @@ def _field(cfg, path: str):
     return cfg
 
 
-def _check_field_types(cfg) -> None:
-    fields = list(DEFAULT_CONFIG.items())  # (dotted path, default) in config order
-    while fields:
-        path, default = fields.pop(0)
-        if isinstance(default, dict):
-            fields[:0] = [(f"{path}.{key}", value) for key, value in default.items()]
-            continue
-        value = _field(cfg, path)
-        if isinstance(default, list):
-            accept, what = _TYPES[type(default[0])]
-            if not isinstance(value, list) or not all(accept(v) for v in value):
-                raise ConfigError(f"{path} must be a list, each entry {what}")
-        elif default is not None or value is not None:
-            accept, what = _TYPES[_NULLABLE[path] if default is None else type(default)]
-            if not accept(value):
-                raise ConfigError(f"{path} must be {what}, got {value!r}")
-
-
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and validate; raises ConfigError on schema violations."""
     cfg = _merge(DEFAULT_CONFIG, raw)
-    _check_field_types(cfg)
     q = cfg["q"]
-    if q < 2:
-        raise ConfigError("q must be an integer >= 2")
-    band = 2.0 * math.sqrt(q)
-    lam0 = cfg["lambda0"]
-    if not (0.0 < lam0 < band):
-        raise ConfigError(
-            f"lambda0 = {lam0} must lie in the open interval (0, 2*sqrt(q)) = (0, {band:.6f}); "
-            "the energy window of the ergodicity statements is (-2*sqrt(q), 2*sqrt(q))"
-        )
     if any(e <= 0 for e in cfg["eta0_values"]):
         raise ConfigError("eta0 values must be positive")
     if len(cfg["graph_seeds"]) != len(cfg["pot_seeds"]):
@@ -142,9 +127,8 @@ def resolve_config(raw: dict) -> dict:
         if not _field(cfg, path):
             raise ConfigError(f"{path} must not be empty")
     for n in cfg["n_values"]:
-        if n < q + 2 or (n * (q + 1)) % 2:
-            raise ConfigError(f"n = {n} admits no simple {q + 1}-regular graph; "
-                              f"need n >= q + 2 = {q + 2} and n*(q+1) even")
+        graphs.check_order(n, q)
+    qe.check_window(cfg["lambda0"], q)
     obs = cfg["observable"]
     if obs["kind"] not in {"constant", "indicator", "delta", "file"}:
         raise ConfigError(f"unsupported observable kind {obs['kind']!r}")
@@ -532,7 +516,7 @@ def _run_grid(run: _Run, names, threads: int):
         for n in cfg["n_values"]
         for gs, ps in zip(cfg["graph_seeds"], cfg["pot_seeds"])
     ]
-    if threads <= 1 or len(tasks) == 1:
+    if threads <= 1 or len(tasks) < 2:
         values = [_evaluate_point(t) for t in tasks]
     else:
         # imported here: it loads multiprocessing, which a one-thread run never needs

@@ -95,6 +95,16 @@ def _neighbors_from_edges(n: int, q: int, edges: np.ndarray) -> np.ndarray:
     return dst.reshape(n, q + 1)
 
 
+def check_order(n: int, q: int) -> None:
+    """ConfigError unless a simple (q+1)-regular graph on n vertices exists:
+    q >= 2, n >= q + 2 and n*(q+1) even."""
+    if q < 2:
+        raise ConfigError(f"q = {q} must be at least 2")
+    if n < q + 2 or (n * (q + 1)) % 2:
+        raise ConfigError(f"n = {n} admits no simple {q + 1}-regular graph; "
+                          f"need n >= q + 2 = {q + 2} and n*(q+1) even")
+
+
 def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None = None) -> RegularGraph:
     """Sample a simple (q+1)-regular graph by rejection from the pairing model.
 
@@ -102,17 +112,12 @@ def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None 
     multi-edge, so accepted graphs are exact uniform pairing-model samples
     conditioned on simplicity.  Identical (n, q, seed) give identical graphs.
     """
+    check_order(n, q)
     d = q + 1
     if max_attempts is None:
         # a pairing is simple with probability about exp(-(d^2 - 1)/4) at large
         # n; 20 times its inverse leaves failure odds near exp(-20)
         max_attempts = min(200_000, max(1000, math.ceil(20.0 * math.exp((d * d - 1) / 4.0))))
-    if q < 2:
-        raise ConfigError("q must be at least 2")
-    if n < q + 2:
-        raise ConfigError(f"need n >= q + 2 = {q + 2} vertices")
-    if (n * d) % 2 != 0:
-        raise ConfigError(f"n*(q+1) = {n * d} is odd; no {d}-regular graph exists")
     rng = numpy_generator(derive_key(seed, "pairing", n, q))
     stubs_base = np.repeat(np.arange(n, dtype=np.int64), d)
     for attempt in range(1, max_attempts + 1):

@@ -367,7 +367,7 @@ def qe_statistic_kernel(
     Kernels of range >= 1 require real eigenvectors and real kernel entries
     (the factorized bracket assumes real-valued pair correlations).
     """
-    _validate_window(lambda0, q)
+    check_window(lambda0, q)
     if kernel.n != spec_data.n:
         raise ConfigError("kernel and spectrum sizes differ")
     if kernel.r_max >= 1 and (np.iscomplexobj(spec_data.eigenvectors) or not kernel.is_real):
@@ -405,11 +405,12 @@ def qe_statistic_diag(
     return qe_statistic_kernel(spec_data, kernel, lambda0, unit_diagonal_curve(kernel), q)
 
 
-def _validate_window(lambda0: float, q: int) -> None:
-    if not (lambda0 > 0):
-        raise ConfigError("lambda0 must be positive")
-    if lambda0 >= 2.0 * np.sqrt(q):
+def check_window(lambda0: float, q: int) -> None:
+    """ConfigError unless 0 < lambda0 < 2*sqrt(q): the window (-lambda0, lambda0)
+    lies inside the energy window (-2*sqrt(q), 2*sqrt(q)) of the ergodicity
+    statements."""
+    band = 2.0 * np.sqrt(q)
+    if not (0.0 < lambda0 < band):
         raise ConfigError(
-            f"lambda0 = {lambda0} outside the open interval (0, 2*sqrt(q)) = "
-            f"(0, {2.0 * np.sqrt(q):.6f})"
+            f"lambda0 = {lambda0} must lie in the open interval (0, 2*sqrt(q)) = (0, {band:.6f})"
         )

@@ -204,7 +204,7 @@ def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, sample
             _kernels._check_vec(levels[i], caps[i], floors[i], viol[i])
     else:
         root, spine, viol = _kernels.tree_batch(
-            q, depth, branches, epsilon, gammas, leaves, pot_spec.kind_code,
+            q, depth, branches, epsilon, gammas, leaves, pot_spec.kind,
             pot_spec.support_bound, key, samples, spine_len, 0, caps, floors,
         )
     for i in range(len(gammas)):

@@ -26,7 +26,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from qelab import _kernels, _rng, anderson, esd, graphs, qe, tree_green
-from qelab._rng import OMEGA_STRIDE, POT_RESCALED_BETA, POT_TWO_POINT, POT_UNIFORM, hash_u64
+from qelab._rng import OMEGA_STRIDE, hash_u64
 from qelab.anderson import RESIDUAL_RTOL
 from qelab.errors import BudgetError, ConfigError, InvariantError
 
@@ -131,7 +131,7 @@ def materialized_tree_operator(
     offsets = _kernels.level_offsets(q, depth, branches)
     key = _rng.derive_key(seed, "tree-sweep")
     omegas = _rng.draw_omega_vec(
-        pot_spec.kind_code, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
+        pot_spec.kind, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
     )
     h = np.zeros((n, n), dtype=np.float64)
     h[np.arange(n), np.arange(n)] = epsilon * omegas
@@ -174,7 +174,7 @@ def full_ball_green_row(
     offsets = _kernels.level_offsets(q, depth, branches)
     key = _rng.derive_key(seed, "tree-sweep")
     omegas = _rng.draw_omega_vec(
-        pot_spec.kind_code, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
+        pot_spec.kind, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
     )
     sizes = [branches * q**k for k in range(depth)]
 
@@ -358,19 +358,19 @@ def uniform01(h: int) -> float:
     return (h >> 11) * 2.0**-53
 
 
-def draw_omega_scalar(kind: int, bound: float, key: int, index: int) -> float:
+def draw_omega_scalar(kind: str, bound: float, key: int, index: int) -> float:
     base = index * OMEGA_STRIDE
     u0 = uniform01(hash_u64(key, base))
-    if kind == POT_UNIFORM:
+    if kind == "uniform":
         return bound * (2.0 * u0 - 1.0)
-    if kind == POT_TWO_POINT:
+    if kind == "two-point":
         return bound if u0 >= 0.5 else -bound
-    if kind == POT_RESCALED_BETA:
+    if kind == "rescaled-beta":
         u1 = uniform01(hash_u64(key, base + 1))
         u2 = uniform01(hash_u64(key, base + 2))
         med = min(max(min(u0, u1), u2), max(u0, u1))
         return bound * (2.0 * med - 1.0)
-    raise ValueError(f"unknown potential kind code {kind}")
+    raise ValueError(f"unknown potential kind {kind!r}")
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ largest Im z as ni / den.max() and reads ``values`` not at all.
 import numpy as np
 import pytest
 
-from qelab import _kernels, _rng, tree_green
+from qelab import _kernels, tree_green
 
 SLACK = _kernels._SLACK
 
@@ -271,7 +271,7 @@ def test_sweep_counters_match_exact_counts(leaf_mode, monkeypatch):
 
     def sweeps():
         with np.errstate(all="ignore"):
-            return [_kernels.tree_batch(q, depth, branches, 0.35, grid, leaves, _rng.POT_UNIFORM,
+            return [_kernels.tree_batch(q, depth, branches, 0.35, grid, leaves, "uniform",
                                         1.0, key, samples, spine_len, 1, caps, floors)[2]
                     for branches, spine_len, key in [(q + 1, depth - 1, 41), (q, 0, 43)]]
 
@@ -296,7 +296,7 @@ def test_nan_leaf_counts_on_the_sign_bound():
     leaves = [complex(np.nan, np.nan), tree_green.free_forward_green_complex(gammas[1], q)]
     for branches in (q, q + 1):
         root, spine, viol = _kernels.tree_batch(q, depth, branches, 0.35, gammas, leaves,
-                                                _rng.POT_UNIFORM, 1.0, 3, samples, 2, 0,
+                                                "uniform", 1.0, 3, samples, 2, 0,
                                                 caps, floors)
         nodes = samples * (_kernels.tree_node_count(q, depth, branches) - 1)
         assert list(viol[0]) == [nodes, 0, 0, nodes]

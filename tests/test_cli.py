@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import importlib
 import json
 import math
 import os
@@ -90,6 +92,45 @@ def test_resolve_config_defaults_and_validation():
             cli.resolve_config({"n_values": n_values})
 
 
+# one fault each, for rules that no other test reaches, with the name the
+# error message gives the field
+ONE_FAULT = [
+    ({"mc": 3}, "config.mc"),
+    ({"q": 1}, "q = 1"),
+    ({"observable": {"kind": "gaussian"}}, "observable kind"),
+    ({"observable": {"kind": "file"}}, "observable.path"),
+    ({"observable": {"kind": "constant", "constant": -1.5}}, "constant"),
+    ({"observable": {"alpha": 1.0}}, "alpha"),
+    ({"kernel": {"shape": "star"}}, "kernel shape"),
+    ({"kernel": {"shape": "ring", "value": 1.5}}, "kernel value"),
+    ({"kernel": {"range": 2}}, "range"),
+    ({"mc": {"leaf_mode": "open"}}, "mc.leaf_mode"),
+    ({"mc": {"samples": 1}}, "mc.samples"),
+    ({"mc": {"lambda_spacing": 0.0}}, "mc.lambda_spacing"),
+    ({"lln": {"k_max": 13}}, "lln.k_max"),
+    ({"esd": {"reference": "semicircle"}}, "esd.reference"),
+    ({"potential": {"kind": "gaussian"}}, "potential kind"),
+    ({"potential": {"support_bound": 0.0}}, "support_bound"),
+]
+
+
+@pytest.mark.parametrize("fault,named", ONE_FAULT)
+def test_one_fault_config_exits_2_before_any_work(tmp_path, monkeypatch, fault, named):
+    from qelab import tree_green
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the profile was built for a config with a fault")
+
+    monkeypatch.setattr(tree_green, "distance_ratio_profile", unreachable)
+    raw = dict(MINI, **fault)
+    with pytest.raises(ConfigError, match=named):
+        cli.resolve_config(raw)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", _write(tmp_path, raw), "--out", str(out),
+                     "--threads", "1"]) == 2
+    assert not out.exists()  # the config is rejected before it is echoed
+
+
 def test_bad_n_rejected_before_the_profile(tmp_path, monkeypatch):
     from qelab import tree_green
 
@@ -162,12 +203,17 @@ def test_resolved_echo_reproduces_run(tmp_path):
 
 
 def test_threads_do_not_change_output(tmp_path):
-    cfg_dict = dict(MINI, n_values=[48, 64], graph_seeds=[1, 2], pot_seeds=[11, 12])
-    cfg = _write(tmp_path, cfg_dict)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert cli.main(["run", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-    assert cli.main(["run", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
-    assert _read_all(out1) == _read_all(out2)
+    # a grid of four points, and the empty grid
+    grids = [dict(n_values=[48, 64], graph_seeds=[1, 2], pot_seeds=[11, 12]),
+             dict(graph_seeds=[], pot_seeds=[])]
+    for i, grid in enumerate(grids):
+        cfg = _write(tmp_path, dict(MINI, **grid), f"grid{i}.json")
+        out1, out2 = tmp_path / f"t1_{i}", tmp_path / f"t2_{i}"
+        assert cli.main(["run", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+        assert _read_all(out1) == _read_all(out2)
+    # the empty grid's per-point files hold only their header
+    assert (out1 / "qe_diag.csv").read_text().count("\n") == 1
 
 
 def test_zero_disorder_constant_observable_zero_column(tmp_path):
@@ -317,6 +363,34 @@ def test_ids_reference(tmp_path):
     assert 0.0 <= float(rows[0].split(",")[4]) <= 1.0
 
 
+@pytest.mark.parametrize("kernel", [{"shape": "ring", "range": 2}, {"shape": "ring", "range": 0},
+                                    {"shape": "diagonal"}])
+def test_kernel_shapes_match_in_process_statistic(tmp_path, kernel):
+    from qelab import anderson, graphs, qe, tree_green
+    from qelab._rng import derive_key
+
+    raw = dict(MINI, kernel=kernel)
+    out = tmp_path / "k"
+    assert cli.main(["qe-kernel", "--config", _write(tmp_path, raw), "--out", str(out),
+                     "--threads", "1"]) == 0
+    row = (out / "qe_kernel.csv").read_text().splitlines()[1].split(",")
+    # MINI's grid point, potential, observable and Monte-Carlo settings
+    mc, spec = cli.resolve_config(raw)["mc"], anderson.PotentialSpec()
+    g = graphs.generate_random_regular(64, 2, 1)
+    sd = anderson.eigendecompose(anderson.assemble(g, anderson.sample_potential(64, spec, 0.2, 11)))
+    if kernel["shape"] == "ring":
+        ker = qe.ring_kernel(g, kernel["range"])
+    else:
+        ker = qe.diagonal_kernel(qe.make_observable("indicator", 64, seed=17, alpha=0.5))
+    profile = tree_green.distance_ratio_profile(
+        2, spec, 0.2, 0.2, kernel.get("range", 1), np.linspace(-2.0, 2.0, 9), mc["samples"],
+        derive_key(mc["seed"], "profile"), depth=8, leaf_mode="free",
+    )
+    rep = qe.qe_statistic_kernel(sd, ker, 2.0, qe.kernel_average_simple(ker, profile), q=2)
+    assert rep.window_count > 0
+    assert row[6] == format(rep.statistic, ".17g")
+
+
 def test_file_observable_config(tmp_path):
     obs_path = tmp_path / "obs.json"
     obs_path.write_text(json.dumps([((-1) ** i) * 0.5 for i in range(64)]))
@@ -419,6 +493,45 @@ def test_strict_invariants_ids_violation(tmp_path, monkeypatch):
     assert cli.main(["esd", "--config", cfg, "--out", str(tmp_path / "strict"), "--threads", "1",
                      "--strict-invariants"]) == 4
     assert cli.main(["esd", "--config", cfg, "--out", str(tmp_path / "lax"), "--threads", "1"]) == 0
+
+
+def _moment_violation(real):
+    """green_condition_moments with one sign violation added at its first point."""
+    def injected(*args, **kwargs):
+        table = real(*args, **kwargs)
+        first = table.points[0]
+        first = dataclasses.replace(first, violations=first.violations + np.array([1, 0, 0, 0]))
+        return dataclasses.replace(table, points=[first] + table.points[1:])
+    return injected
+
+
+def _trace_shift(real):
+    """eigendecompose with its lowest eigenvalue raised by 1e-3, inside the spectrum bound."""
+    def injected(matrix):
+        sd = real(matrix)
+        vals = sd.eigenvalues.copy()
+        vals[0] += 1e-3
+        return dataclasses.replace(sd, eigenvalues=vals)
+    return injected
+
+
+def _disconnected(real):
+    """exp_check reporting every graph disconnected."""
+    return lambda g: dataclasses.replace(real(g), connected=False)
+
+
+@pytest.mark.parametrize("command,module,name,inject", [
+    ("green-moments", "tree_green", "green_condition_moments", _moment_violation),
+    ("spectrum", "anderson", "eigendecompose", _trace_shift),
+    ("generate-graph", "graphs", "exp_check", _disconnected),
+])
+def test_strict_invariants_exit_4_only_with_the_flag(tmp_path, monkeypatch, command, module,
+                                                     name, inject):
+    target = importlib.import_module(f"qelab.{module}")
+    monkeypatch.setattr(target, name, inject(getattr(target, name)))
+    args = [command, "--config", _write(tmp_path, MINI), "--threads", "1"]
+    assert cli.main(args + ["--out", str(tmp_path / "strict"), "--strict-invariants"]) == 4
+    assert cli.main(args + ["--out", str(tmp_path / "lax")]) == 0
 
 
 # the benchmark tracer reads work and violation counters from the arguments

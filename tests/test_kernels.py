@@ -66,10 +66,10 @@ def tree_sweep(q, eps, gamma, depth, seed, leaf_mode, spine_len):
         values = tree_green._zero_disorder_chain(q, depth, gamma, leaf_mode)
         viol = np.zeros(4, dtype=np.int64)
         _kernels._check_vec(values, abs_cap, floor, viol)
-        omega_root = oracles.draw_omega_scalar(SPEC.kind_code, SPEC.support_bound, key, 0)
+        omega_root = oracles.draw_omega_scalar(SPEC.kind, SPEC.support_bound, key, 0)
         return np.full(q + 1, values[0]), values[:spine_len].copy(), omega_root, viol
     return oracles.cavity_sweep(
-        q, depth, q + 1, eps, gamma, leaf_for(leaf_mode, gamma, q), SPEC.kind_code,
+        q, depth, q + 1, eps, gamma, leaf_for(leaf_mode, gamma, q), SPEC.kind,
         SPEC.support_bound, key, spine_len, 0, abs_cap, floor,
     )
 
@@ -85,7 +85,7 @@ def test_sweep_golden(q, depth, eps, leaf_mode):
     # ... and the full ball here
     branch, spine, omega_root, viol = oracles.cavity_sweep(
         q, depth, q + 1, eps, gamma, leaf_for(leaf_mode, gamma, q),
-        SPEC.kind_code, 1.0, 7, 3, 1, 5.0, 1e-8,
+        SPEC.kind, 1.0, 7, 3, 1, 5.0, 1e-8,
     )
     assert digest(branch, spine, np.float64(omega_root), viol) == GOLDEN[f"sweep/{tag}"]
 
@@ -101,14 +101,14 @@ def test_ray_and_cavity_batches_golden(eps, leaf_mode):
     leaf = leaf_for(leaf_mode, gamma, q)
     cap, floor = 1.0 / gamma.imag, 1e-9
     root, spine, viol = _kernels.tree_batch(
-        q, depth, q + 1, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 99, samples, 2, 1,
+        q, depth, q + 1, eps, [gamma], [leaf], SPEC.kind, 1.0, 99, samples, 2, 1,
         [cap], [floor],
     )
     assert root.shape == (1, samples) and spine.shape == (1, samples, 2) and viol.shape == (1, 4)
     im = tree_green._ray_green_im(root, spine)
     assert digest(im[0], viol[0]) == GOLDEN[f"ray/{eps}/{leaf_mode}"]
     zeta, spine, viol = _kernels.tree_batch(
-        q, depth, q, eps, [gamma], [leaf], SPEC.kind_code, 1.0, 101, samples, 0, 0,
+        q, depth, q, eps, [gamma], [leaf], SPEC.kind, 1.0, 101, samples, 0, 0,
         [cap], [floor],
     )
     assert spine.shape == (1, samples, 0)
@@ -182,7 +182,7 @@ def test_zero_disorder_chain_matches_kernel_sweep():
     gamma = 0.3 + 0.15j
     chain = tree_green._zero_disorder_chain(q, depth, gamma, "bare")
     branch, spine, _, _ = oracles.cavity_sweep(
-        q, depth, q + 1, 0.0, gamma, None, SPEC.kind_code, 1.0,
+        q, depth, q + 1, 0.0, gamma, None, SPEC.kind, 1.0,
         _rng.derive_key(3, "tree-sweep"), depth, 0, 1.0 / gamma.imag, 0.0,
     )
     assert np.array_equal(np.full(q + 1, chain[0]), branch)

@@ -109,7 +109,7 @@ def test_kernel_statistic_against_brute_force(small_case):
         gamma = complex(lam, 0.2)
         floor = tg.imag_floor(2, 0.2, SPEC.support_bound, abs(lam), 0.2)
         root, spine, viol = _kernels.tree_batch(
-            2, 10, 3, 0.2, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
+            2, 10, 3, 0.2, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind,
             SPEC.support_bound, _rng.derive_key(5, "profile"), 200, 1, 0, [5.0], [floor],
         )
         means, stderrs = (a[0] for a in tg._mean_stderr(tg._ray_green_im(root, spine)))

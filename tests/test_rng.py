@@ -35,7 +35,7 @@ def test_derive_key_differs_by_tag_and_index():
 def test_omega_scalar_matches_vector_all_kinds():
     key = _rng.derive_key(3, "omega")
     idx = np.arange(500, dtype=np.int64)
-    for kind in (_rng.POT_UNIFORM, _rng.POT_RESCALED_BETA, _rng.POT_TWO_POINT):
+    for kind in ("uniform", "rescaled-beta", "two-point"):
         vec = _rng.draw_omega_vec(kind, 0.8, key, idx)
         scal = np.array([oracles.draw_omega_scalar(kind, 0.8, key, int(i)) for i in idx])
         assert np.array_equal(vec, scal)
@@ -45,12 +45,12 @@ def test_omega_scalar_matches_vector_all_kinds():
 def test_omega_moments():
     key = _rng.derive_key(11, "m")
     idx = np.arange(200000, dtype=np.int64)
-    uni = _rng.draw_omega_vec(_rng.POT_UNIFORM, 1.0, key, idx)
+    uni = _rng.draw_omega_vec("uniform", 1.0, key, idx)
     assert abs(uni.mean()) < 0.01
     assert abs((uni**2).mean() - 1.0 / 3.0) < 0.01
-    beta = _rng.draw_omega_vec(_rng.POT_RESCALED_BETA, 1.0, key, idx)
+    beta = _rng.draw_omega_vec("rescaled-beta", 1.0, key, idx)
     assert abs(beta.mean()) < 0.01
     assert abs((beta**2).mean() - 1.0 / 5.0) < 0.01
-    two = _rng.draw_omega_vec(_rng.POT_TWO_POINT, 1.0, key, idx)
+    two = _rng.draw_omega_vec("two-point", 1.0, key, idx)
     assert set(np.unique(two)) == {-1.0, 1.0}
     assert abs(two.mean()) < 0.01

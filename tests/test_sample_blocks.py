@@ -26,7 +26,9 @@ EPS = 0.35
 ABS_CAP = 1.2
 IM_FLOOR = 0.25
 DEPTH = {2: 6, 3: 5, 4: 4}
-KINDS = [_rng.POT_UNIFORM, _rng.POT_RESCALED_BETA, _rng.POT_TWO_POINT]
+KINDS = ["uniform", "rescaled-beta", "two-point"]
+# a test id names each kind by its position in KINDS
+KIND_IDS = ["0", "1", "2"]
 # (samples, _BLOCK_NODES): one sample (any block size holds it; 2**16 keeps
 # the test ids); ragged blocks of 2-7 samples whose wider levels cross
 # chunks of 175 nodes; one sample per block
@@ -69,7 +71,7 @@ def sweep_oracle(q, depth, branches, leaf, kind, batch_key, samples, spine_len, 
 @pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("q", [2, 3, 4])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes, monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
     depth, leaf = DEPTH[q], leaf_for(leaf_mode, q)
@@ -91,7 +93,7 @@ def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes,
 @pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("q", [2, 3, 4])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, block_nodes,
                                                monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
@@ -146,7 +148,7 @@ def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
                 width = sizes[-2] if leaf_mode == "free" else sizes[-1]
                 seen.clear()
                 updates.clear()
-                _kernels.tree_batch(q, depth, branches, EPS, GRID, leaves, _rng.POT_UNIFORM, 1.0,
+                _kernels.tree_batch(q, depth, branches, EPS, GRID, leaves, "uniform", 1.0,
                                     5, samples, spine_len, 0, GRID_CAPS, GRID_FLOORS)
                 assert sum(seen) == samples
                 # every block but the last is as full as the limit allows
@@ -200,7 +202,7 @@ def test_free_leaf_sweep_work_stays_within_block_nodes(batch, monkeypatch):
     branches, spine_len = (q, 0) if batch == "cavity" else (q + 1, depth - 1)
     gamma = 0.5 + 0.05j
     leaf = tree_green.free_forward_green_complex(gamma, q)
-    _kernels.tree_batch(q, depth, branches, EPS, [gamma], [leaf], _rng.POT_UNIFORM, 1.0, 7,
+    _kernels.tree_batch(q, depth, branches, EPS, [gamma], [leaf], "uniform", 1.0, 7,
                         samples, spine_len, 0, [20.0], [0.0])
     (work, rows, sizes), = made
     widest = sizes[-2]

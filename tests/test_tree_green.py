@@ -14,7 +14,7 @@ def sweep(q, eps, gamma, depth, seed, leaf_mode="bare", spine_len=0):
     """One tree ball (q+1 branches) keyed by ``seed``, with the sweep's bounds."""
     return oracles.cavity_sweep(
         q, depth, q + 1, eps, gamma, tg._leaf_value(gamma, q, leaf_mode),
-        SPEC.kind_code, SPEC.support_bound, _rng.derive_key(seed, "tree-sweep"),
+        SPEC.kind, SPEC.support_bound, _rng.derive_key(seed, "tree-sweep"),
         spine_len, 0, 1.0 / gamma.imag,
         tg.imag_floor(q, eps, SPEC.support_bound, abs(gamma.real), gamma.imag),
     )
@@ -205,7 +205,7 @@ def test_mc_distance_only_dependence():
     means, stderrs = {}, {}
     for ray_branch in (0, 2):
         root, spine, _ = _kernels.tree_batch(
-            2, 10, 3, 0.25, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind_code,
+            2, 10, 3, 0.25, [gamma], [tg.free_forward_green_complex(gamma, 2)], SPEC.kind,
             SPEC.support_bound, _rng.derive_key(7, "mc-ray"), 3000, 2, ray_branch,
             [1.0 / gamma.imag], [tg.imag_floor(2, 0.25, SPEC.support_bound, 0.5, 0.2)],
         )
@@ -238,7 +238,7 @@ def test_profile_roots_keep_the_cavity_bounds():
     gammas = [complex(lam, eta) for lam in np.linspace(-2.4, 2.4, 97)]
     leaves, caps, floors = tg._grid_bounds(q, SPEC, eps, gammas, "free")
     root, _, _ = _kernels.tree_batch(
-        q, 12, q + 1, eps, gammas, leaves, SPEC.kind_code, SPEC.support_bound,
+        q, 12, q + 1, eps, gammas, leaves, SPEC.kind, SPEC.support_bound,
         _rng.derive_key(911, "profile"), 64, 0, 0, caps, floors,
     )
     slack = _kernels._SLACK
