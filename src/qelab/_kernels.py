@@ -3,11 +3,11 @@
 Each operation has one path.  ``tree_batch`` is the one entry point of the
 tree sweeps: it loops over blocks of samples and returns the root cavity
 values, the values along one ray (the spine) and the violation counters of
-a batch of balls, and the distance profile (q + 1 branches) and the moment
-table (q branches) both read what they need from it.  ``messages_advance``
-is the one message round; from zero messages its first round gives the
-bare site values 1/(gamma - eps*omega).  ``crecip_parts`` is the one
-reciprocal of both.
+a batch of balls (at eps = 0 one chain with a node per level), and the
+distance profile (q + 1 branches) and the moment table (q branches) both
+read what they need from it.  ``messages_advance`` is the one message
+round; from zero messages its first round gives the bare site values
+1/(gamma - eps*omega).  ``crecip_parts`` is the one reciprocal of both.
 
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level over a (samples x level width) array, in sample blocks of at
@@ -354,10 +354,21 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     counters of levels 1..depth, shape (G, 4)).  The roots are not checked
     here: with q + 1 branches a root is -G(o, o), with q it is a cavity
     value, and each caller checks its roots itself.
+
+    At eps = 0 every ball is the same and all siblings coincide, so the
+    batch is one sample (m = 1 in the shapes above) with one node per level,
+    the layout of ``cavity_levels`` in which a level holds one value shared
+    by all q children of each parent: no potentials are drawn (the sites
+    are zeros), the spine is read at that one node whatever ``ray_branch``
+    is, and the counters count one node per level.
     """
+    chain = eps == 0.0
+    if chain:
+        samples, sizes = 1, [1] * depth
+    else:
+        offsets = level_offsets(q, depth, branches)
+        sizes = level_sizes(q, depth, branches)
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))[:, None]
-    offsets = level_offsets(q, depth, branches)
-    sizes = level_sizes(q, depth, branches)
     free = all(leaf is not None for leaf in leaves)
     per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free) or sizes))
     work = SweepWork(min(per_block, samples), sizes, free)
@@ -370,6 +381,8 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
         sites = {}
 
         def site(k):
+            if chain:
+                return np.zeros((m, 1))
             if k not in sites:
                 width = sizes[k - 1]
                 ids = offsets[k] + np.arange(width, dtype=np.int64)
@@ -382,8 +395,8 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
                     out *= eps
             return sites[k]
 
-        site_root = eps * draw_omega_vec(pot_kind, pot_a, keys[block],
-                                         np.zeros(1, dtype=np.int64))[:, 0]
+        site_root = np.zeros(m) if chain else eps * draw_omega_vec(
+            pot_kind, pot_a, keys[block], np.zeros(1, dtype=np.int64))[:, 0]
         roots, rays = root[:, block], spine[:, block]
         for i, gamma in enumerate(gammas):
             for k, rows, values, den, ni in cavity_levels(q, sizes, gamma, leaves[i], site, work):
@@ -397,7 +410,7 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
                     _check_vec(values, abs_caps[i], im_floors[i], viol[i],
                                work.chunk(values.shape).check, den, ni)
                 if k <= spine_len:
-                    rays[i, rows, k - 1] = values[:, ray_branch * q ** (k - 1)]
+                    rays[i, rows, k - 1] = values[:, 0 if chain else ray_branch * q ** (k - 1)]
                 if k == 1:
                     roots[i, rows] = crecip_vec(
                         gamma - site_root[rows] - _sum_children(values, branches))

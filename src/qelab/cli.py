@@ -121,6 +121,8 @@ def resolve_config(raw: dict) -> dict:
     q = cfg["q"]
     if any(e <= 0 for e in cfg["eta0_values"]):
         raise ConfigError("eta0 values must be positive")
+    if len(set(cfg["eta0_values"])) != len(cfg["eta0_values"]):
+        raise ConfigError("eta0_values must not repeat a value")
     if len(cfg["graph_seeds"]) != len(cfg["pot_seeds"]):
         raise ConfigError("graph_seeds and pot_seeds must pair up (equal lengths)")
     for path in ("n_values", "eta0_values", "mc.lambda_grid", "mc.eta_grid"):
@@ -404,12 +406,8 @@ def _write_qe(key, run, out_dir, results):
     os.makedirs(edir, exist_ok=True)
     for n, gs, ps, reports in results:
         for eta0, rep in reports:
-            rows = [
-                (i, lam, complex(b).real, complex(a).real)
-                for (i, lam, b, a) in rep.per_eigenvalue_rows()
-            ]
             write_csv(os.path.join(edir, f"{key}_n{n}_g{gs}_p{ps}_eta{eta0}.csv"),
-                      ["i", "lambda_i", "bracket", "average"], rows)
+                      ["i", "lambda_i", "bracket", "average"], rep.per_eigenvalue_rows())
 
 
 def _esd(point):
@@ -466,7 +464,8 @@ class Stage(NamedTuple):
     writes its files from [(n, graph seed, pot seed, value)] in grid order.
     ``reads`` names the ``_Run`` inputs that the stage uses: they are built
     before the grid, so their budget guards fire before any graph is built and
-    worker processes receive them rather than rebuild them.
+    worker processes receive them rather than rebuild them.  A stage with a
+    ``compute`` builds them only when the grid has a point.
     """
 
     compute: Callable | None
@@ -534,8 +533,10 @@ def _run_stages(cfg, names, out_dir, threads: int, strict: bool) -> None:
     run = _Run(cfg, strict)
     point_names = tuple(name for name in names if STAGES[name].compute is not None)
     for name in names:
-        for attr in STAGES[name].reads:
-            getattr(run, attr)
+        # n_values is never empty, so the grid has a point when the seed lists do
+        if STAGES[name].compute is None or cfg["graph_seeds"]:
+            for attr in STAGES[name].reads:
+                getattr(run, attr)
     results = _run_grid(run, point_names, threads) if point_names else {}
     for name in names:
         STAGES[name].write(run, out_dir, results.get(name, []))

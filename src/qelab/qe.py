@@ -56,8 +56,6 @@ def make_observable(kind: str, n: int, seed: int = 0, *, constant: float = 1.0,
     against the sup bound).
     """
     if kind == "constant":
-        if abs(constant) > 1.0:
-            raise ConfigError("constant observables need |c| <= 1")
         return Observable(np.full(n, constant, dtype=np.float64), tag=f"constant:{constant}")
     if kind == "indicator":
         if not (0.0 < alpha < 1.0):
@@ -119,10 +117,6 @@ class Kernel:
         if self.distances.size and int(self.distances.max()) > self.r_max:
             raise ConfigError("kernel entry beyond the declared range")
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
-
     def distance_mass(self) -> np.ndarray:
         """S_r = (1/n) * sum of entries at distance exactly r, r = 0..r_max."""
         out = np.zeros(self.r_max + 1, dtype=self.values.dtype)
@@ -148,8 +142,6 @@ def diagonal_kernel(obs: Observable) -> Kernel:
 
 def edge_kernel(g: RegularGraph, value: float = 1.0) -> Kernel:
     """All-ones (scaled) kernel supported on graph edges; range 1."""
-    if abs(value) > 1.0:
-        raise ConfigError("edge kernel value must satisfy |value| <= 1")
     # neighbor rows are sorted, so the entries come in (row, col) order
     rows = np.repeat(np.arange(g.n, dtype=np.int64), g.q + 1)
     return Kernel(
@@ -343,14 +335,11 @@ def _quadratic_brackets(kernel: Kernel, vecs: np.ndarray, columns=None) -> np.nd
     """
     if columns is None:
         columns = np.arange(vecs.shape[1])
-    out = np.empty(len(columns), dtype=np.result_type(kernel.values, vecs))
+    out = np.empty(len(columns))
     for start in range(0, len(columns), _BRACKET_BLOCK):
         block = vecs[:, columns[start:start + _BRACKET_BLOCK]]
-        row_factor = block[kernel.rows]
-        if np.iscomplexobj(block):
-            row_factor = np.conj(row_factor)
         out[start:start + _BRACKET_BLOCK] = np.einsum(
-            "e,ei,ei->i", kernel.values, row_factor, block[kernel.cols]
+            "e,ei,ei->i", kernel.values, block[kernel.rows], block[kernel.cols]
         )
     return out
 
@@ -364,16 +353,15 @@ def qe_statistic_kernel(
 ) -> QEReport:
     """Windowed statistic (1/N) sum |<psi_i, K psi_i> - <K>(lambda_i)|.
 
-    Kernels of range >= 1 require real eigenvectors and real kernel entries
-    (the factorized bracket assumes real-valued pair correlations).
+    The eigenvectors and the kernel entries must be real, as
+    ``anderson.eigendecompose`` and the kernel constructors make them: the
+    bracket takes no complex conjugate.
     """
     check_window(lambda0, q)
     if kernel.n != spec_data.n:
         raise ConfigError("kernel and spectrum sizes differ")
-    if kernel.r_max >= 1 and (np.iscomplexobj(spec_data.eigenvectors) or not kernel.is_real):
-        raise ConfigError(
-            "kernels of range >= 1 need real eigenvectors and real entries"
-        )
+    if np.iscomplexobj(spec_data.eigenvectors) or np.iscomplexobj(kernel.values):
+        raise ConfigError("the statistics need real eigenvectors and real kernel entries")
     if averages.r_max < kernel.r_max:
         raise ConfigError("average curve does not cover the kernel range")
     mask = spec_data.window_mask(lambda0)

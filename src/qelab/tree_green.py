@@ -7,9 +7,10 @@ Everything is built from the one-step cavity recursion
 the Schur diagonal formula, and the product factorization of off-diagonal
 entries along tree geodesics.  Monte-Carlo expectations sample the recursion
 on exact depth-L tree balls (work grows like q**L, guarded by a cap; at
-eps = 0 the ball collapses to a single chain).  The same recursion run as
-message passing on the directed edges of a finite graph, from zero
-messages, yields the truncated Green function of the universal-cover lift.
+eps = 0 every ball is the same chain of one node per level).  The same
+recursion run as message passing on the directed edges of a finite graph,
+from zero messages, yields the truncated Green function of the
+universal-cover lift.
 
 Leaf seeding: sweeps can start leaves at the bare site value 1/(gamma -
 eps*omega), which is exact for materialized finite balls, or at the
@@ -27,9 +28,11 @@ the distance profile with q + 1 branches at the root (G(o, o) is minus the
 root value, and the spine carries it down a ray), the moment table with q
 (the root value is a cavity value).  It checks the depth, eta and the work
 budget before it builds any leaf or floor, then sweeps the balls through
-``_kernels.tree_batch``, or at eps = 0 through the chain, and checks the
-roots against the cavity bounds with the levels below them: the operator
-bound that gives them to the levels of a ball gives them to the root too.
+``_kernels.tree_batch`` (at eps = 0 its one-sample chain layout), and
+checks the roots against the cavity bounds with the levels below them: the
+operator bound that gives them to the levels of a ball gives them to the
+root too.  At eps = 0 a q-branch root with free leaves is the free fixed
+point itself, exact also at eta = 0.
 """
 
 from __future__ import annotations
@@ -138,26 +141,6 @@ def _check_budget(ball_nodes: int, balls: int) -> None:
         )
 
 
-def _zero_disorder_chain(q: int, depth: int, gamma: complex, leaf_mode: str):
-    """Per-level cavity values when eps = 0 (all siblings coincide).
-
-    Returns values[k], k = 1..depth indexed by values[k-1]; values[depth-1]
-    is the leaf.  This is the sweep's recursion kept at one node per level,
-    so it matches the full sweep bit for bit without the q**L duplication.
-    """
-    leaf = _leaf_value(gamma, q, leaf_mode)
-    if leaf is not None and gamma.imag == 0.0:
-        # stationary by construction; keep the closed form exact
-        return np.full(depth, leaf, dtype=np.complex128)
-    values = np.empty(depth, dtype=np.complex128)
-    no_site = np.zeros((1, 1))
-    sizes = [1] * depth
-    work = _kernels.SweepWork(1, sizes)
-    for k, _, level, _, _ in _kernels.cavity_levels(q, sizes, gamma, leaf, lambda k: no_site, work):
-        values[k - 1] = level[0, 0]
-    return values
-
-
 def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, samples, key,
                 spine_len):
     """Checked cavity sweeps of the balls of a tree estimator at every gamma of a grid.
@@ -171,13 +154,12 @@ def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, sample
     operator bound that gives the cavity bounds to the levels of a ball
     gives them to its root too.
 
-    With disorder the m = ``samples`` balls come from ``_kernels.tree_batch``
-    (potentials keyed by ``key``) under the budget guard of ``_check_budget``.
-    At eps = 0 all siblings coincide and every ball is the same, taken as
-    one sample (m = 1): the ``_zero_disorder_chain`` one level longer than
-    the ball holds its levels 1..depth below its top.  A q-branch root is
-    the free fixed point (free leaves, where the recursion is stationary)
-    or the chain's top (bare leaves).
+    The balls come from ``_kernels.tree_batch``: m = ``samples`` of them
+    (potentials keyed by ``key``) under the budget guard of
+    ``_check_budget``, or at eps = 0, where every ball is the same, one
+    sample with one node per level (m = 1) and no guard.  There a q-branch
+    root with free leaves is the free fixed point itself, where the
+    recursion is stationary, so it stays exact at eta = 0.
     """
     if samples < 1:
         raise ConfigError("need at least one sample")
@@ -190,23 +172,12 @@ def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, sample
     if epsilon != 0.0:
         _check_budget(_kernels.tree_node_count(q, depth, branches), samples * len(gammas))
     leaves, caps, floors = _grid_bounds(q, pot_spec, epsilon, gammas, leaf_mode)
-    if epsilon == 0.0:
-        chains = np.array([_zero_disorder_chain(q, depth + 1, g, leaf_mode) for g in gammas])
-        levels = chains[:, 1:]
-        if branches == q:
-            root = np.array(leaves) if leaf_mode == "free" else chains[:, 0]
-        else:
-            root = _kernels.crecip_vec(
-                np.array(gammas) - _kernels._sum_children(levels[:, :1], branches))
-        root, spine = root[:, None], levels[:, None, :spine_len]
-        viol = np.zeros((len(gammas), 4), dtype=np.int64)
-        for i in range(len(gammas)):
-            _kernels._check_vec(levels[i], caps[i], floors[i], viol[i])
-    else:
-        root, spine, viol = _kernels.tree_batch(
-            q, depth, branches, epsilon, gammas, leaves, pot_spec.kind,
-            pot_spec.support_bound, key, samples, spine_len, 0, caps, floors,
-        )
+    root, spine, viol = _kernels.tree_batch(
+        q, depth, branches, epsilon, gammas, leaves, pot_spec.kind, pot_spec.support_bound,
+        key, samples, spine_len, 0, caps, floors,
+    )
+    if epsilon == 0.0 and branches == q and leaf_mode == "free":
+        root[:, 0] = leaves
     for i in range(len(gammas)):
         _kernels._check_vec(root[i], caps[i], floors[i], viol[i])
     return root, spine, viol, floors

@@ -6,14 +6,14 @@ Schur diagonal, materialized tree balls for dense inversion, the full root
 row of a ball, the eps = 0 profile and moment table by scalar arithmetic,
 the lifted Green function pair by pair, the message rounds edge by edge,
 the scalar and the rational Kesten-McKay forms, a node-by-node sweep of
-one tree ball, scalar potential draws, the girth, the graph file reader
-and the edge-list constructor, the ring kernel by one BFS per vertex, the
-scipy routes (CSR powers, ARPACK) that the numpy moment and expansion
-checks replace, the per-distance interpolation bound of a distance-only
-bracket, the gap between the lifted and the distance-only brackets over a
-size grid, and the sort-based graph tables (lexsorted neighbor rows and
-edge kernel, the argsort pairing test, the searchsorted reverse edges) that
-the package builds in fewer passes.
+one tree ball and the eps = 0 chain in CPython scalars, scalar potential
+draws, the girth, the graph file reader and the edge-list constructor, the
+ring kernel by one BFS per vertex, the scipy routes (CSR powers, ARPACK)
+that the numpy moment and expansion checks replace, the per-distance
+interpolation bound of a distance-only bracket, the gap between the lifted
+and the distance-only brackets over a size grid, and the sort-based graph
+tables (lexsorted neighbor rows and edge kernel, the argsort pairing test,
+the searchsorted reverse edges) that the package builds in fewer passes.
 """
 
 import json
@@ -199,6 +199,31 @@ def full_ball_green_row(
     return row, omegas
 
 
+def zero_disorder_chain(q, depth, gamma, leaf_mode):
+    """Cavity values of levels 1..depth of an eps = 0 ball, in CPython scalars.
+
+    All siblings coincide, so each level is one value: the leaf (the free
+    fixed point, or the bare 1/gamma), then crecip_scalar(gamma - s) per
+    level up, s the sum of q copies of the level below from 0j.  values[k-1]
+    is level k; values[depth-1] is the leaf.
+    """
+    g = complex(gamma)
+    if leaf_mode == "free":
+        z = complex(tree_green.free_forward_green_complex(g, q))
+    elif leaf_mode == "bare":
+        z = crecip_scalar(g)
+    else:
+        raise ConfigError(f"unknown leaf_mode {leaf_mode!r}")
+    values = [z]
+    for _ in range(depth - 1):
+        s = 0j
+        for _ in range(q):
+            s += z
+        z = crecip_scalar(g - s)
+        values.append(z)
+    return np.array(values[::-1], dtype=np.complex128)
+
+
 def zero_disorder_profile(q, eta, r_max, lambdas, depth, leaf_mode):
     """Means of the eps = 0 distance profile by the scalar route, shape
     (r_max + 1, L): per lambda the depth-``depth`` chain, the Schur diagonal
@@ -207,7 +232,7 @@ def zero_disorder_profile(q, eta, r_max, lambdas, depth, leaf_mode):
     means = np.empty((r_max + 1, len(lambdas)))
     for i, lam in enumerate(lambdas):
         gamma = complex(lam, eta)
-        values = tree_green._zero_disorder_chain(q, depth, gamma, leaf_mode)
+        values = zero_disorder_chain(q, depth, gamma, leaf_mode)
         green = green_diagonal(np.full(q + 1, values[0]), 0.0, 0.0, gamma)
         means[0, i] = green.imag
         for r in range(1, r_max + 1):
@@ -228,7 +253,7 @@ def zero_disorder_moments(q, pot_spec, lambda_grid, eta_grid, s_list, depth, lea
             if leaf_mode == "free":
                 z = complex(tree_green.free_forward_green_complex(gamma, q))
             else:
-                z = complex(tree_green._zero_disorder_chain(q, depth + 1, gamma, leaf_mode)[0])
+                z = complex(zero_disorder_chain(q, depth + 1, gamma, leaf_mode)[0])
             floor = tree_green.imag_floor(q, 0.0, pot_spec.support_bound, abs(lam), eta)
             clamped = max(abs(z.imag), floor)
             rows.append((abs(z.imag), z.imag * z.imag, {s: clamped ** (-s) for s in s_list}))

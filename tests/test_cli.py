@@ -111,6 +111,7 @@ ONE_FAULT = [
     ({"esd": {"reference": "semicircle"}}, "esd.reference"),
     ({"potential": {"kind": "gaussian"}}, "potential kind"),
     ({"potential": {"support_bound": 0.0}}, "support_bound"),
+    ({"eta0_values": [0.2, 0.1, 0.2]}, "eta0_values"),
 ]
 
 
@@ -214,6 +215,31 @@ def test_threads_do_not_change_output(tmp_path):
         assert _read_all(out1) == _read_all(out2)
     # the empty grid's per-point files hold only their header
     assert (out1 / "qe_diag.csv").read_text().count("\n") == 1
+
+
+def test_empty_grid_builds_no_per_point_inputs(tmp_path, monkeypatch):
+    # with no grid point, the per-point stages build neither the profile nor
+    # the ids reference, and write only their headers; the moment table,
+    # which check-conditions writes whatever the grid, is still built
+    from qelab import tree_green
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a profile was built for a grid without points")
+
+    monkeypatch.setattr(tree_green, "distance_ratio_profile", unreachable)
+    # depth 40 would put the profile far beyond the Monte-Carlo work cap
+    cfg = dict(MINI, graph_seeds=[], pot_seeds=[], esd={"reference": "ids"},
+               mc={"samples": 32, "depth": 40, "lambda_spacing": 0.5})
+    path = _write(tmp_path, cfg)
+    for command, csv in [("qe-kernel", "qe_kernel.csv"), ("esd", "esd.csv"), ("run", "esd.csv")]:
+        out = tmp_path / command
+        assert cli.main([command, "--config", path, "--out", str(out), "--threads", "1"]) == 0
+        assert (out / csv).read_text().count("\n") == 1
+    out = tmp_path / "check"
+    cfg["mc"]["depth"] = 6
+    assert cli.main(["check-conditions", "--config", _write(tmp_path, cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+    assert (out / "green_moments.csv").read_text().count("\n") > 1
 
 
 def test_zero_disorder_constant_observable_zero_column(tmp_path):

@@ -17,14 +17,10 @@ from qelab import _kernels, _rng, anderson, graphs, tree_green
 SPEC = anderson.PotentialSpec()
 
 GOLDEN = {
-    "cavity/0.0/bare": "b390c2efba9c6fc893e439211a8daf429d6976653aec1e27ea2e55580b76f055",
-    "cavity/0.0/free": "1bac8f68ccf80e7617ec21af7aa41c7ae1128e4c40ecff8a4778864905b63739",
     "cavity/0.25/bare": "500b07e83d9997c04dbbe362aa248270c844162609cbc357d8a6070511c0aab9",
     "cavity/0.25/free": "3778d8c03ac7b13fb320bde83c2928e6a9993c564b9c25bd9601e684b7b8f616",
     "messages/0.0": "39a39771628a7f999cb63f9c485f1e23056fb3dfa4d8eeb406760d588666d911",
     "messages/0.3": "97b372b28c4f7324a961e9c9dde325077c536e99adf48fd7324f21dc82a83bec",
-    "ray/0.0/bare": "d01c14c6468ff1ff723a9d166a7c26a9d5752ddf8dd8cb6035bfb31c67386961",
-    "ray/0.0/free": "3a37761dfebfe281eb5397d1c8189c78d2ded79304bf7a912b409f56605d0876",
     "ray/0.25/bare": "8b672948904f4eeebe46f3cd6a9fb23b58b864a0adbfd6fea06f28ec3fc126cf",
     "ray/0.25/free": "705de94fa1ae187072239cba37cc66779e1bb74431bae666a12eb2b7e15c1ee0",
     "sweep/2/6/0.0/bare": "4e2d3a16b08b9eae9f5c4545f4a21b6a7b16c80b030363d7cc2f2295ee23d92d",
@@ -63,7 +59,7 @@ def tree_sweep(q, eps, gamma, depth, seed, leaf_mode, spine_len):
     abs_cap = 1.0 / gamma.imag
     floor = tree_green.imag_floor(q, eps, SPEC.support_bound, abs(gamma.real), gamma.imag)
     if eps == 0.0:
-        values = tree_green._zero_disorder_chain(q, depth, gamma, leaf_mode)
+        values = oracles.zero_disorder_chain(q, depth, gamma, leaf_mode)
         viol = np.zeros(4, dtype=np.int64)
         _kernels._check_vec(values, abs_cap, floor, viol)
         omega_root = oracles.draw_omega_scalar(SPEC.kind, SPEC.support_bound, key, 0)
@@ -91,7 +87,7 @@ def test_sweep_golden(q, depth, eps, leaf_mode):
 
 
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
-@pytest.mark.parametrize("eps", [0.25, 0.0])
+@pytest.mark.parametrize("eps", [0.25])
 def test_ray_and_cavity_batches_golden(eps, leaf_mode):
     # "ray": Im G(o, y_r), r = 0..2, of (q+1)-branch balls down a ray of branch
     # 1, as the distance profile takes them; "cavity": q-branch root values,
@@ -177,16 +173,37 @@ def test_message_indices_out_of_range_raise(which, bad):
                                   5.0, 0.0)
 
 
-def test_zero_disorder_chain_matches_kernel_sweep():
-    q, depth = 2, 10
-    gamma = 0.3 + 0.15j
-    chain = tree_green._zero_disorder_chain(q, depth, gamma, "bare")
-    branch, spine, _, _ = oracles.cavity_sweep(
-        q, depth, q + 1, 0.0, gamma, None, SPEC.kind, 1.0,
-        _rng.derive_key(3, "tree-sweep"), depth, 0, 1.0 / gamma.imag, 0.0,
+@pytest.mark.parametrize("leaf_mode", ["bare", "free"])
+@pytest.mark.parametrize("extra_branch", [0, 1])
+@pytest.mark.parametrize("q", [2, 3])
+def test_zero_disorder_batch_matches_full_ball(q, extra_branch, leaf_mode):
+    # at eps = 0 tree_batch sweeps one chain, one node per level, and matches
+    # every node of the full ball swept node by node: the spine bit for bit,
+    # the root from the branch values, the counters once per level there and
+    # once per node here (the floor makes some levels count)
+    depth, branches, gamma = 6, q + extra_branch, 0.3 + 0.15j
+    leaf = leaf_for(leaf_mode, gamma, q)
+    cap, floor, key = 1.0 / gamma.imag, 0.67, _rng.derive_key(3, "tree-sweep")
+    root, spine, viol = _kernels.tree_batch(
+        q, depth, branches, 0.0, [gamma], [leaf], SPEC.kind, 1.0, key, 64, depth, 1,
+        [cap], [floor],
     )
-    assert np.array_equal(np.full(q + 1, chain[0]), branch)
-    assert np.array_equal(chain, spine)
+    assert root.shape == (1, 1) and spine.shape == (1, 1, depth)
+    branch, want_spine, _, want_viol = oracles.cavity_sweep(
+        q, depth, branches, 0.0, gamma, leaf, SPEC.kind, 1.0, key, depth, 1, cap, floor,
+    )
+    assert spine[0, 0].tobytes() == want_spine.tobytes()
+    s = 0j
+    for z in branch:
+        s += z
+    assert root[0, 0] == oracles.crecip_scalar(gamma - s)
+    per_level = np.zeros((depth, 4), dtype=np.int64)
+    for k in range(depth):
+        _kernels._check_vec(spine[0, 0, k : k + 1], cap, floor, per_level[k])
+    assert per_level[:, 2].any()
+    assert viol[0].tolist() == per_level.sum(axis=0).tolist()
+    widths = np.array(_kernels.level_sizes(q, depth, branches))
+    assert want_viol.tolist() == (widths @ per_level).tolist()
 
 
 def test_segment_sums_matches_sequential():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import oracles
 import pytest
@@ -232,6 +234,13 @@ def test_kernel_requires_real_for_positive_range(small_case):
     )
     with pytest.raises(ConfigError, match="real"):
         qe.qe_statistic_kernel(complex_sd, kernel, 2.0, curve, q=2)
+    # the guard holds at range 0 too: complex eigenvectors, or complex entries
+    diag = qe.diagonal_kernel(qe.make_observable("indicator", g.n, 3))
+    complex_diag = dataclasses.replace(diag, values=diag.values.astype(np.complex128))
+    with pytest.raises(ConfigError, match="real"):
+        qe.qe_statistic_kernel(complex_sd, diag, 2.0, qe.unit_diagonal_curve(diag), q=2)
+    with pytest.raises(ConfigError, match="real"):
+        qe.qe_statistic_kernel(sd, complex_diag, 2.0, qe.unit_diagonal_curve(diag), q=2)
 
 
 def test_window_validation():

@@ -85,7 +85,7 @@ def test_sweep_free_seed_is_exact_at_zero_disorder():
     # with free-value leaves the zero-disorder recursion is stationary
     gamma = 0.5 + 0.1j
     want = tg.free_forward_green_complex(gamma, 2)
-    chain = tg._zero_disorder_chain(2, 50, gamma, "free")
+    chain = oracles.zero_disorder_chain(2, 50, gamma, "free")
     assert np.max(np.abs(chain - want)) < 1e-13
 
 
@@ -93,7 +93,7 @@ def test_sweep_bare_converges_at_zero_disorder():
     # bare leaves contract with rate |q zeta^2| ~ 0.93 at eta = 0.1: depth 250
     gamma = 0.5 + 0.1j
     want = tg.free_forward_green_complex(gamma, 2)
-    chain = tg._zero_disorder_chain(2, 250, gamma, "bare")
+    chain = oracles.zero_disorder_chain(2, 250, gamma, "bare")
     assert abs(chain[0] - want) < 1e-6
 
 
@@ -121,8 +121,9 @@ def test_eta_zero_rejected_unless_free_zero_disorder():
     with pytest.raises(ConfigError):
         tg.distance_ratio_profile(2, SPEC, 0.0, 0.0, 1, [0.5], 2, 1, 4, leaf_mode="bare")
     tg.distance_ratio_profile(2, SPEC, 0.0, 0.0, 1, [0.5], 2, 1, 4, leaf_mode="free")
-    chain = tg._zero_disorder_chain(2, 4, 0.5 + 0.0j, "free")
-    assert chain[0] == tg.free_forward_green(0.5, 2)
+    # the moment table's root is the free value itself, exact at eta = 0
+    table = tg.green_condition_moments(2, SPEC, 0.0, [0.5], [0.0], [1.0], 2, 1, 4, "free")
+    assert table.points[0].abs_mean == -tg.free_forward_green(0.5, 2).imag
 
 
 # ----------------------------------------------------------------------
