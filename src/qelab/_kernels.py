@@ -10,18 +10,22 @@ round; from zero messages its first round gives the bare site values
 1/(gamma - eps*omega).  ``crecip_parts`` is the one reciprocal of both.
 
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
-level by level over a (samples x level width) array, in sample blocks of at
-most ``_BLOCK_NODES`` nodes on the widest level they compute (a free-leaf
-level is one value shared by every node and does not count), and sweep
-every gamma of a grid over the potentials that a block draws once.  Each
-level is updated in chunks of consecutive sample rows of at most a quarter
-of that budget, so the temporaries of an update stay in cache while the
-block, and with it the number of samples that share one numpy call on the
-narrow top levels, stays large.  Message passing is vectorized across the
-directed edges of a graph; its gathers write straight into their round
-buffers (``np.take`` in "wrap" mode, which numpy does not buffer, unlike
-the default "raise"), so the edge indices are range-checked once per call
-and an index out of range raises instead of wrapping.  A call allocates
+level by level, in sample blocks of at most ``_BLOCK_NODES`` nodes on the
+widest level they compute (a free-leaf level is one value shared by every
+node and does not count), and sweep every gamma of a grid over the
+potentials that a block draws once.  A level is two float arrays, its real
+and imaginary parts, of (level width x samples): a row per tree position,
+the positions in sibling-blocked order (child j of the parent at position p
+of a level w wide at position j*w + p), so the children j of a run of
+parents are one run of rows and every update reads and writes contiguous
+memory.  Each level is updated in chunks of consecutive rows of at most a
+quarter of the block budget, so the temporaries of an update stay in cache
+while the block, and with it the number of samples that share one numpy
+call on the narrow top levels, stays large.  Message passing is vectorized
+across the directed edges of a graph; its gathers write straight into
+their round buffers (``np.take`` in "wrap" mode, which numpy does not
+buffer, unlike the default "raise"), so the edge indices are range-checked
+once per call and an index out of range raises instead of wrapping.  A call allocates
 its level, round and scratch arrays once (``SweepWork`` for the trees) and
 reuses them at every level, chunk, block and round, so its memory is paged
 in once rather than at every level; the operations and their order are
@@ -47,7 +51,8 @@ Conventions shared by every kernel:
   the squared moduli its reciprocals left behind; any other is counted
   node by node (``_check_vec``);
 * tree nodes are numbered in level order: root 0, then level k holding
-  ``branches * q**(k-1)`` nodes; node ids feed the potential stream;
+  ``branches * q**(k-1)`` nodes; node ids feed the potential stream, so a
+  node draws the same potential in the sweeps' sibling-blocked layout;
 * ``leaf`` is the free fixed-point value that seeds every leaf, or None for
   bare leaves 1/(gamma - eps*omega).
 
@@ -76,11 +81,14 @@ def crecip_vec(z: np.ndarray) -> np.ndarray:
     kernel routes through this one formula so results stay bit-identical.
     Safe without Smith scaling: cavity denominators live in [eta, O(1/eta)].
     """
-    return crecip_parts(z.real, -z.imag)
+    out = np.empty(np.shape(z), dtype=np.complex128)
+    crecip_parts(z.real, -z.imag, out.real, out.imag)
+    return out
 
 
-def crecip_parts(zr, ni, out=None, den=None, sq=None) -> np.ndarray:
-    """1/(zr - 1j*ni) by ``crecip_vec``'s formula, from real arrays (or scalars).
+def crecip_parts(zr, ni, re=None, im=None, den=None, sq=None):
+    """1/(zr - 1j*ni) by ``crecip_vec``'s formula, from real arrays (or
+    scalars) into real and imaginary parts: returns (re, im).
 
     ``ni`` is the negated imaginary part of the denominator, so its quotient
     ni/den is the formula's -zi/den with no negation pass: the quotient of a
@@ -89,19 +97,22 @@ def crecip_parts(zr, ni, out=None, den=None, sq=None) -> np.ndarray:
     sum.imag - gamma.imag, which is -(gamma.imag - sum.imag) bit for bit
     unless the two cancel exactly (+0 against -0), and they never do while
     the children keep Im z < 0 < eta.  Taking the parts apart also saves the
-    complex temporaries of that update, whose site term is real.  ``out``
-    (complex) and ``den`` (float), of the broadcast shape, and ``sq`` (float,
-    of the shape of ``ni``, for ni*ni) are optional buffers; without ``sq``
-    numpy allocates the square.  ``den`` is left holding the squared modulus
-    zr*zr + ni*ni, which ``_check_vec`` reads.
+    complex temporaries of that update, whose site term is real.  ``re``,
+    ``im`` and ``den`` (float, of the broadcast shape; the parts may be the
+    ``.real`` and ``.imag`` of a complex array) and ``sq`` (float, of the
+    shape of ``ni``, for ni*ni) are optional buffers; without ``sq`` numpy
+    allocates the square.  ``den`` is left holding the squared modulus
+    zr*zr + ni*ni, which ``_check_vec`` reads.  The squares are
+    ``np.square``, the bits of x*x in about half the time of
+    ``np.multiply(x, x)``.
     """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(ni)), dtype=np.complex128)
-    den = np.multiply(zr, zr, out=den if den is not None else np.empty(out.shape))
-    den += np.multiply(ni, ni, out=sq)
-    np.divide(zr, den, out=out.real)
-    np.divide(ni, den, out=out.imag)
-    return out
+    if den is None:
+        den = np.empty(np.broadcast_shapes(np.shape(zr), np.shape(ni)))
+    np.square(zr, out=den)
+    den += np.square(ni, out=sq)
+    re = np.divide(zr, den, out=re)
+    im = np.divide(ni, den, out=im)
+    return re, im
 
 
 def cmul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,41 +143,42 @@ def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
     return off
 
 
-def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.ndarray,
+def _check_vec(re, im, abs_cap: float, im_floor: float, viol: np.ndarray,
                scratch=None, den=None, ni=None) -> None:
-    """Add the bound violations of ``values`` to ``viol``.
+    """Add the bound violations of the values with real parts ``re`` and
+    imaginary parts ``im`` (float arrays of one shape) to ``viol``.
 
     ``den``, when given, is the squared modulus of the denominators whose
-    reciprocals ``values`` are, as ``crecip_parts`` leaves it, and ``ni``
+    reciprocals the values are, as ``crecip_parts`` leaves it, and ``ni``
     their negated imaginary parts.  Two reductions then decide most calls
     in one pass: if every den*cap**2 >= 1 (|z| = 1/sqrt(den) up to a few
     ulp, far inside the 1e-12 slack) and the largest Im z is below 0 and at
     most -floor, all three counts are 0.  When ``ni`` is one number shared
     by every denominator, the largest Im z is ni / den.max() exactly,
-    without a pass over ``values``: it certifies only when it is below 0, so
+    without a pass over ``im``: it certifies only when it is below 0, so
     ni < 0, and a correctly rounded ni/den then grows with den (an array
     ``ni`` is not read).  The sign test is strict because the floor can be
     0, a NaN fails every comparison, and a den below the smallest normal
     float (whose rounding is not relative) is not trusted; any of these
-    falls back to the exact counts, which take |z| per node and count a NaN
-    on the sign bound (the other two comparisons pass it).  ``scratch``
-    is an optional (float64 array, bool array) pair of the shape of
-    ``values`` for the exact counts.
+    falls back to the exact counts, which take |z| per node as
+    ``np.hypot(re, im)``, the bits of CPython's ``abs`` of a complex, and
+    count a NaN on the sign bound (the other two comparisons pass it).
+    ``scratch`` is an optional (float64 array, bool array) pair of the
+    shape of the parts for the exact counts.
     """
-    viol[3] += values.size
-    if den is not None and values.size:
+    viol[3] += im.size
+    if den is not None and im.size:
         low = den.min()
         if low >= _TINY and low * (abs_cap * abs_cap) >= 1.0:
-            top = values.imag.max() if ni is None or np.ndim(ni) else ni / den.max()
+            top = im.max() if ni is None or np.ndim(ni) else ni / den.max()
             if top < 0.0 and top <= -(im_floor * (1.0 - _SLACK)):
                 return
     if scratch is None:
-        scratch = np.empty(values.shape), np.empty(values.shape, dtype=bool)
+        scratch = np.empty(im.shape), np.empty(im.shape, dtype=bool)
     scratch, mask = scratch
-    im = values.imag
     # not (Im z < 0) rather than Im z >= 0, so that a NaN counts as a sign violation
-    viol[0] += values.size - int(np.count_nonzero(np.less(im, 0.0, out=mask)))
-    np.abs(values, out=scratch)
+    viol[0] += im.size - int(np.count_nonzero(np.less(im, 0.0, out=mask)))
+    np.hypot(re, im, out=scratch)
     viol[1] += int(np.count_nonzero(np.greater(scratch, abs_cap * (1.0 + _SLACK), out=mask)))
     # -im < floor exactly when im > -floor: negation is exact
     viol[2] += int(np.count_nonzero(np.greater(im, -(im_floor * (1.0 - _SLACK)), out=mask)))
@@ -178,21 +190,22 @@ def _check_vec(values: np.ndarray, abs_cap: float, im_floor: float, viol: np.nda
 
 # Samples are swept together in blocks of at most this many tree nodes on
 # the widest level a sweep computes, and every level is updated in chunks of
-# consecutive sample rows of at most a quarter of that (``_row_chunks``).
-# A level update keeps about 60 bytes a node in flight (child sums, the parts
-# of the denominators, the output chunk, potentials, mask), so a 2**14-node
-# chunk stays near 1 MB, within a 2 MB per-core L2; only the two level arrays
-# and the potentials span the whole block.  On the moment table (q=3,
-# depth 8, free leaves: 29 samples a block) 2**17 was about 7% faster and
-# raised peak RSS by 2 MB (5%).
+# consecutive rows (tree positions, each holding the block's samples) of at
+# most a quarter of that (``_row_chunks``).  A level update keeps about 60
+# bytes a node in flight (child sums, the parts of the denominators, the
+# output chunk, potentials, mask), so a 2**14-node chunk stays near 1 MB,
+# within a 2 MB per-core L2; only the two level arrays and the potentials
+# span the whole block.  On the moment table (q=3, depth 8, free leaves:
+# 29 samples a block) 2**17 was about 7% faster and raised peak RSS by
+# 2 MB (5%).
 _BLOCK_NODES = 2**16
 
 
-def _row_chunks(rows, width):
-    """Slices of consecutive sample rows, first to last, that update ``rows``
-    rows of a level ``width`` nodes wide: each holds at most
-    ``_BLOCK_NODES // 4`` nodes, or one row if a row alone is wider."""
-    step = max(1, _BLOCK_NODES // 4 // width)
+def _row_chunks(rows, length):
+    """Slices of consecutive rows, first to last, that update the ``rows``
+    rows of ``length`` nodes of a level array: each holds at most
+    ``_BLOCK_NODES // 4`` nodes, or one row if a row alone is longer."""
+    step = max(1, _BLOCK_NODES // 4 // length)
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
@@ -201,39 +214,42 @@ def _drawn_sizes(sizes, free_leaves):
     return sizes[:-1] if free_leaves else sizes
 
 
-# views of a chunk's scratch: child sums, real and negated imaginary parts of
-# the denominators, their squared modulus, the (float, mask) scratch of the
-# exact checks (den is free once checked) and the uint64 scratch of the draws
+# views of a chunk's scratch: the real child sums (then the squares ni*ni),
+# the real and negated imaginary parts of the denominators (ni holds the
+# imaginary child sums first), their squared modulus, the (float, mask)
+# scratch of the exact checks (den is free once checked) and the uint64
+# scratch of the draws
 _Chunk = collections.namedtuple("_Chunk", "sums zr ni den check bits")
 
 
 class SweepWork:
     """Buffers that a tree sweep reuses from level to level and block to block.
 
-    Sized for blocks of up to ``rows`` samples of a ball whose levels hold
-    ``sizes`` nodes per sample.  The level values (two, used in turn) and the
-    potentials of every level span the whole block.  The scratch of a level
-    update spans one chunk of rows (``_row_chunks``), never more than the
-    block's widest level: the child sums, the real and negated imaginary
-    parts of the denominators and their squared modulus (also the float
-    scratch of the checks), the check mask and the uint64 scratch of the
-    potential draws.  With ``free_leaves`` the deepest level is one value
-    shared by every node of every sample: it takes no cells and no
-    potentials.  Every array an update needs is a view of the first cells
-    of one of these, so a sweep touches the same pages at every level and
-    chunk.
+    Sized for blocks of up to ``samples`` samples of a ball whose levels
+    hold ``sizes`` nodes per sample.  The level values (two levels, used in
+    turn, each as a real and an imaginary float array) and the potentials
+    of every level span the whole block.  The scratch of a level update
+    spans one chunk of rows (``_row_chunks``), never more than the block's
+    widest level: the real child sums, the real and negated imaginary parts
+    of the denominators and their squared modulus (also the float scratch
+    of the checks), the check mask and the uint64 scratch of the potential
+    draws.  With ``free_leaves`` the deepest level is one value shared by
+    every node of every sample: it takes no cells and no potentials.  Every
+    array an update needs is a view of the first cells of one of these, so
+    a sweep touches the same pages at every level and chunk.
     """
 
-    def __init__(self, rows: int, sizes, free_leaves: bool = False):
+    def __init__(self, samples: int, sizes, free_leaves: bool = False):
         drawn = _drawn_sizes(sizes, free_leaves)
-        chunk = max((_row_chunks(rows, w)[0].stop * w for w in drawn), default=0)
+        # a chunk of a block of at most ``samples`` samples: see _row_chunks
+        chunk = min(max(_BLOCK_NODES // 4, samples), samples * max(drawn, default=0))
         # level k lives in levels[k % 2], sized by the widest level of its parity
         self.levels = tuple(
-            np.empty(rows * max(drawn[1 - parity :: 2], default=0), dtype=np.complex128)
-            for parity in (0, 1)
+            (np.empty(cells), np.empty(cells))
+            for cells in (samples * max(drawn[1 - parity :: 2], default=0) for parity in (0, 1))
         )
         self.scratch = {
-            "sums": np.empty(chunk, dtype=np.complex128),
+            "sums": np.empty(chunk),
             "zr": np.empty(chunk),
             "ni": np.empty(chunk),
             "den": np.empty(chunk),
@@ -241,12 +257,13 @@ class SweepWork:
             "bits0": np.empty(chunk, dtype=np.uint64),
             "bits1": np.empty(chunk, dtype=np.uint64),
         }
-        self.sites = np.empty(rows * sum(drawn))
+        self.sites = np.empty(samples * sum(drawn))
         self._chunks = {}
 
-    def level(self, k: int, shape: tuple) -> np.ndarray:
-        """Level k's values: the first cells of the level array of k's parity."""
-        return self.levels[k % 2][: math.prod(shape)].reshape(shape)
+    def level(self, k: int, shape: tuple) -> tuple:
+        """Level k's (real, imaginary) parts: the first cells of the level
+        arrays of k's parity."""
+        return tuple(part[: math.prod(shape)].reshape(shape) for part in self.levels[k % 2])
 
     def chunk(self, shape: tuple) -> _Chunk:
         """The scratch of one chunk update as arrays of ``shape``, made once per shape."""
@@ -263,73 +280,14 @@ def _sum_children(kids, count, out=None):
     """Sum of ``count`` children along the last axis, in child order from 0.
 
     The same bits as a scalar loop ``s = 0j; s += z``: the first pass adds
-    child 0 to 0j (which turns a -0.0 part into +0.0) instead of filling
+    child 0 to 0 (which turns a -0.0 part into +0.0) instead of filling
     zeros and adding.  A last axis of length 1 holds one value shared by all
-    ``count`` children.  ``out`` is an optional complex buffer of the
-    result's shape.
+    ``count`` children.  ``out`` is an optional buffer of the result's shape.
     """
-    total = np.empty(kids.shape[:-1], dtype=np.complex128) if out is None else out
-    np.add(kids[..., 0], 0.0, out=total)
+    total = np.add(kids[..., 0], 0.0, out=out)
     for j in range(1, count):
         total += kids[..., j % kids.shape[-1]]
     return total
-
-
-def cavity_levels(q, sizes, gamma, leaf, site, work):
-    """The cavity recursion z = 1/(gamma - site - sum of q children), leaves first.
-
-    Level k = 1..depth holds (samples, sizes[k-1]) values, in level order
-    along the last axis.  A level kept at the size of the level above it
-    holds one value shared by all q children of each parent: with every
-    size 1 this is the eps = 0 chain, where all siblings coincide.
-    ``site(k)`` returns eps*omega on level k for every sample.  Bare leaves
-    call it; free leaves (``leaf`` not None) do not: they are one value,
-    shared by every node of every sample, and every node of the level above
-    sums the same q copies of it, so that level's denominators share one
-    negated imaginary part.
-
-    Each level is updated in chunks of consecutive sample rows
-    (``_row_chunks``).  Yields (k, rows, values, den, ni) per chunk, for
-    k = depth, ..., 1: the samples ``rows`` (a slice), their values, and
-    the squared moduli ``den`` and negated imaginary parts ``ni`` of the
-    denominators (an array, or one number on the bare leaf level and above
-    free leaves), as ``_check_vec`` takes them.  A free-leaf level comes as
-    one read-only (1, width) chunk for ``rows = slice(None)``, with den and
-    ni None.  values and den live in the buffers of ``work`` (a
-    ``SweepWork``); values are overwritten two levels later, den at the
-    next chunk.
-    """
-    depth = len(sizes)
-    values = None
-    for k in range(depth, 0, -1):
-        width = sizes[k - 1]
-        if values is None and leaf is not None:
-            values = np.broadcast_to(np.complex128(leaf), (1, width))
-            yield k, slice(None), values, None, None
-            continue
-        pot = site(k)
-        if values is None:
-            kids, total, ni = None, None, -gamma.imag
-        elif k == depth - 1 and leaf is not None:
-            kids, total = None, _sum_children(values[:, :1, None], q)[0, 0]
-            ni = total.imag - gamma.imag
-        else:
-            kids = values.reshape(values.shape[0], width, -1)
-        m = pot.shape[0]
-        level = work.level(k, (m, width))
-        for rows in _row_chunks(m, width):
-            chunk = work.chunk((rows.stop - rows.start, width))
-            zr = np.subtract(gamma.real, pot[rows], out=chunk.zr)
-            sq = None
-            if kids is not None:
-                total = _sum_children(kids[rows], q, chunk.sums)
-                ni = np.subtract(total.imag, gamma.imag, out=chunk.ni)
-                # the child sums are spent once zr and ni are built
-                sq = chunk.sums.view(np.float64)[:, :width]
-            if total is not None:
-                zr -= total.real
-            yield k, rows, crecip_parts(zr, ni, level[rows], chunk.den, sq), chunk.den, ni
-        values = level
 
 
 def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_key, samples,
@@ -348,27 +306,52 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     by level, once and in the row chunks of the level updates, and sweeps
     every gamma over the same draws with its own leaf, cap and floor.
     Returns (root cavity values 1/(gamma - eps*omega_root - sum of the
-    branch values), taken in each row chunk of level 1, shape
-    (G, samples); cavity values at depths 1..spine_len along the first ray
-    of branch ``ray_branch``, shape (G, samples, spine_len); violation
-    counters of levels 1..depth, shape (G, 4)).  The roots are not checked
-    here: with q + 1 branches a root is -G(o, o), with q it is a cavity
-    value, and each caller checks its roots itself.
+    branch values), shape (G, samples); cavity values at depths
+    1..spine_len along the first ray of branch ``ray_branch``, shape
+    (G, samples, spine_len); violation counters of levels 1..depth, shape
+    (G, 4)).  The roots are not checked here: with q + 1 branches a root is
+    -G(o, o), with q it is a cavity value, and each caller checks its roots
+    itself.
+
+    The recursion z = 1/(gamma - eps*omega - sum of the q children) runs
+    leaves first.  Level k of a block of m samples is a pair of float
+    arrays, the real and the imaginary parts, of shape (width, m): row p
+    holds position p of every sample, and the positions are in
+    sibling-blocked order, child j of the parent at position p of a level
+    w wide at position j*w + p.  The children j of a run of parent rows are
+    then one run of rows, so a child sum is q contiguous slices added in
+    child order from 0, every update, reciprocal and check reads and writes
+    contiguous memory, and the spine of branch b is row b of every level.
+    Node p of level k draws its potential at its level-order id
+    offsets[k] + perm_k[p], where perm_1 is the identity (level 1 is in
+    root-sum order) and perm_{k+1}[j*w + p] = perm_k[p]*q + j, so no draw
+    depends on the layout.  Each level is updated in chunks of consecutive
+    rows (``_row_chunks``), each checked from the squared moduli its
+    reciprocals leave behind (``_check_vec``).  Bare leaves (``leaf`` None)
+    are 1/(gamma - eps*omega); a free leaf is one value shared by every
+    node of every sample, checked once for all of them, and every node of
+    the level above sums the same q copies of it, so that level's
+    denominators share one negated imaginary part.
 
     At eps = 0 every ball is the same and all siblings coincide, so the
     batch is one sample (m = 1 in the shapes above) with one node per level,
-    the layout of ``cavity_levels`` in which a level holds one value shared
-    by all q children of each parent: no potentials are drawn (the sites
-    are zeros), the spine is read at that one node whatever ``ray_branch``
-    is, and the counters count one node per level.
+    a level of the width of the level above it holding one value shared by
+    all q children: no potentials are drawn (the sites are zeros), the
+    spine is read at that one node whatever ``ray_branch`` is, and the
+    counters count one node per level.
     """
     chain = eps == 0.0
     if chain:
-        samples, sizes = 1, [1] * depth
+        samples, sizes, ray = 1, [1] * depth, 0
     else:
+        sizes, ray = level_sizes(q, depth, branches), ray_branch
         offsets = level_offsets(q, depth, branches)
-        sizes = level_sizes(q, depth, branches)
-    keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))[:, None]
+        # each level's level-order ids in sibling-blocked order, as a column
+        ids, perm = {}, np.arange(branches, dtype=np.int64)
+        for k in range(1, depth + 1):
+            ids[k] = (offsets[k] + perm)[:, None]
+            perm = (perm * q + np.arange(q)[:, None]).ravel()
+    keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     free = all(leaf is not None for leaf in leaves)
     per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free) or sizes))
     work = SweepWork(min(per_block, samples), sizes, free)
@@ -382,38 +365,68 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
 
         def site(k):
             if chain:
-                return np.zeros((m, 1))
+                return np.zeros((1, 1))
             if k not in sites:
                 width = sizes[k - 1]
-                ids = offsets[k] + np.arange(width, dtype=np.int64)
                 first = m * (offsets[k] - 1)
-                sites[k] = work.sites[first : first + m * width].reshape(m, width)
-                for rows in _row_chunks(m, width):
+                sites[k] = work.sites[first : first + m * width].reshape(width, m)
+                for rows in _row_chunks(width, m):
                     out = sites[k][rows]
-                    draw_omega_vec(pot_kind, pot_a, keys[block][rows], ids, out,
+                    draw_omega_vec(pot_kind, pot_a, keys[None, block], ids[k][rows], out,
                                    work.chunk(out.shape).bits)
                     out *= eps
             return sites[k]
 
         site_root = np.zeros(m) if chain else eps * draw_omega_vec(
-            pot_kind, pot_a, keys[block], np.zeros(1, dtype=np.int64))[:, 0]
-        roots, rays = root[:, block], spine[:, block]
+            pot_kind, pot_a, keys[block, None], np.zeros(1, dtype=np.int64))[:, 0]
         for i, gamma in enumerate(gammas):
-            for k, rows, values, den, ni in cavity_levels(q, sizes, gamma, leaves[i], site, work):
-                if den is None:
-                    # a free-leaf level: one value for all m * width nodes
+            cap, floor = abs_caps[i], im_floors[i]
+            # the (real, imaginary) arrays of the level under k, or with free
+            # leaves, on the level above them, the sum of q copies of the leaf
+            below, total = None, None
+            for k in range(depth, 0, -1):
+                width = sizes[k - 1]
+                if k == depth and leaves[i] is not None:
+                    leaf = complex(leaves[i])
+                    parts = np.array([leaf.real]), np.array([leaf.imag])
                     counts = np.zeros(4, dtype=np.int64)
-                    _check_vec(values[:, :1], abs_caps[i], im_floors[i], counts)
-                    viol[i] += counts * (m * values.shape[1])
+                    _check_vec(*parts, cap, floor, counts)
+                    viol[i] += counts * (m * width)
+                    # one read-only value for all m * width nodes
+                    level = tuple(np.broadcast_to(part, (width, 1)) for part in parts)
+                    total = _sum_children(np.array([leaf]), q)
                 else:
-                    # den is read before the exact counts overwrite it
-                    _check_vec(values, abs_caps[i], im_floors[i], viol[i],
-                               work.chunk(values.shape).check, den, ni)
+                    pot, level = site(k), work.level(k, (width, m))
+                    if below is not None:
+                        # child j of row p is row j*width + p below: children on the last axis
+                        kids = [part.reshape(-1, width, m).transpose(1, 2, 0) for part in below]
+                    ni = -gamma.imag if total is None else total.imag - gamma.imag
+                    for rows in _row_chunks(width, m):
+                        chunk = work.chunk(pot[rows].shape)
+                        zr = np.subtract(gamma.real, pot[rows], out=chunk.zr)
+                        sq = None
+                        if below is not None:
+                            sums = _sum_children(kids[0][rows], q, chunk.sums)
+                            ni = _sum_children(kids[1][rows], q, chunk.ni)
+                            ni -= gamma.imag
+                            zr -= sums
+                            sq = sums  # the real child sums are spent once zr is built
+                        elif total is not None:
+                            zr -= total.real
+                        re, im = crecip_parts(zr, ni, level[0][rows], level[1][rows],
+                                              chunk.den, sq)
+                        # den is read before the exact counts overwrite it
+                        _check_vec(re, im, cap, floor, viol[i], chunk.check, chunk.den, ni)
+                    below, total = level, None
                 if k <= spine_len:
-                    rays[i, rows, k - 1] = values[:, 0 if chain else ray_branch * q ** (k - 1)]
-                if k == 1:
-                    roots[i, rows] = crecip_vec(
-                        gamma - site_root[rows] - _sum_children(values, branches))
+                    values = spine[i, block, k - 1]
+                    values.real, values.imag = level[0][ray], level[1][ray]
+            # crecip_vec(gamma - site_root - sum of the branch values), by parts
+            zr = np.subtract(gamma.real, site_root)
+            zr -= _sum_children(level[0].T, branches)
+            ni = np.subtract(gamma.imag, _sum_children(level[1].T, branches))
+            values = root[i, block]
+            crecip_parts(zr, np.negative(ni, out=ni), values.real, values.imag)
     return root, spine, viol
 
 
@@ -458,6 +471,7 @@ def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floo
         diff -= np.take(msg, rev, out=out, mode="wrap")
         np.subtract(base, diff.real, out=zr)
         np.subtract(diff.imag, g.imag, out=ni)
-        msg = crecip_parts(zr, ni, out, den, sq)
-        _check_vec(msg, abs_cap, im_floor, viol, scratch, den)
+        crecip_parts(zr, ni, out.real, out.imag, den, sq)
+        msg = out
+        _check_vec(msg.real, msg.imag, abs_cap, im_floor, viol, scratch, den)
     return msg, viol

@@ -179,7 +179,7 @@ def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, sample
     if epsilon == 0.0 and branches == q and leaf_mode == "free":
         root[:, 0] = leaves
     for i in range(len(gammas)):
-        _kernels._check_vec(root[i], caps[i], floors[i], viol[i])
+        _kernels._check_vec(root[i].real, root[i].imag, caps[i], floors[i], viol[i])
     return root, spine, viol, floors
 
 

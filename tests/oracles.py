@@ -176,15 +176,21 @@ def full_ball_green_row(
     omegas = _rng.draw_omega_vec(
         pot_spec.kind, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
     )
-    sizes = [branches * q**k for k in range(depth)]
-
-    def site(k):
-        return epsilon * omegas[None, offsets[k] : offsets[k] + sizes[k - 1]]
-
+    # the cavity values of each level in level order, leaves first, in CPython scalars
     values_by_level: list[np.ndarray] = [None] * (depth + 1)
-    work = _kernels.SweepWork(1, sizes)
-    for k, _, values, _, _ in _kernels.cavity_levels(q, sizes, g, leaf, site, work):
-        values_by_level[k] = values[0].copy()
+    below = []
+    for k in range(depth, 0, -1):
+        level = []
+        for p in range(branches * q ** (k - 1)):
+            if k == depth and leaf is not None:
+                level.append(complex(leaf))
+                continue
+            s = 0j
+            for z in below[p * q : (p + 1) * q]:
+                s += z
+            level.append(crecip_scalar(g - epsilon * float(omegas[offsets[k] + p]) - s))
+        values_by_level[k] = np.array(level, dtype=np.complex128)
+        below = level
 
     row = np.empty(n, dtype=np.complex128)
     diag = green_diagonal(values_by_level[1], float(omegas[0]), epsilon, g)

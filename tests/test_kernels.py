@@ -61,7 +61,7 @@ def tree_sweep(q, eps, gamma, depth, seed, leaf_mode, spine_len):
     if eps == 0.0:
         values = oracles.zero_disorder_chain(q, depth, gamma, leaf_mode)
         viol = np.zeros(4, dtype=np.int64)
-        _kernels._check_vec(values, abs_cap, floor, viol)
+        _kernels._check_vec(values.real, values.imag, abs_cap, floor, viol)
         omega_root = oracles.draw_omega_scalar(SPEC.kind, SPEC.support_bound, key, 0)
         return np.full(q + 1, values[0]), values[:spine_len].copy(), omega_root, viol
     return oracles.cavity_sweep(
@@ -108,7 +108,7 @@ def test_ray_and_cavity_batches_golden(eps, leaf_mode):
         [cap], [floor],
     )
     assert spine.shape == (1, samples, 0)
-    _kernels._check_vec(zeta[0], cap, floor, viol[0])
+    _kernels._check_vec(zeta[0].real, zeta[0].imag, cap, floor, viol[0])
     assert digest(zeta[0], viol[0]) == GOLDEN[f"cavity/{eps}/{leaf_mode}"]
 
 
@@ -143,7 +143,7 @@ def test_message_rounds_match_per_edge_loop(eps, cap, floor):
     # one round from zero is the bare site value 1/(gamma - eps*omega), counted alike
     bare = _kernels.crecip_vec(gamma - pot.epsilon * pot.omega[nbrs])
     bare_viol = np.zeros(4, dtype=np.int64)
-    _kernels._check_vec(bare, cap, floor, bare_viol)
+    _kernels._check_vec(bare.real, bare.imag, cap, floor, bare_viol)
     assert msg0.tobytes() == bare.tobytes()
     assert viol0.tolist() == bare_viol.tolist()
     if floor:
@@ -199,7 +199,8 @@ def test_zero_disorder_batch_matches_full_ball(q, extra_branch, leaf_mode):
     assert root[0, 0] == oracles.crecip_scalar(gamma - s)
     per_level = np.zeros((depth, 4), dtype=np.int64)
     for k in range(depth):
-        _kernels._check_vec(spine[0, 0, k : k + 1], cap, floor, per_level[k])
+        level = spine[0, 0, k : k + 1]
+        _kernels._check_vec(level.real, level.imag, cap, floor, per_level[k])
     assert per_level[:, 2].any()
     assert viol[0].tolist() == per_level.sum(axis=0).tolist()
     widths = np.array(_kernels.level_sizes(q, depth, branches))

@@ -119,7 +119,7 @@ def test_kernel_statistic_against_brute_force(small_case):
         assert np.array_equal(profile.stderrs[:, i], stderrs)
         assert profile.ratios[1, i] == means[1] / means[0] and profile.ratios[0, i] == 1.0
         # the profile checks the 200 roots on top of the levels of the balls
-        _kernels._check_vec(root[0], 5.0, floor, viol[0])
+        _kernels._check_vec(root[0].real, root[0].imag, 5.0, floor, viol[0])
         violations += viol[0]
     assert np.array_equal(profile.violations, violations)
     kernel = qe.edge_kernel(g)

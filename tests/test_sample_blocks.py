@@ -3,7 +3,8 @@
 ``_kernels.tree_batch``, the one entry point of the tree sweeps, sweeps
 many samples at once, in blocks of at most ``_kernels._BLOCK_NODES`` nodes
 on the widest tree level it computes, and updates each level in chunks of
-sample rows of at most a quarter of that.  The oracle here is a per-sample
+rows (tree positions, each holding the block's samples) of at most a
+quarter of that.  The oracle here is a per-sample
 loop that shares no code with it: one ``oracles.cavity_sweep`` per sample
 key (a node-by-node CPython sweep with its own bound comparisons), the root
 sum in CPython scalars, ``oracles.crecip_scalar`` and, down the ray of the
@@ -117,25 +118,38 @@ def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, bloc
         assert leaf_mode == "free" or len({tuple(v) for v in viol}) == len(GRID)
 
 
+def row_of(part, buffer, length):
+    """The row of a level array of rows of ``length`` cells in ``buffer`` at
+    which the chunk ``part`` starts."""
+    assert np.shares_memory(part, buffer)
+    return (part.ctypes.data - buffer.ctypes.data) // (buffer.itemsize * length)
+
+
 @pytest.mark.parametrize("block_nodes", [1, 100, 700, 4096])
 def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
-    draw, levels = _kernels.draw_omega_vec, _kernels.cavity_levels
-    seen, updates = [], []
+    draw, check = _kernels.draw_omega_vec, _kernels._check_vec
+    seen, updates, made = [], [], []
+
+    class Recorded(_kernels.SweepWork):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
     def recording(kind, a, keys, ids, *rest):
         # each block draws its root sites (node 0) once, for all its samples
-        if ids[0] == 0:
+        if ids.ndim == 1:
             seen.append(keys.shape[0])
         return draw(kind, a, keys, ids, *rest)
 
-    def recording_levels(*args):
-        for k, rows, values, den, ni in levels(*args):
-            updates.append((k, rows, values.shape, den is None))
-            yield k, rows, values, den, ni
+    def recording_check(re, im, abs_cap, im_floor, viol, scratch=None, den=None, ni=None):
+        # one call per chunk update, with the chunk's parts, and one per free-leaf level
+        updates.append((re, im, den is None))
+        return check(re, im, abs_cap, im_floor, viol, scratch, den, ni)
 
     monkeypatch.setattr(_kernels, "draw_omega_vec", recording)
-    monkeypatch.setattr(_kernels, "cavity_levels", recording_levels)
+    monkeypatch.setattr(_kernels, "_check_vec", recording_check)
+    monkeypatch.setattr(_kernels, "SweepWork", Recorded)
     q, depth = 3, 5
     chunk = block_nodes // 4
     for leaf_mode in ("bare", "free"):
@@ -148,29 +162,36 @@ def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
                 width = sizes[-2] if leaf_mode == "free" else sizes[-1]
                 seen.clear()
                 updates.clear()
+                made.clear()
                 _kernels.tree_batch(q, depth, branches, EPS, GRID, leaves, "uniform", 1.0,
                                     5, samples, spine_len, 0, GRID_CAPS, GRID_FLOORS)
                 assert sum(seen) == samples
                 # every block but the last is as full as the limit allows
                 per_block = max(1, block_nodes // width)
                 assert seen[:-1] == [per_block] * (len(seen) - 1) and seen[-1] <= per_block
-                # every level update touches at most one chunk of nodes, or one
-                # row, and the updates of a level cover its block's rows in order
+                # a level of a block of m samples is (width, m) arrays, a row per
+                # tree position: every level update touches at most one chunk of
+                # nodes, or one row, and the updates of a level cover its rows in
+                # order, in the level arrays of the level's parity
+                (work,) = made
                 at = iter(updates)
                 for m in seen:
                     for _ in GRID:
                         for k in range(depth, 0, -1):
                             if leaf_mode == "free" and k == depth:
-                                assert next(at)[1:] == (slice(None), (1, sizes[-1]), True)
+                                re, im, shared = next(at)
+                                assert re.shape == im.shape == (1,) and shared
                                 continue
                             stop = 0
-                            while stop < m:
-                                level, rows, (n, cols), shared = next(at)
-                                assert (level, cols, shared) == (k, sizes[k - 1], False)
-                                assert rows == slice(stop, stop + n) and n * cols <= max(chunk, cols)
-                                assert n == min(max(1, chunk // cols), m - stop)
+                            while stop < sizes[k - 1]:
+                                re, im, shared = next(at)
+                                (n, cols), parts = re.shape, work.levels[k % 2]
+                                assert im.shape == re.shape and cols == m and not shared
+                                assert row_of(re, parts[0], m) == row_of(im, parts[1], m) == stop
+                                assert n * cols <= max(chunk, cols)
+                                assert n == min(max(1, chunk // cols), sizes[k - 1] - stop)
                                 stop += n
-                            assert stop == m
+                            assert stop == sizes[k - 1]
                 assert next(at, None) is None
 
 
@@ -178,26 +199,26 @@ def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
 def test_free_leaf_sweep_work_stays_within_block_nodes(batch, monkeypatch):
     # the reference profile's ball (q=2, depth 12), the moment table's (q=3,
     # depth 8) and a tiny profile (q=3, depth 4, 32 samples), with free
-    # leaves: the level arrays and the potentials span the block's rows of
-    # the computed levels only, every other buffer one chunk (or one row) and
-    # never more than the block's widest level, and the free-leaf level is a
-    # read-only view of one value that shares no buffer
-    made, leaf_levels = [], []
-    levels = _kernels.cavity_levels
+    # leaves: the level arrays and the potentials span the block's samples
+    # on the computed levels only, every other buffer one chunk (or one row
+    # of a level array, the block's samples at one position) and never more
+    # than the block's widest level, and the free-leaf level is one value,
+    # checked once, that shares no buffer
+    made, leaf_checks = [], []
+    check = _kernels._check_vec
 
     class Recorded(_kernels.SweepWork):
-        def __init__(self, rows, sizes, free_leaves=False):
-            super().__init__(rows, sizes, free_leaves)
-            made.append((self, rows, sizes))
+        def __init__(self, samples, sizes, free_leaves=False):
+            super().__init__(samples, sizes, free_leaves)
+            made.append((self, samples, sizes))
 
-    def recording_levels(*args):
-        for k, rows, values, den, ni in levels(*args):
-            if den is None:
-                leaf_levels.append(values)
-            yield k, rows, values, den, ni
+    def recording_check(re, im, abs_cap, im_floor, viol, scratch=None, den=None, ni=None):
+        if den is None:
+            leaf_checks.append((re, im))
+        return check(re, im, abs_cap, im_floor, viol, scratch, den, ni)
 
     monkeypatch.setattr(_kernels, "SweepWork", Recorded)
-    monkeypatch.setattr(_kernels, "cavity_levels", recording_levels)
+    monkeypatch.setattr(_kernels, "_check_vec", recording_check)
     q, depth, samples = {"ray": (2, 12, 30), "cavity": (3, 8, 40), "tiny": (3, 4, 32)}[batch]
     branches, spine_len = (q, 0) if batch == "cavity" else (q + 1, depth - 1)
     gamma = 0.5 + 0.05j
@@ -208,15 +229,18 @@ def test_free_leaf_sweep_work_stays_within_block_nodes(batch, monkeypatch):
     widest = sizes[-2]
     assert rows == min(samples, _kernels._BLOCK_NODES // widest)
     assert batch == "tiny" or rows < samples
-    # the two level arrays alternate: one holds the widest computed level of
-    # the block, the other the level above it
-    assert sorted(level.size for level in work.levels) == [rows * widest // q, rows * widest]
+    # the two levels alternate, each a real and an imaginary array: one holds
+    # the widest computed level of the block, the other the level above it
+    assert all(re.size == im.size for re, im in work.levels)
+    assert sorted(re.size for re, _ in work.levels) == [rows * widest // q, rows * widest]
     assert work.sites.size == rows * sum(sizes[:-1])
-    chunk = max(_kernels._BLOCK_NODES // 4, widest)
+    chunk = max(_kernels._BLOCK_NODES // 4, rows)
     for buffer in work.scratch.values():
         assert buffer.size <= min(chunk, rows * widest)
-    assert leaf_levels and all(
-        values.shape == (1, sizes[-1]) and not values.flags.writeable
-        and not any(np.shares_memory(values, b) for b in [*work.levels, *work.scratch.values()])
-        for values in leaf_levels
+    buffers = [*(part for level in work.levels for part in level), work.sites,
+               *work.scratch.values()]
+    assert leaf_checks and all(
+        re.shape == im.shape == (1,) and (re[0], im[0]) == (leaf.real, leaf.imag)
+        and not any(np.shares_memory(part, b) for part in (re, im) for b in buffers)
+        for re, im in leaf_checks
     )
