@@ -22,15 +22,18 @@ memory.  Each level is updated in chunks of consecutive rows of at most a
 quarter of the block budget, so the temporaries of an update stay in cache
 while the block, and with it the number of samples that share one numpy
 call on the narrow top levels, stays large.  Message passing is vectorized
-across the directed edges of a graph; its gathers write straight into
-their round buffers (``np.take`` in "wrap" mode, which numpy does not
-buffer, unlike the default "raise"), so the edge indices are range-checked
-once per call and an index out of range raises instead of wrapping.  A call allocates
+across the directed edges of a graph, held slot-major inside a call: row
+j holds the message on every vertex's j-th edge, real and imaginary parts
+apart, so every pass of a round runs along contiguous rows, and one gather
+per round by a permutation built from the reverse edges moves each new
+value onto its edge (``np.take`` in "wrap" mode, which numpy does not
+buffer, unlike the default "raise"; the reverse edges are checked once per
+call, so an index out of range raises instead of wrapping).  A call allocates
 its level, round and scratch arrays once (``SweepWork`` for the trees) and
 reuses them at every level, chunk, block and round, so its memory is paged
 in once rather than at every level; the operations and their order are
-those of the plain array expressions, elementwise, so neither chunks nor
-blocks change a bit.
+those of the plain array expressions, elementwise, so neither chunks,
+blocks nor the slot layout change a bit.
 Results are reproducible bit for bit and depend neither on the blocking
 nor on the other gammas of a grid: child sums run in child order, complex
 reciprocals and products go through explicit formulas, and potentials come
@@ -99,8 +102,9 @@ def crecip_parts(zr, ni, re=None, im=None, den=None, sq=None):
     the children keep Im z < 0 < eta.  Taking the parts apart also saves the
     complex temporaries of that update, whose site term is real.  ``re``,
     ``im`` and ``den`` (float, of the broadcast shape; the parts may be the
-    ``.real`` and ``.imag`` of a complex array) and ``sq`` (float, of the
-    shape of ``ni``, for ni*ni) are optional buffers; without ``sq`` numpy
+    ``.real`` and ``.imag`` of a complex array, or ``zr`` and ``ni``
+    themselves) and ``sq`` (float, of the shape of ``ni``, for ni*ni) are
+    optional buffers; without ``sq`` numpy
     allocates the square.  ``den`` is left holding the squared modulus
     zr*zr + ni*ni, which ``_check_vec`` reads.  The squares are
     ``np.square``, the bits of x*x in about half the time of
@@ -277,16 +281,18 @@ class SweepWork:
 
 
 def _sum_children(kids, count, out=None):
-    """Sum of ``count`` children along the last axis, in child order from 0.
+    """Sum of ``count`` children along the first axis, in child order from 0.
 
     The same bits as a scalar loop ``s = 0j; s += z``: the first pass adds
     child 0 to 0 (which turns a -0.0 part into +0.0) instead of filling
-    zeros and adding.  A last axis of length 1 holds one value shared by all
-    ``count`` children.  ``out`` is an optional buffer of the result's shape.
+    zeros and adding.  A first axis of length 1 holds one value shared by
+    all ``count`` children.  ``out`` is an optional buffer of the result's
+    shape.  Child j is ``kids[j]``, one contiguous block when the children
+    of a tree level or the message slots are stored child-major.
     """
-    total = np.add(kids[..., 0], 0.0, out=out)
+    total = np.add(kids[0], 0.0, out=out)
     for j in range(1, count):
-        total += kids[..., j % kids.shape[-1]]
+        total += kids[j % len(kids)]
     return total
 
 
@@ -398,16 +404,16 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
                 else:
                     pot, level = site(k), work.level(k, (width, m))
                     if below is not None:
-                        # child j of row p is row j*width + p below: children on the last axis
-                        kids = [part.reshape(-1, width, m).transpose(1, 2, 0) for part in below]
+                        # child j of row p is row j*width + p below: children on the first axis
+                        kids = [part.reshape(-1, width, m) for part in below]
                     ni = -gamma.imag if total is None else total.imag - gamma.imag
                     for rows in _row_chunks(width, m):
                         chunk = work.chunk(pot[rows].shape)
                         zr = np.subtract(gamma.real, pot[rows], out=chunk.zr)
                         sq = None
                         if below is not None:
-                            sums = _sum_children(kids[0][rows], q, chunk.sums)
-                            ni = _sum_children(kids[1][rows], q, chunk.ni)
+                            sums = _sum_children(kids[0][:, rows], q, chunk.sums)
+                            ni = _sum_children(kids[1][:, rows], q, chunk.ni)
                             ni -= gamma.imag
                             zr -= sums
                             sq = sums  # the real child sums are spent once zr is built
@@ -423,8 +429,8 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
                     values.real, values.imag = level[0][ray], level[1][ray]
             # crecip_vec(gamma - site_root - sum of the branch values), by parts
             zr = np.subtract(gamma.real, site_root)
-            zr -= _sum_children(level[0].T, branches)
-            ni = np.subtract(gamma.imag, _sum_children(level[1].T, branches))
+            zr -= _sum_children(level[0], branches)
+            ni = np.subtract(gamma.imag, _sum_children(level[1], branches))
             values = root[i, block]
             crecip_parts(zr, np.negative(ni, out=ni), values.real, values.imag)
     return root, spine, viol
@@ -435,43 +441,73 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
 # ----------------------------------------------------------------------
 
 
-def messages_advance(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
+def messages_advance(rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
     """``rounds`` cavity updates of every directed-edge message.
 
-    Edge ids are vertex-major (u -> its j-th neighbor is u*deg + j), so row u
-    of the (vertices, deg) view holds the messages out of u, ``nbrs[e]`` is
-    the target vertex of edge e and ``rev[e]`` its reverse edge.  Returns
-    (messages, violation counters of the updates); ``msg`` is left as it is.
-    Every round reuses the buffers of the first, in the order of operations
-    of ``crecip_vec(gamma - site_pot - (site_sum[nbrs] - msg[rev]))`` with
-    the imaginary part negated as ``crecip_parts`` takes it.  The gathers
-    run in ``np.take``'s "wrap" mode, which writes straight into its output
-    (the default "raise" mode buffers it), so the indices are range-checked
-    once per call instead: an index out of range raises IndexError.
+    Edge ids are vertex-major (u -> its j-th neighbor is u*deg + j, so edge
+    e leaves e // deg) and ``rev[e]`` is the reverse edge of e, so e runs
+    into rev[e] // deg.  ``rev`` must pair every edge with another one (an
+    involution without fixed points): an index out of range raises
+    IndexError, any other ``rev`` ValueError.  ``msg`` and the returned
+    messages are in edge order; ``msg`` is left as it is.  Returns
+    (messages, violation counters of the updates).
+
+    Inside, the messages are slot-major: an array of (deg, 2, vertices)
+    whose row j holds the real and the imaginary parts, at column v, of the
+    message on v's j-th edge, so the messages out of v are column v of
+    every row.  A round is whole-row passes over contiguous memory: the
+    vertex sums S_v (deg row adds in edge order, ``_sum_children``), S_v
+    minus each message, the denominators' real part base_v - that and
+    negated imaginary part that - eta, ``crecip_parts`` in place and
+    ``_check_vec``.  The value computed at column v, row j is the new
+    message on the edge into v from its j-th neighbor, the reverse of v's
+    j-th edge; one ``np.take`` by a permutation built once per call from
+    ``rev`` moves every value onto its edge for the next round.  Every
+    message goes through the operations of ``crecip_vec(gamma - site_pot -
+    (site_sum - reverse message))`` in that order, as in an edge-order
+    round, and the counters add up the same checks.  The gather runs in
+    ``np.take``'s "wrap" mode, which writes straight into its output (the
+    default "raise" mode buffers it); ``rev`` is checked once instead.  A
+    target-major (vertices, deg) layout needs the same one gather, but
+    every broadcast in it runs along an inner axis of length deg, and it
+    timed slower than gathering per edge.
     """
-    if nbrs.size and not (0 <= nbrs.min() and nbrs.max() < omega.size):
-        raise IndexError(f"edge target out of range for {omega.size} vertices")
-    if rev.size and not (0 <= rev.min() and rev.max() < msg.size):
-        raise IndexError(f"reverse edge out of range for {msg.size} edges")
+    n, edges = omega.size, rev.size
+    deg = edges // n
+    if edges and not (0 <= rev.min() and rev.max() < edges):
+        raise IndexError(f"reverse edge out of range for {edges} edges")
+    ids = np.arange(edges)
+    if np.any(rev[rev] != ids) or np.any(rev == ids):
+        raise ValueError("reverse edges must pair every edge with another one")
     viol = np.zeros(4, dtype=np.int64)
-    deg = nbrs.size // omega.size
+    # edge e = v*deg + j sits at slot j*n + v; the value computed at the slot
+    # of rev[e] is e's new message
+    slot_of = ids.reshape(deg, n).T.reshape(-1)
+    from_slot = slot_of[rev.reshape(n, deg).T]
+    # part c of row j, column v of the messages takes part c of slot from_slot[j, v]
+    move = np.stack([from_slot, from_slot + edges], axis=1).ravel()
     g = complex(gamma)
-    # the real part of gamma - site_pot; its imaginary part is g.imag - 0.0 = g.imag
-    base = g.real - eps * omega[nbrs]
-    outs = (np.empty_like(msg), np.empty_like(msg))
-    site_sum = np.empty(omega.size, dtype=np.complex128)
-    diff = np.empty_like(msg)
-    sq = diff.view(np.float64)[: msg.size]  # diff is free once zr and ni are built
-    zr, ni, den = np.empty(msg.size), np.empty(msg.size), np.empty(msg.size)
-    scratch = zr, np.empty(msg.size, dtype=bool)  # zr is free once msg is built
-    for r in range(rounds):
-        out = outs[r % 2]
-        _sum_children(msg.reshape(-1, deg), deg, site_sum)
-        np.take(site_sum, nbrs, out=diff, mode="wrap")
-        diff -= np.take(msg, rev, out=out, mode="wrap")
-        np.subtract(base, diff.real, out=zr)
-        np.subtract(diff.imag, g.imag, out=ni)
-        crecip_parts(zr, ni, out.real, out.imag, den, sq)
-        msg = out
-        _check_vec(msg.real, msg.imag, abs_cap, im_floor, viol, scratch, den)
-    return msg, viol
+    # the real part of gamma - site_pot, per slot; its imaginary part is g.imag - 0.0 = g.imag
+    base = g.real - eps * np.broadcast_to(omega, (deg, n))
+    slots = np.empty((deg, 2, n))
+    slot_re, slot_im = slots[:, 0], slots[:, 1]
+    slot_re[:], slot_im[:] = msg.real.reshape(n, deg).T, msg.imag.reshape(n, deg).T
+    # a round builds the denominators' parts in new and turns them into its values in place
+    new = np.empty((2, deg, n))
+    zr, ni = new
+    sums = np.empty((2, n))
+    den, sq = np.empty((deg, n)), np.empty((deg, n))
+    scratch = sq, np.empty((deg, n), dtype=bool)  # sq is free once den is built
+    for _ in range(rounds):
+        _sum_children(slots, deg, sums)
+        np.subtract(sums[0], slot_re, out=zr)
+        np.subtract(base, zr, out=zr)
+        np.subtract(sums[1], slot_im, out=ni)
+        ni -= g.imag
+        re, im = crecip_parts(zr, ni, zr, ni, den, sq)
+        _check_vec(re, im, abs_cap, im_floor, viol, scratch, den)
+        np.take(new, move, out=slots.reshape(-1), mode="wrap")
+    # new is spent once the last values are moved: the output reuses its memory
+    out = new.reshape(n, deg, 2)
+    out[...] = slots.transpose(2, 0, 1)
+    return out.reshape(-1).view(np.complex128), viol

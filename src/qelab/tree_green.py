@@ -469,27 +469,26 @@ def lifted_green(
         raise ConfigError(
             f"cover depth {depth} shorter than a requested geodesic ({max_steps} steps)"
         )
-    targets = graph.directed_targets()
     rev = graph.reverse_edge_index()
 
     # messages start at zero, so round 1 gives the bare site values and
     # round r cavity values with r - 1 levels below their target; the
     # diagonal reads round depth, step k of a path round depth + 1 - k
-    msg = np.zeros(targets.size, dtype=np.complex128)
+    msg = np.zeros(rev.size, dtype=np.complex128)
     viol = np.zeros(4, dtype=np.int64)
     history: dict[int, np.ndarray] = {}
     done = 0
     # rounds before depth + 1 - max_steps are never read back: run them as one call
     for r in range(min(depth + 1 - max_steps, depth), depth + 1):
         msg, counts = _kernels.messages_advance(
-            targets, rev, pot.omega, pot.epsilon, g, msg, r - done, abs_cap, floor,
+            rev, pot.omega, pot.epsilon, g, msg, r - done, abs_cap, floor,
         )
         viol += counts
         history[r] = msg
         done = r
 
     deg = graph.q + 1
-    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg), deg)
+    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg).T, deg)
     diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
     pair_values = diagonals[lifts.starts]
     for k in range(1, max_steps + 1):

@@ -291,8 +291,12 @@ def message_rounds(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor)
     then takes, for edge e into v = nbrs[e], the denominator
     gamma - eps*omega[v] - (sum at v - msg[rev[e]]) and its reciprocal by
     the conjugate formula; every new message is checked against the three
-    bounds on its own (a NaN counts on the sign bound).  Returns (messages,
-    violation counters [sign, cap, floor, visited]).
+    bounds on its own (a NaN counts on the sign bound).  The loop runs in
+    edge order and reads each target from ``nbrs``, the independent
+    definition of what the kernel derives from ``rev`` alone (e into
+    rev[e] // deg) when it holds the messages slot-major and moves the
+    values of a round onto their edges by one permutation.  Returns
+    (messages, violation counters [sign, cap, floor, visited]).
     """
     g = complex(gamma)
     nbrs, rev, omega = nbrs.tolist(), rev.tolist(), omega.tolist()
@@ -333,19 +337,18 @@ def lifted_green_pairwise(graph, pot, gamma, depth, rows, cols):
     """
     g = complex(gamma)
     floor = tree_green.imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, abs(g.real), g.imag)
-    targets = graph.directed_targets()
     rev = graph.reverse_edge_index()
-    msg = np.zeros(targets.size, dtype=np.complex128)
+    msg = np.zeros(rev.size, dtype=np.complex128)
     viol = np.zeros(4, dtype=np.int64)
     history = [msg]
     for _ in range(depth):
         msg, counts = _kernels.messages_advance(
-            targets, rev, pot.omega, pot.epsilon, g, msg, 1, 1.0 / g.imag, floor,
+            rev, pot.omega, pot.epsilon, g, msg, 1, 1.0 / g.imag, floor,
         )
         viol += counts
         history.append(msg)
     deg = graph.q + 1
-    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg), deg)
+    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg).T, deg)
     diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
     pair_values = np.empty(len(rows), dtype=np.complex128)
     for i, (x, y) in enumerate(zip(rows, cols)):

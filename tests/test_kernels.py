@@ -117,29 +117,28 @@ def test_message_passing_golden(eps):
     g = graphs.generate_random_regular(40, 2, seed=8)
     pot = anderson.sample_potential(40, SPEC, eps, seed=2)
     gamma = 0.1 + 0.2j
-    nbrs, rev = g.directed_targets(), g.reverse_edge_index()
-    zero = np.zeros(nbrs.size, dtype=np.complex128)
-    msg0, viol = _kernels.messages_advance(
-        nbrs, rev, pot.omega, pot.epsilon, gamma, zero, 1, 5.0, 0.0
-    )
-    msg, counts = _kernels.messages_advance(
-        nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, 5.0, 0.0
-    )
+    rev = g.reverse_edge_index()
+    zero = np.zeros(rev.size, dtype=np.complex128)
+    msg0, viol = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, zero, 1, 5.0, 0.0)
+    msg, counts = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, msg0, 12, 5.0, 0.0)
     assert digest(msg0, msg, viol + counts) == GOLDEN[f"messages/{eps}"]
 
 
+# the slot layout of the rounds depends on the degree; the q=2 ids carry no degree
+_ROUND_CASES = [(cap, floor, q) for q in (2, 3, 4) for cap, floor in ((5.0, 0.0), (1.2, 0.3))]
+
+
 @pytest.mark.parametrize("eps", [0.3, 0.0])
-@pytest.mark.parametrize("cap, floor", [(5.0, 0.0), (1.2, 0.3)])
-def test_message_rounds_match_per_edge_loop(eps, cap, floor):
+@pytest.mark.parametrize("cap, floor, q", _ROUND_CASES,
+                         ids=[f"{c}-{f}" + (f"-q{q}" if q != 2 else "") for c, f, q in _ROUND_CASES])
+def test_message_rounds_match_per_edge_loop(eps, cap, floor, q):
     # the tight cap and floor make the counters count, through the exact path
-    g = graphs.generate_random_regular(40, 2, seed=8)
+    g = graphs.generate_random_regular(40, q, seed=8)
     pot = anderson.sample_potential(40, SPEC, eps, seed=2)
     gamma = 0.1 + 0.2j
     nbrs, rev = g.directed_targets(), g.reverse_edge_index()
     zero = np.zeros(nbrs.size, dtype=np.complex128)
-    msg0, viol0 = _kernels.messages_advance(
-        nbrs, rev, pot.omega, pot.epsilon, gamma, zero, 1, cap, floor
-    )
+    msg0, viol0 = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, zero, 1, cap, floor)
     # one round from zero is the bare site value 1/(gamma - eps*omega), counted alike
     bare = _kernels.crecip_vec(gamma - pot.epsilon * pot.omega[nbrs])
     bare_viol = np.zeros(4, dtype=np.int64)
@@ -148,9 +147,7 @@ def test_message_rounds_match_per_edge_loop(eps, cap, floor):
     assert viol0.tolist() == bare_viol.tolist()
     if floor:
         assert viol0[:3].sum() > 0
-    msg, viol = _kernels.messages_advance(
-        nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor
-    )
+    msg, viol = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor)
     want, want_viol = oracles.message_rounds(
         nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor
     )
@@ -160,17 +157,23 @@ def test_message_rounds_match_per_edge_loop(eps, cap, floor):
         assert viol[:3].sum() > 0
 
 
-@pytest.mark.parametrize("which, bad", [("nbrs", -1), ("nbrs", 40), ("rev", -1), ("rev", 120)])
+@pytest.mark.parametrize("which, bad", [("rev", -1), ("rev", 120), ("shared", 8), ("fixed", 7)])
 def test_message_indices_out_of_range_raise(which, bad):
+    # a reverse edge out of range raises IndexError; one in range must still
+    # pair every edge with another edge, or the call raises ValueError
     g = graphs.generate_random_regular(40, 2, seed=8)
     pot = anderson.sample_potential(40, SPEC, 0.3, seed=2)
-    index = {"nbrs": g.directed_targets(), "rev": g.reverse_edge_index()}
-    zero = np.zeros(index["nbrs"].size, dtype=np.complex128)
-    index[which] = index[which].copy()
-    index[which][7] = bad
-    with pytest.raises(IndexError):
-        _kernels.messages_advance(index["nbrs"], index["rev"], pot.omega, 0.3, 0.2j, zero, 1,
-                                  5.0, 0.0)
+    rev = g.reverse_edge_index().copy()
+    zero = np.zeros(rev.size, dtype=np.complex128)
+    if which == "rev":
+        rev[7] = bad
+    elif which == "shared":  # edges 7 and 8 claim the same reverse
+        rev[7] = rev[bad]
+    else:  # edge 7 and its reverse become their own reverses: still an involution
+        rev[rev[bad]] = rev[bad]
+        rev[bad] = bad
+    with pytest.raises(IndexError if which == "rev" else ValueError):
+        _kernels.messages_advance(rev, pot.omega, 0.3, 0.2j, zero, 1, 5.0, 0.0)
 
 
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
@@ -208,11 +211,12 @@ def test_zero_disorder_batch_matches_full_ball(q, extra_branch, leaf_mode):
 
 
 def test_segment_sums_matches_sequential():
-    # per-vertex sums of the (vertices, deg) message view, as message passing takes them
+    # per-vertex sums of edge-order messages, the transposed (vertices, deg) view
+    # putting each vertex's children on the first axis, as lifted_green takes them
     rng = np.random.default_rng(1)
     for n, deg in [(10, 3), (4, 7), (6, 1)]:
         vals = rng.normal(size=n * deg) + 1j * rng.normal(size=n * deg)
-        out = _kernels._sum_children(vals.reshape(n, deg), deg)
+        out = _kernels._sum_children(vals.reshape(n, deg).T, deg)
         for v in range(n):
             s = 0.0 + 0.0j
             for e in range(v * deg, (v + 1) * deg):
