@@ -5,9 +5,10 @@ tree sweeps: it loops over blocks of samples and returns the root cavity
 values, the values along one ray (the spine) and the violation counters of
 a batch of balls (at eps = 0 one chain with a node per level), and the
 distance profile (q + 1 branches) and the moment table (q branches) both
-read what they need from it.  ``messages_advance`` is the one message
-round; from zero messages its first round gives the bare site values
-1/(gamma - eps*omega).  ``crecip_parts`` is the one reciprocal of both.
+read what they need from it.  ``messages_advance`` runs the message
+rounds; messages start at zero, so the first round gives the bare site
+values 1/(gamma - eps*omega).  ``crecip_parts`` is the one reciprocal of
+both.
 
 Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level, in sample blocks of at most ``_BLOCK_NODES`` nodes on the
@@ -22,16 +23,18 @@ memory.  Each level is updated in chunks of consecutive rows of at most a
 quarter of the block budget, so the temporaries of an update stay in cache
 while the block, and with it the number of samples that share one numpy
 call on the narrow top levels, stays large.  Message passing is vectorized
-across the directed edges of a graph, held slot-major inside a call: row
-j holds the message on every vertex's j-th edge, real and imaginary parts
-apart, so every pass of a round runs along contiguous rows, and one gather
-per round by a permutation built from the reverse edges moves each new
-value onto its edge (``np.take`` in "wrap" mode, which numpy does not
-buffer, unlike the default "raise"; the reverse edges are checked once per
-call, so an index out of range raises instead of wrapping).  A call allocates
-its level, round and scratch arrays once (``SweepWork`` for the trees) and
-reuses them at every level, chunk, block and round, so its memory is paged
-in once rather than at every level; the operations and their order are
+across the directed edges of a graph, numbered slot-major (edge j*n + v is
+vertex v's j-th edge) and held so inside a call: row j holds the messages
+on every vertex's j-th edge, real and imaginary parts apart, so every pass
+of a round runs along contiguous rows, and one gather per round by the
+reverse edges moves each new value onto its edge (``np.take`` in "wrap"
+mode, which numpy does not buffer, unlike the default "raise"; the reverse
+edges are checked once per call, so an index out of range raises instead
+of wrapping).  One call runs every round a caller needs and returns the
+last rounds it asks for.  A call allocates its level, round and scratch
+arrays once (``SweepWork`` for the trees) and reuses them at every level,
+chunk, block and round, so its memory is paged in once rather than at
+every level; the operations and their order are
 those of the plain array expressions, elementwise, so neither chunks,
 blocks nor the slot layout change a bit.
 Results are reproducible bit for bit and depend neither on the blocking
@@ -441,64 +444,66 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
 # ----------------------------------------------------------------------
 
 
-def messages_advance(rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
-    """``rounds`` cavity updates of every directed-edge message.
+def messages_advance(rev, omega, eps, gamma, rounds, keep, abs_cap, im_floor):
+    """``rounds`` cavity updates of every directed-edge message, from zero.
 
-    Edge ids are vertex-major (u -> its j-th neighbor is u*deg + j, so edge
-    e leaves e // deg) and ``rev[e]`` is the reverse edge of e, so e runs
-    into rev[e] // deg.  ``rev`` must pair every edge with another one (an
-    involution without fixed points): an index out of range raises
-    IndexError, any other ``rev`` ValueError.  ``msg`` and the returned
-    messages are in edge order; ``msg`` is left as it is.  Returns
-    (messages, violation counters of the updates).
+    Edge ids are slot-major (u -> its j-th neighbor is j*n + u for n
+    vertices, so edge e leaves e % n) and ``rev[e]`` is the reverse edge of
+    e, so e runs into rev[e] % n.  ``rev`` must pair every edge with another
+    one (an involution without fixed points): an index out of range raises
+    IndexError, any other ``rev`` ValueError, and so does a ``keep`` outside
+    1..rounds.  The messages start at zero, so round 1 gives the bare site
+    values 1/(gamma - eps*omega) and round r the cavity values with r - 1
+    levels below their edge.  Returns (the messages of the last ``keep``
+    rounds, an array of (keep, edges) in edge order with the last round
+    last; the violation counters of every update).
 
-    Inside, the messages are slot-major: an array of (deg, 2, vertices)
-    whose row j holds the real and the imaginary parts, at column v, of the
-    message on v's j-th edge, so the messages out of v are column v of
-    every row.  A round is whole-row passes over contiguous memory: the
-    vertex sums S_v (deg row adds in edge order, ``_sum_children``), S_v
-    minus each message, the denominators' real part base_v - that and
-    negated imaginary part that - eta, ``crecip_parts`` in place and
-    ``_check_vec``.  The value computed at column v, row j is the new
-    message on the edge into v from its j-th neighbor, the reverse of v's
-    j-th edge; one ``np.take`` by a permutation built once per call from
-    ``rev`` moves every value onto its edge for the next round.  Every
-    message goes through the operations of ``crecip_vec(gamma - site_pot -
-    (site_sum - reverse message))`` in that order, as in an edge-order
-    round, and the counters add up the same checks.  The gather runs in
-    ``np.take``'s "wrap" mode, which writes straight into its output (the
-    default "raise" mode buffers it); ``rev`` is checked once instead.  A
-    target-major (vertices, deg) layout needs the same one gather, but
-    every broadcast in it runs along an inner axis of length deg, and it
-    timed slower than gathering per edge.
+    Inside, the messages are an array of (deg, 2, n) whose row j holds the
+    real and the imaginary parts, at column v, of the message on edge
+    j*n + v, so the messages out of v are column v of every row, and the
+    array fills the output by reshapes.  A round is whole-row passes over
+    contiguous memory: the vertex sums S_v (deg row adds in edge order,
+    ``_sum_children``), S_v minus each message, the denominators' real part
+    base_v - that and negated imaginary part that - eta, ``crecip_parts`` in
+    place and ``_check_vec``.  The value computed at column v, row j is the
+    new message on the reverse of edge j*n + v; one ``np.take`` by ``rev``
+    plus the offset of the imaginary parts moves every value onto its edge
+    for the next round.  Every message goes through the operations of
+    ``crecip_vec(gamma - site_pot - (site_sum - reverse message))`` in that
+    order, as in a per-edge round, and the counters add up the same checks.
+    The gather runs in ``np.take``'s "wrap" mode, which writes straight into
+    its output (the default "raise" mode buffers it); ``rev`` is checked
+    once instead.  A target-major (vertices, deg) layout needs the same one
+    gather, but every broadcast in it runs along an inner axis of length
+    deg, and it timed slower than gathering per edge.
     """
     n, edges = omega.size, rev.size
     deg = edges // n
+    if not 1 <= keep <= rounds:
+        raise ValueError(f"keep = {keep} must lie in 1..rounds = {rounds}")
     if edges and not (0 <= rev.min() and rev.max() < edges):
         raise IndexError(f"reverse edge out of range for {edges} edges")
     ids = np.arange(edges)
     if np.any(rev[rev] != ids) or np.any(rev == ids):
         raise ValueError("reverse edges must pair every edge with another one")
     viol = np.zeros(4, dtype=np.int64)
-    # edge e = v*deg + j sits at slot j*n + v; the value computed at the slot
-    # of rev[e] is e's new message
-    slot_of = ids.reshape(deg, n).T.reshape(-1)
-    from_slot = slot_of[rev.reshape(n, deg).T]
-    # part c of row j, column v of the messages takes part c of slot from_slot[j, v]
-    move = np.stack([from_slot, from_slot + edges], axis=1).ravel()
+    # part c of edge e takes part c of the value computed at edge rev[e]
+    move = (rev.reshape(deg, 1, n) + np.array([[0], [edges]])).ravel()
     g = complex(gamma)
     # the real part of gamma - site_pot, per slot; its imaginary part is g.imag - 0.0 = g.imag
     base = g.real - eps * np.broadcast_to(omega, (deg, n))
-    slots = np.empty((deg, 2, n))
+    slots = np.zeros((deg, 2, n))
     slot_re, slot_im = slots[:, 0], slots[:, 1]
-    slot_re[:], slot_im[:] = msg.real.reshape(n, deg).T, msg.imag.reshape(n, deg).T
-    # a round builds the denominators' parts in new and turns them into its values in place
-    new = np.empty((2, deg, n))
+    out = np.empty((keep, edges), dtype=np.complex128)
+    # a round builds the denominators' parts in new and turns them into its
+    # values in place; new lives in the last output row, written once new is spent
+    new = out[-1].view(np.float64).reshape(2, deg, n)
     zr, ni = new
     sums = np.empty((2, n))
     den, sq = np.empty((deg, n)), np.empty((deg, n))
     scratch = sq, np.empty((deg, n), dtype=bool)  # sq is free once den is built
-    for _ in range(rounds):
+    # round r (from 0) of the kept ones is out[r]: the rounds before them run at r < 0
+    for r in range(keep - rounds, keep):
         _sum_children(slots, deg, sums)
         np.subtract(sums[0], slot_re, out=zr)
         np.subtract(base, zr, out=zr)
@@ -507,7 +512,7 @@ def messages_advance(rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
         re, im = crecip_parts(zr, ni, zr, ni, den, sq)
         _check_vec(re, im, abs_cap, im_floor, viol, scratch, den)
         np.take(new, move, out=slots.reshape(-1), mode="wrap")
-    # new is spent once the last values are moved: the output reuses its memory
-    out = new.reshape(n, deg, 2)
-    out[...] = slots.transpose(2, 0, 1)
-    return out.reshape(-1).view(np.complex128), viol
+        if r >= 0:
+            kept = out[r].reshape(deg, n)
+            kept.real, kept.imag = slot_re, slot_im
+    return out, viol

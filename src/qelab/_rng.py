@@ -93,13 +93,9 @@ def hash_u64_vec(key, ctrs: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
 def _unit_from_bits(bits: np.ndarray, out=None, scale: float = 2.0**-53) -> np.ndarray:
     """53-bit integers ``bits`` times ``scale`` (a power of two, so exact),
-    into the float64 array ``out`` when given."""
-    if out is None:
-        out = bits.astype(np.float64)
-    else:
-        np.copyto(out, bits)
-    out *= scale
-    return out
+    into the float64 array ``out`` when given: one pass, the bits of a
+    float64 copy scaled in place."""
+    return np.multiply(bits, scale, out=out)
 
 
 def uniform01_vec(h: np.ndarray) -> np.ndarray:

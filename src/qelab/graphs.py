@@ -47,24 +47,25 @@ class RegularGraph:
     _rev: np.ndarray = field(default=None, repr=False, compare=False)
 
     def directed_targets(self) -> np.ndarray:
-        """Flat target array; directed edge u->neighbors[u, j] has id u*(q+1)+j."""
-        return self.neighbors.reshape(-1)
+        """Flat target array; directed edge u->neighbors[u, j] has id j*n + u."""
+        return self.neighbors.T.reshape(-1)
 
     def edge_ids(self, u, v):
         """Ids of the directed edges u -> v, for vertex arrays of one shape.
 
         u -> v is an edge when v appears in row u of the neighbor table, at
-        position j, and its id is u*(q+1) + j.  Returns (ids, found); where
-        found is False, v is no neighbor of u and the id is u's first edge.
+        position j, and its id is j*n + u: slot-major, so the j-th edges of
+        all vertices are one run of ids.  Returns (ids, found); where found
+        is False, v is no neighbor of u and the id is u's first edge.
         """
         hit = self.neighbors[u] == v[..., None]
-        return u * (self.q + 1) + hit.argmax(axis=-1), hit.any(axis=-1)
+        return hit.argmax(axis=-1) * self.n + u, hit.any(axis=-1)
 
     def reverse_edge_index(self) -> np.ndarray:
         """For each directed edge (u -> v), the id of (v -> u)."""
         rev = object.__getattribute__(self, "_rev")
         if rev is None:
-            srcs = np.repeat(np.arange(self.n, dtype=np.int64), self.q + 1)
+            srcs = np.tile(np.arange(self.n, dtype=np.int64), self.q + 1)
             rev, _ = self.edge_ids(self.directed_targets(), srcs)
             object.__setattr__(self, "_rev", rev)
         return rev

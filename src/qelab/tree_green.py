@@ -392,8 +392,9 @@ class PairLifts:
     """Pairs lifted to the universal cover, independent of the potential and gamma.
 
     Pair i starts at vertex ``starts[i]``; ``steps[i, k]`` is the directed
-    edge id (u*(q+1)+j for u -> neighbors[u, j]) of step k + 1 of its
-    non-backtracking path, and -1 past the end of the path.
+    edge id (j*n + u for u -> neighbors[u, j], ``RegularGraph.edge_ids``)
+    of step k + 1 of its non-backtracking path, and -1 past the end of the
+    path.
     """
 
     starts: np.ndarray
@@ -469,31 +470,20 @@ def lifted_green(
         raise ConfigError(
             f"cover depth {depth} shorter than a requested geodesic ({max_steps} steps)"
         )
-    rev = graph.reverse_edge_index()
-
     # messages start at zero, so round 1 gives the bare site values and
     # round r cavity values with r - 1 levels below their target; the
-    # diagonal reads round depth, step k of a path round depth + 1 - k
-    msg = np.zeros(rev.size, dtype=np.complex128)
-    viol = np.zeros(4, dtype=np.int64)
-    history: dict[int, np.ndarray] = {}
-    done = 0
-    # rounds before depth + 1 - max_steps are never read back: run them as one call
-    for r in range(min(depth + 1 - max_steps, depth), depth + 1):
-        msg, counts = _kernels.messages_advance(
-            rev, pot.omega, pot.epsilon, g, msg, r - done, abs_cap, floor,
-        )
-        viol += counts
-        history[r] = msg
-        done = r
-
+    # diagonal reads round depth, step k of a path round depth + 1 - k, which
+    # is history[-k]: no earlier round is kept
+    history, viol = _kernels.messages_advance(
+        graph.reverse_edge_index(), pot.omega, pot.epsilon, g, depth, max(max_steps, 1),
+        abs_cap, floor,
+    )
     deg = graph.q + 1
-    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg).T, deg)
+    site_sum = _kernels._sum_children(history[-1].reshape(deg, graph.n), deg)
     diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
     pair_values = diagonals[lifts.starts]
     for k in range(1, max_steps + 1):
         edge = lifts.steps[:, k - 1]
         rows = np.flatnonzero(edge >= 0)
-        pair_values[rows] = _kernels.cmul_vec(pair_values[rows],
-                                              history[depth + 1 - k][edge[rows]])
+        pair_values[rows] = _kernels.cmul_vec(pair_values[rows], history[-k][edge[rows]])
     return LiftedGreen(diagonals=diagonals, pair_values=pair_values, violations=viol)

@@ -280,12 +280,14 @@ def directed_edge_ids(g, path) -> np.ndarray:
         j = int(np.searchsorted(g.neighbors[u], v))
         if j >= deg or g.neighbors[u][j] != v:
             raise ConfigError(f"path step ({u}, {v}) is not an edge")
-        ids[k] = u * deg + j
+        ids[k] = j * g.n + u
     return ids
 
 
 def message_rounds(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor):
-    """``_kernels.messages_advance`` as a per-edge loop over CPython scalars.
+    """``_kernels.messages_advance`` as a per-edge loop over CPython scalars,
+    from the messages ``msg`` (in edge order, slot-major ids: edge j*n + v is
+    v's j-th edge).
 
     Each round sums the messages out of every vertex from 0j in edge order,
     then takes, for edge e into v = nbrs[e], the denominator
@@ -294,22 +296,22 @@ def message_rounds(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor)
     bounds on its own (a NaN counts on the sign bound).  The loop runs in
     edge order and reads each target from ``nbrs``, the independent
     definition of what the kernel derives from ``rev`` alone (e into
-    rev[e] // deg) when it holds the messages slot-major and moves the
-    values of a round onto their edges by one permutation.  Returns
-    (messages, violation counters [sign, cap, floor, visited]).
+    rev[e] % n) when it moves the values of a round onto their edges by one
+    gather.  Returns (messages, violation counters [sign, cap, floor,
+    visited]).
     """
     g = complex(gamma)
     nbrs, rev, omega = nbrs.tolist(), rev.tolist(), omega.tolist()
     msg = msg.tolist()
-    deg = len(nbrs) // len(omega)
+    n = len(omega)
     cap_edge = abs_cap * (1.0 + 1e-12)
     floor_edge = -(im_floor * (1.0 - 1e-12))
     sign = cap = floor = visited = 0
     for _ in range(rounds):
         sums = []
-        for v in range(len(omega)):
+        for v in range(n):
             s = 0j
-            for z in msg[v * deg : (v + 1) * deg]:
+            for z in msg[v::n]:
                 s += z
             sums.append(s)
         new = []
@@ -331,24 +333,25 @@ def message_rounds(nbrs, rev, omega, eps, gamma, msg, rounds, abs_cap, im_floor)
 def lifted_green_pairwise(graph, pot, gamma, depth, rows, cols):
     """``tree_green.lifted_green`` for the entries (rows[i], cols[i]), one at a time.
 
-    Keeps the messages of every round from zero (one round per call), runs
-    a BFS geodesic for every off-diagonal entry and multiplies its factors
-    as numpy scalars.  Returns (diagonals, pair values, violation counters).
+    Keeps the messages of every round from zero, each from one round of the
+    per-edge loop ``message_rounds``, runs a BFS geodesic for every
+    off-diagonal entry and multiplies its factors as numpy scalars.
+    Returns (diagonals, pair values, violation counters).
     """
     g = complex(gamma)
     floor = tree_green.imag_floor(graph.q, pot.epsilon, pot.spec.support_bound, abs(g.real), g.imag)
-    rev = graph.reverse_edge_index()
+    nbrs, rev = graph.directed_targets(), graph.reverse_edge_index()
     msg = np.zeros(rev.size, dtype=np.complex128)
     viol = np.zeros(4, dtype=np.int64)
     history = [msg]
     for _ in range(depth):
-        msg, counts = _kernels.messages_advance(
-            rev, pot.omega, pot.epsilon, g, msg, 1, 1.0 / g.imag, floor,
+        msg, counts = message_rounds(
+            nbrs, rev, pot.omega, pot.epsilon, g, msg, 1, 1.0 / g.imag, floor,
         )
         viol += counts
         history.append(msg)
     deg = graph.q + 1
-    site_sum = _kernels._sum_children(msg.reshape(graph.n, deg).T, deg)
+    site_sum = _kernels._sum_children(msg.reshape(deg, graph.n), deg)
     diagonals = _kernels.crecip_vec(pot.epsilon * pot.omega - g + site_sum)
     pair_values = np.empty(len(rows), dtype=np.complex128)
     for i, (x, y) in enumerate(zip(rows, cols)):
@@ -509,11 +512,14 @@ def random_regular_argsort(n: int, q: int, seed: int, max_attempts: int = 200_00
 
 
 def reverse_edges_searchsorted(g) -> np.ndarray:
-    """Id of (v -> u) per directed edge (u -> v), as the rank of the key v*n + u
-    among the keys u*n + v, which ascend with the edge ids."""
-    targets = g.directed_targets()
-    srcs = np.repeat(np.arange(g.n, dtype=np.int64), g.q + 1)
-    return np.searchsorted(srcs * g.n + targets, targets * g.n + srcs)
+    """Id of (v -> u) per directed edge (u -> v), from the rank r of the key
+    v*n + u among the keys u*n + v of the sorted neighbor rows: (v -> u) is
+    the (r % deg)-th edge of v = r // deg, with id (r % deg)*n + v."""
+    deg = g.q + 1
+    keys = np.repeat(np.arange(g.n, dtype=np.int64), deg) * g.n + g.neighbors.reshape(-1)
+    srcs = np.tile(np.arange(g.n, dtype=np.int64), deg)
+    rank = np.searchsorted(keys, g.directed_targets() * g.n + srcs)
+    return rank % deg * g.n + rank // deg
 
 
 def edge_kernel_lexsort(g, value: float = 1.0):
@@ -567,7 +573,7 @@ def exp_check_arpack(g):
     """``graphs.exp_check`` by ARPACK (``eigsh``, k=2, both ends) on a CSR adjacency."""
     n, deg = g.n, g.q + 1
     adj = scipy.sparse.csr_matrix(
-        (np.full(n * deg, 1.0 / deg), g.directed_targets(), np.arange(n + 1) * deg),
+        (np.full(n * deg, 1.0 / deg), g.neighbors.reshape(-1), np.arange(n + 1) * deg),
         shape=(n, n),
     )
 

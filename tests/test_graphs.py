@@ -384,25 +384,19 @@ def test_json_loader_validates(tmp_path):
 
 
 def test_reverse_edge_index():
-    g = graphs.generate_random_regular(30, 2, seed=2)
-    rev = g.reverse_edge_index()
-    targets = g.directed_targets()
-    deg = g.q + 1
-    for e in range(targets.size):
-        u, v = e // deg, targets[e]
-        assert targets[rev[e]] == u
-        assert rev[e] // deg == v
-        assert rev[rev[e]] == e
-    # against the per-edge search, also at q = 3
-    for g in (g, graphs.generate_random_regular(600, 3, seed=8)):
-        deg = g.q + 1
-        targets = g.directed_targets()
+    # u -> neighbors[u, j] has id j*n + u, so edge e leaves e % n
+    for q, n, seed in ((2, 30, 2), (3, 600, 8), (4, 64, 7)):
+        g = graphs.generate_random_regular(n, q, seed=seed)
+        rev, targets = g.reverse_edge_index(), g.directed_targets()
+        assert rev.dtype == np.int64 and targets.size == n * (q + 1)
         expected = np.empty(targets.size, dtype=np.int64)
         for e in range(targets.size):
-            v, u = targets[e], e // deg
-            expected[e] = v * deg + int(np.searchsorted(g.neighbors[v], u))
-        assert g.reverse_edge_index().dtype == np.int64
-        assert np.array_equal(g.reverse_edge_index(), expected)
+            u, v = e % n, targets[e]
+            assert targets[e] == g.neighbors[u, e // n]
+            assert targets[rev[e]] == u and rev[e] % n == v and rev[rev[e]] == e
+            # against the per-edge search
+            expected[e] = int(np.searchsorted(g.neighbors[v], u)) * n + v
+        assert np.array_equal(rev, expected)
 
 
 def _assert_matches_arpack(g):

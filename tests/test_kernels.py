@@ -118,10 +118,13 @@ def test_message_passing_golden(eps):
     pot = anderson.sample_potential(40, SPEC, eps, seed=2)
     gamma = 0.1 + 0.2j
     rev = g.reverse_edge_index()
-    zero = np.zeros(rev.size, dtype=np.complex128)
-    msg0, viol = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, zero, 1, 5.0, 0.0)
-    msg, counts = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, msg0, 12, 5.0, 0.0)
-    assert digest(msg0, msg, viol + counts) == GOLDEN[f"messages/{eps}"]
+    history, viol = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, 13, 13, 5.0, 0.0)
+    # the first kept round is the one a one-round call returns
+    first, _ = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, 1, 1, 5.0, 0.0)
+    assert history.shape == (13, rev.size) and first.tobytes() == history[0].tobytes()
+    # the digests were recorded with vertex-major edge ids, u*(q+1) + j
+    msg0, msg = (h.reshape(g.q + 1, g.n).T for h in (history[0], history[-1]))
+    assert digest(msg0, msg, viol) == GOLDEN[f"messages/{eps}"]
 
 
 # the slot layout of the rounds depends on the degree; the q=2 ids carry no degree
@@ -137,8 +140,7 @@ def test_message_rounds_match_per_edge_loop(eps, cap, floor, q):
     pot = anderson.sample_potential(40, SPEC, eps, seed=2)
     gamma = 0.1 + 0.2j
     nbrs, rev = g.directed_targets(), g.reverse_edge_index()
-    zero = np.zeros(nbrs.size, dtype=np.complex128)
-    msg0, viol0 = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, zero, 1, cap, floor)
+    msg0, viol0 = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, 1, 1, cap, floor)
     # one round from zero is the bare site value 1/(gamma - eps*omega), counted alike
     bare = _kernels.crecip_vec(gamma - pot.epsilon * pot.omega[nbrs])
     bare_viol = np.zeros(4, dtype=np.int64)
@@ -147,11 +149,12 @@ def test_message_rounds_match_per_edge_loop(eps, cap, floor, q):
     assert viol0.tolist() == bare_viol.tolist()
     if floor:
         assert viol0[:3].sum() > 0
-    msg, viol = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor)
+    msg, viol = _kernels.messages_advance(rev, pot.omega, pot.epsilon, gamma, 13, 1, cap, floor)
+    zero = np.zeros(nbrs.size, dtype=np.complex128)
     want, want_viol = oracles.message_rounds(
-        nbrs, rev, pot.omega, pot.epsilon, gamma, msg0, 12, cap, floor
+        nbrs, rev, pot.omega, pot.epsilon, gamma, zero, 13, cap, floor
     )
-    assert msg.tobytes() == want.tobytes()
+    assert msg[0].tobytes() == want.tobytes()
     assert viol.tolist() == want_viol.tolist()
     if floor:
         assert viol[:3].sum() > 0
@@ -164,7 +167,6 @@ def test_message_indices_out_of_range_raise(which, bad):
     g = graphs.generate_random_regular(40, 2, seed=8)
     pot = anderson.sample_potential(40, SPEC, 0.3, seed=2)
     rev = g.reverse_edge_index().copy()
-    zero = np.zeros(rev.size, dtype=np.complex128)
     if which == "rev":
         rev[7] = bad
     elif which == "shared":  # edges 7 and 8 claim the same reverse
@@ -173,7 +175,16 @@ def test_message_indices_out_of_range_raise(which, bad):
         rev[rev[bad]] = rev[bad]
         rev[bad] = bad
     with pytest.raises(IndexError if which == "rev" else ValueError):
-        _kernels.messages_advance(rev, pot.omega, 0.3, 0.2j, zero, 1, 5.0, 0.0)
+        _kernels.messages_advance(rev, pot.omega, 0.3, 0.2j, 1, 1, 5.0, 0.0)
+
+
+@pytest.mark.parametrize("rounds, keep", [(3, 0), (3, -1), (3, 4), (0, 0), (0, 1)])
+def test_message_keep_outside_rounds_raises(rounds, keep):
+    g = graphs.generate_random_regular(40, 2, seed=8)
+    pot = anderson.sample_potential(40, SPEC, 0.3, seed=2)
+    with pytest.raises(ValueError, match="keep"):
+        _kernels.messages_advance(g.reverse_edge_index(), pot.omega, 0.3, 0.2j, rounds, keep,
+                                  5.0, 0.0)
 
 
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
@@ -211,14 +222,15 @@ def test_zero_disorder_batch_matches_full_ball(q, extra_branch, leaf_mode):
 
 
 def test_segment_sums_matches_sequential():
-    # per-vertex sums of edge-order messages, the transposed (vertices, deg) view
-    # putting each vertex's children on the first axis, as lifted_green takes them
+    # per-vertex sums of edge-order messages: slot-major ids j*n + v make the
+    # (deg, vertices) reshape put each vertex's children on the first axis,
+    # as lifted_green takes them
     rng = np.random.default_rng(1)
     for n, deg in [(10, 3), (4, 7), (6, 1)]:
         vals = rng.normal(size=n * deg) + 1j * rng.normal(size=n * deg)
-        out = _kernels._sum_children(vals.reshape(n, deg).T, deg)
+        out = _kernels._sum_children(vals.reshape(deg, n), deg)
         for v in range(n):
             s = 0.0 + 0.0j
-            for e in range(v * deg, (v + 1) * deg):
+            for e in range(v, n * deg, n):
                 s += vals[e]
             assert out[v] == s

@@ -417,6 +417,23 @@ def test_lifted_pairs_match_pairwise_oracle_bitwise(q):
         assert np.array_equal(curve.values, np.array(want_curve)), kernel.tag
 
 
+def test_lifted_green_makes_one_kernel_call_per_gamma(small_case, monkeypatch):
+    # a ring-2 curve reads the last two rounds at every lambda: one call
+    # runs all depth rounds and keeps both
+    g, pot, _, _ = small_case
+    calls = []
+    advance = _kernels.messages_advance
+
+    def counted(rev, omega, eps, gamma, rounds, keep, *bounds):
+        calls.append((gamma, rounds, keep))
+        return advance(rev, omega, eps, gamma, rounds, keep, *bounds)
+
+    monkeypatch.setattr(_kernels, "messages_advance", counted)
+    lambdas = [-1.0, 0.0, 1.0]
+    qe.kernel_average_general_curve(qe.ring_kernel(g, 2), g, pot, lambdas, 0.2, depth=10)
+    assert calls == [(complex(lam, 0.2), 10, 2) for lam in lambdas]
+
+
 def test_kernel_lifts_run_one_geodesic_per_far_entry(small_case, monkeypatch):
     g, pot, _, _ = small_case
     calls = []

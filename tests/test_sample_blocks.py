@@ -30,10 +30,14 @@ DEPTH = {2: 6, 3: 5, 4: 4}
 KINDS = ["uniform", "rescaled-beta", "two-point"]
 # a test id names each kind by its position in KINDS
 KIND_IDS = ["0", "1", "2"]
-# (samples, _BLOCK_NODES): one sample (any block size holds it; 2**16 keeps
-# the test ids); ragged blocks of 2-7 samples whose wider levels cross
-# chunks of 175 nodes; one sample per block
-LAYOUTS = [(1, 2**16), (37, 700), (5, 1)]
+# (samples, _BLOCK_NODES): one sample (any block size holds it); ragged
+# blocks of 2-7 samples whose wider levels cross chunks of 175 nodes; one
+# sample per block, as every computed level is wider than the 16-node budget
+# (test_one_sample_layout_holds_one_sample_per_block), in chunks of 4 rows.
+# A zero chunk budget is test_blocks_hold_at_most_block_nodes_per_level[1]'s.
+LAYOUTS = [(1, 2**16), (37, 700), (5, 16)]
+# test ids: (samples, block nodes), but the last one reads 5 samples, 1 a block
+LAYOUT_IDS = ["1-65536", "37-700", "5-1"]
 # a grid of mixed lambda and eta, each gamma with its own cap and floor
 GRID = [GAMMA, -0.6 + 0.1j, 1.1 + 0.4j, 0.3 + 0.05j]
 GRID_CAPS = [ABS_CAP, 2.0, 1.0, 1.5]
@@ -69,7 +73,7 @@ def sweep_oracle(q, depth, branches, leaf, kind, batch_key, samples, spine_len, 
     return root, spines, im, viol
 
 
-@pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
+@pytest.mark.parametrize("samples,block_nodes", LAYOUTS, ids=LAYOUT_IDS)
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
@@ -91,7 +95,7 @@ def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes,
         assert leaf_mode == "free" or (viol[0, 1] > 0 and viol[0, 2] > 0)
 
 
-@pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
+@pytest.mark.parametrize("samples,block_nodes", LAYOUTS, ids=LAYOUT_IDS)
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
@@ -116,6 +120,30 @@ def test_gamma_grid_matches_single_gamma_calls(kind, q, leaf_mode, samples, bloc
                 assert np.array_equal(got[i], want[0])
         # bare-leaf counters differ between gammas, so a mix-up of caps or floors shows
         assert leaf_mode == "free" or len({tuple(v) for v in viol}) == len(GRID)
+
+
+def test_one_sample_layout_holds_one_sample_per_block(monkeypatch):
+    # the widest computed level of every ball above is at least 32 nodes (the
+    # narrowest: q = 2 with q branches and free leaves), so the last layout's
+    # 16-node budget holds one sample a block and updates 4 rows a chunk
+    samples, block_nodes = LAYOUTS[-1]
+    monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
+    made = []
+
+    class Recorded(_kernels.SweepWork):
+        def __init__(self, rows, sizes, free_leaves=False):
+            super().__init__(rows, sizes, free_leaves)
+            made.append(rows)
+
+    monkeypatch.setattr(_kernels, "SweepWork", Recorded)
+    for q, depth in DEPTH.items():
+        for branches in (q + 1, q):
+            widest = _kernels.level_sizes(q, depth, branches)[-2]
+            assert widest >= 32 and _kernels._row_chunks(widest, 1)[0] == slice(0, 4)
+            for leaf_mode in ("bare", "free"):
+                _kernels.tree_batch(q, depth, branches, EPS, [GAMMA], [leaf_for(leaf_mode, q)],
+                                    "uniform", 1.0, 41, samples, 0, 0, [ABS_CAP], [IM_FLOOR])
+    assert made == [1] * (len(DEPTH) * 2 * 2)
 
 
 def row_of(part, buffer, length):

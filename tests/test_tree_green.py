@@ -516,10 +516,10 @@ def test_pair_lifts_table():
     a = int(g.neighbors[0][1])
     b = int(next(w for w in g.neighbors[a] if w != 0))
     lifts = tg.pair_lifts(g, [[3], [0, a, b], [0, a]])
-    # u -> neighbors[u, j] has id u*(q+1) + j
+    # u -> neighbors[u, j] has id j*n + u
     jb = int(np.searchsorted(g.neighbors[a], b))
     assert lifts.starts.tolist() == [3, 0, 0]
-    assert lifts.steps.tolist() == [[-1, -1], [1, a * 3 + jb], [1, -1]]
+    assert lifts.steps.tolist() == [[-1, -1], [10, jb * 10 + a], [10, -1]]
     assert tg.pair_lifts(g, [[1], [2]]).steps.shape == (2, 0)
 
 
