@@ -93,8 +93,7 @@ def hash_u64_vec(key, ctrs: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
 def _unit_from_bits(bits: np.ndarray, out=None, scale: float = 2.0**-53) -> np.ndarray:
     """53-bit integers ``bits`` times ``scale`` (a power of two, so exact),
-    into the float64 array ``out`` when given: one pass, the bits of a
-    float64 copy scaled in place."""
+    into the float64 array ``out`` when given."""
     return np.multiply(bits, scale, out=out)
 
 

@@ -35,9 +35,8 @@ KIND_IDS = ["0", "1", "2"]
 # sample per block, as every computed level is wider than the 16-node budget
 # (test_one_sample_layout_holds_one_sample_per_block), in chunks of 4 rows.
 # A zero chunk budget is test_blocks_hold_at_most_block_nodes_per_level[1]'s.
-LAYOUTS = [(1, 2**16), (37, 700), (5, 16)]
-# test ids: (samples, block nodes), but the last one reads 5 samples, 1 a block
-LAYOUT_IDS = ["1-65536", "37-700", "5-1"]
+# The last layout's id, 5-1, reads 5 samples, 1 a block.
+LAYOUTS = [(1, 2**16), (37, 700), pytest.param(5, 16, id="5-1")]
 # a grid of mixed lambda and eta, each gamma with its own cap and floor
 GRID = [GAMMA, -0.6 + 0.1j, 1.1 + 0.4j, 0.3 + 0.05j]
 GRID_CAPS = [ABS_CAP, 2.0, 1.0, 1.5]
@@ -73,7 +72,7 @@ def sweep_oracle(q, depth, branches, leaf, kind, batch_key, samples, spine_len, 
     return root, spines, im, viol
 
 
-@pytest.mark.parametrize("samples,block_nodes", LAYOUTS, ids=LAYOUT_IDS)
+@pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
@@ -95,7 +94,7 @@ def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes,
         assert leaf_mode == "free" or (viol[0, 1] > 0 and viol[0, 2] > 0)
 
 
-@pytest.mark.parametrize("samples,block_nodes", LAYOUTS, ids=LAYOUT_IDS)
+@pytest.mark.parametrize("samples,block_nodes", LAYOUTS)
 @pytest.mark.parametrize("leaf_mode", ["bare", "free"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
@@ -126,7 +125,7 @@ def test_one_sample_layout_holds_one_sample_per_block(monkeypatch):
     # the widest computed level of every ball above is at least 32 nodes (the
     # narrowest: q = 2 with q branches and free leaves), so the last layout's
     # 16-node budget holds one sample a block and updates 4 rows a chunk
-    samples, block_nodes = LAYOUTS[-1]
+    samples, block_nodes = LAYOUTS[-1].values
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
     made = []
 
@@ -155,6 +154,7 @@ def row_of(part, buffer, length):
 
 @pytest.mark.parametrize("block_nodes", [1, 100, 700, 4096])
 def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
+    default = _kernels._BLOCK_NODES
     monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
     draw, check = _kernels.draw_omega_vec, _kernels._check_vec
     seen, updates, made = [], [], []
@@ -191,8 +191,9 @@ def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
                 seen.clear()
                 updates.clear()
                 made.clear()
-                _kernels.tree_batch(q, depth, branches, EPS, GRID, leaves, "uniform", 1.0,
-                                    5, samples, spine_len, 0, GRID_CAPS, GRID_FLOORS)
+                args = (q, depth, branches, EPS, GRID, leaves, "uniform", 1.0, 5, samples,
+                        spine_len, 0, GRID_CAPS, GRID_FLOORS)
+                got = _kernels.tree_batch(*args)
                 assert sum(seen) == samples
                 # every block but the last is as full as the limit allows
                 per_block = max(1, block_nodes // width)
@@ -221,6 +222,14 @@ def test_blocks_hold_at_most_block_nodes_per_level(block_nodes, monkeypatch):
                                 stop += n
                             assert stop == sizes[k - 1]
                 assert next(at, None) is None
+                if block_nodes == 1:
+                    # a zero chunk budget updates one row a chunk: roots, spines
+                    # and counters are those of the default block size
+                    monkeypatch.setattr(_kernels, "_BLOCK_NODES", default)
+                    want = _kernels.tree_batch(*args)
+                    monkeypatch.setattr(_kernels, "_BLOCK_NODES", block_nodes)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("batch", ["ray", "cavity", "tiny"])
