@@ -19,30 +19,33 @@ and imaginary parts, of (level width x samples): a row per tree position,
 the positions in sibling-blocked order (child j of the parent at position p
 of a level w wide at position j*w + p), so the children j of a run of
 parents are one run of rows and every update reads and writes contiguous
-memory.  Each level is updated in chunks of consecutive rows of at most a
-quarter of the block budget, so the temporaries of an update stay in cache
-while the block, and with it the number of samples that share one numpy
-call on the narrow top levels, stays large.  Message passing is vectorized
-across the directed edges of a graph, numbered slot-major (edge j*n + v is
-vertex v's j-th edge) and held so inside a call: row j holds the messages
-on every vertex's j-th edge, real and imaginary parts apart, so every pass
-of a round runs along contiguous rows, and one gather per round by the
-reverse edges moves each new value onto its edge (``np.take`` in "wrap"
-mode, which numpy does not buffer, unlike the default "raise"; the reverse
-edges are checked once per call, so an index out of range raises instead
-of wrapping).  One call runs every round a caller needs and returns the
-last rounds it asks for.  A call allocates its level, round and scratch
+memory.  Memory and cache have one budget each: each level is updated in
+chunks of consecutive rows of at most ``_CHUNK_NODES`` nodes, so the
+temporaries of an update stay in cache, while the block, and with it the
+number of samples that share one numpy call on the narrow top levels, the
+roots and the spine, grows with ``_BLOCK_NODES`` alone.  Message passing is
+vectorized across the directed edges of a graph, numbered slot-major (edge
+j*n + v is vertex v's j-th edge) and held so inside a call: row j holds the
+messages on every vertex's j-th edge, real and imaginary parts apart, so
+every pass of a round runs along contiguous rows, and one gather per round
+by the reverse edges moves each new value onto its edge (``np.take`` in
+"wrap" mode, which numpy does not buffer, unlike the default "raise"; the
+reverse edges are checked once per call, so an index out of range raises
+instead of wrapping).  One call runs every round a caller needs and returns
+the last rounds it asks for.  A call allocates its level, round and scratch
 arrays once (``SweepWork`` for the trees) and reuses them at every level,
-chunk, block and round, so its memory is paged in once rather than at
-every level; the operations and their order are
+chunk, block and round, so its memory is paged in once rather than at every
+level.  What does not depend on a block is done once: a tree sweep makes
+the views of its chunk updates once per block shape and checks each free
+leaf once per gamma for every sample.  The operations and their order are
 those of the plain array expressions, elementwise, so neither chunks,
-blocks nor the slot layout change a bit.
-Results are reproducible bit for bit and depend neither on the blocking
-nor on the other gammas of a grid: child sums run in child order, complex
-reciprocals and products go through explicit formulas, and potentials come
-from the counter-based streams of ``_rng``.  The golden digests in
-``tests/test_kernels.py`` pin them, and ``tests/test_sample_blocks.py``
-compares ``tree_batch`` with a per-sample loop and with one-gamma calls.
+blocks nor the slot layout change a bit.  Results are reproducible bit for
+bit and depend neither on the blocking nor on the other gammas of a grid:
+child sums run in child order, complex reciprocals and products go through
+explicit formulas, and potentials come from the counter-based streams of
+``_rng``.  The golden digests in ``tests/test_kernels.py`` pin them, and
+``tests/test_sample_blocks.py`` compares ``tree_batch`` with a per-sample
+loop and with one-gamma calls.
 
 Conventions shared by every kernel:
 
@@ -78,6 +81,7 @@ from ._rng import draw_omega_vec, hash_u64_vec
 _SLACK = 1e-12
 # the smallest normal float64: below it a squared modulus loses relative precision
 _TINY = 2.0**-1022
+_amin, _amax = np.minimum.reduce, np.maximum.reduce
 
 
 def crecip_vec(z: np.ndarray) -> np.ndarray:
@@ -173,11 +177,17 @@ def _check_vec(re, im, abs_cap: float, im_floor: float, viol: np.ndarray,
     ``scratch`` is an optional (float64 array, bool array) pair of the
     shape of the parts for the exact counts.
     """
-    viol[3] += im.size
-    if den is not None and im.size:
-        low = den.min()
+    size = im.size
+    viol[3] += size
+    if den is not None and size:
+        # the ufunc reductions without the wrappers of den.min() and im.max(),
+        # and Python floats for the comparisons
+        low = float(_amin(den, None))
         if low >= _TINY and low * (abs_cap * abs_cap) >= 1.0:
-            top = im.max() if ni is None or np.ndim(ni) else ni / den.max()
+            if ni is None or isinstance(ni, np.ndarray):
+                top = float(_amax(im, None))
+            else:
+                top = ni / float(_amax(den, None))
             if top < 0.0 and top <= -(im_floor * (1.0 - _SLACK)):
                 return
     if scratch is None:
@@ -195,24 +205,28 @@ def _check_vec(re, im, abs_cap: float, im_floor: float, viol: np.ndarray,
 # cavity recursion on tree balls
 # ----------------------------------------------------------------------
 
-# Samples are swept together in blocks of at most this many tree nodes on
-# the widest level a sweep computes, and every level is updated in chunks of
-# consecutive rows (tree positions, each holding the block's samples) of at
-# most a quarter of that (``_row_chunks``).  A level update keeps about 60
-# bytes a node in flight (child sums, the parts of the denominators, the
-# output chunk, potentials, mask), so a 2**14-node chunk stays near 1 MB,
-# within a 2 MB per-core L2; only the two level arrays and the potentials
-# span the whole block.  On the moment table (q=3, depth 8, free leaves:
-# 29 samples a block) 2**17 was about 7% faster and raised peak RSS by
-# 2 MB (5%).
-_BLOCK_NODES = 2**16
+# Two budgets, one for memory and one for cache.  Samples are swept together
+# in blocks of at most _BLOCK_NODES tree nodes on the widest level a sweep
+# computes: only the two level arrays and the potentials span a whole block,
+# and the more samples a block holds, the fewer times the narrow top levels,
+# the roots and the spine pay their fixed numpy-call cost.  Every level is
+# updated in chunks of consecutive rows (tree positions, each holding the
+# block's samples) of at most _CHUNK_NODES nodes (``_row_chunks``).  A
+# level update keeps about 60 bytes a node in flight (child sums, the parts
+# of the denominators, the output chunk, potentials, mask), so a 2**14-node
+# chunk stays near 1 MB, within a 2 MB per-core L2.  On the moment table
+# (q=3, depth 8, free leaves: 59 samples a block, 29 at 2**16) 2**17 blocks
+# took about 7% less time than 2**16 blocks (fastest of 15 in-process runs,
+# 2-vCPU Xeon) for 2.2 MB more peak RSS.
+_BLOCK_NODES = 2**17
+_CHUNK_NODES = 2**14
 
 
 def _row_chunks(rows, length):
     """Slices of consecutive rows, first to last, that update the ``rows``
     rows of ``length`` nodes of a level array: each holds at most
-    ``_BLOCK_NODES // 4`` nodes, or one row if a row alone is longer."""
-    step = max(1, _BLOCK_NODES // 4 // length)
+    ``_CHUNK_NODES`` nodes, or one row if a row alone is longer."""
+    step = max(1, _CHUNK_NODES // length)
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
@@ -227,6 +241,11 @@ def _drawn_sizes(sizes, free_leaves):
 # scratch of the exact checks (den is free once checked) and the uint64
 # scratch of the draws
 _Chunk = collections.namedtuple("_Chunk", "sums zr ni den check bits")
+# one chunk update of a level: its rows, the views of its potentials and of
+# its output parts, the (real, imaginary) lists of its children's views on
+# the level below (None on the deepest level a sweep computes) and its
+# scratch (a _Chunk)
+_Update = collections.namedtuple("_Update", "rows pot re im kids scratch")
 
 
 class SweepWork:
@@ -243,13 +262,15 @@ class SweepWork:
     draws.  With ``free_leaves`` the deepest level is one value shared by
     every node of every sample: it takes no cells and no potentials.  Every
     array an update needs is a view of the first cells of one of these, so
-    a sweep touches the same pages at every level and chunk.
+    a sweep touches the same pages at every level and chunk, and the views
+    are made once per block shape (``block``).
     """
 
     def __init__(self, samples: int, sizes, free_leaves: bool = False):
-        drawn = _drawn_sizes(sizes, free_leaves)
+        self.sizes, drawn = sizes, _drawn_sizes(sizes, free_leaves)
+        self.computed = len(drawn)
         # a chunk of a block of at most ``samples`` samples: see _row_chunks
-        chunk = min(max(_BLOCK_NODES // 4, samples), samples * max(drawn, default=0))
+        chunk = min(max(_CHUNK_NODES, samples), samples * max(drawn, default=0))
         # level k lives in levels[k % 2], sized by the widest level of its parity
         self.levels = tuple(
             (np.empty(cells), np.empty(cells))
@@ -264,8 +285,9 @@ class SweepWork:
             "bits0": np.empty(chunk, dtype=np.uint64),
             "bits1": np.empty(chunk, dtype=np.uint64),
         }
-        self.sites = np.empty(samples * sum(drawn))
-        self._chunks = {}
+        # zeros: a sweep at eps = 0 draws no potentials
+        self.sites = np.zeros(samples * sum(drawn))
+        self._chunks, self._blocks = {}, {}
 
     def level(self, k: int, shape: tuple) -> tuple:
         """Level k's (real, imaginary) parts: the first cells of the level
@@ -281,6 +303,33 @@ class SweepWork:
                            (v["bits0"], v["bits1"]))
             self._chunks[shape] = views
         return views
+
+    def block(self, m: int) -> dict:
+        """The level updates of a block of ``m`` samples, made once per block
+        shape: each level k the sweep computes maps to its (real, imaginary)
+        arrays of (width, m) and its chunk updates (``_Update``).  Level k's
+        potentials are the (width, m) array that follows those of levels
+        1..k-1 in ``sites``, and child j of its row p is row j*width + p of
+        level k + 1, so the children j of a run of rows are one run of rows.
+        """
+        layout = self._blocks.get(m)
+        if layout is None:
+            layout, below = {}, None
+            for k in range(self.computed, 0, -1):
+                width = self.sizes[k - 1]
+                first = m * sum(self.sizes[: k - 1])
+                pot = self.sites[first : first + m * width].reshape(width, m)
+                level = self.level(k, (width, m))
+                kids = None if below is None else [part.reshape(-1, width, m) for part in below]
+                layout[k] = level, [
+                    _Update(rows, pot[rows], level[0][rows], level[1][rows],
+                            None if kids is None else tuple(list(part[:, rows]) for part in kids),
+                            self.chunk(pot[rows].shape))
+                    for rows in _row_chunks(width, m)
+                ]
+                below = level
+            self._blocks[m] = layout
+        return layout
 
 
 def _sum_children(kids, count, out=None):
@@ -311,9 +360,10 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     samples holding at most ``_BLOCK_NODES`` nodes on the widest level the
     sweep computes, or one sample if that level alone is wider (a free-leaf
     level, when every gamma has one, is one shared value and not counted);
-    all blocks share one ``SweepWork``.  A block draws its potentials level
-    by level, once and in the row chunks of the level updates, and sweeps
-    every gamma over the same draws with its own leaf, cap and floor.
+    all blocks share one ``SweepWork``, and blocks of one shape share the
+    views of its updates.  A block draws its potentials level by level, once
+    and in the row chunks of the level updates, and sweeps every gamma over
+    the same draws with its own leaf, cap and floor.
     Returns (root cavity values 1/(gamma - eps*omega_root - sum of the
     branch values), shape (G, samples); cavity values at depths
     1..spine_len along the first ray of branch ``ray_branch``, shape
@@ -338,7 +388,8 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     rows (``_row_chunks``), each checked from the squared moduli its
     reciprocals leave behind (``_check_vec``).  Bare leaves (``leaf`` None)
     are 1/(gamma - eps*omega); a free leaf is one value shared by every
-    node of every sample, checked once for all of them, and every node of
+    node of every sample, checked once per call for all of them (its
+    counters scaled by samples x width), and every node of
     the level above sums the same q copies of it, so that level's
     denominators share one negated imaginary part.
 
@@ -367,66 +418,59 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     root = np.empty((len(gammas), samples), dtype=np.complex128)
     spine = np.empty((len(gammas), samples, spine_len), dtype=np.complex128)
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
+    # each free leaf is one value shared by every node of every sample: its
+    # level (a read-only view for all of them), checked once for the whole
+    # call, and the sum of q copies of it that the level above adds
+    free_levels = {}
+    for i, leaf in enumerate(leaves):
+        if leaf is not None:
+            leaf = complex(leaf)
+            parts = np.array([leaf.real]), np.array([leaf.imag])
+            leaf_viol = np.zeros(4, dtype=np.int64)
+            _check_vec(*parts, abs_caps[i], im_floors[i], leaf_viol)
+            viol[i] += leaf_viol * (samples * sizes[-1])
+            free_levels[i] = (tuple(np.broadcast_to(part, (sizes[-1], 1)) for part in parts),
+                              _sum_children(np.array([leaf]), q))
     for start in range(0, samples, per_block):
         block = slice(start, min(start + per_block, samples))
         m = block.stop - start
-        sites = {}
-
-        def site(k):
-            if chain:
-                return np.zeros((1, 1))
-            if k not in sites:
-                width = sizes[k - 1]
-                first = m * (offsets[k] - 1)
-                sites[k] = work.sites[first : first + m * width].reshape(width, m)
-                for rows in _row_chunks(width, m):
-                    out = sites[k][rows]
-                    draw_omega_vec(pot_kind, pot_a, keys[None, block], ids[k][rows], out,
-                                   work.chunk(out.shape).bits)
-                    out *= eps
-            return sites[k]
-
+        layout, drawn = work.block(m), set()
         site_root = np.zeros(m) if chain else eps * draw_omega_vec(
             pot_kind, pot_a, keys[block, None], np.zeros(1, dtype=np.int64))[:, 0]
         for i, gamma in enumerate(gammas):
-            cap, floor = abs_caps[i], im_floors[i]
-            # the (real, imaginary) arrays of the level under k, or with free
-            # leaves, on the level above them, the sum of q copies of the leaf
-            below, total = None, None
+            cap, floor, counts = abs_caps[i], im_floors[i], viol[i]
+            # whether the level under k was computed, or with free leaves, on
+            # the level above them, the sum of q copies of the leaf
+            children, total = False, None
             for k in range(depth, 0, -1):
-                width = sizes[k - 1]
-                if k == depth and leaves[i] is not None:
-                    leaf = complex(leaves[i])
-                    parts = np.array([leaf.real]), np.array([leaf.imag])
-                    counts = np.zeros(4, dtype=np.int64)
-                    _check_vec(*parts, cap, floor, counts)
-                    viol[i] += counts * (m * width)
-                    # one read-only value for all m * width nodes
-                    level = tuple(np.broadcast_to(part, (width, 1)) for part in parts)
-                    total = _sum_children(np.array([leaf]), q)
+                if k == depth and i in free_levels:
+                    level, total = free_levels[i]
                 else:
-                    pot, level = site(k), work.level(k, (width, m))
-                    if below is not None:
-                        # child j of row p is row j*width + p below: children on the first axis
-                        kids = [part.reshape(-1, width, m) for part in below]
+                    level, updates = layout[k]
+                    if not (chain or k in drawn):
+                        # a block draws each level once, in the row chunks of its updates
+                        drawn.add(k)
+                        for u in updates:
+                            draw_omega_vec(pot_kind, pot_a, keys[None, block], ids[k][u.rows],
+                                           u.pot, u.scratch.bits)
+                            np.multiply(u.pot, eps, out=u.pot)
                     ni = -gamma.imag if total is None else total.imag - gamma.imag
-                    for rows in _row_chunks(width, m):
-                        chunk = work.chunk(pot[rows].shape)
-                        zr = np.subtract(gamma.real, pot[rows], out=chunk.zr)
+                    for u in updates:
+                        chunk = u.scratch
+                        zr = np.subtract(gamma.real, u.pot, out=chunk.zr)
                         sq = None
-                        if below is not None:
-                            sums = _sum_children(kids[0][:, rows], q, chunk.sums)
-                            ni = _sum_children(kids[1][:, rows], q, chunk.ni)
+                        if children:
+                            sums = _sum_children(u.kids[0], q, chunk.sums)
+                            ni = _sum_children(u.kids[1], q, chunk.ni)
                             ni -= gamma.imag
                             zr -= sums
                             sq = sums  # the real child sums are spent once zr is built
                         elif total is not None:
                             zr -= total.real
-                        re, im = crecip_parts(zr, ni, level[0][rows], level[1][rows],
-                                              chunk.den, sq)
+                        re, im = crecip_parts(zr, ni, u.re, u.im, chunk.den, sq)
                         # den is read before the exact counts overwrite it
-                        _check_vec(re, im, cap, floor, viol[i], chunk.check, chunk.den, ni)
-                    below, total = level, None
+                        _check_vec(re, im, cap, floor, counts, chunk.check, chunk.den, ni)
+                    children, total = True, None
                 if k <= spine_len:
                     values = spine[i, block, k - 1]
                     values.real, values.imag = level[0][ray], level[1][ray]

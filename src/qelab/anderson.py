@@ -140,9 +140,18 @@ class SpectralData:
 
 
 def _canonical_signs(vecs: np.ndarray) -> None:
-    """Flip columns in place so the first coordinate above 1e-8 in modulus is positive."""
-    first = np.argmax(np.abs(vecs) > 1e-8, axis=0)
-    flip = vecs[first, np.arange(vecs.shape[1])] < 0
+    """Flip columns in place so the first coordinate above 1e-8 in modulus is positive.
+
+    Row 0 decides every column whose first entry is above 1e-8; only the
+    other columns build the mask of entries above it.  A column with none
+    is decided at row 0, as ``argmax`` of an all-False column is 0.
+    """
+    flip = vecs[0] < 0
+    rest = np.flatnonzero(~(np.abs(vecs[0]) > 1e-8))
+    if rest.size:
+        sub = vecs[:, rest]
+        first = np.argmax(np.abs(sub) > 1e-8, axis=0)
+        flip[rest] = sub[first, np.arange(rest.size)] < 0
     vecs *= np.where(flip, -1.0, 1.0)
 
 

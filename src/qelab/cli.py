@@ -542,6 +542,13 @@ def _run_stages(cfg, names, out_dir, threads: int, strict: bool) -> None:
         STAGES[name].write(run, out_dir, results.get(name, []))
 
 
+def _default_threads() -> int:
+    """The CPUs this process may run on, or every CPU where the platform cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qelab",
@@ -553,7 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker processes for the grid (default: the CPUs this "
+                            "process may run on)")
         p.add_argument("--strict-invariants", action="store_true",
                        help="escalate numerical-invariant violations to exit 4")
     return parser

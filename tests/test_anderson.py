@@ -150,6 +150,15 @@ def test_sign_convention_matches_column_loop():
     flipped = m.copy()
     anderson._canonical_signs(flipped)
     assert np.array_equal(flipped.view(np.int64), signs_by_column_loop(m).view(np.int64))
+    # two components: the eigenvectors of the one without vertex 0 vanish at
+    # row 0, so their signs are decided further down
+    h2 = anderson.assemble(graphs.generate_random_regular(120, 2, seed=5),
+                           anderson.sample_potential(120, anderson.PotentialSpec(), 0.3, seed=3))
+    two = scipy.linalg.block_diag(h, h2)
+    _, raw = scipy.linalg.eigh(two, driver="evd")
+    assert (np.abs(raw[0]) <= 1e-8).sum() >= 100
+    got = anderson.eigendecompose(two).eigenvectors
+    assert np.array_equal(got.view(np.int64), signs_by_column_loop(raw).view(np.int64))
 
 
 def test_eigendecompose_rejects_asymmetric_and_nan():

@@ -217,6 +217,17 @@ def test_threads_do_not_change_output(tmp_path):
     assert (out1 / "qe_diag.csv").read_text().count("\n") == 1
 
 
+def test_threads_default_to_the_cpus_this_process_may_use(monkeypatch):
+    # the affinity mask, not the machine's CPU count, where the platform has one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    args = cli.build_parser().parse_args(["run", "--config", "c.json", "--out", "o"])
+    assert args.threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    args = cli.build_parser().parse_args(["run", "--config", "c.json", "--out", "o"])
+    assert args.threads == 8
+
+
 def test_empty_grid_builds_no_per_point_inputs(tmp_path, monkeypatch):
     # with no grid point, the per-point stages build neither the profile nor
     # the ids reference, and write only their headers; the moment table,
