@@ -14,16 +14,18 @@ Every kernel is plain numpy.  Tree kernels sweep many samples at once,
 level by level, in sample blocks of at most ``_BLOCK_NODES`` nodes on the
 widest level they compute (a free-leaf level is one value shared by every
 node and does not count), and sweep every gamma of a grid over the
-potentials that a block draws once.  A level is two float arrays, its real
-and imaginary parts, of (level width x samples): a row per tree position,
-the positions in sibling-blocked order (child j of the parent at position p
-of a level w wide at position j*w + p), so the children j of a run of
-parents are one run of rows and every update reads and writes contiguous
-memory.  Memory and cache have one budget each: each level is updated in
-chunks of consecutive rows of at most ``_CHUNK_NODES`` nodes, so the
-temporaries of an update stay in cache, while the block, and with it the
-number of samples that share one numpy call on the narrow top levels, the
-roots and the spine, grows with ``_BLOCK_NODES`` alone.  Message passing is
+potentials that a block draws once, before its first gamma.  The root is
+level 0 of a sweep, one node wide, and takes the update of every other
+level.  A level is two float arrays, its real and imaginary parts, of
+(level width x samples): a row per tree position, the positions in
+sibling-blocked order (child j of the parent at position p of a level w
+wide at position j*w + p), so the children j of a run of parents are one
+run of rows and every update reads and writes contiguous memory.  Memory
+and cache have one budget each: each level is updated in chunks of
+consecutive rows of at most ``_CHUNK_NODES`` nodes, so the temporaries of
+an update stay in cache, while the block, and with it the number of
+samples that share one numpy call on the narrow top levels, the root and
+the spine, grows with ``_BLOCK_NODES`` alone.  Message passing is
 vectorized across the directed edges of a graph, numbered slot-major (edge
 j*n + v is vertex v's j-th edge) and held so inside a call: row j holds the
 messages on every vertex's j-th edge, real and imaginary parts apart, so
@@ -35,11 +37,9 @@ instead of wrapping).  One call runs every round a caller needs and returns
 the last rounds it asks for.  A call allocates its level, round and scratch
 arrays once (``SweepWork`` for the trees) and reuses them at every level,
 chunk, block and round, so its memory is paged in once rather than at every
-level.  What does not depend on a block is done once: a tree sweep makes
-the views of its chunk updates once per block shape and checks each free
-leaf once per gamma for every sample.  The operations and their order are
-those of the plain array expressions, elementwise, so neither chunks,
-blocks nor the slot layout change a bit.  Results are reproducible bit for
+level.  The operations and their order are those of the plain array
+expressions, elementwise, so neither chunks, blocks nor the slot layout
+change a bit.  Results are reproducible bit for
 bit and depend neither on the blocking nor on the other gammas of a grid:
 child sums run in child order, complex reciprocals and products go through
 explicit formulas, and potentials come from the counter-based streams of
@@ -72,7 +72,6 @@ nodes-visited].
 from __future__ import annotations
 
 import collections
-import math
 
 import numpy as np
 
@@ -145,15 +144,6 @@ def level_sizes(q: int, depth: int, branches: int) -> list[int]:
     return [branches * q**k for k in range(depth)]
 
 
-def level_offsets(q: int, depth: int, branches: int) -> np.ndarray:
-    """Level-order id of the first node in each level, index 1..depth."""
-    off = np.zeros(depth + 1, dtype=np.int64)
-    off[1] = 1
-    for k in range(1, depth):
-        off[k + 1] = off[k] + branches * q ** (k - 1)
-    return off
-
-
 def _check_vec(re, im, abs_cap: float, im_floor: float, viol: np.ndarray,
                scratch=None, den=None, ni=None) -> None:
     """Add the bound violations of the values with real parts ``re`` and
@@ -209,7 +199,7 @@ def _check_vec(re, im, abs_cap: float, im_floor: float, viol: np.ndarray,
 # in blocks of at most _BLOCK_NODES tree nodes on the widest level a sweep
 # computes: only the two level arrays and the potentials span a whole block,
 # and the more samples a block holds, the fewer times the narrow top levels,
-# the roots and the spine pay their fixed numpy-call cost.  Every level is
+# the root and the spine pay their fixed numpy-call cost.  Every level is
 # updated in chunks of consecutive rows (tree positions, each holding the
 # block's samples) of at most _CHUNK_NODES nodes (``_row_chunks``).  A
 # level update keeps about 60 bytes a node in flight (child sums, the parts
@@ -231,20 +221,15 @@ def _row_chunks(rows, length):
 
 
 def _drawn_sizes(sizes, free_leaves):
-    """Widths of the levels a sweep draws potentials for: all but a free-leaf level."""
+    """Widths of the levels a sweep computes and draws potentials for, from
+    the root: all but a free-leaf level."""
     return sizes[:-1] if free_leaves else sizes
 
 
-# views of a chunk's scratch: the real child sums (then the squares ni*ni),
-# the real and negated imaginary parts of the denominators (ni holds the
-# imaginary child sums first), their squared modulus, the (float, mask)
-# scratch of the exact checks (den is free once checked) and the uint64
-# scratch of the draws
-_Chunk = collections.namedtuple("_Chunk", "sums zr ni den check bits")
 # one chunk update of a level: its rows, the views of its potentials and of
 # its output parts, the (real, imaginary) lists of its children's views on
-# the level below (None on the deepest level a sweep computes) and its
-# scratch (a _Chunk)
+# the level below (None on the deepest level a sweep computes) and the views
+# of the ``SweepWork.scratch`` buffers of its shape
 _Update = collections.namedtuple("_Update", "rows pot re im kids scratch")
 
 
@@ -252,29 +237,30 @@ class SweepWork:
     """Buffers that a tree sweep reuses from level to level and block to block.
 
     Sized for blocks of up to ``samples`` samples of a ball whose levels
-    hold ``sizes`` nodes per sample.  The level values (two levels, used in
-    turn, each as a real and an imaginary float array) and the potentials
-    of every level span the whole block.  The scratch of a level update
-    spans one chunk of rows (``_row_chunks``), never more than the block's
-    widest level: the real child sums, the real and negated imaginary parts
-    of the denominators and their squared modulus (also the float scratch
-    of the checks), the check mask and the uint64 scratch of the potential
-    draws.  With ``free_leaves`` the deepest level is one value shared by
-    every node of every sample: it takes no cells and no potentials.  Every
-    array an update needs is a view of the first cells of one of these, so
-    a sweep touches the same pages at every level and chunk, and the views
-    are made once per block shape (``block``).
+    0..depth hold ``sizes`` nodes per sample (level 0, the root, one).  The
+    level values (two levels, used in turn, each as a real and an imaginary
+    float array) and the potentials of every level span the whole block.
+    The scratch of a level update spans one chunk of rows (``_row_chunks``),
+    never more than the block's widest level: the real child sums, the real
+    and negated imaginary parts of the denominators and their squared
+    modulus (also the float scratch of the checks), the check mask and the
+    uint64 scratch of the potential draws.  With ``free_leaves`` the deepest
+    level is one value shared by every node of every sample: it takes no
+    cells and no potentials.  Every array an update needs is a view of the
+    first cells of one of these, so a sweep touches the same pages at every
+    level and chunk, and the views are made once per block shape
+    (``block``).
     """
 
     def __init__(self, samples: int, sizes, free_leaves: bool = False):
         self.sizes, drawn = sizes, _drawn_sizes(sizes, free_leaves)
         self.computed = len(drawn)
         # a chunk of a block of at most ``samples`` samples: see _row_chunks
-        chunk = min(max(_CHUNK_NODES, samples), samples * max(drawn, default=0))
+        chunk = min(max(_CHUNK_NODES, samples), samples * max(drawn))
         # level k lives in levels[k % 2], sized by the widest level of its parity
         self.levels = tuple(
             (np.empty(cells), np.empty(cells))
-            for cells in (samples * max(drawn[1 - parity :: 2], default=0) for parity in (0, 1))
+            for cells in (samples * max(drawn[parity::2], default=0) for parity in (0, 1))
         )
         self.scratch = {
             "sums": np.empty(chunk),
@@ -287,44 +273,31 @@ class SweepWork:
         }
         # zeros: a sweep at eps = 0 draws no potentials
         self.sites = np.zeros(samples * sum(drawn))
-        self._chunks, self._blocks = {}, {}
-
-    def level(self, k: int, shape: tuple) -> tuple:
-        """Level k's (real, imaginary) parts: the first cells of the level
-        arrays of k's parity."""
-        return tuple(part[: math.prod(shape)].reshape(shape) for part in self.levels[k % 2])
-
-    def chunk(self, shape: tuple) -> _Chunk:
-        """The scratch of one chunk update as arrays of ``shape``, made once per shape."""
-        views = self._chunks.get(shape)
-        if views is None:
-            v = {name: b[: math.prod(shape)].reshape(shape) for name, b in self.scratch.items()}
-            views = _Chunk(v["sums"], v["zr"], v["ni"], v["den"], (v["den"], v["mask"]),
-                           (v["bits0"], v["bits1"]))
-            self._chunks[shape] = views
-        return views
+        self._blocks = {}
 
     def block(self, m: int) -> dict:
         """The level updates of a block of ``m`` samples, made once per block
-        shape: each level k the sweep computes maps to its (real, imaginary)
-        arrays of (width, m) and its chunk updates (``_Update``).  Level k's
-        potentials are the (width, m) array that follows those of levels
-        1..k-1 in ``sites``, and child j of its row p is row j*width + p of
-        level k + 1, so the children j of a run of rows are one run of rows.
+        shape: each level k the sweep computes, from the deepest one up to
+        the root at 0, maps to its (real, imaginary) arrays of (width, m) and
+        its chunk updates (``_Update``).  Level k's potentials are the
+        (width, m) array that follows those of levels 0..k-1 in ``sites``,
+        and child j of its row p is row j*width + p of level k + 1, so the
+        children j of a run of rows are one run of rows.
         """
         layout = self._blocks.get(m)
         if layout is None:
             layout, below = {}, None
-            for k in range(self.computed, 0, -1):
-                width = self.sizes[k - 1]
-                first = m * sum(self.sizes[: k - 1])
+            for k in range(self.computed - 1, -1, -1):
+                width = self.sizes[k]
+                first = m * sum(self.sizes[:k])
                 pot = self.sites[first : first + m * width].reshape(width, m)
-                level = self.level(k, (width, m))
+                level = tuple(part[: m * width].reshape(width, m) for part in self.levels[k % 2])
                 kids = None if below is None else [part.reshape(-1, width, m) for part in below]
                 layout[k] = level, [
                     _Update(rows, pot[rows], level[0][rows], level[1][rows],
                             None if kids is None else tuple(list(part[:, rows]) for part in kids),
-                            self.chunk(pot[rows].shape))
+                            {name: b[: pot[rows].size].reshape(pot[rows].shape)
+                             for name, b in self.scratch.items()})
                     for rows in _row_chunks(width, m)
                 ]
                 below = level
@@ -361,66 +334,72 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
     sweep computes, or one sample if that level alone is wider (a free-leaf
     level, when every gamma has one, is one shared value and not counted);
     all blocks share one ``SweepWork``, and blocks of one shape share the
-    views of its updates.  A block draws its potentials level by level, once
-    and in the row chunks of the level updates, and sweeps every gamma over
-    the same draws with its own leaf, cap and floor.
-    Returns (root cavity values 1/(gamma - eps*omega_root - sum of the
-    branch values), shape (G, samples); cavity values at depths
+    views of its updates.  A block draws the potentials of all its levels
+    once, in the row chunks of the level updates, before its first gamma,
+    and sweeps every gamma over the same draws with its own leaf, cap and
+    floor.  Returns (root cavity values 1/(gamma - eps*omega_root - sum of
+    the branch values), shape (G, samples); cavity values at depths
     1..spine_len along the first ray of branch ``ray_branch``, shape
     (G, samples, spine_len); violation counters of levels 1..depth, shape
     (G, 4)).  The roots are not checked here: with q + 1 branches a root is
     -G(o, o), with q it is a cavity value, and each caller checks its roots
     itself.
 
-    The recursion z = 1/(gamma - eps*omega - sum of the q children) runs
-    leaves first.  Level k of a block of m samples is a pair of float
-    arrays, the real and the imaginary parts, of shape (width, m): row p
-    holds position p of every sample, and the positions are in
-    sibling-blocked order, child j of the parent at position p of a level
-    w wide at position j*w + p.  The children j of a run of parent rows are
-    then one run of rows, so a child sum is q contiguous slices added in
-    child order from 0, every update, reciprocal and check reads and writes
-    contiguous memory, and the spine of branch b is row b of every level.
-    Node p of level k draws its potential at its level-order id
-    offsets[k] + perm_k[p], where perm_1 is the identity (level 1 is in
-    root-sum order) and perm_{k+1}[j*w + p] = perm_k[p]*q + j, so no draw
-    depends on the layout.  Each level is updated in chunks of consecutive
-    rows (``_row_chunks``), each checked from the squared moduli its
-    reciprocals leave behind (``_check_vec``).  Bare leaves (``leaf`` None)
-    are 1/(gamma - eps*omega); a free leaf is one value shared by every
-    node of every sample, checked once per call for all of them (its
-    counters scaled by samples x width), and every node of
-    the level above sums the same q copies of it, so that level's
-    denominators share one negated imaginary part.
+    The recursion z = 1/(gamma - eps*omega - sum of the children) runs
+    leaves first, level by level up to the root at level 0, one node with
+    ``branches`` children (a node of any other level has q).  The root is
+    one more level of the same update, its node drawing its potential with
+    the others, and is copied out of the level arrays.  Level k of a block
+    of m samples is a pair of float arrays, the real and the imaginary
+    parts, of shape (width, m): row p holds position p of every sample, and
+    the positions are in sibling-blocked order, child j of the parent at
+    position p of a level w wide at position j*w + p.  The children j of a
+    run of parent rows are then one run of rows, so a child sum is
+    contiguous slices added in child order from 0, every update, reciprocal
+    and check reads and writes contiguous memory, and the spine of branch b
+    is row b of every level.  Node p of level k draws its potential at its
+    level-order id first_k + perm_k[p] (first_k the id of the level's first
+    node), where perm_0 = [0] and
+    perm_{k+1}[j*w + p] = perm_k[p]*c + j for c children a node (perm_1 is
+    the identity: level 1 is in root-sum order), so no draw depends on the
+    layout.  Each level is updated in chunks of consecutive rows
+    (``_row_chunks``), each below the root checked from the squared moduli
+    its reciprocals leave behind (``_check_vec``).  Bare leaves (``leaf``
+    None) are 1/(gamma - eps*omega); a free leaf is one value shared by
+    every node of every sample, checked once per call for all of them (its
+    counters scaled by samples x width), and every node of the level above
+    sums the same copies of it (``branches`` of them when that level is the
+    root), so that level's denominators share one negated imaginary part.
 
     At eps = 0 every ball is the same and all siblings coincide, so the
     batch is one sample (m = 1 in the shapes above) with one node per level,
     a level of the width of the level above it holding one value shared by
-    all q children: no potentials are drawn (the sites are zeros), the
+    all the children: no potentials are drawn (the sites are zeros), the
     spine is read at that one node whatever ``ray_branch`` is, and the
     counters count one node per level.
     """
     chain = eps == 0.0
     if chain:
-        samples, sizes, ray = 1, [1] * depth, 0
+        samples, sizes, ray = 1, [1] * (depth + 1), 0
     else:
-        sizes, ray = level_sizes(q, depth, branches), ray_branch
-        offsets = level_offsets(q, depth, branches)
+        sizes, ray = [1, *level_sizes(q, depth, branches)], ray_branch
         # each level's level-order ids in sibling-blocked order, as a column
-        ids, perm = {}, np.arange(branches, dtype=np.int64)
-        for k in range(1, depth + 1):
-            ids[k] = (offsets[k] + perm)[:, None]
-            perm = (perm * q + np.arange(q)[:, None]).ravel()
+        ids, perm, first = [], np.zeros(1, dtype=np.int64), 0
+        for k in range(depth + 1):
+            ids.append((first + perm)[:, None])
+            first += perm.size
+            count = branches if k == 0 else q
+            perm = (perm * count + np.arange(count)[:, None]).ravel()
     keys = hash_u64_vec(batch_key, np.arange(samples, dtype=np.uint64))
     free = all(leaf is not None for leaf in leaves)
-    per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free) or sizes))
+    per_block = max(1, _BLOCK_NODES // max(_drawn_sizes(sizes, free)))
     work = SweepWork(min(per_block, samples), sizes, free)
     root = np.empty((len(gammas), samples), dtype=np.complex128)
     spine = np.empty((len(gammas), samples, spine_len), dtype=np.complex128)
     viol = np.zeros((len(gammas), 4), dtype=np.int64)
     # each free leaf is one value shared by every node of every sample: its
     # level (a read-only view for all of them), checked once for the whole
-    # call, and the sum of q copies of it that the level above adds
+    # call, and the sum of copies of it that each node of the level above adds
     free_levels = {}
     for i, leaf in enumerate(leaves):
         if leaf is not None:
@@ -430,56 +409,53 @@ def tree_batch(q, depth, branches, eps, gammas, leaves, pot_kind, pot_a, batch_k
             _check_vec(*parts, abs_caps[i], im_floors[i], leaf_viol)
             viol[i] += leaf_viol * (samples * sizes[-1])
             free_levels[i] = (tuple(np.broadcast_to(part, (sizes[-1], 1)) for part in parts),
-                              _sum_children(np.array([leaf]), q))
+                              _sum_children(np.array([leaf]), q if depth > 1 else branches))
     for start in range(0, samples, per_block):
         block = slice(start, min(start + per_block, samples))
-        m = block.stop - start
-        layout, drawn = work.block(m), set()
-        site_root = np.zeros(m) if chain else eps * draw_omega_vec(
-            pot_kind, pot_a, keys[block, None], np.zeros(1, dtype=np.int64))[:, 0]
+        layout = work.block(block.stop - start)
+        if not chain:
+            # a block draws every level once, in the row chunks of its updates
+            for k, (_, updates) in layout.items():
+                for u in updates:
+                    draw_omega_vec(pot_kind, pot_a, keys[None, block], ids[k][u.rows], u.pot,
+                                   (u.scratch["bits0"], u.scratch["bits1"]))
+                    np.multiply(u.pot, eps, out=u.pot)
         for i, gamma in enumerate(gammas):
             cap, floor, counts = abs_caps[i], im_floors[i], viol[i]
             # whether the level under k was computed, or with free leaves, on
-            # the level above them, the sum of q copies of the leaf
+            # the level above them, the sum of copies of the leaf
             children, total = False, None
-            for k in range(depth, 0, -1):
+            for k in range(depth, -1, -1):
                 if k == depth and i in free_levels:
                     level, total = free_levels[i]
                 else:
                     level, updates = layout[k]
-                    if not (chain or k in drawn):
-                        # a block draws each level once, in the row chunks of its updates
-                        drawn.add(k)
-                        for u in updates:
-                            draw_omega_vec(pot_kind, pot_a, keys[None, block], ids[k][u.rows],
-                                           u.pot, u.scratch.bits)
-                            np.multiply(u.pot, eps, out=u.pot)
+                    count = branches if k == 0 else q
                     ni = -gamma.imag if total is None else total.imag - gamma.imag
                     for u in updates:
-                        chunk = u.scratch
-                        zr = np.subtract(gamma.real, u.pot, out=chunk.zr)
+                        s = u.scratch
+                        zr = np.subtract(gamma.real, u.pot, out=s["zr"])
                         sq = None
                         if children:
-                            sums = _sum_children(u.kids[0], q, chunk.sums)
-                            ni = _sum_children(u.kids[1], q, chunk.ni)
+                            sums = _sum_children(u.kids[0], count, s["sums"])
+                            ni = _sum_children(u.kids[1], count, s["ni"])
                             ni -= gamma.imag
                             zr -= sums
                             sq = sums  # the real child sums are spent once zr is built
                         elif total is not None:
                             zr -= total.real
-                        re, im = crecip_parts(zr, ni, u.re, u.im, chunk.den, sq)
-                        # den is read before the exact counts overwrite it
-                        _check_vec(re, im, cap, floor, counts, chunk.check, chunk.den, ni)
+                        re, im = crecip_parts(zr, ni, u.re, u.im, s["den"], sq)
+                        # den is read before the exact counts overwrite it (the
+                        # callers check the roots)
+                        if k:
+                            _check_vec(re, im, cap, floor, counts, (s["den"], s["mask"]),
+                                       s["den"], ni)
                     children, total = True, None
-                if k <= spine_len:
+                if 0 < k <= spine_len:
                     values = spine[i, block, k - 1]
                     values.real, values.imag = level[0][ray], level[1][ray]
-            # crecip_vec(gamma - site_root - sum of the branch values), by parts
-            zr = np.subtract(gamma.real, site_root)
-            zr -= _sum_children(level[0], branches)
-            ni = np.subtract(gamma.imag, _sum_children(level[1], branches))
             values = root[i, block]
-            crecip_parts(zr, np.negative(ni, out=ni), values.real, values.imag)
+            values.real, values.imag = level[0][0], level[1][0]
     return root, spine, viol
 
 

@@ -132,19 +132,11 @@ def resolve_config(raw: dict) -> dict:
         graphs.check_order(n, q)
     qe.check_window(cfg["lambda0"], q)
     obs = cfg["observable"]
-    if obs["kind"] not in {"constant", "indicator", "delta", "file"}:
-        raise ConfigError(f"unsupported observable kind {obs['kind']!r}")
-    if obs["kind"] == "file" and not obs["path"]:
-        raise ConfigError("file observables need observable.path")
-    if obs["kind"] == "constant" and abs(obs["constant"]) > 1.0:
-        raise ConfigError("constant observables need |c| <= 1")
-    if obs["kind"] == "indicator" and not (0.0 < obs["alpha"] < 1.0):
-        raise ConfigError("indicator fraction alpha must lie in (0, 1)")
+    qe.check_observable(obs["kind"], constant=obs["constant"], alpha=obs["alpha"], path=obs["path"])
     ker = cfg["kernel"]
     if ker["shape"] not in {"edges", "ring", "diagonal"}:
         raise ConfigError(f"unsupported kernel shape {ker['shape']!r}")
-    if abs(ker["value"]) > 1.0:
-        raise ConfigError("kernel value must satisfy |value| <= 1 (sup bound)")
+    qe.check_sup_bound(np.array([ker["value"]]), "kernel value")
     if ker["range"] < 0:
         raise ConfigError("kernel.range must be a nonnegative integer")
     if ker["shape"] == "edges" and ker["range"] != 1:
@@ -167,6 +159,10 @@ def resolve_config(raw: dict) -> dict:
     if mc["depth"] is None:
         eta_min = min(cfg["eta0_values"])
         mc["depth"] = tree_green.suggest_depth(q, max(eta_min, 0.05))
+    for eta in mc["eta_grid"]:
+        tree_green.check_eta(eta, cfg["epsilon"], mc["leaf_mode"])
+    tree_green.check_exponents(mc["s_values"])
+    tree_green.check_profile_depth(mc["depth"], ker["range"])
     return cfg
 
 

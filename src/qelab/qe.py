@@ -14,6 +14,7 @@ inputs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,26 @@ from .anderson import PotentialAssignment, SpectralData
 from .errors import ConfigError
 from .graphs import RegularGraph
 from .tree_green import DistanceRatioProfile
+
+
+def check_sup_bound(values: np.ndarray, what: str) -> None:
+    """ConfigError unless every value is finite with modulus at most 1 (up
+    to 1e-12): the sup-norm rule of observables, kernels and the config."""
+    if not np.all(np.abs(values) <= 1.0 + 1e-12):  # NaN fails the comparison too
+        raise ConfigError(f"{what} is not finite or exceeds the sup bound 1")
+
+
+def check_observable(kind: str, *, constant: float = 1.0, alpha: float = 0.5, path=None) -> None:
+    """ConfigError unless ``make_observable`` accepts these fields at some n
+    (it reads a file, and checks a delta vertex, only when it makes one)."""
+    if kind not in ("constant", "indicator", "delta", "file"):
+        raise ConfigError(f"unknown observable kind {kind!r}")
+    if kind == "constant":
+        check_sup_bound(np.array([constant]), f"constant observable {constant}")
+    if kind == "indicator" and not (0.0 < alpha < 1.0):
+        raise ConfigError("indicator fraction alpha must lie in (0, 1)")
+    if kind == "file" and not path:
+        raise ConfigError("file observables need observable.path")
 
 
 @dataclass(frozen=True)
@@ -38,8 +59,7 @@ class Observable:
     tag: str
 
     def __post_init__(self):
-        if np.max(np.abs(self.values)) > 1.0 + 1e-12:
-            raise ConfigError(f"observable {self.tag!r} exceeds the sup bound 1")
+        check_sup_bound(self.values, f"observable {self.tag!r}")
 
     @property
     def n(self) -> int:
@@ -53,13 +73,12 @@ def make_observable(kind: str, n: int, seed: int = 0, *, constant: float = 1.0,
     kind: "constant" (value ``constant``), "indicator" (random vertex set of
     fraction ``alpha``, ranked by a counter stream on ``seed``), "delta"
     (single vertex), or "file" (JSON array of per-vertex values, validated
-    against the sup bound).
+    against the sup bound).  The fields follow ``check_observable``.
     """
+    check_observable(kind, constant=constant, alpha=alpha, path=path)
     if kind == "constant":
         return Observable(np.full(n, constant, dtype=np.float64), tag=f"constant:{constant}")
     if kind == "indicator":
-        if not (0.0 < alpha < 1.0):
-            raise ConfigError("indicator fraction must lie in (0, 1)")
         return Observable(indicator_set_values(n, alpha, seed), tag=f"indicator:{alpha}")
     if kind == "delta":
         if not (0 <= vertex < n):
@@ -67,20 +86,16 @@ def make_observable(kind: str, n: int, seed: int = 0, *, constant: float = 1.0,
         vals = np.zeros(n, dtype=np.float64)
         vals[vertex] = 1.0
         return Observable(vals, tag=f"delta:{vertex}")
-    if kind == "file":
-        import json
-
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                vals = np.asarray(json.load(f), dtype=np.float64)
-        except (OSError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-            raise ConfigError(f"cannot read observable file {path}: {exc}") from exc
-        if vals.ndim != 1 or vals.size != n:
-            raise ConfigError(
-                f"observable file {path} must hold {n} values, got shape {vals.shape}"
-            )
-        return Observable(vals, tag=f"file:{path}")
-    raise ConfigError(f"unknown observable kind {kind!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            vals = np.asarray(json.load(f), dtype=np.float64)
+    except (OSError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read observable file {path}: {exc}") from exc
+    if vals.ndim != 1 or vals.size != n:
+        raise ConfigError(
+            f"observable file {path} must hold {n} values, got shape {vals.shape}"
+        )
+    return Observable(vals, tag=f"file:{path}")
 
 
 def indicator_set_values(n: int, alpha: float, seed: int) -> np.ndarray:
@@ -112,8 +127,7 @@ class Kernel:
     tag: str
 
     def __post_init__(self):
-        if self.values.size and np.max(np.abs(self.values)) > 1.0 + 1e-12:
-            raise ConfigError(f"kernel {self.tag!r} exceeds the sup bound 1")
+        check_sup_bound(self.values, f"kernel {self.tag!r}")
         if self.distances.size and int(self.distances.max()) > self.r_max:
             raise ConfigError("kernel entry beyond the declared range")
 

@@ -106,6 +106,24 @@ def suggest_depth(q: int, eta: float) -> int:
     return depth
 
 
+def check_eta(eta: float, epsilon: float, leaf_mode: str) -> None:
+    """ConfigError unless eta > 0, or eta = 0 on the stationary free path (eps = 0, free leaves)."""
+    if not (eta > 0 or (eta == 0 and epsilon == 0.0 and leaf_mode == "free")):
+        raise ConfigError("eta must be strictly positive for Green evaluations")
+
+
+def check_profile_depth(depth: int, r_max: int) -> None:
+    """ConfigError unless the distance profile's balls reach distance ``r_max``."""
+    if depth < r_max + 1:
+        raise ConfigError(f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1")
+
+
+def check_exponents(s_values) -> None:
+    """ConfigError unless every inverse-moment exponent of the moment table is positive."""
+    if any(s <= 0 for s in s_values):
+        raise ConfigError("inverse-moment exponents must be positive")
+
+
 def _leaf_value(gamma: complex, q: int, leaf_mode: str) -> complex | None:
     """Seed of every leaf: the free fixed point, or None for bare leaves."""
     if leaf_mode == "free":
@@ -166,8 +184,7 @@ def _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, branches, sample
     if depth < 1:
         raise ConfigError("depth must be at least 1")
     for g in gammas:
-        if not (g.imag > 0 or (g.imag == 0 and epsilon == 0.0 and leaf_mode == "free")):
-            raise ConfigError("eta must be strictly positive for Green evaluations")
+        check_eta(g.imag, epsilon, leaf_mode)
     # the guard runs before the leaves and floors, whose cost grows with the grid
     if epsilon != 0.0:
         _check_budget(_kernels.tree_node_count(q, depth, branches), samples * len(gammas))
@@ -262,10 +279,7 @@ def distance_ratio_profile(
     the same chain: one sample, with zero stderr.  Deterministic for fixed
     seed: fixed substreams, fixed summation order.
     """
-    if depth < r_max + 1:
-        raise ConfigError(
-            f"depth {depth} too shallow for distance {r_max}; need depth >= r_max + 1"
-        )
+    check_profile_depth(depth, r_max)
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     gammas = [complex(lam, eta) for lam in lambdas]
     root, spine, viol, _ = _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, q + 1,
@@ -353,8 +367,7 @@ def green_condition_moments(
     """
     lambda_grid = [float(x) for x in lambda_grid]
     s_list = tuple(float(s) for s in s_list)
-    if any(s <= 0 for s in s_list):
-        raise ConfigError("inverse-moment exponents must be positive")
+    check_exponents(s_list)
     grid = [(lam, float(eta)) for lam in lambda_grid for eta in eta_grid]
     gammas = [complex(lam, eta) for lam, eta in grid]
     zeta, _, viol, floors = _sweep_grid(q, pot_spec, epsilon, gammas, leaf_mode, depth, q,
@@ -460,8 +473,7 @@ def lifted_green(
     one step at a time over all pairs.
     """
     g = complex(gamma)
-    if not g.imag > 0:
-        raise ConfigError("eta must be strictly positive for Green evaluations")
+    check_eta(g.imag, pot.epsilon, "bare")
     _, (abs_cap,), (floor,) = _grid_bounds(graph.q, pot.spec, pot.epsilon, [g], "bare")
     if depth < 1:
         raise ConfigError("depth must be at least 1")

@@ -65,6 +65,15 @@ def fixed_point_forward_green(gamma, q: int, tol: float = 1e-12, max_iter: int =
     raise BudgetError(f"cavity fixed point not stationary to {tol} in {max_iter} iterations")
 
 
+def level_offsets(q, depth, branches):
+    """Level-order id of the first node in each level, index 1..depth."""
+    off = np.zeros(depth + 1, dtype=np.int64)
+    off[1] = 1
+    for k in range(1, depth):
+        off[k + 1] = off[k] + branches * q ** (k - 1)
+    return off
+
+
 def cavity_sweep(q, depth, branches, eps, gamma, leaf, pot_kind, pot_a, key,
                  spine_len, ray_branch, abs_cap, im_floor):
     """One disorder realization swept over a depth-``depth`` tree ball, node by node.
@@ -128,7 +137,7 @@ def materialized_tree_operator(
     n = _kernels.tree_node_count(q, depth, branches)
     if n > 20000:
         raise BudgetError(f"materialized tree would hold {n} nodes; lower the depth")
-    offsets = _kernels.level_offsets(q, depth, branches)
+    offsets = level_offsets(q, depth, branches)
     key = _rng.derive_key(seed, "tree-sweep")
     omegas = _rng.draw_omega_vec(
         pot_spec.kind, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)
@@ -171,7 +180,7 @@ def full_ball_green_row(
     n = _kernels.tree_node_count(q, depth, branches)
     if n > 200000:
         raise BudgetError(f"full-ball evaluation on {n} nodes; lower the depth")
-    offsets = _kernels.level_offsets(q, depth, branches)
+    offsets = level_offsets(q, depth, branches)
     key = _rng.derive_key(seed, "tree-sweep")
     omegas = _rng.draw_omega_vec(
         pot_spec.kind, pot_spec.support_bound, key, np.arange(n, dtype=np.int64)

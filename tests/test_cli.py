@@ -112,6 +112,9 @@ ONE_FAULT = [
     ({"potential": {"kind": "gaussian"}}, "potential kind"),
     ({"potential": {"support_bound": 0.0}}, "support_bound"),
     ({"eta0_values": [0.2, 0.1, 0.2]}, "eta0_values"),
+    ({"mc": {"eta_grid": [0.0, 0.1]}}, "eta must be strictly positive"),
+    ({"mc": {"s_values": [-1.0]}}, "inverse-moment exponents"),
+    ({"kernel": {"shape": "ring", "range": 4}, "mc": {"depth": 4}}, "too shallow for distance 4"),
 ]
 
 

@@ -155,6 +155,11 @@ def test_file_observable(tmp_path):
     bad.write_text(json.dumps([0.5, 2.0, 0.0, 0.0]))
     with pytest.raises(ConfigError, match="sup bound"):
         qe.make_observable("file", 4, path=str(bad))
+    # NaN fails no comparison with the bound, so it is rejected as not finite
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps([0.5, float("nan"), 0.0, 0.0]))
+    with pytest.raises(ConfigError, match="not finite"):
+        qe.make_observable("file", 4, path=str(nan))
     short = tmp_path / "short.json"
     short.write_text(json.dumps([0.5, 0.5]))
     with pytest.raises(ConfigError, match="4 values"):

@@ -94,19 +94,24 @@ def test_batches_match_per_sample_loop(kind, q, leaf_mode, samples, block_nodes,
                                        monkeypatch):
     set_budgets(monkeypatch, block_nodes, chunk_nodes)
     depth, leaf = DEPTH[q], leaf_for(leaf_mode, q)
-    # the distance profile's balls down two rays, and the moment table's
-    for branches, spine_len, ray_branch, key in [(q + 1, depth - 1, 0, 41),
-                                                 (q + 1, depth - 1, q, 41), (q, 0, 0, 43)]:
+    # the distance profile's balls down two rays, and the moment table's;
+    # then depth 1 and 2 balls of both branch counts whose spine reaches the
+    # leaf level (at depth 1 the root is the level above the leaves)
+    balls = [(depth, q + 1, depth - 1, 0, 41), (depth, q + 1, depth - 1, q, 41),
+             (depth, q, 0, 0, 43)]
+    shallow = [(d, b, d, b - 1, 45) for d in (1, 2) for b in (q + 1, q)]
+    for ball_depth, branches, spine_len, ray_branch, key in balls + shallow:
         root, spine, viol = _kernels.tree_batch(
-            q, depth, branches, EPS, [GAMMA], [leaf], kind, 1.0, key, samples,
+            q, ball_depth, branches, EPS, [GAMMA], [leaf], kind, 1.0, key, samples,
             spine_len, ray_branch, [ABS_CAP], [IM_FLOOR],
         )
-        want = sweep_oracle(q, depth, branches, leaf, kind, key, samples, spine_len, ray_branch)
+        want = sweep_oracle(q, ball_depth, branches, leaf, kind, key, samples, spine_len,
+                            ray_branch)
         assert np.array_equal(root, want[0][None])
         assert np.array_equal(spine, want[1][None])
         assert np.array_equal(tree_green._ray_green_im(root, spine), want[2][None])
         assert np.array_equal(viol, want[3][None])
-        assert leaf_mode == "free" or (viol[0, 1] > 0 and viol[0, 2] > 0)
+        assert ball_depth < depth or leaf_mode == "free" or (viol[0, 1] > 0 and viol[0, 2] > 0)
 
 
 @pytest.mark.parametrize("samples,block_nodes,chunk_nodes", LAYOUTS)
@@ -163,12 +168,13 @@ def test_one_sample_layout_holds_one_sample_per_block(monkeypatch):
 
 def recorded_blocks(monkeypatch):
     """Patch ``draw_omega_vec`` to record the samples of each block, which
-    draws its root sites (node 0) once, for all its samples: returns the list."""
+    draws the root's potential (level 0, node id 0) once, for all its
+    samples, as a one-row grid of ids: returns the list."""
     draw, seen = _kernels.draw_omega_vec, []
 
     def recording(kind, a, keys, ids, *rest):
-        if ids.ndim == 1:
-            seen.append(keys.shape[0])
+        if ids.shape == (1, 1) and ids[0, 0] == 0:
+            seen.append(keys.shape[1])
         return draw(kind, a, keys, ids, *rest)
 
     monkeypatch.setattr(_kernels, "draw_omega_vec", recording)
@@ -335,3 +341,38 @@ def test_free_leaf_sweep_work_stays_within_block_nodes(batch, monkeypatch):
         and not any(np.shares_memory(part, b) for part in (re, im) for b in buffers)
         for (re, im), leaf in zip(leaf_checks, leaves)
     )
+
+
+def test_every_reciprocal_of_a_sweep_writes_into_its_scratch(monkeypatch):
+    # the root is level 0 of the sweep: every crecip_parts call, the root's
+    # included, leaves its squared moduli in the sweep's own den scratch
+    # instead of allocating them, at every depth, branch count and leaf kind,
+    # and on the eps = 0 chain
+    reciprocal, made, dens = _kernels.crecip_parts, [], []
+
+    class Recorded(_kernels.SweepWork):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def recording(zr, ni, re=None, im=None, den=None, sq=None):
+        dens.append(den)
+        return reciprocal(zr, ni, re, im, den, sq)
+
+    monkeypatch.setattr(_kernels, "SweepWork", Recorded)
+    monkeypatch.setattr(_kernels, "crecip_parts", recording)
+    q = 3
+    for depth in (1, 2, 4):
+        for branches in (q + 1, q):
+            for eps in (EPS, 0.0):
+                for leaf_mode in ("bare", "free"):
+                    made.clear()
+                    dens.clear()
+                    _kernels.tree_batch(q, depth, branches, eps, GRID,
+                                        [leaf_for(leaf_mode, q, g) for g in GRID], "uniform",
+                                        1.0, 5, 9, depth, 0, GRID_CAPS, GRID_FLOORS)
+                    (work,) = made
+                    computed = depth + (leaf_mode == "bare")
+                    assert len(dens) >= len(GRID) * computed
+                    assert all(den is not None and np.shares_memory(den, work.scratch["den"])
+                               for den in dens)
