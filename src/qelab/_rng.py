@@ -1,10 +1,11 @@
 """Counter-based random streams.
 
-Every random quantity in the package is derived from a 64-bit key and an
-integer counter through the splitmix64 finalizer.  This gives stateless,
-order-independent draws: worker processes, the scalar path and the
-vectorized kernels all evaluate the same pure function and therefore produce
-bit-identical streams.
+Every random quantity in the package, the graph pairings included, is
+derived from a 64-bit key and an integer counter through the splitmix64
+finalizer.  This gives stateless, order-independent draws: worker processes,
+the scalar path and the vectorized kernels all evaluate the same pure
+function and therefore produce bit-identical streams.  Nothing here loads
+``numpy.random``.
 
 Key derivation scheme (documented so alternate implementations can reproduce
 the streams):
@@ -14,13 +15,14 @@ the streams):
                            through FNV-1a first
     uniform01_vec(h)     = (h >> 11) * 2**-53
 
-where ``mix64`` is the splitmix64 finalizer (Vigna's constants).
+where ``mix64`` is the splitmix64 finalizer (Vigna's constants).  The stub
+keys of a graph pairing are the top bits of ``hash_u64_vec`` over the stub
+ids; ``graphs.generate_random_regular`` states the rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -87,8 +89,14 @@ def hash_u64_vec(key, ctrs: np.ndarray, out=None, tmp=None) -> np.ndarray:
     result's shape; the result is written into ``out`` when given.
     """
     ctrs = ctrs.astype(np.uint64, copy=False)
-    z = np.add(np.uint64(key), (ctrs + np.uint64(1)) * np.uint64(GOLDEN), out=out)
-    return _mix64_vec(z, tmp)
+    key = np.uint64(key)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(key.shape, ctrs.shape), dtype=np.uint64)
+    # key + (ctr + 1) * GOLDEN, modulo 2**64, in place
+    np.add(ctrs, np.uint64(1), out=out)
+    out *= np.uint64(GOLDEN)
+    out += key
+    return _mix64_vec(out, tmp)
 
 
 def _unit_from_bits(bits: np.ndarray, out=None, scale: float = 2.0**-53) -> np.ndarray:
@@ -137,7 +145,3 @@ def draw_omega_vec(kind: str, bound: float, key, indices: np.ndarray, out=None,
         return u0
     raise ValueError(f"unknown potential kind {kind!r}")
 
-
-def numpy_generator(key: int) -> np.random.Generator:
-    """Seeded generator for operations that need shuffles (graph pairing)."""
-    return np.random.Generator(np.random.Philox(key=key & MASK64))

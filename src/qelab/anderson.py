@@ -138,6 +138,16 @@ class SpectralData:
         """Strict open window (-lambda0, lambda0); endpoints excluded."""
         return (self.eigenvalues > -lambda0) & (self.eigenvalues < lambda0)
 
+    def window(self, lambda0: float) -> slice:
+        """The columns of ``window_mask`` as one slice: ordered eigenvalues put
+        the window in one run of columns (ConfigError if it is not one)."""
+        idx = np.flatnonzero(self.window_mask(lambda0))
+        if not idx.size:
+            return slice(0, 0)
+        if idx[-1] - idx[0] + 1 != idx.size:
+            raise ConfigError("eigenvalues out of order: the window is not one run of columns")
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+
 
 def _canonical_signs(vecs: np.ndarray) -> None:
     """Flip columns in place so the first coordinate above 1e-8 in modulus is positive.

@@ -162,8 +162,14 @@ def resolve_config(raw: dict) -> dict:
     for eta in mc["eta_grid"]:
         tree_green.check_eta(eta, cfg["epsilon"], mc["leaf_mode"])
     tree_green.check_exponents(mc["s_values"])
-    tree_green.check_profile_depth(mc["depth"], ker["range"])
+    tree_green.check_profile_depth(mc["depth"], _kernel_range(ker))
     return cfg
+
+
+def _kernel_range(ker) -> int:
+    """The distance the configured kernel reaches: 0 for the diagonal shape,
+    whose range field it does not read, else ``kernel.range``."""
+    return 0 if ker["shape"] == "diagonal" else ker["range"]
 
 
 def _potential_spec(cfg) -> anderson.PotentialSpec:
@@ -239,7 +245,7 @@ class _Run:
         for eta0 in cfg["eta0_values"]:
             # one key for every eta0: the profiles share their tree potentials
             profiles[eta0] = tree_green.distance_ratio_profile(
-                cfg["q"], _potential_spec(cfg), cfg["epsilon"], eta0, cfg["kernel"]["range"],
+                cfg["q"], _potential_spec(cfg), cfg["epsilon"], eta0, _kernel_range(cfg["kernel"]),
                 _profile_lambda_grid(cfg), mc["samples"], derive_key(mc["seed"], "profile"),
                 depth=mc["depth"], leaf_mode=mc["leaf_mode"],
             )

@@ -2,9 +2,11 @@
 
 Generation uses the pairing (configuration) model with whole-sample rejection
 of self-loops and multi-edges, so every accepted graph is simple and exactly
-regular.  All structural queries (distances, geodesics, injectivity radii,
-expansion) are deterministic: neighbor lists are stored sorted ascending and
-BFS ties resolve to the smallest neighbor id.  Nothing here builds an n x n
+regular; each stub permutation is the key order of a splitmix64 counter
+stream (``_rng``), as every other random quantity of the package is.  All
+structural queries (distances, geodesics, injectivity radii, expansion) are
+deterministic: neighbor lists are stored sorted ascending and BFS ties
+resolve to the smallest neighbor id.  Nothing here builds an n x n
 array: the expansion check runs Lanczos on the neighbor table.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import derive_key, hash_u64_vec, numpy_generator, uniform01_vec
+from ._rng import derive_key, hash_u64_vec, uniform01_vec
 from .anderson import RESIDUAL_RTOL
 from .errors import ConfigError, GenerationError, InvariantError
 
@@ -109,7 +111,14 @@ def check_order(n: int, q: int) -> None:
 def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None = None) -> RegularGraph:
     """Sample a simple (q+1)-regular graph by rejection from the pairing model.
 
-    The whole stub pairing is resampled whenever it produces a self-loop or a
+    Stub i belongs to vertex i // (q+1).  Attempt t (t = 0, 1, ...) keys the
+    E = n(q+1) stubs by the top 64 - b bits of
+    ``hash_u64_vec(derive_key(derive_key(seed, "pairing", n, q), t), arange(E))``,
+    b = bit length of E - 1, and pairs them consecutively in ascending key
+    order.  An attempt in which two keys tie is redrawn, so the order never
+    depends on how the sort breaks ties, and with keys modeled as independent
+    uniform draws every permutation of the stubs is equally likely.
+    The whole pairing is redrawn whenever it produces a self-loop or a
     multi-edge, so accepted graphs are exact uniform pairing-model samples
     conditioned on simplicity.  Identical (n, q, seed) give identical graphs.
     """
@@ -119,15 +128,33 @@ def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None 
         # a pairing is simple with probability about exp(-(d^2 - 1)/4) at large
         # n; 20 times its inverse leaves failure odds near exp(-20)
         max_attempts = min(200_000, max(1000, math.ceil(20.0 * math.exp((d * d - 1) / 4.0))))
-    rng = numpy_generator(derive_key(seed, "pairing", n, q))
-    stubs_base = np.repeat(np.arange(n, dtype=np.int64), d)
-    for attempt in range(1, max_attempts + 1):
-        stubs = rng.permutation(stubs_base)
-        a = stubs[0::2]
-        b = stubs[1::2]
+    key = derive_key(seed, "pairing", n, q)
+    stubs = np.arange(n * d, dtype=np.uint64)
+    # a packed key holds the stub's hash in its high bits and the stub id in
+    # its low `bits` bits, so one in-place sort gives the permutation
+    bits = max(1, (n * d - 1).bit_length())
+    low = np.uint64((1 << bits) - 1)
+    packed = np.empty_like(stubs)
+    scratch = np.empty_like(stubs)
+    for attempt in range(max_attempts):
+        hash_u64_vec(derive_key(key, attempt), stubs, packed, scratch)
+        packed &= ~low
+        packed |= stubs
+        packed.sort()
+        # adjacent packed keys share their high bits exactly when they xor below 2**bits
+        np.bitwise_xor(packed[1:], packed[:-1], out=scratch[1:])
+        if np.any(scratch[1:] <= low):
+            continue
+        vert = np.bitwise_and(packed, low, out=scratch).view(np.int64)
+        np.floor_divide(vert, d, out=vert)
+        a = vert[0::2]
+        b = vert[1::2]
         if np.any(a == b):
             continue
-        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        keys = np.minimum(a, b)
+        keys *= n
+        keys += np.maximum(a, b)
+        keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             continue
         edges = np.stack(np.divmod(keys, n), axis=1)

@@ -341,18 +341,19 @@ class QEReport:
 _BRACKET_BLOCK = 128
 
 
-def _quadratic_brackets(kernel: Kernel, vecs: np.ndarray, columns=None) -> np.ndarray:
-    """<psi_i, K psi_i> for the eigenvector columns ``columns`` (default all).
+def _quadratic_brackets(kernel: Kernel, vecs: np.ndarray, columns=slice(None)) -> np.ndarray:
+    """<psi_i, K psi_i> for the eigenvector columns in the slice ``columns``
+    (default all).
 
-    Columns are evaluated in fixed blocks that gather only their own entries;
-    each value equals the one of an all-columns evaluation bit for bit.
+    Columns are evaluated in fixed blocks, views of ``vecs`` that gather only
+    their own entries; each value equals the one of an all-columns evaluation
+    bit for bit.
     """
-    if columns is None:
-        columns = np.arange(vecs.shape[1])
-    out = np.empty(len(columns))
-    for start in range(0, len(columns), _BRACKET_BLOCK):
-        block = vecs[:, columns[start:start + _BRACKET_BLOCK]]
-        out[start:start + _BRACKET_BLOCK] = np.einsum(
+    start, stop, _ = columns.indices(vecs.shape[1])
+    out = np.empty(stop - start)
+    for lo in range(start, stop, _BRACKET_BLOCK):
+        block = vecs[:, lo:min(lo + _BRACKET_BLOCK, stop)]
+        out[lo - start:lo - start + _BRACKET_BLOCK] = np.einsum(
             "e,ei,ei->i", kernel.values, block[kernel.rows], block[kernel.cols]
         )
     return out
@@ -378,10 +379,10 @@ def qe_statistic_kernel(
         raise ConfigError("the statistics need real eigenvectors and real kernel entries")
     if averages.r_max < kernel.r_max:
         raise ConfigError("average curve does not cover the kernel range")
-    mask = spec_data.window_mask(lambda0)
-    idx = np.nonzero(mask)[0]
-    lams = spec_data.eigenvalues[idx]
-    brackets = _quadratic_brackets(kernel, spec_data.eigenvectors, idx)
+    window = spec_data.window(lambda0)
+    idx = np.arange(window.start, window.stop)
+    lams = spec_data.eigenvalues[window]
+    brackets = _quadratic_brackets(kernel, spec_data.eigenvectors, window)
     avg = averages(lams)
     statistic = float(np.sum(np.abs(brackets - avg))) / spec_data.n
     return QEReport(

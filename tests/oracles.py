@@ -13,7 +13,9 @@ that the numpy moment and expansion checks replace, the per-distance
 interpolation bound of a distance-only bracket, the gap between the lifted
 and the distance-only brackets over a size grid, and the sort-based graph
 tables (lexsorted neighbor rows and edge kernel, the argsort pairing test,
-the searchsorted reverse edges) that the package builds in fewer passes.
+the searchsorted reverse edges) that the package builds in fewer passes,
+and the Philox pairing that drew the graphs of the recorded test values
+before the pairings came from the counter streams.
 """
 
 import json
@@ -501,11 +503,18 @@ def neighbors_lexsort(n: int, q: int, edges) -> np.ndarray:
 
 def random_regular_argsort(n: int, q: int, seed: int, max_attempts: int = 200_000):
     """(edges, neighbors) of ``graphs.generate_random_regular`` from the same
-    stub permutations, testing multi-edges on a stable argsort of the keys."""
-    rng = _rng.numpy_generator(_rng.derive_key(seed, "pairing", n, q))
-    stubs_base = np.repeat(np.arange(n, dtype=np.int64), q + 1)
-    for _ in range(max_attempts):
-        stubs = rng.permutation(stubs_base)
+    stub keys, ordered by a stable argsort of the keys themselves (not of
+    packed key|id words) and testing multi-edges on a stable argsort."""
+    d = q + 1
+    bits = max(1, (n * d - 1).bit_length())
+    base = _rng.derive_key(seed, "pairing", n, q)
+    for attempt in range(max_attempts):
+        h = _rng.hash_u64_vec(_rng.derive_key(base, attempt), np.arange(n * d, dtype=np.uint64))
+        stub_keys = h >> np.uint64(bits)
+        order = np.argsort(stub_keys, kind="stable")
+        if np.any(np.diff(stub_keys[order]) == 0):
+            continue
+        stubs = order // d
         a, b = stubs[0::2], stubs[1::2]
         if np.any(a == b):
             continue
@@ -517,6 +526,32 @@ def random_regular_argsort(n: int, q: int, seed: int, max_attempts: int = 200_00
             continue
         edges = np.stack([lo[order], hi[order]], axis=1)
         return edges, neighbors_lexsort(n, q, edges)
+    raise AssertionError(f"no simple pairing in {max_attempts} attempts")
+
+
+def random_regular_philox(n: int, q: int, seed: int, max_attempts: int | None = None):
+    """The graph ``graphs.generate_random_regular`` drew before its pairings
+    came from the counter streams: each stub permutation from numpy's Philox
+    keyed by ``derive_key(seed, "pairing", n, q)``.  The tests that pin values
+    recorded on those graphs build them here."""
+    graphs.check_order(n, q)
+    d = q + 1
+    if max_attempts is None:
+        max_attempts = min(200_000, max(1000, math.ceil(20.0 * math.exp((d * d - 1) / 4.0))))
+    rng = np.random.Generator(np.random.Philox(key=_rng.derive_key(seed, "pairing", n, q)))
+    stubs_base = np.repeat(np.arange(n, dtype=np.int64), d)
+    for attempt in range(1, max_attempts + 1):
+        stubs = rng.permutation(stubs_base)
+        a = stubs[0::2]
+        b = stubs[1::2]
+        if np.any(a == b):
+            continue
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        if np.any(keys[1:] == keys[:-1]):
+            continue
+        edges = np.stack(np.divmod(keys, n), axis=1)
+        neighbors = graphs._neighbors_from_edges(n, q, edges)
+        return graphs.RegularGraph(n=n, q=q, neighbors=neighbors, edges=edges)
     raise AssertionError(f"no simple pairing in {max_attempts} attempts")
 
 

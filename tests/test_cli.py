@@ -347,6 +347,23 @@ def test_import_and_run_leave_scipy_unloaded(tmp_path):
     assert json.loads(res.stdout) == [0, [], []]
 
 
+def test_import_config_and_graph_leave_numpy_random_unloaded():
+    # graph pairings come from the counter streams; numpy.random would also
+    # load secrets, hashlib and OpenSSL
+    code = (
+        "import json, sys\n"
+        "import qelab, qelab.cli\n"
+        "from qelab import graphs\n"
+        "qelab.cli.resolve_config({})\n"
+        "graphs.generate_random_regular(1000, 2, 0)\n"
+        "print(json.dumps([m for m in ('numpy.random', 'secrets') if m in sys.modules]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env())
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
+
+
 def test_import_and_one_thread_run_leave_multiprocessing_unloaded(tmp_path):
     # the process pool is imported by the grid only when it runs on threads > 1
     code = (
@@ -404,11 +421,13 @@ def test_ids_reference(tmp_path):
 
 
 @pytest.mark.parametrize("kernel", [{"shape": "ring", "range": 2}, {"shape": "ring", "range": 0},
-                                    {"shape": "diagonal"}])
+                                    {"shape": "diagonal"}, {"shape": "diagonal", "range": 8}])
 def test_kernel_shapes_match_in_process_statistic(tmp_path, kernel):
     from qelab import anderson, graphs, qe, tree_green
     from qelab._rng import derive_key
 
+    # a diagonal kernel reaches distance 0 whatever its range field says,
+    # so range 8 needs no deeper balls than MINI's depth 8
     raw = dict(MINI, kernel=kernel)
     out = tmp_path / "k"
     assert cli.main(["qe-kernel", "--config", _write(tmp_path, raw), "--out", str(out),
@@ -423,7 +442,8 @@ def test_kernel_shapes_match_in_process_statistic(tmp_path, kernel):
     else:
         ker = qe.diagonal_kernel(qe.make_observable("indicator", 64, seed=17, alpha=0.5))
     profile = tree_green.distance_ratio_profile(
-        2, spec, 0.2, 0.2, kernel.get("range", 1), np.linspace(-2.0, 2.0, 9), mc["samples"],
+        2, spec, 0.2, 0.2, kernel["range"] if kernel["shape"] == "ring" else 0,
+        np.linspace(-2.0, 2.0, 9), mc["samples"],
         derive_key(mc["seed"], "profile"), depth=8, leaf_mode="free",
     )
     rep = qe.qe_statistic_kernel(sd, ker, 2.0, qe.kernel_average_simple(ker, profile), q=2)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from qelab import graphs, qe
+from qelab import _rng, graphs, qe
 from qelab.errors import ConfigError, GenerationError, InvariantError
 
 K33_EDGES = [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
@@ -131,11 +133,96 @@ def test_generation_rejects_bad_inputs():
 
 def test_generation_budget_grows_with_degree():
     # at q=4 a pairing is simple with probability about e^-6; this seed needs
-    # 1016 attempts, beyond the old fixed budget of 1000
-    g = graphs.generate_random_regular(100, 4, seed=19)
+    # 1034 attempts, beyond the old fixed budget of 1000
+    g = graphs.generate_random_regular(100, 4, seed=33)
     assert g.neighbors.shape == (100, 5)
     with pytest.raises(GenerationError):
-        graphs.generate_random_regular(100, 4, seed=19, max_attempts=0)
+        graphs.generate_random_regular(100, 4, seed=33, max_attempts=1000)
+
+
+def assert_simple_regular(g):
+    """Edges listed once as sorted (u < v) pairs, no repeat, every degree q+1."""
+    u, v = g.edges.T
+    assert np.all(u < v) and np.all(v < g.n)
+    assert len(set(map(tuple, g.edges.tolist()))) == len(g.edges)
+    assert np.all(np.bincount(g.edges.reshape(-1), minlength=g.n) == g.q + 1)
+    assert np.array_equal(g.neighbors, neighbors_oracle(g.n, g.edges.tolist()))
+
+
+# (q, sizes, seeds per size): a pairing is simple with probability about
+# exp(-((q+1)^2 - 1)/4), so q = 5 (thousands of attempts a graph) gets fewer
+GENERATION_CASES = [(2, (4, 6, 40), 25), (3, (5, 12, 40), 25), (4, (12, 40), 25), (5, (40,), 5)]
+
+
+@pytest.mark.parametrize("q, sizes, seeds", GENERATION_CASES,
+                         ids=[f"q{c[0]}" for c in GENERATION_CASES])
+def test_generation_simple_regular_and_deterministic(q, sizes, seeds):
+    for n in sizes:
+        drawn = [graphs.generate_random_regular(n, q, seed) for seed in range(seeds)]
+        for g in drawn:
+            assert_simple_regular(g)
+        assert np.array_equal(drawn[0].edges, graphs.generate_random_regular(n, q, 0).edges)
+
+
+def test_tied_stub_keys_take_the_next_attempt(monkeypatch):
+    # seed 5 is simple at its first attempt; tying two stub keys there must
+    # make the generator draw attempt 1.  The tie copies a stub's hash onto
+    # the stub next above it in key order, a pair with the lower id below,
+    # so the sort keeps the permutation and only the tie rule can reject it
+    n, q, seed = 8, 2, 5
+    base = _rng.derive_key(seed, "pairing", n, q)
+    real, calls = graphs.hash_u64_vec, []
+
+    def hashed(key, ctrs, out=None, tmp=None):
+        calls.append(key)
+        h = real(key, ctrs, out, tmp)
+        if tie and key == _rng.derive_key(base, 0):
+            order = np.argsort(h)
+            r = next(r for r in range(order.size - 1) if order[r] < order[r + 1])
+            h[order[r + 1]] = h[order[r]]
+        return h
+
+    monkeypatch.setattr(graphs, "hash_u64_vec", hashed)
+    tie = False
+    untied = graphs.generate_random_regular(n, q, seed)
+    assert calls == [_rng.derive_key(base, 0)]
+    calls.clear()
+    tie = True
+    g = graphs.generate_random_regular(n, q, seed)
+    assert calls[:2] == [_rng.derive_key(base, 0), _rng.derive_key(base, 1)]
+    assert_simple_regular(g)
+    assert not np.array_equal(g.edges, untied.edges)
+
+
+def test_pairing_is_uniform_on_labeled_cubic_graphs_on_six_vertices():
+    # the 70 labeled 3-regular graphs on 6 vertices: 10 copies of K3,3
+    # (bipartite, no triangle) and 60 of the prism (two triangles); a simple
+    # pairing is uniform over them, so K3,3 comes up 1/7 of the time
+    seeds = 2800
+    counts = {}
+    k33 = 0
+    for seed in range(seeds):
+        g = graphs.generate_random_regular(6, 2, seed)
+        key = tuple(map(tuple, g.edges.tolist()))
+        counts[key] = counts.get(key, 0) + 1
+        adj = {tuple(e) for e in key}
+        k33 += not any({(a, b), (a, c), (b, c)} <= adj
+                       for a, b, c in itertools.combinations(range(6), 3))
+    assert len(counts) == 70
+    p = 1 / 7
+    assert abs(k33 - seeds * p) <= 4 * math.sqrt(seeds * p * (1 - p))
+    # every labeled graph about equally often: chi-square of 69 degrees of
+    # freedom within 4 of its standard deviations
+    expected = seeds / 70
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 <= 69 + 4 * math.sqrt(2 * 69)
+
+
+def test_seed_to_graph_map_is_pinned():
+    # recorded once the pairings came from the counter streams
+    g = graphs.generate_random_regular(20, 2, seed=3)
+    digest = hashlib.sha256(g.edges.tobytes()).hexdigest()
+    assert digest == "f823176b18e8f7d0df7c8dbf9c647cbb6249abb800cfdbf25ef5e885ac3ce551"
 
 
 def neighbors_oracle(n, edges):
@@ -255,7 +342,8 @@ def test_injectivity_against_ball_oracle():
 
 
 def test_injectivity_reference_n1000():
-    g = graphs.generate_random_regular(1000, 2, seed=1)
+    # the reference values were recorded on the Philox-pairing graph
+    g = oracles.random_regular_philox(1000, 2, seed=1)
     prof = graphs.injectivity_radius(g)
     frac_ge_3 = 1.0 - prof.small_radius_fraction(3)
     assert frac_ge_3 > 0.8

@@ -10,10 +10,11 @@ from qelab.errors import ConfigError
 SPEC = anderson.PotentialSpec()
 
 # brute-force references for (n=64, q=2, graphseed=7, eps=0.2, potseed=3,
-# lambda0=2.0), recorded before wiring the pipeline; the kernel value pins
-# the edge kernel with the ratio profile (23-point grid on [-2.2, 2.2],
-# 200 samples, seed 5, depth 10, eta0=0.2, free leaves), recorded once every
-# lambda of the profile was swept over the same balls
+# lambda0=2.0) on the Philox-pairing graph, recorded before wiring the
+# pipeline; the kernel value pins the edge kernel with the ratio profile
+# (23-point grid on [-2.2, 2.2], 200 samples, seed 5, depth 10, eta0=0.2,
+# free leaves), recorded once every lambda of the profile was swept over the
+# same balls
 DIAG_REFERENCE = 0.04467706150383817
 DIAG_REFERENCE_WINDOW = 41
 KERNEL_REFERENCE = 0.02377746652975731
@@ -21,7 +22,7 @@ KERNEL_REFERENCE = 0.02377746652975731
 
 @pytest.fixture(scope="module")
 def small_case():
-    g = graphs.generate_random_regular(64, 2, seed=7)
+    g = oracles.random_regular_philox(64, 2, seed=7)
     pot = anderson.sample_potential(64, SPEC, 0.2, seed=3)
     sd = anderson.eigendecompose(anderson.assemble(g, pot))
     obs = qe.make_observable("indicator", 64, seed=17, alpha=0.5)
@@ -221,10 +222,38 @@ def test_blocked_brackets_match_full_einsum():
     assert idx.size > 2 * qe._BRACKET_BLOCK
     for kernel in (qe.edge_kernel(g), qe.diagonal_kernel(qe.make_observable("indicator", n, 3))):
         full = np.einsum("e,ei,ei->i", kernel.values, vecs[kernel.rows], vecs[kernel.cols])
-        window = qe._quadratic_brackets(kernel, vecs, idx)
+        window = qe._quadratic_brackets(kernel, vecs, sd.window(2.4))
         assert np.array_equal(window.view(np.int64), full[idx].view(np.int64))
         every = qe._quadratic_brackets(kernel, vecs)
         assert np.array_equal(every.view(np.int64), full.view(np.int64))
+
+
+@pytest.mark.parametrize("n, q, lambda0", [(400, 2, 2.4), (1200, 3, 3.0)])
+def test_window_slice_brackets_match_index_array_bits(n, q, lambda0):
+    # the window's columns as a slice of views, against the gathered copy
+    # vecs[:, idx] of its index array
+    g = graphs.generate_random_regular(n, q, seed=8)
+    sd = anderson.eigendecompose(anderson.assemble(g, anderson.sample_potential(n, SPEC, 0.2, 9)))
+    window, idx = sd.window(lambda0), np.flatnonzero(sd.window_mask(lambda0))
+    assert idx.size > 2 * qe._BRACKET_BLOCK
+    assert np.array_equal(np.arange(window.start, window.stop), idx)
+    for kernel in (qe.edge_kernel(g), qe.diagonal_kernel(qe.make_observable("indicator", n, 3))):
+        sliced = qe._quadratic_brackets(kernel, sd.eigenvectors, window)
+        gathered = qe._quadratic_brackets(kernel, sd.eigenvectors[:, idx])
+        assert np.array_equal(sliced.view(np.int64), gathered.view(np.int64))
+
+
+def test_window_needs_one_run_of_columns():
+    vals = np.array([-3.0, -1.0, 0.5, 1.0, 3.0])
+    for order in (np.arange(5), np.arange(5)[::-1]):
+        sd = anderson.SpectralData(eigenvalues=vals[order], eigenvectors=np.eye(5))
+        window = sd.window(2.0)
+        mask = sd.window_mask(2.0)
+        assert np.array_equal(np.arange(window.start, window.stop), np.flatnonzero(mask))
+    assert sd.window(0.2) == slice(0, 0)
+    shuffled = anderson.SpectralData(eigenvalues=vals[[1, 0, 2, 4, 3]], eigenvectors=np.eye(5))
+    with pytest.raises(ConfigError, match="one run of columns"):
+        shuffled.window(2.0)
 
 
 def test_kernel_requires_real_for_positive_range(small_case):
