@@ -16,8 +16,10 @@ the streams):
     uniform01_vec(h)     = (h >> 11) * 2**-53
 
 where ``mix64`` is the splitmix64 finalizer (Vigna's constants).  The stub
-keys of a graph pairing are the top bits of ``hash_u64_vec`` over the stub
-ids; ``graphs.generate_random_regular`` states the rule.
+keys of a graph pairing are ``hash_u64_vec`` over the stub ids;
+``graphs.generate_random_regular`` states the rule.  For a fixed key,
+ctr -> hash_u64(key, ctr) is a bijection of the 64-bit words (both of its
+steps are), so ``unhash_u64_vec`` recovers the counters from the hashes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# inverses modulo 2**64 of the odd multipliers, for unhash_u64_vec
+_GOLDEN_INV = pow(GOLDEN, -1, 1 << 64)
+_MIX1_INV = pow(_MIX1, -1, 1 << 64)
+_MIX2_INV = pow(_MIX2, -1, 1 << 64)
 
 # draws reserved per sample index in omega streams; fixed across potential
 # kinds so that switching the distribution does not re-map indices
@@ -97,6 +103,32 @@ def hash_u64_vec(key, ctrs: np.ndarray, out=None, tmp=None) -> np.ndarray:
     out *= np.uint64(GOLDEN)
     out += key
     return _mix64_vec(out, tmp)
+
+
+def _unxorshift(z: np.ndarray, shift: int, tmp: np.ndarray) -> None:
+    """Undo ``z ^= z >> shift`` in place: z ^ (z >> s) ^ (z >> 2s) ^ ... ,
+    doubling the shift each step."""
+    while shift < 64:
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        shift *= 2
+
+
+def unhash_u64_vec(key: int, h: np.ndarray, tmp=None) -> np.ndarray:
+    """The counters whose ``hash_u64_vec`` under ``key`` is ``h``, computed in
+    place in the uint64 array ``h``; ``tmp`` is optional uint64 scratch of
+    its shape."""
+    if tmp is None:
+        tmp = np.empty_like(h)
+    _unxorshift(h, 31, tmp)
+    h *= np.uint64(_MIX2_INV)
+    _unxorshift(h, 27, tmp)
+    h *= np.uint64(_MIX1_INV)
+    _unxorshift(h, 30, tmp)
+    h -= np.uint64(key)
+    h *= np.uint64(_GOLDEN_INV)
+    h -= np.uint64(1)
+    return h
 
 
 def _unit_from_bits(bits: np.ndarray, out=None, scale: float = 2.0**-53) -> np.ndarray:

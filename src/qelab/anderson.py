@@ -139,8 +139,9 @@ class SpectralData:
         return (self.eigenvalues > -lambda0) & (self.eigenvalues < lambda0)
 
     def window(self, lambda0: float) -> slice:
-        """The columns of ``window_mask`` as one slice: ordered eigenvalues put
-        the window in one run of columns (ConfigError if it is not one)."""
+        """The columns of ``window_mask`` as one slice.  Ordered eigenvalues,
+        ascending from ``eigendecompose`` or reversed, put the window in one
+        run of columns (ConfigError if it is not one)."""
         idx = np.flatnonzero(self.window_mask(lambda0))
         if not idx.size:
             return slice(0, 0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import derive_key, hash_u64_vec, uniform01_vec
+from ._rng import derive_key, hash_u64_vec, uniform01_vec, unhash_u64_vec
 from .anderson import RESIDUAL_RTOL
 from .errors import ConfigError, GenerationError, InvariantError
 
@@ -112,12 +112,13 @@ def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None 
     """Sample a simple (q+1)-regular graph by rejection from the pairing model.
 
     Stub i belongs to vertex i // (q+1).  Attempt t (t = 0, 1, ...) keys the
-    E = n(q+1) stubs by the top 64 - b bits of
-    ``hash_u64_vec(derive_key(derive_key(seed, "pairing", n, q), t), arange(E))``,
-    b = bit length of E - 1, and pairs them consecutively in ascending key
-    order.  An attempt in which two keys tie is redrawn, so the order never
-    depends on how the sort breaks ties, and with keys modeled as independent
-    uniform draws every permutation of the stubs is equally likely.
+    E = n(q+1) stubs by the 64-bit words
+    ``hash_u64_vec(derive_key(derive_key(seed, "pairing", n, q), t), arange(E))``
+    and pairs them consecutively in ascending key order.  An attempt in which
+    two keys tie is redrawn: with keys modeled as independent uniform draws,
+    that keeps every permutation of the stubs exactly equally likely, where
+    breaking ties by stub id would favor some (a tie is expected about once
+    in 2**65 / E**2 attempts).
     The whole pairing is redrawn whenever it produces a self-loop or a
     multi-edge, so accepted graphs are exact uniform pairing-model samples
     conditioned on simplicity.  Identical (n, q, seed) give identical graphs.
@@ -130,22 +131,18 @@ def generate_random_regular(n: int, q: int, seed: int, max_attempts: int | None 
         max_attempts = min(200_000, max(1000, math.ceil(20.0 * math.exp((d * d - 1) / 4.0))))
     key = derive_key(seed, "pairing", n, q)
     stubs = np.arange(n * d, dtype=np.uint64)
-    # a packed key holds the stub's hash in its high bits and the stub id in
-    # its low `bits` bits, so one in-place sort gives the permutation
-    bits = max(1, (n * d - 1).bit_length())
-    low = np.uint64((1 << bits) - 1)
-    packed = np.empty_like(stubs)
+    order = np.empty_like(stubs)
     scratch = np.empty_like(stubs)
+    tied = np.empty(n * d - 1, dtype=bool)
     for attempt in range(max_attempts):
-        hash_u64_vec(derive_key(key, attempt), stubs, packed, scratch)
-        packed &= ~low
-        packed |= stubs
-        packed.sort()
-        # adjacent packed keys share their high bits exactly when they xor below 2**bits
-        np.bitwise_xor(packed[1:], packed[:-1], out=scratch[1:])
-        if np.any(scratch[1:] <= low):
+        attempt_key = derive_key(key, attempt)
+        hash_u64_vec(attempt_key, stubs, order, scratch)
+        order.sort()
+        if np.equal(order[1:], order[:-1], out=tied).any():
             continue
-        vert = np.bitwise_and(packed, low, out=scratch).view(np.int64)
+        # the hash is a bijection of the stub ids, so unhashing the sorted
+        # keys gives the stubs in key order without an argsort
+        vert = unhash_u64_vec(attempt_key, order, scratch).view(np.int64)
         np.floor_divide(vert, d, out=vert)
         a = vert[0::2]
         b = vert[1::2]

@@ -501,16 +501,15 @@ def neighbors_lexsort(n: int, q: int, edges) -> np.ndarray:
     return dst.reshape(n, q + 1)
 
 
-def random_regular_argsort(n: int, q: int, seed: int, max_attempts: int = 200_000):
-    """(edges, neighbors) of ``graphs.generate_random_regular`` from the same
-    stub keys, ordered by a stable argsort of the keys themselves (not of
-    packed key|id words) and testing multi-edges on a stable argsort."""
+def pairing_argsort(n: int, q: int, seed: int, max_attempts: int = 200_000):
+    """(edges, attempt) of the pairing ``graphs.generate_random_regular``
+    accepts, from the same stub keys ordered by a stable argsort of the
+    64-bit keys themselves (not by unhashing their sort), testing
+    multi-edges on a stable argsort; ``attempt`` is the accepted attempt."""
     d = q + 1
-    bits = max(1, (n * d - 1).bit_length())
     base = _rng.derive_key(seed, "pairing", n, q)
     for attempt in range(max_attempts):
-        h = _rng.hash_u64_vec(_rng.derive_key(base, attempt), np.arange(n * d, dtype=np.uint64))
-        stub_keys = h >> np.uint64(bits)
+        stub_keys = _rng.hash_u64_vec(_rng.derive_key(base, attempt), np.arange(n * d, dtype=np.uint64))
         order = np.argsort(stub_keys, kind="stable")
         if np.any(np.diff(stub_keys[order]) == 0):
             continue
@@ -524,9 +523,15 @@ def random_regular_argsort(n: int, q: int, seed: int, max_attempts: int = 200_00
         ordered = keys[order]
         if np.any(ordered[1:] == ordered[:-1]):
             continue
-        edges = np.stack([lo[order], hi[order]], axis=1)
-        return edges, neighbors_lexsort(n, q, edges)
+        return np.stack([lo[order], hi[order]], axis=1), attempt
     raise AssertionError(f"no simple pairing in {max_attempts} attempts")
+
+
+def random_regular_argsort(n: int, q: int, seed: int, max_attempts: int = 200_000):
+    """(edges, neighbors) of ``graphs.generate_random_regular`` from
+    ``pairing_argsort`` and the lexsort neighbor table."""
+    edges, _ = pairing_argsort(n, q, seed, max_attempts)
+    return edges, neighbors_lexsort(n, q, edges)
 
 
 def random_regular_philox(n: int, q: int, seed: int, max_attempts: int | None = None):

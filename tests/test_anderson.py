@@ -274,3 +274,11 @@ def test_window_mask_open_interval():
     )
     mask = sd.window_mask(2.0)
     assert mask.tolist() == [False, True, True, True, False]
+    assert sd.window(2.0) == slice(1, 4) and sd.window(0.5) == slice(2, 3)
+    assert sd.window(0.0) == slice(0, 0)
+    # reversed, as an eigen-permutation test builds it: still one run
+    rev = anderson.SpectralData(eigenvalues=sd.eigenvalues[::-1], eigenvectors=np.eye(5))
+    assert rev.window(1.5) == slice(1, 4)
+    shuffled = anderson.SpectralData(eigenvalues=sd.eigenvalues[[1, 0, 2, 4, 3]], eigenvectors=np.eye(5))
+    with pytest.raises(ConfigError, match="one run of columns"):
+        shuffled.window(2.0)

@@ -213,47 +213,22 @@ def test_trace_identity_all_eigenvalues(small_case):
 
 
 def test_blocked_brackets_match_full_einsum():
-    n = 400
-    g = graphs.generate_random_regular(n, 2, seed=8)
-    pot = anderson.sample_potential(n, SPEC, 0.2, seed=9)
-    sd = anderson.eigendecompose(anderson.assemble(g, pot))
-    vecs = sd.eigenvectors
-    idx = np.nonzero(sd.window_mask(2.4))[0]
-    assert idx.size > 2 * qe._BRACKET_BLOCK
-    for kernel in (qe.edge_kernel(g), qe.diagonal_kernel(qe.make_observable("indicator", n, 3))):
-        full = np.einsum("e,ei,ei->i", kernel.values, vecs[kernel.rows], vecs[kernel.cols])
-        window = qe._quadratic_brackets(kernel, vecs, sd.window(2.4))
-        assert np.array_equal(window.view(np.int64), full[idx].view(np.int64))
-        every = qe._quadratic_brackets(kernel, vecs)
-        assert np.array_equal(every.view(np.int64), full.view(np.int64))
-
-
-@pytest.mark.parametrize("n, q, lambda0", [(400, 2, 2.4), (1200, 3, 3.0)])
-def test_window_slice_brackets_match_index_array_bits(n, q, lambda0):
-    # the window's columns as a slice of views, against the gathered copy
-    # vecs[:, idx] of its index array
-    g = graphs.generate_random_regular(n, q, seed=8)
-    sd = anderson.eigendecompose(anderson.assemble(g, anderson.sample_potential(n, SPEC, 0.2, 9)))
-    window, idx = sd.window(lambda0), np.flatnonzero(sd.window_mask(lambda0))
-    assert idx.size > 2 * qe._BRACKET_BLOCK
-    assert np.array_equal(np.arange(window.start, window.stop), idx)
-    for kernel in (qe.edge_kernel(g), qe.diagonal_kernel(qe.make_observable("indicator", n, 3))):
-        sliced = qe._quadratic_brackets(kernel, sd.eigenvectors, window)
-        gathered = qe._quadratic_brackets(kernel, sd.eigenvectors[:, idx])
-        assert np.array_equal(sliced.view(np.int64), gathered.view(np.int64))
-
-
-def test_window_needs_one_run_of_columns():
-    vals = np.array([-3.0, -1.0, 0.5, 1.0, 3.0])
-    for order in (np.arange(5), np.arange(5)[::-1]):
-        sd = anderson.SpectralData(eigenvalues=vals[order], eigenvectors=np.eye(5))
-        window = sd.window(2.0)
-        mask = sd.window_mask(2.0)
-        assert np.array_equal(np.arange(window.start, window.stop), np.flatnonzero(mask))
-    assert sd.window(0.2) == slice(0, 0)
-    shuffled = anderson.SpectralData(eigenvalues=vals[[1, 0, 2, 4, 3]], eigenvectors=np.eye(5))
-    with pytest.raises(ConfigError, match="one run of columns"):
-        shuffled.window(2.0)
+    # the window's columns as a slice of views, against the index array of
+    # its mask into an all-columns evaluation
+    for n, q, lambda0 in ((400, 2, 2.4), (1200, 3, 3.0)):
+        g = graphs.generate_random_regular(n, q, seed=8)
+        pot = anderson.sample_potential(n, SPEC, 0.2, seed=9)
+        sd = anderson.eigendecompose(anderson.assemble(g, pot))
+        vecs = sd.eigenvectors
+        window, idx = sd.window(lambda0), np.flatnonzero(sd.window_mask(lambda0))
+        assert idx.size > 2 * qe._BRACKET_BLOCK
+        assert np.array_equal(np.arange(window.start, window.stop), idx)
+        for kernel in (qe.edge_kernel(g), qe.diagonal_kernel(qe.make_observable("indicator", n, 3))):
+            full = np.einsum("e,ei,ei->i", kernel.values, vecs[kernel.rows], vecs[kernel.cols])
+            sliced = qe._quadratic_brackets(kernel, vecs, window)
+            assert np.array_equal(sliced.view(np.int64), full[idx].view(np.int64))
+            every = qe._quadratic_brackets(kernel, vecs)
+            assert np.array_equal(every.view(np.int64), full.view(np.int64))
 
 
 def test_kernel_requires_real_for_positive_range(small_case):

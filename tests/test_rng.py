@@ -12,6 +12,15 @@ def test_hash_scalar_matches_vector():
     assert np.array_equal(vec, scal)
 
 
+def test_unhash_inverts_hash():
+    key = _rng.derive_key(42, "check")
+    ctrs = np.concatenate([np.arange(1000, dtype=np.uint64),
+                           np.array([2**32 - 1, 2**63, 2**64 - 1], dtype=np.uint64)])
+    assert np.array_equal(_rng.unhash_u64_vec(key, _rng.hash_u64_vec(key, ctrs)), ctrs)
+    words = _rng.hash_u64_vec(7, ctrs)
+    assert np.array_equal(_rng.hash_u64_vec(key, _rng.unhash_u64_vec(key, words.copy())), words)
+
+
 def test_uniform_range_and_determinism():
     key = _rng.derive_key(7, "u")
     vals = _rng.uniform01_vec(_rng.hash_u64_vec(key, np.arange(10000, dtype=np.uint64)))
